@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from .errors import HopffactError
 from .fields import Field
-from .linalg import BasedSpace, MapMatrix
+from .linalg import BasedSpace, IncrementalSpan, MapMatrix
 from .verdicts import Verdict
 
 
@@ -89,6 +89,36 @@ class StructAlgebra:
 
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim} over {self.field})"
+
+
+def algebra_generators(a: StructAlgebra) -> list[int]:
+    """Basis indices that generate ``a`` as an algebra, chosen in basis order.
+
+    A basis element is chosen when it lies outside the subalgebra generated
+    by the elements chosen so far, which is the span of 1 closed under right
+    multiplication by them.  Raises unless that span ends as all of ``a``.
+    """
+    f, n = a.field, a.dim
+    span = IncrementalSpan(f, n)
+    span.add(a.unit)
+    found = [a.unit_dict()]  # elements spanning the subalgebra generated so far
+    gens: list[int] = []
+    for i in range(n):
+        if span.contains(tuple(f.one if j == i else f.zero for j in range(n))):
+            continue
+        gens.append(i)
+        # the old elements still need multiplying by the new generator only
+        pending = [(x, (i,)) for x in found]
+        while pending:
+            x, by = pending.pop()
+            for g in by:
+                y = a.multiply(x, {g: f.one})
+                if span.add(tuple(y.get(j, f.zero) for j in range(n))):
+                    found.append(y)
+                    pending.append((y, tuple(gens)))
+    if span.dim != n:
+        raise HopffactError("the chosen generators do not span the algebra")
+    return gens
 
 
 class StructCoalgebra:

@@ -9,24 +9,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StructAlgebra, check_algebra, _dicts_equal
+from .algebras import StructAlgebra, algebra_generators, check_algebra, _dicts_equal
 from .errors import HopffactError, ImageEscapesEndSpace, SpaceMismatch
 from .fields import Field, PrimeField
-from .hopf import (
-    HModule,
-    HopfAlgebra,
-    check_module,
-    check_representation,
-    kron_matrix,
-    trivial_module,
-)
+from .hopf import HModule, HopfAlgebra, check_module, kron_matrix, trivial_module
 from .linalg import (
+    _FLOAT_EXACT_LIMIT,
     BasedSpace,
     GFBatchSpan,
     IncrementalSpan,
     MapMatrix,
     echelonize,
     kernel_basis,
+    kernel_basis_array,
 )
 from .rmatrix import RMatrix
 from .tensors import TensorElement, coapply_leg, leg_embed, tensor_invert, tensor_mult
@@ -268,11 +263,6 @@ def regular_bmodule(c: ComoduleAlgebra) -> BModule:
     )
 
 
-def check_bmodule(c: ComoduleAlgebra, m: BModule) -> Verdict:
-    """Algebra-representation laws for a B-module."""
-    return check_representation(c.algebra, m)
-
-
 def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
     """e_{X,M}: X⊗M → X⊗M, x⊗m ↦ (first leg · x) ⊗ (second leg ∗ m)."""
     f = k.host.field
@@ -462,16 +452,21 @@ def z2_membership(k: KMatrix, x: HModule) -> bool:
 # ---------------------------------------------------------------------------
 
 class EndSpace:
-    """Span of the intertwiners ξ: H → B, with the induced H-action."""
+    """Span of the intertwiners ξ: H → B, with the induced H-action.
 
-    __slots__ = ("comodule", "space", "basis_maps", "h_action", "_coord")
+    The basis, flattened, is the columns of ``_kernel``, which are the
+    identity on the rows ``_free``.
+    """
 
-    def __init__(self, comodule, space, basis_maps, h_action, coord):
+    __slots__ = ("comodule", "space", "basis_maps", "h_action", "_kernel", "_free")
+
+    def __init__(self, comodule, space, basis_maps, h_action, kernel, free):
         object.__setattr__(self, "comodule", comodule)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis_maps", tuple(basis_maps))
         object.__setattr__(self, "h_action", tuple(h_action))
-        object.__setattr__(self, "_coord", coord)
+        object.__setattr__(self, "_kernel", kernel)
+        object.__setattr__(self, "_free", free)
 
     def __setattr__(self, *a):
         raise AttributeError("EndSpace is immutable")
@@ -485,7 +480,14 @@ class EndSpace:
 
         Raises ImageEscapesEndSpace when a vector is outside the span.
         """
-        return self._coord.coords_many(vectors)
+        f = self.comodule.field
+        n = self._kernel.shape[0]
+        vectors = [[f.scalar(x) for x in v] for v in vectors]
+        if any(len(v) != n for v in vectors):
+            raise SpaceMismatch("vector length does not match Hom(H,B)")
+        vecs = _field_array(f, vectors).reshape(len(vectors), n).T
+        coords = _coords(f, self._kernel, self._free, vecs)
+        return [tuple(co) for co in _scalar_rows(f, coords.T)]
 
     def evaluation_at_unit(self) -> MapMatrix:
         """The map ξ ↦ ξ(1_H) from the span to B."""
@@ -505,119 +507,195 @@ class EndSpace:
         return f"EndSpace(dim={self.dim})"
 
 
-class _Coordinatizer:
-    """Exact coordinates w.r.t. a fixed independent column family."""
-
-    def __init__(self, field: Field, columns, length: int):
-        self.field = field
-        self.columns = [tuple(col) for col in columns]
-        self.length = length
-        k = len(self.columns)
-        if k == 0:
-            self.pivots = []
-            self.inv = None
-            return
-        ech, piv = echelonize(self.columns, length, field)
-        if len(piv) != k:
-            raise HopffactError("span columns are not independent")
-        self.pivots = piv
-        sq_space = BasedSpace(tuple(f"p{i}" for i in range(k)))
-        rows = [[self.columns[j][p] for j in range(k)] for p in piv]
-        self.inv = MapMatrix(field, sq_space, sq_space, rows).inverse()
-
-    def coords_many(self, vectors):
-        f = self.field
-        k = len(self.columns)
-        vectors = [tuple(v) for v in vectors]
-        if k == 0:
-            if any(any(not f.is_zero(x) for x in v) for v in vectors):
-                raise ImageEscapesEndSpace("vector outside the zero span")
-            return [() for _ in vectors]
-        coords = [
-            self.inv.apply(tuple(v[p] for p in self.pivots)) for v in vectors
-        ]
-        # exact membership verification, batched
-        if isinstance(f, PrimeField):
-            p = f.p
-            colmat = np.array(self.columns, dtype=np.float64).T % p
-            cmat = np.array(coords, dtype=np.float64).T % p
-            recon = _chunked_mod_matmul(colmat, cmat, p)
-            target = np.array(vectors, dtype=np.float64).T % p
-            if not np.array_equal(recon, target):
-                raise ImageEscapesEndSpace("vector outside the span")
-        else:
-            for v, co in zip(vectors, coords):
-                recon = [f.zero] * self.length
-                for j, cj in enumerate(co):
-                    if f.is_zero(cj):
-                        continue
-                    col = self.columns[j]
-                    recon = [f.add(a, f.mul(cj, b)) for a, b in zip(recon, col)]
-                if tuple(recon) != v:
-                    raise ImageEscapesEndSpace("vector outside the span")
-        return [tuple(co) for co in coords]
+def _coords(f: Field, columns: np.ndarray, free, vecs: np.ndarray) -> np.ndarray:
+    """Coordinates (k × m) of the columns of ``vecs`` (n × m) in ``columns``
+    (n × k), which are the identity on the rows ``free``: a vector's
+    coordinates are its entries there, and it lies in the span iff the
+    columns rebuild it from them."""
+    coords = vecs[free]
+    if not np.array_equal(_mod_matmul(f, columns, coords), vecs):
+        raise ImageEscapesEndSpace("vector outside the span")
+    return coords
 
 
-def _chunked_mod_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) % p in float64, chunking the inner dimension if needed."""
-    inner = a.shape[1]
-    max_block = max(1, int((2**52) // max(1, (p - 1) ** 2)))
-    if inner <= max_block:
-        return ((a % p) @ (b % p)) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float64)
-    for s in range(0, inner, max_block):
-        out += (a[:, s:s + max_block] % p) @ (b[s:s + max_block] % p)
+# Over Q the arrays hold objects, with integral Fractions stored as ints:
+# the same values, with far cheaper arithmetic.
+_integral = np.frompyfunc(lambda x: x.numerator if x.denominator == 1 else x, 1, 1)
+
+
+def _dtype(f: Field):
+    """Array dtype of field scalars: float64 over GF(p), objects over Q."""
+    return np.float64 if isinstance(f, PrimeField) else object
+
+
+def _field_array(f: Field, rows) -> np.ndarray:
+    arr = np.array(rows, dtype=_dtype(f))
+    return arr if isinstance(f, PrimeField) else _integral(arr)
+
+
+def _scalar_rows(f: Field, arr: np.ndarray) -> list:
+    """The rows of a 2-D array as lists of field scalars."""
+    if isinstance(f, PrimeField):
+        return arr.astype(np.int64).tolist()
+    return [[f.scalar(x) for x in row] for row in arr]
+
+
+def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b over f; stacked operands broadcast as in numpy.
+
+    Over GF(p) both operands hold ints in [0, p) as float64.  The inner
+    dimension is cut into blocks whose partial sums, plus a reduced
+    accumulator, stay below 2**53, so every intermediate is an exact integer;
+    the result is reduced into [0, p) in place.  Over Q numpy's object
+    product is exact.
+    """
+    if not isinstance(f, PrimeField):
+        return a @ b
+    p = f.p
+    block = (_FLOAT_EXACT_LIMIT - p) // (p - 1) ** 2
+    if block < 1:
+        raise HopffactError(f"GF({p}): a product of two residues exceeds 2**53")
+    out = a[..., :block] @ b[..., :block, :]
+    out %= p
+    for s in range(block, a.shape[-1], block):
+        out += a[..., s:s + block] @ b[..., s:s + block, :]
         out %= p
     return out
 
 
-def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
-    """Kernel of the intertwiner constraints on Hom(H,B), plus the H-action.
+def _constraint_op(c: ComoduleAlgebra, b: int):
+    """The intertwiner constraint of basis element b as COO arrays
+    (rows, cols, vals), sorted by row.
 
-    A map ξ (as a dim B × dim H coefficient matrix, flattened row-major)
-    lies in the space iff for every algebra basis element b:
-    Σ_{δ(b)} (right-mult by b_[0]) ξ (left-mult by b_[-1]) = (left-mult by b) ξ.
-    The kernel is intersected constraint block by constraint block.
+    With ξ flattened as ξ[r·dim H + s] = coefficient of b_r in ξ(h_s), row
+    (r', s') and column (r, s) carry
+    Σ_{c·h_i⊗b_j in δ(b)} c·[b_r b_j]_{r'}·[h_i h_s']_s − [b b_r]_{r'}·[s = s'].
+    Entries come straight from the structure constants and are summed in
+    the field, so no entry is ever larger than a field element.
+    """
+    f = c.field
+    nh = c.host.dim
+    hmul = c.host.algebra.mult_basis
+    bmul = c.algebra.mult_basis
+    acc: dict = {}
+    for (hi, bj), cv in c.coaction_basis(b).items():
+        hterms = [(s2, s, cs) for s2 in range(nh) for s, cs in hmul(hi, s2).items()]
+        for r in range(c.dim):
+            for r2, cr in bmul(r, bj).items():
+                a = f.mul(cv, cr)
+                for s2, s, cs in hterms:
+                    _add_term(f, acc, (r2 * nh + s2, r * nh + s), f.mul(a, cs))
+    for r in range(c.dim):
+        for r2, cr in bmul(b, r).items():
+            for s in range(nh):
+                _add_term(f, acc, (r2 * nh + s, r * nh + s), f.neg(cr))
+    keys = sorted(acc)
+    rows = np.array([k[0] for k in keys], dtype=np.int64)
+    cols = np.array([k[1] for k in keys], dtype=np.int64)
+    return rows, cols, _field_array(f, [acc[k] for k in keys])
+
+
+_SLICE_CELLS = 1 << 20  # array cells per slice of a large product
+
+
+def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
+    """op @ mat for a COO operator, one output row per nonzero operator row.
+
+    Each operator row is padded to the widest row's entry count, so a slice
+    of rows is one stacked product of their values against the gathered
+    rows of ``mat``.
+    """
+    rows, cols, vals = op
+    ids, starts, counts = np.unique(rows, return_index=True, return_counts=True)
+    width = int(counts.max(initial=0))
+    line = np.repeat(np.arange(ids.size), counts)
+    slot = np.arange(rows.size) - np.repeat(starts, counts)
+    pad_cols = np.zeros((ids.size, width), dtype=np.int64)
+    pad_vals = np.zeros((ids.size, 1, width), dtype=_dtype(f))
+    pad_cols[line, slot] = cols
+    pad_vals[line, 0, slot] = vals
+    k = mat.shape[1]
+    step = max(1, _SLICE_CELLS // max(1, width * k))
+    parts = [
+        _mod_matmul(f, pad_vals[s:s + step], mat[pad_cols[s:s + step]])[:, 0, :]
+        for s in range(0, ids.size, step)
+    ]
+    return np.concatenate(parts) if parts else np.zeros((0, k), dtype=_dtype(f))
+
+
+def _kernel(f: Field, rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Right kernel as an (ncols × nullity) array, read off the RREF."""
+    if isinstance(f, PrimeField):
+        return kernel_basis_array(rows, ncols, f)
+    basis = kernel_basis(rows, ncols, f)
+    return _field_array(f, basis).reshape(len(basis), ncols).T
+
+
+_REFINE_BATCH = 2  # generator constraints imposed per kernel refinement
+
+
+def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
+    """E(H,B), the intertwiners ξ: H → B, with the H-action (h·ξ)(h') = ξ(h'h).
+
+    A map ξ, as a dim B × dim H coefficient matrix flattened row-major, is an
+    intertwiner iff ξ(b_[-1] h) b_[0] = b ξ(h) for every b in B.  The b that
+    satisfy this form a subalgebra, because δ is an algebra map, so only the
+    constraints of the algebra generators that ``algebra_generators`` picks
+    are imposed.  Each basis element's constraint is a sparse operator on
+    Hom(H,B), assembled as COO arrays straight from the structure constants.
+    The kernel starts as all of Hom(H,B) and is refined by a few stacked
+    generator constraints at a time: they are applied sparsely to the
+    current kernel basis, their all-zero rows dropped, and the basis
+    replaced by its combinations in the kernel of the result.  The final
+    basis is then checked against the constraint of every basis element of
+    B, so exactness does not rest on the generator argument alone.  It is
+    the reduced basis (the identity on its free coordinates) that one
+    elimination of all the constraints would give.  Over GF(p) every product
+    goes through ``_mod_matmul``.
     """
     f = c.field
     h = c.host
     nb, nh = c.dim, h.dim
     n = nb * nh
-    left_h = [h.algebra.left_mult_matrix({i: f.one}) for i in range(nh)]
-    kernel_cols = None  # columns spanning the current kernel, or None = all
-    for b in range(nb):
-        block = _end_constraint_block(c, b, left_h)
-        kernel_cols = _refine_kernel(f, block, kernel_cols, n)
-        if _kernel_count(kernel_cols) == 0:
+    ops = [_constraint_op(c, b) for b in range(nb)]
+    gens = algebra_generators(c.algebra)
+    kernel = np.eye(n, dtype=_dtype(f))
+    for s in range(0, len(gens), _REFINE_BATCH):
+        if not kernel.shape[1]:
             break
-    if isinstance(kernel_cols, np.ndarray):
-        kernel_cols = [
-            tuple(int(x) for x in kernel_cols[:, j])
-            for j in range(kernel_cols.shape[1])
-        ]
-    kernel_cols = kernel_cols or []
-    sp = BasedSpace(tuple(f"ξ{i}" for i in range(len(kernel_cols))))
-    hom_dom = h.space
-    basis_maps = []
-    for vec in kernel_cols:
-        rows = [tuple(vec[r * nh + s] for s in range(nh)) for r in range(nb)]
-        basis_maps.append(MapMatrix(f, hom_dom, c.algebra.space, rows))
-    coord = _Coordinatizer(f, kernel_cols, n)
-    # H-action (h·ξ)(h') = ξ(h'h): precompose with right multiplication
-    right_h = [h.algebra.right_mult_matrix({i: f.one}) for i in range(nh)]
+        prod = np.concatenate([_apply(f, ops[g], kernel) for g in gens[s:s + _REFINE_BATCH]])
+        prod = prod[(prod != 0).any(axis=1)]
+        coeffs = _kernel(f, prod, kernel.shape[1])
+        # the first batch refines the identity, so its kernel is the new basis
+        kernel = coeffs if s == 0 else _mod_matmul(f, kernel, coeffs)
+    for b, op in enumerate(ops):
+        if (_apply(f, op, kernel) != 0).any():
+            raise HopffactError(
+                f"the generators' kernel fails the constraint of basis element {b}: "
+                "the coaction is not an algebra map"
+            )
+    k = kernel.shape[1]
+    # each basis vector ends at its free coordinate, where the others vanish
+    free = n - 1 - np.argmax((kernel != 0)[::-1], axis=0)
+    if not np.array_equal(kernel[free], np.eye(k, dtype=_dtype(f))):
+        raise HopffactError("end-space basis is not reduced (bug)")
+    sp = BasedSpace(tuple(f"ξ{i}" for i in range(k)))
+    basis_maps = [
+        MapMatrix(f, h.space, c.algebra.space, _scalar_rows(f, kernel[:, j].reshape(nb, nh)))
+        for j in range(k)
+    ]
+    # right-multiply every ξ by h_i at once: ξ ↦ ξ·R(h_i) on the H index
+    by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1)
     h_action = []
     for i in range(nh):
-        targets = []
-        for mat in basis_maps:
-            moved = mat @ right_h[i]
-            targets.append(_flatten_map(moved))
+        right = _field_array(f, h.algebra.right_mult_matrix({i: f.one}).rows)
+        moved = _mod_matmul(f, by_row, right).transpose(0, 2, 1).reshape(n, k)
         try:
-            cols = coord.coords_many(targets)
+            coords = _coords(f, kernel, free, moved)
         except ImageEscapesEndSpace as exc:
             raise HopffactError("end space is not action-stable (bug)") from exc
-        rows = [tuple(cols[j][r] for j in range(len(cols))) for r in range(len(kernel_cols))]
-        h_action.append(MapMatrix(f, sp, sp, rows))
-    es = EndSpace(c, sp, basis_maps, h_action, coord)
+        h_action.append(MapMatrix(f, sp, sp, _scalar_rows(f, coords)))
+    es = EndSpace(c, sp, basis_maps, h_action, kernel, free)
     if es.dim:
         v = check_module(h, HModule(sp, h_action))
         if not v:
@@ -627,98 +705,6 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
 
 def _flatten_map(m: MapMatrix):
     return tuple(x for row in m.rows for x in row)
-
-
-def _kernel_count(kernel_cols) -> int:
-    if kernel_cols is None:
-        return -1
-    if isinstance(kernel_cols, np.ndarray):
-        return kernel_cols.shape[1]
-    return len(kernel_cols)
-
-
-def _end_constraint_block(c: ComoduleAlgebra, b: int, left_h):
-    """Rows of the constraint operator for one algebra basis element."""
-    f = c.field
-    nb, nh = c.dim, c.host.dim
-    lb = c.algebra.left_mult_matrix({b: f.one})
-    if isinstance(f, PrimeField):
-        p = f.p
-        acc = np.zeros((nb * nh, nb * nh), dtype=np.float64)
-        for (hh, bb), cv in c.coaction_basis(b).items():
-            rb = c.algebra.right_mult_matrix({bb: f.one}).numpy()
-            lh_t = left_h[hh].numpy().T
-            acc = (acc + float(cv) * np.kron(rb, lh_t)) % p
-        eye = np.eye(nh)
-        acc = (acc - np.kron(lb.numpy(), eye)) % p
-        return acc
-    rows = [[f.zero] * (nb * nh) for _ in range(nb * nh)]
-    for (hh, bb), cv in c.coaction_basis(b).items():
-        rb = c.algebra.right_mult_matrix({bb: f.one})
-        lh = left_h[hh]
-        for r2 in range(nb):
-            for r in range(nb):
-                a = rb.rows[r2][r]
-                if f.is_zero(a):
-                    continue
-                a = f.mul(cv, a)
-                for s2 in range(nh):
-                    for s in range(nh):
-                        q = lh.rows[s][s2]
-                        if not f.is_zero(q):
-                            rows[r2 * nh + s2][r * nh + s] = f.add(
-                                rows[r2 * nh + s2][r * nh + s], f.mul(a, q)
-                            )
-    for r2 in range(nb):
-        for r in range(nb):
-            a = lb.rows[r2][r]
-            if f.is_zero(a):
-                continue
-            for s in range(nh):
-                rows[r2 * nh + s][r * nh + s] = f.sub(rows[r2 * nh + s][r * nh + s], a)
-    return [tuple(row) for row in rows]
-
-
-def _refine_kernel(f, block_rows, kernel_cols, n):
-    """Intersect the current kernel with ker(block)."""
-    if isinstance(f, PrimeField):
-        from .linalg import kernel_basis_array
-
-        p = f.p
-        if kernel_cols is None:
-            return kernel_basis_array(block_rows, n, f)
-        if kernel_cols.shape[1] == 0:
-            return kernel_cols
-        prod = _chunked_mod_matmul(block_rows, kernel_cols, p)
-        coeffs = kernel_basis_array(prod, kernel_cols.shape[1], f)
-        return _chunked_mod_matmul(kernel_cols, coeffs, p)
-    if kernel_cols is None:
-        return kernel_basis(block_rows, n, f)
-    if not kernel_cols:
-        return []
-    k = len(kernel_cols)
-    rows = []
-    for brow in block_rows:
-        nzs = [(j, x) for j, x in enumerate(brow) if not f.is_zero(x)]
-        row = []
-        for col in kernel_cols:
-            s = f.zero
-            for j, x in nzs:
-                if not f.is_zero(col[j]):
-                    s = f.add(s, f.mul(x, col[j]))
-            row.append(s)
-        rows.append(tuple(row))
-    coeffs = kernel_basis(rows, k, f)
-    out = []
-    for co in coeffs:
-        vec = [f.zero] * n
-        for j, cj in enumerate(co):
-            if f.is_zero(cj):
-                continue
-            col = kernel_cols[j]
-            vec = [f.add(a, f.mul(cj, b)) for a, b in zip(vec, col)]
-        out.append(tuple(vec))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1079,42 +1065,35 @@ def _saturate_operator_algebra(c: ComoduleAlgebra, ops):
 
 def _saturate_gf(c: ComoduleAlgebra, ops, cap):
     f = c.field
-    p = f.p
     n = c.dim
     gens = np.stack([op.numpy().astype(np.float64) for op in ops])
-    span = GFBatchSpan(p, n * n)
+    span = GFBatchSpan(f.p, n * n)
     eye = np.eye(n, dtype=np.float64)
     seed = np.vstack([eye.reshape(1, -1), gens.reshape(len(ops), -1)])
     span.add_batch(seed)
-    frontier = _rows_to_mats(span.rows, n)
+    frontier = span.rows.reshape(-1, n, n)
+    batch_rows = max(1, _SLICE_CELLS // (n * n))
     rounds = 0
     while frontier.shape[0] and rounds < cap:
         rounds += 1
-        before = span.dim
-        prods = np.einsum("gab,mbc->gmac", gens, frontier) % p
-        batch = prods.reshape(-1, n * n)
-        new_count = 0
-        chunk = max(1, (1 << 22) // (n * n))
         start_row = span.dim
-        for s in range(0, batch.shape[0], chunk):
-            new_count += span.add_batch(batch[s:s + chunk])
+        new_count = 0
+        # one slice of generators at a time keeps every temporary small
+        per_slice = max(1, _SLICE_CELLS // (frontier.shape[0] * n * n))
+        for g in range(0, len(gens), per_slice):
+            prods = _mod_matmul(f, gens[g:g + per_slice, None], frontier[None])
+            batch = prods.reshape(-1, n * n)
+            for s in range(0, batch.shape[0], batch_rows):
+                new_count += span.add_batch(batch[s:s + batch_rows])
+                if span.dim == n * n:
+                    break
             if span.dim == n * n:
                 break
         if span.dim == n * n or new_count == 0:
             break
-        frontier = _rows_to_mats(span.rows[start_row:], n)
-        if span.dim == before:
-            break
+        frontier = span.rows[start_row:].reshape(-1, n, n)
     sp = c.algebra.space
-    mats = []
-    for row in span.rows:
-        rows = [tuple(int(x) for x in row[i * n:(i + 1) * n]) for i in range(n)]
-        mats.append(MapMatrix(f, sp, sp, rows))
-    return mats
-
-
-def _rows_to_mats(rows: np.ndarray, n: int) -> np.ndarray:
-    return rows.reshape(-1, n, n).astype(np.float64)
+    return [MapMatrix(f, sp, sp, _scalar_rows(f, row.reshape(n, n))) for row in span.rows]
 
 
 def _trace_ideal_witness(c: ComoduleAlgebra, op_basis):

@@ -50,10 +50,6 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self.inverse[i]
 
-    def conj(self, g: int, x: int) -> int:
-        """g x g^{-1}."""
-        return self.mul(self.mul(g, x), self.inv(g))
-
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
 

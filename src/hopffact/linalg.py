@@ -432,9 +432,6 @@ class MapMatrix:
         """One preimage of ``target`` (a codomain vector)."""
         return solve_columns(self.rows, [tuple(target)], self.domain.dim, self.field)[0]
 
-    def solve_many(self, targets):
-        return solve_columns(self.rows, [tuple(t) for t in targets], self.domain.dim, self.field)
-
     def inverse(self) -> "MapMatrix":
         if self.domain.dim != self.codomain.dim:
             raise NotInvertible("non-square matrix")
@@ -462,10 +459,6 @@ class MapMatrix:
             for i, row in enumerate(self.rows)
             for j, x in enumerate(row)
         )
-
-    def is_zero_map(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.rows for x in row)
 
     def __eq__(self, other):
         return (

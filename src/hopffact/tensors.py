@@ -309,15 +309,3 @@ def coapply_leg(t: TensorElement, leg: int, comult) -> TensorElement:
             key = idx[:leg] + (j, k) + idx[leg + 1 :]
             out[key] = f.add(out.get(key, f.zero), f.mul(c, dc))
     return TensorElement(f, factors, out)
-
-
-def map_leg(t: TensorElement, leg: int, mapping) -> TensorElement:
-    """Apply a linear map to one leg; ``mapping(i)`` yields {j: coeff}."""
-    f = t.field
-    out = {}
-    for idx, c in t.coeffs.items():
-        for j, mc in mapping(idx[leg]).items():
-            key = idx[:leg] + (j,) + idx[leg + 1 :]
-            val = f.add(out.get(key, f.zero), f.mul(c, mc))
-            out[key] = val
-    return TensorElement(f, t.factors, out)

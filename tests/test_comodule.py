@@ -1,8 +1,10 @@
 """Comodule algebras, K-matrices, end spaces, factorizability maps,
 weak factorizability, costable ideals, and symmetric-center membership."""
 
+import numpy as np
 import pytest
 
+from hopffact.algebras import StructAlgebra, algebra_generators
 from hopffact.comodule import (
     ComoduleAlgebra,
     KMatrix,
@@ -24,16 +26,18 @@ from hopffact.comodule import (
 from hopffact.constructions import (
     group_algebra,
     named_example,
+    registry_names,
     regular_comodule,
     subgroup_comodule,
+    sweedler_h4,
     trivial_comodule,
     trivial_k_matrix,
 )
 from hopffact.errors import HopffactError
-from hopffact.fields import QQ
+from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import regular_module, trivial_module
-from hopffact.linalg import MapMatrix
+from hopffact.linalg import BasedSpace, IncrementalSpan, MapMatrix, echelonize, kernel_basis
 from hopffact.rmatrix import drinfeld_map
 
 
@@ -138,26 +142,131 @@ def test_end_space_trivial_comodule_is_dual():
 def test_end_space_basis_maps_satisfy_intertwiner_identity(dc2):
     # independent re-check of ξ(b_[-1] h) b_[0] = b ξ(h), computed directly
     # from the coaction and products rather than through the kernel builder
-    c = dc2.comodule
-    h = dc2.hopf
-    es = compute_end_space(c)
-    for xi in es.basis_maps:
-        for b in range(c.dim):
-            for s in range(h.dim):
-                lhs = {}
-                for (hh, bb), cv in c.coaction_basis(b).items():
-                    prod_h = h.algebra.mult_basis(hh, s)
-                    for t, ct in prod_h.items():
-                        xi_t = {r: xi.rows[r][t] for r in range(c.dim)
-                                if xi.rows[r][t] != QQ.zero}
-                        piece = c.algebra.multiply(xi_t, {bb: QQ.one})
-                        for r, cr in piece.items():
-                            lhs[r] = lhs.get(r, QQ.zero) + cv * ct * cr
-                xi_s = {r: xi.rows[r][s] for r in range(c.dim)
-                        if xi.rows[r][s] != QQ.zero}
-                rhs = c.algebra.multiply({b: QQ.one}, xi_s)
-                lhs = {k: v for k, v in lhs.items() if v != QQ.zero}
-                assert lhs == rhs
+    for bundle in (dc2, named_example("sweedler:1", GF(101))):
+        c = bundle.comodule
+        h = bundle.hopf
+        f = c.field
+        es = compute_end_space(c)
+        assert es.dim == h.dim
+        for xi in es.basis_maps:
+            for b in range(c.dim):
+                for s in range(h.dim):
+                    lhs = {}
+                    for (hh, bb), cv in c.coaction_basis(b).items():
+                        prod_h = h.algebra.mult_basis(hh, s)
+                        for t, ct in prod_h.items():
+                            xi_t = {r: xi.rows[r][t] for r in range(c.dim)
+                                    if xi.rows[r][t] != f.zero}
+                            piece = c.algebra.multiply(xi_t, {bb: f.one})
+                            for r, cr in piece.items():
+                                term = f.mul(f.mul(cv, ct), cr)
+                                lhs[r] = f.add(lhs.get(r, f.zero), term)
+                    xi_s = {r: xi.rows[r][s] for r in range(c.dim)
+                            if xi.rows[r][s] != f.zero}
+                    rhs = c.algebra.multiply({b: f.one}, xi_s)
+                    lhs = {k: v for k, v in lhs.items() if v != f.zero}
+                    assert lhs == rhs
+
+
+def _all_basis_end_space(c):
+    """Reference E(H,B): one elimination of the intertwiner constraints of
+    every basis element of B, written out densely from the structure
+    constants."""
+    f = c.field
+    nb, nh = c.dim, c.host.dim
+    n = nb * nh
+    rows = []
+    for b in range(nb):
+        block = [[f.zero] * n for _ in range(n)]
+        # ξ(b_[-1] h_s') b_[0], with δ(b) = Σ cv·h_i⊗b_j ...
+        for (i, j), cv in c.coaction_basis(b).items():
+            for s2 in range(nh):
+                for t, ct in c.host.algebra.mult_basis(i, s2).items():
+                    for r in range(nb):
+                        for r2, cr in c.algebra.mult_basis(r, j).items():
+                            e = block[r2 * nh + s2]
+                            e[r * nh + t] = f.add(e[r * nh + t], f.mul(cv, f.mul(ct, cr)))
+        # ... minus b ξ(h_s')
+        for s2 in range(nh):
+            for r in range(nb):
+                for r2, cr in c.algebra.mult_basis(b, r).items():
+                    e = block[r2 * nh + s2]
+                    e[r * nh + s2] = f.sub(e[r * nh + s2], cr)
+        rows.extend(tuple(row) for row in block if any(x != f.zero for x in row))
+    return kernel_basis(rows, n, f)
+
+
+def _rref(vectors, n, f):
+    ech, piv = echelonize(list(vectors), n, f)
+    if isinstance(ech, np.ndarray):
+        ech = ech.astype(np.int64).tolist()
+    return [tuple(row) for row in ech], piv
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_generator_kernel_equals_all_basis_kernel(field):
+    for name in registry_names():
+        b = named_example(name, field)
+        if b.comodule is None:
+            continue
+        c = b.comodule
+        n = c.dim * c.host.dim
+        es = compute_end_space(c)
+        flat = [tuple(x for row in xi.rows for x in row) for xi in es.basis_maps]
+        assert _rref(flat, n, field) == _rref(_all_basis_end_space(c), n, field), name
+
+
+def _words_span_dim(alg, gens):
+    """Dimension of the span of all words in ``gens``, grown by left
+    multiplication from 1."""
+    f = alg.field
+    span = IncrementalSpan(f, alg.dim)
+    frontier = [alg.unit_dict()]
+    span.add(alg.unit)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = alg.multiply({g: f.one}, x)
+                if span.add(tuple(y.get(i, f.zero) for i in range(alg.dim))):
+                    nxt.append(y)
+        frontier = nxt
+    return span.dim
+
+
+def test_algebra_generators_generate():
+    h, _ = group_algebra(symmetric_group(3))
+    trivial_s3 = ComoduleAlgebra(h, h.algebra, {i: {(0, i): QQ.one} for i in range(h.dim)})
+    cases = (
+        (named_example("double:S3", GF(101)).comodule, 18),
+        (named_example("sweedler:1").comodule, 2),
+        (trivial_s3, 2),
+    )
+    for c, count in cases:
+        gens = algebra_generators(c.algebra)
+        assert len(gens) == count
+        assert _words_span_dim(c.algebra, gens) == c.dim
+
+
+def test_end_space_rescaled_sweedler_over_large_prime():
+    # regular H4 with the basis {1, g, c·x, c·gx} is isomorphic to the
+    # regular comodule, so dim E(H,B) = 4; its coaction has coefficients c,
+    # and sums of unreduced products of such entries pass 2**53 mod 1000003
+    f = GF(1000003)
+    h = sweedler_h4(f)
+    d = (f.one, f.one, f.scalar(123457), f.scalar(123457))  # b'_i = d_i b_i
+    mult = {
+        (i, j): {k: f.div(f.mul(f.mul(d[i], d[j]), ck), d[k]) for k, ck in terms.items()}
+        for (i, j), terms in h.algebra.mult.items()
+    }
+    alg = StructAlgebra(f, BasedSpace(("1", "g", "c·x", "c·gx")), mult, h.algebra.unit)
+    coaction = {
+        i: {(a, k): f.div(f.mul(d[i], cv), d[k]) for (a, k), cv in h.comult_basis(i).items()}
+        for i in range(h.dim)
+    }
+    c = ComoduleAlgebra(h, alg, coaction)
+    assert check_comodule_algebra(c)
+    assert compute_end_space(c).dim == 4
 
 
 def test_theta_trivial_k_collapses():
