@@ -48,6 +48,7 @@ from .errors import (
     FieldMismatch,
     HopffactError,
     ImageEscapesEndSpace,
+    InconsistentSystem,
     NoAntipode,
     NotInvertible,
     SpaceMismatch,

@@ -14,17 +14,29 @@ from .errors import HopffactError, ImageEscapesEndSpace, SpaceMismatch
 from .fields import Field, PrimeField
 from .hopf import HModule, HopfAlgebra, check_module, kron_matrix, trivial_module
 from .linalg import (
-    _FLOAT_EXACT_LIMIT,
+    _SLICE_CELLS,
     BasedSpace,
     GFBatchSpan,
     IncrementalSpan,
     MapMatrix,
+    _apply,
+    _dtype,
+    _field_array,
+    _kernel,
+    _mod_matmul,
+    _scalar_rows,
     echelonize,
     kernel_basis,
-    kernel_basis_array,
 )
 from .rmatrix import RMatrix
-from .tensors import TensorElement, coapply_leg, leg_embed, tensor_invert, tensor_mult
+from .tensors import (
+    TensorElement,
+    coapply_leg,
+    leg_embed,
+    tensor_invert,
+    tensor_mult,
+    verify_inverse,
+)
 from .verdicts import Verdict
 
 BModule = HModule  # same data: one endomorphism per algebra basis element
@@ -169,7 +181,11 @@ def check_comodule_algebra(c: ComoduleAlgebra) -> Verdict:
 
 
 class KMatrix:
-    """An invertible element of H⊗B with its verified inverse and host data."""
+    """An invertible element of H⊗B with its verified inverse and host data.
+
+    The inverse is computed when not supplied; a supplied one is verified
+    two-sided, and NotInvertible is raised when it fails.
+    """
 
     __slots__ = ("comodule", "rmatrix", "element", "inverse")
 
@@ -181,8 +197,11 @@ class KMatrix:
         expected = (comodule.host.space.labels, comodule.algebra.space.labels)
         if tuple(sp.labels for sp in element.factors) != expected:
             raise SpaceMismatch("element must live in H⊗B")
+        algs = [comodule.host.algebra, comodule.algebra]
         if inverse is None:
-            inverse = tensor_invert(element, [comodule.host.algebra, comodule.algebra])
+            inverse = tensor_invert(element, algs)
+        else:
+            verify_inverse(element, inverse, algs)
         object.__setattr__(self, "comodule", comodule)
         object.__setattr__(self, "rmatrix", rmatrix)
         object.__setattr__(self, "element", element)
@@ -209,7 +228,6 @@ def check_k_matrix(k: KMatrix) -> Verdict:
     algs2 = [halg, balg]
     algs3 = [halg, halg, balg]
     spaces3 = (h.space, h.space, balg.space)
-    tensor_invert(k.element, algs2)
     r = k.rmatrix
     r21 = leg_embed(r.element.swap(), (0, 1), spaces3, algs3)
     r21_inv = leg_embed(r.inverse.swap(), (0, 1), spaces3, algs3)
@@ -518,51 +536,6 @@ def _coords(f: Field, columns: np.ndarray, free, vecs: np.ndarray) -> np.ndarray
     return coords
 
 
-# Over Q the arrays hold objects, with integral Fractions stored as ints:
-# the same values, with far cheaper arithmetic.
-_integral = np.frompyfunc(lambda x: x.numerator if x.denominator == 1 else x, 1, 1)
-
-
-def _dtype(f: Field):
-    """Array dtype of field scalars: float64 over GF(p), objects over Q."""
-    return np.float64 if isinstance(f, PrimeField) else object
-
-
-def _field_array(f: Field, rows) -> np.ndarray:
-    arr = np.array(rows, dtype=_dtype(f))
-    return arr if isinstance(f, PrimeField) else _integral(arr)
-
-
-def _scalar_rows(f: Field, arr: np.ndarray) -> list:
-    """The rows of a 2-D array as lists of field scalars."""
-    if isinstance(f, PrimeField):
-        return arr.astype(np.int64).tolist()
-    return [[f.scalar(x) for x in row] for row in arr]
-
-
-def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b over f; stacked operands broadcast as in numpy.
-
-    Over GF(p) both operands hold ints in [0, p) as float64.  The inner
-    dimension is cut into blocks whose partial sums, plus a reduced
-    accumulator, stay below 2**53, so every intermediate is an exact integer;
-    the result is reduced into [0, p) in place.  Over Q numpy's object
-    product is exact.
-    """
-    if not isinstance(f, PrimeField):
-        return a @ b
-    p = f.p
-    block = (_FLOAT_EXACT_LIMIT - p) // (p - 1) ** 2
-    if block < 1:
-        raise HopffactError(f"GF({p}): a product of two residues exceeds 2**53")
-    out = a[..., :block] @ b[..., :block, :]
-    out %= p
-    for s in range(block, a.shape[-1], block):
-        out += a[..., s:s + block] @ b[..., s:s + block, :]
-        out %= p
-    return out
-
-
 def _constraint_op(c: ComoduleAlgebra, b: int):
     """The intertwiner constraint of basis element b as COO arrays
     (rows, cols, vals), sorted by row.
@@ -593,42 +566,6 @@ def _constraint_op(c: ComoduleAlgebra, b: int):
     rows = np.array([k[0] for k in keys], dtype=np.int64)
     cols = np.array([k[1] for k in keys], dtype=np.int64)
     return rows, cols, _field_array(f, [acc[k] for k in keys])
-
-
-_SLICE_CELLS = 1 << 20  # array cells per slice of a large product
-
-
-def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
-    """op @ mat for a COO operator, one output row per nonzero operator row.
-
-    Each operator row is padded to the widest row's entry count, so a slice
-    of rows is one stacked product of their values against the gathered
-    rows of ``mat``.
-    """
-    rows, cols, vals = op
-    ids, starts, counts = np.unique(rows, return_index=True, return_counts=True)
-    width = int(counts.max(initial=0))
-    line = np.repeat(np.arange(ids.size), counts)
-    slot = np.arange(rows.size) - np.repeat(starts, counts)
-    pad_cols = np.zeros((ids.size, width), dtype=np.int64)
-    pad_vals = np.zeros((ids.size, 1, width), dtype=_dtype(f))
-    pad_cols[line, slot] = cols
-    pad_vals[line, 0, slot] = vals
-    k = mat.shape[1]
-    step = max(1, _SLICE_CELLS // max(1, width * k))
-    parts = [
-        _mod_matmul(f, pad_vals[s:s + step], mat[pad_cols[s:s + step]])[:, 0, :]
-        for s in range(0, ids.size, step)
-    ]
-    return np.concatenate(parts) if parts else np.zeros((0, k), dtype=_dtype(f))
-
-
-def _kernel(f: Field, rows: np.ndarray, ncols: int) -> np.ndarray:
-    """Right kernel as an (ncols × nullity) array, read off the RREF."""
-    if isinstance(f, PrimeField):
-        return kernel_basis_array(rows, ncols, f)
-    basis = kernel_basis(rows, ncols, f)
-    return _field_array(f, basis).reshape(len(basis), ncols).T
 
 
 _REFINE_BATCH = 2  # generator constraints imposed per kernel refinement
@@ -962,18 +899,19 @@ def _costable_closure_gf(c: ComoduleAlgebra, ops, gens):
     f = c.field
     p = f.p
     n = c.dim
-    stack = np.stack([op.numpy().astype(np.float64) for op in ops])
+    # imgs[o, v] = ops[o] · v for every row v: v @ ops[o]ᵀ
+    stack_t = np.stack([op.numpy().astype(np.float64).T for op in ops])
     span = GFBatchSpan(p, n)
     if gens:
         span.add_batch(np.array(gens, dtype=np.float64))
     frontier = span.rows.copy()
     while frontier.shape[0]:
         start = span.dim
-        imgs = np.einsum("oab,vb->ova", stack, frontier) % p
+        imgs = _mod_matmul(f, frontier, stack_t)
         span.add_batch(imgs.reshape(-1, n))
         frontier = span.rows[start:].copy()
     if span.dim:
-        imgs = np.einsum("oab,vb->ova", stack, span.rows) % p
+        imgs = _mod_matmul(f, span.rows, stack_t)
         if span.add_batch(imgs.reshape(-1, n)):
             raise HopffactError("closure not idempotent (bug)")
     return [tuple(int(x) for x in row) for row in span.rows]

@@ -17,6 +17,10 @@ class NotInvertible(HopffactError):
     """An element has no two-sided inverse in its algebra."""
 
 
+class InconsistentSystem(HopffactError):
+    """A linear system has no solution."""
+
+
 class NoAntipode(HopffactError):
     """The antipode linear system of a bialgebra is inconsistent."""
 

@@ -11,6 +11,11 @@ from fractions import Fraction
 
 from .errors import FieldMismatch, HopffactError
 
+# GF(p) arrays hold residues as float64, which is exact on integers below
+# 2**53.  The supported primes are those whose product of two residues fits,
+# (p - 1)**2 < 2**53; the largest is 94906249.
+_FLOAT_EXACT_LIMIT = 2**53
+
 
 class Field:
     """Common interface for exact fields."""
@@ -102,9 +107,14 @@ class RationalField(Field):
 
 
 class PrimeField(Field):
-    """GF(p) for a prime p; elements are ints reduced to ``[0, p)``."""
+    """GF(p) for a supported prime p; elements are ints reduced to ``[0, p)``."""
 
     def __init__(self, p: int):
+        if (p - 1) ** 2 >= _FLOAT_EXACT_LIMIT:
+            raise HopffactError(
+                f"GF({p}) is outside the supported range: primes p need "
+                "(p-1)**2 < 2**53, i.e. p <= 94906249"
+            )
         if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
             raise HopffactError(f"{p} is not prime")
         self.p = p

@@ -12,9 +12,9 @@ from .algebras import (
     dual_coalgebra_of_algebra,
     _dicts_equal,
 )
-from .errors import HopffactError, NoAntipode, NotInvertible, SpaceMismatch
+from .errors import InconsistentSystem, NoAntipode, NotInvertible, SpaceMismatch
 from .fields import Field, PrimeField
-from .linalg import BasedSpace, MapMatrix, solve_columns
+from .linalg import BasedSpace, MapMatrix, _mod_matmul, solve_columns
 from .verdicts import Verdict
 
 import numpy as np
@@ -123,7 +123,7 @@ def solve_antipode(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> MapMat
             rhs.append(f.mul(eps, algebra.unit[c]))
     try:
         sol = solve_columns(rows, [tuple(rhs)], n * n, f)[0]
-    except HopffactError as exc:
+    except InconsistentSystem as exc:
         raise NoAntipode("antipode system is inconsistent") from exc
     s_rows = [tuple(sol[a * n + b] for b in range(n)) for a in range(n)]
     s = MapMatrix(f, sp, sp, s_rows)
@@ -347,16 +347,17 @@ def check_representation(algebra, x: HModule) -> Verdict:
         return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
     use_np = isinstance(f, PrimeField) and x.dim > 8
     if use_np:
-        stacks = [m.numpy() for m in x.action]
+        stacks = [m.numpy().astype(np.float64) for m in x.action]
     for i in range(algebra.dim):
         for j in range(algebra.dim):
             prod = algebra.mult_basis(i, j)
             if use_np:
-                lhs = (stacks[i].astype(np.float64) @ stacks[j]) % f.p
+                lhs = _mod_matmul(f, stacks[i], stacks[j])
                 rhs = np.zeros_like(lhs)
                 for k, c in prod.items():
-                    rhs += float(c) * stacks[k]
-                if not np.array_equal(lhs, rhs % f.p):
+                    # c·x + r ≤ (p-1)² + p - 1 < 2**53 for a supported prime
+                    rhs = (rhs + c * stacks[k]) % f.p
+                if not np.array_equal(lhs, rhs):
                     return Verdict.failed("module-mult", (i, j))
             else:
                 lhs = x.action[i] @ x.action[j]

@@ -3,9 +3,15 @@
 Two elimination backends sit behind one interface: fraction-free Bareiss
 elimination on denominator-cleared integer rows for Q, and a vectorized
 mod-p elimination for GF(p) that runs on float64 numpy arrays.  The float
-path is exact: every intermediate integer is kept below 2**53 (pivot rows
-and factor columns are reduced mod p before each update, so entries grow by
-at most p**2 per pivot step).  Callers never see a float.
+path is exact for every prime ``GF`` accepts: every intermediate integer is
+kept below 2**53 (pivot rows and factor columns are reduced mod p before
+each update, so entries grow by at most (p-1)**2 per pivot step, and the
+matrix is reduced again before they could reach 2**53).  Every other GF(p)
+float product goes through ``_mod_matmul``.  Callers never see a float.
+
+The array helpers below (``_field_array``, ``_mod_matmul``, ``_apply``,
+``_kernel``) hold field scalars as float64 residues over GF(p) and as
+Python objects over Q, so one algorithm serves both fields.
 """
 
 from __future__ import annotations
@@ -15,14 +21,12 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import HopffactError, NotInvertible, SpaceMismatch
-from .fields import Field, PrimeField, require_same_field
+from .errors import HopffactError, InconsistentSystem, NotInvertible, SpaceMismatch
+from .fields import _FLOAT_EXACT_LIMIT, GF, Field, PrimeField, require_same_field
 
 # Running totals used by the acceptance suite: every kernel computation
 # re-checks rank + nullity = domain dimension.
 LINALG_STATS = {"eliminations": 0, "rank_nullity_checks": 0}
-
-_FLOAT_EXACT_LIMIT = 2**53
 
 
 class BasedSpace:
@@ -61,13 +65,6 @@ class BasedSpace:
 
 def space(prefix: str, dim: int) -> BasedSpace:
     return BasedSpace(tuple(f"{prefix}{i}" for i in range(dim)))
-
-
-def tensor_space(factors) -> BasedSpace:
-    out = factors[0]
-    for f in factors[1:]:
-        out = out.tensor(f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +119,18 @@ def _bareiss_echelon(int_rows, ncols):
 
 
 def _gf_echelon(a: np.ndarray, p: int, reduced: bool = True):
-    """In-place mod-p elimination on a float64 matrix of integers.
+    """In-place mod-p elimination on a float64 matrix of residues.
 
     Returns (matrix, pivot_cols); the result is fully reduced mod p.  With
-    ``reduced=True`` entries above pivots are cleared too (RREF).
+    ``reduced=True`` entries above pivots are cleared too (RREF).  An update
+    moves an entry by at most (p-1)**2, so the whole matrix is reduced
+    whenever the next update could reach 2**53: for small p that never
+    happens, for p near the top of the supported range it happens every
+    pivot step.
     """
     nrows, ncols = a.shape
-    if min(nrows, ncols) * p * p + p >= _FLOAT_EXACT_LIMIT:
-        raise HopffactError(f"prime {p} too large for the float64 path")
+    growth = (p - 1) ** 2
+    bound = p - 1  # no entry exceeds this in absolute value
     piv_cols = []
     r = 0
     for c in range(ncols):
@@ -145,6 +146,10 @@ def _gf_echelon(a: np.ndarray, p: int, reduced: bool = True):
         a[r] %= p
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = (a[r] * inv) % p
+        if bound + growth >= _FLOAT_EXACT_LIMIT:
+            a %= p
+            bound = p - 1
+        bound += growth
         if reduced:
             factors = a[:, c] % p
             factors[r] = 0
@@ -248,7 +253,7 @@ def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
     """Solve A x = b for each column b in ``rhs_cols``.
 
     Returns a list of solution vectors (free variables set to zero), or
-    raises HopffactError when some system is inconsistent.
+    raises InconsistentSystem when some system is inconsistent.
     """
     nrhs = len(rhs_cols)
     if isinstance(field, PrimeField):
@@ -260,7 +265,7 @@ def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
         aug = np.hstack([a, rhs])
         ech, piv = echelonize(aug, ncols + nrhs, field)
         if any(c >= ncols for c in piv):
-            raise HopffactError("inconsistent linear system")
+            raise InconsistentSystem("inconsistent linear system")
         x = np.zeros((ncols, nrhs), dtype=np.float64)
         if piv:
             x[piv, :] = ech[:, ncols:]
@@ -271,7 +276,7 @@ def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
         aug.append(tuple(a_rows[i]) + tuple(col[i] for col in rhs_cols))
     ech, piv = echelonize(aug, ncols + nrhs, field)
     if any(c >= ncols for c in piv):
-        raise HopffactError("inconsistent linear system")
+        raise InconsistentSystem("inconsistent linear system")
     sols = []
     for j in range(nrhs):
         x = [field.zero] * ncols
@@ -352,9 +357,10 @@ class MapMatrix:
             raise SpaceMismatch("composition: inner spaces differ")
         f = self.field
         if isinstance(f, PrimeField):
-            prod = _gf_matmul(self.numpy(), other.numpy(), f.p)
-            rows = [tuple(int(x) for x in row) for row in prod]
-            return MapMatrix(f, other.domain, self.codomain, rows)
+            prod = _mod_matmul(
+                f, self.numpy().astype(np.float64), other.numpy().astype(np.float64)
+            )
+            return MapMatrix(f, other.domain, self.codomain, _scalar_rows(f, prod))
         a, b = self.rows, other.rows
         n, k, m = self.codomain.dim, self.domain.dim, other.domain.dim
         bt = list(zip(*b)) if b else [()] * m
@@ -442,7 +448,7 @@ class MapMatrix:
         ]
         try:
             cols = solve_columns(self.rows, eye, self.domain.dim, f)
-        except HopffactError as exc:
+        except InconsistentSystem as exc:
             raise NotInvertible(str(exc)) from exc
         # an inconsistent-free solve of a square system can still be singular
         inv = MapMatrix.from_columns(f, self.codomain, self.domain, cols)
@@ -476,13 +482,93 @@ class MapMatrix:
         return f"MapMatrix({self.codomain.dim}×{self.domain.dim} over {self.field})"
 
 
-def _gf_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    inner = a.shape[1]
-    if (p - 1) ** 2 * max(inner, 1) < _FLOAT_EXACT_LIMIT:
-        prod = (a.astype(np.float64) % p) @ (b.astype(np.float64) % p)
-        return (prod % p).astype(np.int64)
-    out = (a.astype(object) @ b.astype(object)) % p
-    return out.astype(np.int64)
+# ---------------------------------------------------------------------------
+# Field arrays: float64 residues over GF(p), Python objects over Q
+# ---------------------------------------------------------------------------
+
+# Over Q the arrays hold objects, with integral Fractions stored as ints:
+# the same values, with far cheaper arithmetic.
+_integral = np.frompyfunc(lambda x: x.numerator if x.denominator == 1 else x, 1, 1)
+
+
+def _dtype(f: Field):
+    """Array dtype of field scalars: float64 over GF(p), objects over Q."""
+    return np.float64 if isinstance(f, PrimeField) else object
+
+
+def _field_array(f: Field, rows) -> np.ndarray:
+    arr = np.array(rows, dtype=_dtype(f))
+    return arr if isinstance(f, PrimeField) else _integral(arr)
+
+
+def _scalar_rows(f: Field, arr: np.ndarray) -> list:
+    """The rows of a 2-D array as lists of field scalars."""
+    if isinstance(f, PrimeField):
+        return arr.astype(np.int64).tolist()
+    return [[f.scalar(x) for x in row] for row in arr]
+
+
+def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
+    """Exact c + a @ b over f (c = 0 when omitted); stacked operands
+    broadcast as in numpy.
+
+    Over GF(p) every operand holds ints of absolute value below p as
+    float64.  The inner dimension is cut into blocks whose partial sums,
+    plus c or the reduced accumulator, stay below 2**53 (for a supported
+    prime a block holds at least one product), so every intermediate is an
+    exact integer; the result is reduced into [0, p) in place.  Passing c
+    saves a reduction: (c - a @ b) is one pass as ``_mod_matmul(f, -a, b, c)``.
+    Over Q numpy's object product is exact.
+    """
+    if not isinstance(f, PrimeField):
+        return a @ b if c is None else c + a @ b
+    p = f.p
+    block = (_FLOAT_EXACT_LIMIT - p) // (p - 1) ** 2
+    out = a[..., :block] @ b[..., :block, :]
+    if c is not None:
+        out += c
+    out %= p
+    for s in range(block, a.shape[-1], block):
+        out += a[..., s:s + block] @ b[..., s:s + block, :]
+        out %= p
+    return out
+
+
+_SLICE_CELLS = 1 << 20  # array cells per slice of a large product
+
+
+def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
+    """op @ mat for a COO operator (rows, cols, vals) sorted by row, one
+    output row per nonzero operator row.
+
+    Each operator row is padded to the widest row's entry count, so a slice
+    of rows is one stacked product of their values against the gathered
+    rows of ``mat``.
+    """
+    rows, cols, vals = op
+    ids, starts, counts = np.unique(rows, return_index=True, return_counts=True)
+    width = int(counts.max(initial=0))
+    line = np.repeat(np.arange(ids.size), counts)
+    slot = np.arange(rows.size) - np.repeat(starts, counts)
+    pad_cols = np.zeros((ids.size, width), dtype=np.int64)
+    pad_vals = np.zeros((ids.size, 1, width), dtype=_dtype(f))
+    pad_cols[line, slot] = cols
+    pad_vals[line, 0, slot] = vals
+    k = mat.shape[1]
+    step = max(1, _SLICE_CELLS // max(1, width * k))
+    parts = [
+        _mod_matmul(f, pad_vals[s:s + step], mat[pad_cols[s:s + step]])[:, 0, :]
+        for s in range(0, ids.size, step)
+    ]
+    return np.concatenate(parts) if parts else np.zeros((0, k), dtype=_dtype(f))
+
+
+def _kernel(f: Field, rows: np.ndarray, ncols: int) -> np.ndarray:
+    """Right kernel as an (ncols × nullity) array, read off the RREF."""
+    if isinstance(f, PrimeField):
+        return kernel_basis_array(rows, ncols, f)
+    basis = kernel_basis(rows, ncols, f)
+    return _field_array(f, basis).reshape(len(basis), ncols).T
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +649,11 @@ class GFBatchSpan:
     """Numpy-backed incremental span over GF(p) for large saturations.
 
     Keeps the echelon in RREF (pivot columns are unit columns), so reducing
-    a batch is one dense matmul.
+    a batch is one dense product, through ``_mod_matmul``.
     """
 
     def __init__(self, p: int, n: int):
+        self.field = GF(p)
         self.p = p
         self.n = n
         self.rows = np.zeros((0, n), dtype=np.float64)
@@ -578,10 +665,10 @@ class GFBatchSpan:
 
     def add_batch(self, batch: np.ndarray) -> int:
         """Add the rows of ``batch`` (int-valued); returns #new pivots."""
-        p = self.p
+        f, p = self.field, self.p
         b = batch.astype(np.float64) % p
         if self.piv:
-            b = (b - (b[:, self.piv] @ self.rows)) % p
+            b = _mod_matmul(f, -b[:, self.piv], self.rows, b)
         b = b[b.any(axis=1)]
         if b.shape[0] == 0:
             return 0
@@ -590,8 +677,7 @@ class GFBatchSpan:
             return 0
         if self.piv:
             # clear the new pivot columns from existing rows (keep RREF)
-            coeffs = self.rows[:, piv_new] % p
-            self.rows = (self.rows - coeffs @ ech) % p
+            self.rows = _mod_matmul(f, -self.rows[:, piv_new], ech, self.rows)
         self.rows = np.vstack([self.rows, ech])
         self.piv.extend(int(c) for c in piv_new)
         return len(piv_new)

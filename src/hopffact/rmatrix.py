@@ -14,12 +14,17 @@ from .tensors import (
     tensor_invert,
     tensor_mult,
     tensor_unit,
+    verify_inverse,
 )
 from .verdicts import Verdict
 
 
 class RMatrix:
-    """An invertible element of H⊗H together with its verified inverse."""
+    """An invertible element of H⊗H together with its verified inverse.
+
+    The inverse is computed when not supplied; a supplied one is verified
+    two-sided, and NotInvertible is raised when it fails.
+    """
 
     __slots__ = ("host", "element", "inverse")
 
@@ -27,8 +32,11 @@ class RMatrix:
                  inverse: TensorElement | None = None):
         if tuple(f.labels for f in element.factors) != (host.space.labels,) * 2:
             raise SpaceMismatch("element must live in H⊗H")
+        algs = [host.algebra, host.algebra]
         if inverse is None:
-            inverse = tensor_invert(element, [host.algebra, host.algebra])
+            inverse = tensor_invert(element, algs)
+        else:
+            verify_inverse(element, inverse, algs)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "inverse", inverse)

@@ -4,13 +4,24 @@ A ``TensorElement`` stores a map from multi-indices to nonzero scalars.
 Slotwise products, leg embeddings (placing an element into chosen slots of a
 larger product with algebra units elsewhere), leg permutations, functional
 contractions, and inversion in a product algebra all live here.
+
+Inversion reads t⁻¹ off an annihilating polynomial of t instead of solving
+a dense N×N system (N the dimension of the product); ``tensor_invert`` says
+why its "not invertible" verdict is exact and how its cost grows with the
+degree of t's minimal polynomial.  Every inverse, computed or supplied to
+``RMatrix`` or ``KMatrix``, is verified two-sided by ``verify_inverse``.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+
+import numpy as np
+
 from .errors import HopffactError, NotInvertible, SpaceMismatch
-from .fields import Field, require_same_field
-from .linalg import MapMatrix, tensor_space
+from .fields import Field, PrimeField, require_same_field
+from .linalg import _apply, _field_array, _kernel, _mod_matmul, _scalar_rows
 
 
 class TensorElement:
@@ -223,73 +234,106 @@ def tensor_unit(field: Field, factors, algebras) -> TensorElement:
 
 
 def tensor_invert(t: TensorElement, algebras) -> TensorElement:
-    """Two-sided inverse of ``t`` in the product algebra.
+    """Two-sided inverse of ``t`` in the product algebra, read off an
+    annihilating polynomial of ``t``.
 
-    Solves the linear system given by the left-multiplication matrix of ``t``
-    and then verifies the right-sided identity; raises NotInvertible if the
-    system is inconsistent or one-sided.
+    Left multiplication by ``t`` is built once as a sparse operator and
+    applied to 1 to get the powers 1, t, t², ….  After m = 2, 4, 8, …
+    powers (at most N + 1, N the dimension of the product), the kernel of
+    the stacked powers is taken: the polynomials of degree < m that vanish
+    at ``t``, i.e. the multiples of its minimal polynomial μ.  Doubling m
+    keeps all the eliminations together at about twice the last one.  A
+    kernel vector c with c₀ ≠ 0 gives t⁻¹ = −c₀⁻¹·Σ_{k≥1} c_k t^{k−1}.  If
+    every kernel vector has c₀ = 0 then μ(0) = 0, so μ = x·q with q(t) ≠ 0
+    and t·q(t) = 0: ``t`` is a zero divisor and NotInvertible is raised.
+    The verdict is therefore exact, and the returned inverse is still
+    verified two-sided by ``verify_inverse``.
+
+    The work grows with deg μ (at most N), and over Q also with the size of
+    the powers' coefficients; every R- and K-matrix in the registry has a
+    minimal polynomial of small degree.
     """
     f = t.field
-    factors = t.factors
     if len(algebras) != t.arity or any(alg is None for alg in algebras):
         raise HopffactError("every slot needs an algebra")
-    dims = [sp.dim for sp in factors]
-    total = 1
-    for d in dims:
-        total *= d
-
-    def flat(idx):
-        out = 0
-        for i, d in zip(idx, dims):
-            out = out * d + i
-        return out
-
-    # left-multiplication matrix: column J holds t · e_J
-    cols = [dict() for _ in range(total)]
-    basis_indices = _all_indices(dims)
-    for jidx in basis_indices:
-        col = cols[flat(jidx)]
-        for ti, tc in t.coeffs.items():
-            partial = [((), tc)]
-            for slot in range(t.arity):
-                prod = algebras[slot].mult_basis(ti[slot], jidx[slot])
-                if not prod:
-                    partial = []
-                    break
-                partial = [
-                    (idx + (k,), f.mul(c, ck))
-                    for idx, c in partial
-                    for k, ck in prod.items()
-                ]
-            for idx, c in partial:
-                k = flat(idx)
-                col[k] = f.add(col.get(k, f.zero), c)
-    rows = [
-        tuple(cols[j].get(i, f.zero) for j in range(total)) for i in range(total)
-    ]
-    unit = tensor_unit(f, factors, algebras)
-    target = unit.as_matrix_rows()
-    ambient = tensor_space(factors)
-    lmul = MapMatrix(f, ambient, ambient, rows)
-    try:
-        sol = lmul.solve(target)
-    except HopffactError as exc:
-        raise NotInvertible("no right-sided solution of t·x = 1") from exc
-    inv = TensorElement(
-        f,
-        factors,
-        {idx: sol[flat(idx)] for idx in basis_indices if not f.is_zero(sol[flat(idx)])},
-    )
-    if tensor_mult(inv, t, algebras) != unit or tensor_mult(t, inv, algebras) != unit:
-        raise NotInvertible("candidate inverse is not two-sided")
+    dims = [sp.dim for sp in t.factors]
+    n = math.prod(dims)
+    unit = tensor_unit(f, t.factors, algebras)
+    op = _left_mult_op(t, algebras)
+    hit = np.unique(op[0])  # the rows where left multiplication can land
+    powers = _field_array(f, unit.as_matrix_rows()).reshape(n, 1)
+    m = 2
+    while True:
+        while powers.shape[1] < m:
+            nxt = np.zeros((n, 1), dtype=powers.dtype)
+            nxt[hit] = _apply(f, op, powers[:, -1:])
+            powers = np.hstack([powers, nxt])
+        ann = _kernel(f, powers, m)
+        if ann.shape[1]:
+            break
+        if m == n + 1:
+            raise HopffactError("no annihilating polynomial of degree ≤ N (bug)")
+        m = min(2 * m, n + 1)
+    with_c0 = np.nonzero(ann[0] != 0)[0]
+    if not with_c0.size:
+        raise NotInvertible("zero divisor: the minimal polynomial vanishes at 0")
+    c = [f.scalar(x) for x in ann[:, with_c0[0]]]
+    scale = f.neg(f.inv(c[0]))
+    coeffs = _field_array(f, [f.mul(scale, ck) for ck in c[1:]]).reshape(m - 1, 1)
+    vec = _scalar_rows(f, _mod_matmul(f, powers[:, :m - 1], coeffs).T)[0]
+    indices = itertools.product(*(range(d) for d in dims))  # row-major
+    inv = TensorElement(f, t.factors, {idx: x for idx, x in zip(indices, vec) if x})
+    verify_inverse(t, inv, algebras)
     return inv
 
 
-def _all_indices(dims):
-    out = [()]
-    for d in dims:
-        out = [idx + (i,) for idx in out for i in range(d)]
-    return out
+def verify_inverse(t: TensorElement, inv: TensorElement, algebras) -> None:
+    """Raise NotInvertible unless ``inv`` is a two-sided inverse of ``t``;
+    both products are formed sparsely."""
+    unit = tensor_unit(t.field, t.factors, algebras)
+    if tensor_mult(inv, t, algebras) != unit or tensor_mult(t, inv, algebras) != unit:
+        raise NotInvertible("candidate inverse is not two-sided")
+
+
+def _left_mult_op(t: TensorElement, algebras):
+    """Left multiplication by ``t`` on the flattened product (row-major
+    multi-indices), as COO arrays (rows, cols, vals) sorted by row.
+
+    A term c·e_{i_1}⊗…⊗e_{i_k} contributes c times the Kronecker product
+    of the slots' left multiplications by e_{i_s}, read straight from the
+    structure constants; entries are summed in the field.
+    """
+    f = t.field
+    gf = isinstance(f, PrimeField)
+    vtype = np.int64 if gf else object
+    dims = [sp.dim for sp in t.factors]
+    n = math.prod(dims)
+    tables = []  # per slot: arrays i, j, k, c over the products e_i·e_j ∋ c·e_k
+    for alg in algebras:
+        terms = [(i, j, k, ck) for (i, j), prod in alg.mult.items() for k, ck in prod.items()]
+        parts = list(zip(*terms)) or [(), (), (), ()]
+        tables.append([np.array(x, dtype=np.int64) for x in parts[:3]]
+                      + [np.array(parts[3], dtype=vtype)])
+    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=vtype)]
+    for idx, c in t.coeffs.items():
+        rows = cols = np.zeros(1, dtype=np.int64)
+        v = np.array([c], dtype=vtype)
+        for (ti, tj, tk, tc), d, i in zip(tables, dims, idx):
+            sel = ti == i
+            rows = (rows[:, None] * d + tk[sel]).ravel()
+            cols = (cols[:, None] * d + tj[sel]).ravel()
+            v = (v[:, None] * tc[sel]).ravel()
+            if gf:
+                v %= f.p
+        keys.append(rows * n + cols)
+        vals.append(v)
+    uniq, where = np.unique(np.concatenate(keys), return_inverse=True)
+    acc = np.zeros(uniq.size, dtype=vtype)
+    np.add.at(acc, where, np.concatenate(vals))
+    if gf:
+        acc %= f.p
+    keep = acc != 0
+    return uniq[keep] // n, uniq[keep] % n, _field_array(f, acc[keep])
 
 
 def coapply_leg(t: TensorElement, leg: int, comult) -> TensorElement:

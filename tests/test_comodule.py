@@ -1,6 +1,8 @@
 """Comodule algebras, K-matrices, end spaces, factorizability maps,
 weak factorizability, costable ideals, and symmetric-center membership."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -33,11 +35,12 @@ from hopffact.constructions import (
     trivial_comodule,
     trivial_k_matrix,
 )
-from hopffact.errors import HopffactError
+from hopffact.errors import HopffactError, NotInvertible
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import regular_module, trivial_module
 from hopffact.linalg import BasedSpace, IncrementalSpan, MapMatrix, echelonize, kernel_basis
+from hopffact.rmatrix import RMatrix
 from hopffact.rmatrix import drinfeld_map
 
 
@@ -89,6 +92,19 @@ def test_k_matrix_trivial_on_triangular_host():
 
 def test_k_matrix_monodromy_on_double(dc2):
     assert check_k_matrix(dc2.kmatrix)
+
+
+def test_supplied_inverses_are_verified():
+    # sweedler:1's R is not its own inverse: passing it as one used to be
+    # stored unchecked, and the valid K then failed kmatrix-i
+    b = named_example("sweedler:1", QQ)
+    h, r, k = b.hopf, b.rmatrix, b.kmatrix
+    with pytest.raises(NotInvertible):
+        RMatrix(h, r.element, r.element)
+    with pytest.raises(NotInvertible):
+        KMatrix(b.comodule, r, k.element, k.inverse.scale(QQ.parse(2)))
+    r2 = RMatrix(h, r.element, r.inverse)
+    assert check_k_matrix(KMatrix(b.comodule, r2, k.element, k.inverse))
 
 
 def test_k_equal_r_fails_for_double(dc2):
@@ -386,6 +402,42 @@ def test_costable_closure_trivial_coaction_augmentation_ideal():
     assert len(closure) == 1
     v = closure[0]
     assert v[0] == -v[1]
+
+
+def test_costable_closure_exact_near_the_prime_limit():
+    # kC6 with the trivial coaction, in a random basis b'_i = Σ_j P_ji g^j:
+    # its costable ideals are its ideals, so the integral Σ g^j spans one and
+    # 1 - g generates the augmentation ideal.  The structure constants and
+    # coordinates in that basis are residues of the size of p, whose
+    # products used to be summed unreduced past 2**53
+    f = GF(94906249)
+    h, _ = group_algebra(cyclic_group(6), f)
+    n = h.dim
+    rng = random.Random(8)
+    change = MapMatrix(f, h.space, h.space,
+                       [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)])
+    back = change.inverse()
+    cols = [{j: row[i] for j, row in enumerate(change.rows)} for i in range(n)]
+
+    def new_coords(old):
+        return back.apply(tuple(old.get(j, f.zero) for j in range(n)))
+
+    mult = {}
+    for i in range(n):
+        for j in range(n):
+            prod = new_coords(h.algebra.multiply(cols[i], cols[j]))
+            mult[(i, j)] = dict(enumerate(prod))
+    labels = tuple(f"b{i}'" for i in range(n))
+    alg = StructAlgebra(f, BasedSpace(labels), mult, new_coords(h.algebra.unit_dict()))
+    c = ComoduleAlgebra(h, alg, {i: {(0, i): f.one} for i in range(n)})
+    assert check_comodule_algebra(c)
+    integral = new_coords({j: f.one for j in range(n)})
+    assert len(costable_closure(c, [integral])) == 1
+    closure = costable_closure(c, [new_coords({0: f.one, 1: f.neg(f.one)})])
+    assert len(closure) == n - 1
+    # the augmentation ideal is the kernel of ε(b'_i) = Σ_j P_ji
+    eps = [sum(col.values()) % f.p for col in cols]
+    assert all(sum(e * v for e, v in zip(eps, vec)) % f.p == 0 for vec in closure)
 
 
 def test_costable_closure_reflective_basis_vectors_spin_up():

@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from hopffact.constructions import named_example
 from hopffact.errors import HopffactError
-from hopffact.fields import GF, QQ, field_from_spec, field_to_spec
+from hopffact.fields import GF, QQ, PrimeField, field_from_spec, field_to_spec
+from hopffact.hopf import check_hopf
 
 
 def test_rationals_are_exact_fractions():
@@ -33,6 +35,22 @@ def test_gf_reduces_to_canonical_range():
 def test_gf_rejects_composites():
     with pytest.raises(HopffactError):
         GF(6)
+
+
+def test_gf_refuses_primes_outside_the_float_range():
+    # GF(2**31-1) used to surface as "NoAntipode: antipode is not invertible"
+    for p in (2**31 - 1, 94906297):  # the smallest prime with (p-1)**2 >= 2**53
+        for make in (GF, PrimeField):
+            with pytest.raises(HopffactError, match=r"supported range.*\(p-1\)\*\*2 < 2\*\*53"):
+                make(p)
+    assert GF(94906249).p == 94906249  # the largest supported prime
+
+
+def test_largest_supported_prime_runs_end_to_end():
+    # this prime used to surface as "NoAntipode: antipode is not invertible"
+    b = named_example("sweedler:1", GF(94906249))
+    assert check_hopf(b.hopf)
+    assert (b.hopf.antipode @ b.hopf.antipode_inv).is_identity()
 
 
 def test_field_axioms_randomized():

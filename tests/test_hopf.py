@@ -1,5 +1,7 @@
 """Hopf algebra checks, antipode solving, duals, and modules."""
 
+import random
+
 import pytest
 
 from hopffact.constructions import (
@@ -9,7 +11,7 @@ from hopffact.constructions import (
     sweedler_h4,
 )
 from hopffact.errors import NoAntipode
-from hopffact.fields import QQ
+from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import (
     HModule,
@@ -164,6 +166,24 @@ def test_sign_module_with_wrong_sign_fails():
     bad = HModule(sp, [MapMatrix(QQ, sp, sp, [[QQ.parse(s)]]) for s in bad_signs])
     v = check_module(h, bad)
     assert not v and v.axiom == "module-mult"
+
+
+def test_module_check_exact_near_the_prime_limit():
+    # the regular module of kC9 in a random basis has entries of the size of
+    # p; the float products of the module check used to pass 2**53 here
+    f = GF(94906249)
+    h, _ = group_algebra(cyclic_group(9), f)
+    reg = regular_module(h)
+    rng = random.Random(5)
+    rows = [[rng.randrange(f.p) for _ in range(9)] for _ in range(9)]
+    change = MapMatrix(f, reg.space, reg.space, rows)
+    back = change.inverse()
+    assert (back @ change).is_identity()
+    moved = HModule(reg.space, [change @ a @ back for a in reg.action])
+    assert check_module(h, moved)
+    wrong = list(moved.action)
+    wrong[1], wrong[2] = wrong[2], wrong[1]
+    assert not check_module(h, HModule(reg.space, wrong))
 
 
 def test_trivial_tensor_module_is_identity_twist():

@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from hopffact import linalg
 from hopffact.errors import HopffactError, NotInvertible, SpaceMismatch
 from hopffact.fields import GF, QQ
 from hopffact.linalg import (
@@ -182,6 +183,77 @@ def test_gf_batch_span():
     assert span.dim == 2
     assert span.add_batch(np.array([[1, 0, 0, 0]], dtype=np.float64)) == 1
     assert span.add_batch(batch) == 0
+
+
+P_TOP = 94906249  # the largest prime GF accepts
+
+
+def test_gf_batch_span_exact_near_the_prime_limit():
+    # the reduction against two stored rows used to sum two unreduced
+    # products of residues, past 2**53, and grew the span in 16 of these 200 trials
+    import numpy as np
+
+    rng = random.Random(3)
+    p = P_TOP
+    for _ in range(200):
+        span = GFBatchSpan(p, 4)
+        rows = [[rng.randrange(p) for _ in range(4)] for _ in range(2)]
+        for row in rows:
+            span.add_batch(np.array([row], dtype=np.float64))
+        a, b = rng.randrange(p), rng.randrange(p)
+        vec = [(a * x + b * y) % p for x, y in zip(*rows)]
+        assert span.add_batch(np.array([vec], dtype=np.float64)) == 0
+        assert span.dim == 2
+
+
+def test_gf_batch_span_keeps_rref_near_the_prime_limit():
+    # two new pivots cleared from a stored row: a sum of two products
+    import numpy as np
+
+    rng = random.Random(4)
+    p = P_TOP
+    for _ in range(50):
+        span = GFBatchSpan(p, 5)
+        rows = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
+        span.add_batch(np.array(rows[:1], dtype=np.float64))
+        assert span.add_batch(np.array(rows[1:], dtype=np.float64)) == 2
+        coeffs = [rng.randrange(p) for _ in rows]
+        vec = [sum(c * r[j] for c, r in zip(coeffs, rows)) % p for j in range(5)]
+        assert span.add_batch(np.array([vec], dtype=np.float64)) == 0
+
+
+def test_elimination_exact_at_the_largest_prime():
+    f = GF(P_TOP)
+    rng = random.Random(11)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        a = [[rng.randrange(P_TOP) for _ in range(n)] for _ in range(n - 1)]
+        a.append([sum(rng.randrange(3) * row[j] for row in a) % P_TOP for j in range(n)])
+        m = mat(f, a)
+        assert m.rank() == _span_rank(f, a)
+        for v in m.kernel():
+            assert all(x == 0 for x in m.apply(v))
+        sq = mat(f, [r[:n - 1] for r in a[:n - 1]])
+        if sq.rank() == n - 1:
+            assert (sq.inverse() @ sq).is_identity()
+
+
+def _span_rank(f, rows):
+    sp = IncrementalSpan(f, len(rows[0]))
+    for r in rows:
+        sp.add(r)
+    return sp.dim
+
+
+def test_inverse_renames_only_singular_systems(monkeypatch):
+    # an error other than an inconsistent system is not a verdict on the map
+    def fail(*args):
+        raise HopffactError("eliminator failure")
+
+    monkeypatch.setattr(linalg, "solve_columns", fail)
+    with pytest.raises(HopffactError, match="eliminator failure") as info:
+        mat(QQ, [[1, 0], [0, 1]]).inverse()
+    assert not isinstance(info.value, NotInvertible)
 
 
 def test_solve_columns_multiple_rhs():

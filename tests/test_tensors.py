@@ -1,11 +1,16 @@
 """Sparse tensor elements: embeddings, slotwise products, inversion."""
 
-import pytest
+import itertools
 
-from hopffact.constructions import group_algebra
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hopffact.constructions import group_algebra, named_example, registry_names, sweedler_h4
 from hopffact.errors import HopffactError, NotInvertible, SpaceMismatch
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group
+from hopffact.linalg import rank_of, solve_columns
 from hopffact.tensors import (
     TensorElement,
     leg_embed,
@@ -151,3 +156,95 @@ def test_no_zero_coefficients_stored(kc2):
     assert (0, 0) not in t.coeffs
     s = t - t
     assert s.is_zero()
+
+
+# -- inversion against a dense reference ------------------------------------
+
+def dense_inverse(t, algebras):
+    """t⁻¹ from the dense left-multiplication matrix of t, or None when that
+    matrix is singular: column J holds t·e_J, and t⁻¹ solves t·x = 1."""
+    f = t.field
+    indices = list(itertools.product(*(range(sp.dim) for sp in t.factors)))
+    pos = {idx: j for j, idx in enumerate(indices)}
+    n = len(indices)
+    rows = [[f.zero] * n for _ in range(n)]
+    for idx in indices:
+        col = tensor_mult(t, TensorElement(f, t.factors, {idx: f.one}), algebras)
+        for out, c in col.coeffs.items():
+            rows[pos[out]][pos[idx]] = c
+    if rank_of(rows, n, f) < n:
+        return None
+    unit = tensor_unit(f, t.factors, algebras)
+    target = tuple(unit.coeffs.get(idx, f.zero) for idx in indices)
+    x = solve_columns(rows, [target], n, f)[0]
+    return TensorElement(f, t.factors, {idx: x[pos[idx]] for idx in indices})
+
+
+def _registry_invertibles(field):
+    for name in registry_names():
+        b = named_example(name, field)
+        h = b.hopf.algebra
+        if b.rmatrix is not None:
+            yield f"{name}:R", b.rmatrix.element, [h, h]
+        if b.kmatrix is not None:
+            yield f"{name}:K", b.kmatrix.element, [h, b.comodule.algebra]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_tensor_invert_matches_dense_solve_on_registry(field):
+    for what, t, algs in _registry_invertibles(field):
+        ref = dense_inverse(t, algs)
+        assert ref is not None, what
+        assert tensor_invert(t, algs) == ref, what
+
+
+def test_tensor_invert_matches_dense_solve_on_double_s3():
+    b = named_example("double:S3", GF(101))
+    h = b.hopf.algebra
+    for t, algs in ((b.rmatrix.element, [h, h]), (b.kmatrix.element, [h, b.comodule.algebra])):
+        assert tensor_invert(t, algs) == dense_inverse(t, algs)
+
+
+def _kc2_kc3(field):
+    return [group_algebra(cyclic_group(k), field)[0] for k in (2, 3)]
+
+
+def _sweedler_sweedler(field):
+    h = sweedler_h4(field)
+    return [h, h]
+
+
+# Sweedler's algebra needs characteristic ≠ 2, so it is not tried over GF(2).
+PRODUCTS = [
+    (make, field)
+    for make, fields in (
+        (_kc2_kc3, (QQ, GF(2), GF(3), GF(101), GF(1000003))),
+        (_sweedler_sweedler, (QQ, GF(3), GF(101), GF(1000003))),
+    )
+    for field in fields
+]
+
+
+@pytest.mark.parametrize(
+    "make, field", PRODUCTS, ids=[f"{m.__name__[1:]}-{f}" for m, f in PRODUCTS]
+)
+@settings(max_examples=40, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tensor_invert_agrees_with_dense_reference(make, field, data):
+    hs = make(field)
+    algs = [h.algebra for h in hs]
+    dims = [h.dim for h in hs]
+    idx = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    coeffs = data.draw(st.dictionaries(idx, st.integers(-3, 3), max_size=6))
+    t = TensorElement(field, tuple(h.space for h in hs),
+                      {i: field.scalar(c) for i, c in coeffs.items()})
+    ref = dense_inverse(t, algs)
+    if ref is None:
+        with pytest.raises(NotInvertible):
+            tensor_invert(t, algs)
+    else:
+        inv = tensor_invert(t, algs)
+        assert inv == ref
+        unit = tensor_unit(field, t.factors, algs)
+        assert tensor_mult(t, inv, algs) == unit == tensor_mult(inv, t, algs)
