@@ -5,6 +5,11 @@ For the double of a finite group acting on the trivial algebra, the crossed
 product has a closed description: basis x·δ_y, a purely group-theoretic
 product, and the canonical-element K-matrix Σ δ_g h ⊗ g δ_h.  All of it is
 rebuilt here from the general construction and checked entrywise.
+
+H-simplicity is decided by Norton's irreducibility test: the certificate
+``norton`` means absolutely simple.  Over Q the proof comes from the
+operators reduced mod a prime near 2**20, which suffices because a rational
+costable ideal would reduce to one mod p.
 """
 
 from hopffact import (

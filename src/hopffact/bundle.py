@@ -9,6 +9,7 @@ parses every coefficient exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
@@ -36,9 +37,14 @@ class LoadedBundle:
     kmatrix_element: TensorElement | None
 
 
-def _schema():
+@functools.cache
+def _validator():
+    """The bundle schema's validator, built once after one check_schema."""
     text = resources.files("hopffact").joinpath("bundle_schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def _parse_coeff(field, raw, where):
@@ -96,7 +102,10 @@ def loads(text: str) -> LoadedBundle:
     except json.JSONDecodeError as exc:
         raise BundleFormatError(f"not valid JSON: line {exc.lineno} column {exc.colno}") from exc
     try:
-        jsonschema.validate(doc, _schema())
+        # what jsonschema.validate raises, without re-checking the schema
+        error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+        if error is not None:
+            raise error
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path)
         raise BundleFormatError(f"schema violation at /{path}: {exc.message}") from exc

@@ -11,10 +11,9 @@ import numpy as np
 
 from .algebras import StructAlgebra, algebra_generators, check_algebra, _dicts_equal
 from .errors import HopffactError, ImageEscapesEndSpace, SpaceMismatch
-from .fields import Field, PrimeField
+from .fields import GF, Field, PrimeField
 from .hopf import HModule, HopfAlgebra, check_module, kron_matrix, trivial_module
 from .linalg import (
-    _SLICE_CELLS,
     BasedSpace,
     GFBatchSpan,
     IncrementalSpan,
@@ -28,6 +27,7 @@ from .linalg import (
     echelonize,
     kernel_basis,
 )
+from .meataxe import norton, spin
 from .rmatrix import RMatrix
 from .tensors import (
     TensorElement,
@@ -897,19 +897,10 @@ def costable_closure(c: ComoduleAlgebra, generators):
 
 def _costable_closure_gf(c: ComoduleAlgebra, ops, gens):
     f = c.field
-    p = f.p
     n = c.dim
     # imgs[o, v] = ops[o] · v for every row v: v @ ops[o]ᵀ
     stack_t = np.stack([op.numpy().astype(np.float64).T for op in ops])
-    span = GFBatchSpan(p, n)
-    if gens:
-        span.add_batch(np.array(gens, dtype=np.float64))
-    frontier = span.rows.copy()
-    while frontier.shape[0]:
-        start = span.dim
-        imgs = _mod_matmul(f, frontier, stack_t)
-        span.add_batch(imgs.reshape(-1, n))
-        frontier = span.rows[start:].copy()
+    span = spin(f, stack_t, np.array(gens, dtype=np.float64).reshape(-1, n))
     if span.dim:
         imgs = _mod_matmul(f, span.rows, stack_t)
         if span.add_batch(imgs.reshape(-1, n)):
@@ -930,29 +921,62 @@ class SimplicityVerdict:
 
 
 _BURNSIDE_DENSE_CAP = 48  # dim B above this would need dim^4 memory; corpus max is 36
+# Primes for the mod-p image over Q: below 2**20, so every product of a
+# matrix of dimension up to 8192 is one BLAS call in _mod_matmul
+_NORTON_PRIMES = (1048573, 1048571, 1048559)
 
 
 def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
-    """Decide H-simplicity of B where an exact certificate exists.
+    """Decide H-simplicity of B by Norton's irreducibility test.
 
-    Simple: the operator algebra generated by left/right multiplications and
-    coaction coefficients saturates all of End(B) (dimension count), which
-    certifies absolute simplicity.  NotSimple: a verified proper nonzero
-    costable ideal, found by basis spinning, by the trace-form ideal of the
-    operator algebra, or by kernels of commutant elements at base-field
-    eigenvalues.  Anything else is reported Inconclusive together with the
-    field of computation.
+    The costable ideals of B are exactly the subspaces invariant under the
+    operator family (left and right multiplications and the coaction
+    coefficients), so H-simplicity is the irreducibility of one module;
+    ``meataxe.norton`` decides it over GF(p).  Certificates name the deciding
+    branch: ``norton`` (simple, and absolutely so: it stays simple over
+    every extension field), ``norton:deg<d>`` (simple, proved with an
+    irreducible factor of degree d; absoluteness is not decided), ``spin``
+    and ``dual-spin`` (NotSimple).  Every GF(p) witness is re-checked with
+    ``costable_closure``; after ``meataxe.CAP`` random elements the verdict
+    is Inconclusive, never an unverified one.
+
+    Over Q the operators are reduced modulo each of ``_NORTON_PRIMES``
+    that divides no denominator, and Simple mod p proves Simple over Q: a
+    Q-invariant subspace W of dimension k gives the saturated lattice
+    W ∩ ℤ_(p)ⁿ, also invariant, whose reduction is a k-dimensional
+    invariant subspace mod p.  The same argument over a number field shows
+    that absolute simplicity mod p gives absolute simplicity over Q.  Only
+    when no prime proves simplicity does the exact Q cascade run: basis
+    spinning, a Burnside dimension count of the operator algebra, the
+    trace-form ideal, and kernels of commutant elements at rational
+    eigenvalues; anything else is reported Inconclusive with the field.
     """
     f = c.field
     n = c.dim
     tag = f.tag
+    ops = _operator_family(c)
+    if isinstance(f, PrimeField):
+        found = norton(f, np.stack([op.numpy().astype(np.float64) for op in ops]))
+        if found is None:
+            return SimplicityVerdict("inconclusive", None, None, tag)
+        status, cert, rows = found
+        if status == "simple":
+            return SimplicityVerdict(status, cert, None, tag)
+        witness = costable_closure(c, [tuple(int(x) for x in row) for row in rows])
+        if not 0 < len(witness) == len(rows) < n:
+            raise HopffactError("Norton witness is not a proper costable ideal (bug)")
+        return SimplicityVerdict(status, cert, tuple(witness), tag)
+    for p in _NORTON_PRIMES:
+        stack = _reduce_mod(ops, p)
+        found = None if stack is None else norton(GF(p), stack)
+        if found is not None and found[0] == "simple":
+            return SimplicityVerdict("simple", found[1], None, tag)
     # refutation by basis spinning
     for i in range(n):
         gen = tuple(f.one if j == i else f.zero for j in range(n))
         closure = costable_closure(c, [gen])
         if 0 < len(closure) < n:
             return SimplicityVerdict("not-simple", f"spin(basis {i})", tuple(closure), tag)
-    ops = _operator_family(c)
     op_basis = _saturate_operator_algebra(c, ops)
     if op_basis is not None and len(op_basis) == n * n:
         return SimplicityVerdict("simple", "burnside", None, tag)
@@ -966,8 +990,19 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
     return SimplicityVerdict("inconclusive", None, None, tag)
 
 
+def _reduce_mod(ops, p: int):
+    """The rational operators mod p as a float64 stack, or None when p
+    divides a denominator."""
+    vals = [x for op in ops for row in op.rows for x in row]
+    if any(x.denominator % p == 0 for x in vals):
+        return None
+    n = ops[0].domain.dim
+    res = [x.numerator * pow(x.denominator, -1, p) % p for x in vals]
+    return np.array(res, dtype=np.float64).reshape(len(ops), n, n)
+
+
 def _saturate_operator_algebra(c: ComoduleAlgebra, ops):
-    """Basis of the unital algebra generated by ``ops`` inside End(B).
+    """Basis of the unital algebra generated by ``ops`` inside End(B), over Q.
 
     Returns a list of matrices (as MapMatrix) or None when the iteration cap
     is hit (it cannot be for correct inputs; the cap guarantees termination).
@@ -975,8 +1010,6 @@ def _saturate_operator_algebra(c: ComoduleAlgebra, ops):
     f = c.field
     n = c.dim
     cap = n * n + 1
-    if isinstance(f, PrimeField):
-        return _saturate_gf(c, ops, cap)
     span = IncrementalSpan(f, n * n)
     ident = MapMatrix.identity(f, c.algebra.space)
     mats = []
@@ -999,39 +1032,6 @@ def _saturate_operator_algebra(c: ComoduleAlgebra, ops):
                     return mats
         work = nxt
     return mats if not work else None
-
-
-def _saturate_gf(c: ComoduleAlgebra, ops, cap):
-    f = c.field
-    n = c.dim
-    gens = np.stack([op.numpy().astype(np.float64) for op in ops])
-    span = GFBatchSpan(f.p, n * n)
-    eye = np.eye(n, dtype=np.float64)
-    seed = np.vstack([eye.reshape(1, -1), gens.reshape(len(ops), -1)])
-    span.add_batch(seed)
-    frontier = span.rows.reshape(-1, n, n)
-    batch_rows = max(1, _SLICE_CELLS // (n * n))
-    rounds = 0
-    while frontier.shape[0] and rounds < cap:
-        rounds += 1
-        start_row = span.dim
-        new_count = 0
-        # one slice of generators at a time keeps every temporary small
-        per_slice = max(1, _SLICE_CELLS // (frontier.shape[0] * n * n))
-        for g in range(0, len(gens), per_slice):
-            prods = _mod_matmul(f, gens[g:g + per_slice, None], frontier[None])
-            batch = prods.reshape(-1, n * n)
-            for s in range(0, batch.shape[0], batch_rows):
-                new_count += span.add_batch(batch[s:s + batch_rows])
-                if span.dim == n * n:
-                    break
-            if span.dim == n * n:
-                break
-        if span.dim == n * n or new_count == 0:
-            break
-        frontier = span.rows[start_row:].reshape(-1, n, n)
-    sp = c.algebra.space
-    return [MapMatrix(f, sp, sp, _scalar_rows(f, row.reshape(n, n))) for row in span.rows]
 
 
 def _trace_ideal_witness(c: ComoduleAlgebra, op_basis):
@@ -1104,11 +1104,9 @@ def _commutant_witness(c: ComoduleAlgebra, ops):
 
 
 def _eigenvalue_candidates(f, z: MapMatrix):
-    """Base-field eigenvalues of z: exhaustive over GF(p), rational roots of
-    the characteristic polynomial over Q."""
+    """Rational eigenvalues of z: the rational roots of its characteristic
+    polynomial."""
     n = z.domain.dim
-    if isinstance(f, PrimeField):
-        return [f.scalar(v) for v in range(f.p)]
     from fractions import Fraction
     from math import lcm as _lcm
 

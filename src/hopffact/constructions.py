@@ -23,7 +23,7 @@ from .fields import QQ, Field
 from .groups import FiniteGroup, group_by_name, subgroup_elements
 from .hopf import HopfAlgebra, check_hopf, make_hopf
 from .linalg import BasedSpace, MapMatrix
-from .rmatrix import RMatrix, check_r_matrix, trivial_r_matrix
+from .rmatrix import RMatrix, check_r_matrix, r_matrix, trivial_r_matrix
 from .tensors import TensorElement
 from .verdicts import Verdict
 
@@ -140,10 +140,7 @@ def sweedler_r_matrix(h: HopfAlgebra, lam) -> RMatrix:
         coeffs[(X, GX)] = neg(lh)
         coeffs[(GX, X)] = lh
         coeffs[(GX, GX)] = lh
-    element = TensorElement(f, (h.space, h.space), coeffs)
-    v = check_r_matrix(h, element)
-    _verified(v, "four-dimensional R-matrix family")
-    return RMatrix(h, element)
+    return r_matrix(h, TensorElement(f, (h.space, h.space), coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +195,7 @@ def drinfeld_double_group(g: FiniteGroup, field: Field = QQ) -> tuple[HopfAlgebr
     for gg in range(n):
         for x in range(n):
             r_coeffs[(idx(gg, g.identity), idx(x, gg))] = f.one
-    element = TensorElement(f, (sp, sp), r_coeffs)
-    _verified(check_r_matrix(h, element), "Drinfeld double R-matrix")
-    return h, RMatrix(h, element)
+    return h, r_matrix(h, TensorElement(f, (sp, sp), r_coeffs))
 
 
 # ---------------------------------------------------------------------------

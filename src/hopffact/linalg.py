@@ -571,6 +571,32 @@ def _kernel(f: Field, rows: np.ndarray, ncols: int) -> np.ndarray:
     return _field_array(f, basis).reshape(len(basis), ncols).T
 
 
+def _krylov(f: Field, step, v: np.ndarray, cap: int):
+    """The Krylov vectors v, Av, A²v, … of a column v, stacked until they
+    become dependent; returns (powers, ann).
+
+    ``step`` maps a column to A times it.  After m = 2, 4, 8, … vectors (at
+    most ``cap``), the kernel of the stacked vectors is taken: the
+    polynomials c of degree < m with c(A)v = 0, i.e. the multiples of the
+    minimal polynomial μ of A on v.  Doubling m keeps all the eliminations
+    together at about twice the last one.  The vectors below deg μ are
+    independent and every later one depends on them, so the first column
+    of ``ann`` is μ itself: monic, coefficients lowest degree first, zero
+    above deg μ.
+    """
+    powers = v.reshape(-1, 1)
+    m = 2
+    while True:
+        while powers.shape[1] < m:
+            powers = np.hstack([powers, step(powers[:, -1:])])
+        ann = _kernel(f, powers, m)
+        if ann.shape[1]:
+            return powers, ann
+        if m == cap:
+            raise HopffactError("no annihilating polynomial of degree below the cap (bug)")
+        m = min(2 * m, cap)
+
+
 # ---------------------------------------------------------------------------
 # Incremental spans (used by closures and operator-algebra saturation)
 # ---------------------------------------------------------------------------

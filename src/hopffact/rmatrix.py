@@ -65,11 +65,15 @@ def check_r_matrix(host: HopfAlgebra, element: TensorElement) -> Verdict:
 
     Invertibility is a precondition: NotInvertible propagates to the caller.
     """
+    tensor_invert(element, [host.algebra, host.algebra])
+    return _check_axioms(host, element)
+
+
+def _check_axioms(host: HopfAlgebra, element: TensorElement) -> Verdict:
     alg = host.algebra
     algs2 = [alg, alg]
     algs3 = [alg, alg, alg]
     spaces3 = (host.space,) * 3
-    tensor_invert(element, algs2)
     comult = host.coalgebra.comult_basis
     r13 = leg_embed(element, (0, 2), spaces3, algs3)
     r23 = leg_embed(element, (1, 2), spaces3, algs3)
@@ -90,11 +94,13 @@ def check_r_matrix(host: HopfAlgebra, element: TensorElement) -> Verdict:
 
 
 def r_matrix(host: HopfAlgebra, element: TensorElement) -> RMatrix:
-    """Checked constructor: verifies the axioms before wrapping."""
-    v = check_r_matrix(host, element)
+    """Checked constructor: inverts the element once (NotInvertible
+    propagates), then verifies the axioms before returning."""
+    r = RMatrix(host, element)
+    v = _check_axioms(host, element)
     if not v:
         raise HopffactError(f"not an R-matrix: {v.describe()}")
-    return RMatrix(host, element)
+    return r
 
 
 def braiding_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import HopffactError, NotInvertible, SpaceMismatch
 from .fields import Field, PrimeField, require_same_field
-from .linalg import _apply, _field_array, _kernel, _mod_matmul, _scalar_rows
+from .linalg import _apply, _field_array, _krylov, _mod_matmul, _scalar_rows
 
 
 class TensorElement:
@@ -238,14 +238,13 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     annihilating polynomial of ``t``.
 
     Left multiplication by ``t`` is built once as a sparse operator and
-    applied to 1 to get the powers 1, t, t², ….  After m = 2, 4, 8, …
-    powers (at most N + 1, N the dimension of the product), the kernel of
-    the stacked powers is taken: the polynomials of degree < m that vanish
-    at ``t``, i.e. the multiples of its minimal polynomial μ.  Doubling m
-    keeps all the eliminations together at about twice the last one.  A
-    kernel vector c with c₀ ≠ 0 gives t⁻¹ = −c₀⁻¹·Σ_{k≥1} c_k t^{k−1}.  If
-    every kernel vector has c₀ = 0 then μ(0) = 0, so μ = x·q with q(t) ≠ 0
-    and t·q(t) = 0: ``t`` is a zero divisor and NotInvertible is raised.
+    applied to 1 to get the powers 1, t, t², … until they become dependent
+    (``linalg._krylov``, at most N + 1 of them, N the dimension of the
+    product); the kernel of the stacked powers holds the multiples of the
+    minimal polynomial μ of ``t``.  A kernel vector c with c₀ ≠ 0 gives
+    t⁻¹ = −c₀⁻¹·Σ_{k≥1} c_k t^{k−1}.  If every kernel vector has c₀ = 0
+    then μ(0) = 0, so μ = x·q with q(t) ≠ 0 and t·q(t) = 0: ``t`` is a
+    zero divisor and NotInvertible is raised.
     The verdict is therefore exact, and the returned inverse is still
     verified two-sided by ``verify_inverse``.
 
@@ -261,19 +260,14 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     unit = tensor_unit(f, t.factors, algebras)
     op = _left_mult_op(t, algebras)
     hit = np.unique(op[0])  # the rows where left multiplication can land
-    powers = _field_array(f, unit.as_matrix_rows()).reshape(n, 1)
-    m = 2
-    while True:
-        while powers.shape[1] < m:
-            nxt = np.zeros((n, 1), dtype=powers.dtype)
-            nxt[hit] = _apply(f, op, powers[:, -1:])
-            powers = np.hstack([powers, nxt])
-        ann = _kernel(f, powers, m)
-        if ann.shape[1]:
-            break
-        if m == n + 1:
-            raise HopffactError("no annihilating polynomial of degree ≤ N (bug)")
-        m = min(2 * m, n + 1)
+
+    def step(col):
+        nxt = np.zeros((n, 1), dtype=col.dtype)
+        nxt[hit] = _apply(f, op, col)
+        return nxt
+
+    powers, ann = _krylov(f, step, _field_array(f, unit.as_matrix_rows()), n + 1)
+    m = powers.shape[1]
     with_c0 = np.nonzero(ann[0] != 0)[0]
     if not with_c0.size:
         raise NotInvertible("zero divisor: the minimal polynomial vanishes at 0")

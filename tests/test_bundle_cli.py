@@ -134,7 +134,7 @@ def test_cli_factorizable_levels(capsys):
 def test_cli_simple(capsys):
     assert main(["simple", "--example", "reflective-trivial:C2"]) == 0
     out = capsys.readouterr().out
-    assert "simple" in out and "burnside" in out
+    assert "simple" in out and "norton" in out
     assert main(["simple", "--example", "subgroup:S3:C3"]) == 0
     out = capsys.readouterr().out
     assert "simple" in out

@@ -5,11 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import hopffact.meataxe as meataxe
 
 from hopffact.algebras import StructAlgebra, algebra_generators
 from hopffact.comodule import (
     ComoduleAlgebra,
     KMatrix,
+    SimplicityVerdict,
     check_braided_module,
     check_comodule_algebra,
     check_k_matrix,
@@ -466,6 +471,158 @@ def test_h_simplicity_witness_is_costable_ideal():
     c = kc2_trivial_coaction()
     closure = costable_closure(c, sv.witness)
     assert len(closure) == len(sv.witness)
+
+
+def _trivial_coaction(alg, host=None):
+    """B = ``alg`` with the trivial coaction b ↦ 1 ⊗ b over ``host`` (kC1 by
+    default), so its costable ideals are its two-sided ideals."""
+    f = alg.field
+    if host is None:
+        host, _ = group_algebra(cyclic_group(1), f)
+    return ComoduleAlgebra(host, alg, {i: {(0, i): f.one} for i in range(alg.dim)})
+
+
+def gaussian_rationals(f):
+    """Q(i) on the basis 1, i with i² = −1, over kC1: a field over Q and over
+    GF(p) for p ≡ 3 mod 4, two copies of GF(p) for p ≡ 1 mod 4."""
+    one, neg = f.one, f.neg(f.one)
+    mult = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}, (1, 1): {0: neg}}
+    return _trivial_coaction(StructAlgebra(f, BasedSpace(("1", "i")), mult, (one, f.zero)))
+
+
+def graded_dual_numbers(f):
+    """k[x]/(x²) graded by C2 (x odd) as a kC2-comodule algebra: span(x) is
+    its only proper costable ideal, so B is uniserial with top k·1."""
+    h, _ = group_algebra(cyclic_group(2), f)
+    mult = {(0, 0): {0: f.one}, (0, 1): {1: f.one}, (1, 0): {1: f.one}}
+    alg = StructAlgebra(f, BasedSpace(("1", "x")), mult, (f.one, f.zero))
+    return ComoduleAlgebra(h, alg, {0: {(0, 0): f.one}, 1: {(1, 1): f.one}})
+
+
+def _assert_verified_witness(c, sv):
+    assert sv.status == "not-simple"
+    assert 0 < len(sv.witness) < c.dim
+    assert len(costable_closure(c, sv.witness)) == len(sv.witness)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_h_simplicity_norton_on_registry(field):
+    # every registry comodule algebra is absolutely simple; over Q the proof
+    # comes from a mod-p image
+    for name in registry_names():
+        c = named_example(name, field).comodule
+        if c is not None:
+            sv = h_simplicity(c)
+            assert (sv.status, sv.certificate, sv.field_tag) == ("simple", "norton", field.tag), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(103)], ids=["Q", "GF103"])
+def test_h_simplicity_simple_but_not_absolutely(field):
+    # Q(i) is a field over Q and over GF(103): simple, proved with the
+    # irreducible factor x² + 1, and not absolutely simple
+    sv = h_simplicity(gaussian_rationals(field))
+    assert (sv.status, sv.certificate) == ("simple", "norton:deg2")
+
+
+def test_h_simplicity_splits_over_a_field_containing_i():
+    f = GF(101)  # 10² = −1, so Q(i) ⊗ GF(101) = GF(101) × GF(101)
+    c = gaussian_rationals(f)
+    sv = h_simplicity(c)
+    _assert_verified_witness(c, sv)
+    (a, b), = sv.witness  # an eigenvector of multiplication by i
+    assert (a * a + b * b) % f.p == 0
+
+
+def test_h_simplicity_spin_witness():
+    h, _ = group_algebra(cyclic_group(2), GF(101))
+    c = _trivial_coaction(h.algebra, h)
+    sv = h_simplicity(c)
+    assert sv.certificate == "spin"
+    _assert_verified_witness(c, sv)
+
+
+def test_h_simplicity_dual_spin_witness():
+    # the vector of ker g(a) picked here lies outside span(x) and spins to
+    # all of B, so only the transposed spin sees the ideal
+    c = graded_dual_numbers(GF(101))
+    sv = h_simplicity(c)
+    assert sv.certificate == "dual-spin"
+    _assert_verified_witness(c, sv)
+    assert sv.witness == ((0, 1),)
+
+
+def test_h_simplicity_inconclusive_at_the_cap(monkeypatch):
+    monkeypatch.setattr(meataxe, "CAP", 0)
+    c = named_example("double:C2", GF(101)).comodule
+    assert h_simplicity(c) == SimplicityVerdict("inconclusive", None, None, "GF(101)")
+    # over Q no prime decides, so the exact cascade runs and counts dimensions
+    sv = h_simplicity(named_example("double:C2").comodule)
+    assert (sv.status, sv.certificate) == ("simple", "burnside")
+
+
+def _rebase(c, entries):
+    """``c`` with B on the basis b'_i = Σ_j P_ji b_j, P the n×n matrix of
+    ``entries`` (row-major), structure constants and coaction transported;
+    None when P is singular."""
+    f = c.field
+    n = c.dim
+    sp = c.algebra.space
+    change = MapMatrix(f, sp, sp, [[f.scalar(x) for x in entries[i * n:(i + 1) * n]]
+                                   for i in range(n)])
+    try:
+        back = change.inverse()
+    except NotInvertible:
+        return None
+    cols = [{j: row[i] for j, row in enumerate(change.rows)} for i in range(n)]
+
+    def new_coords(old):
+        return back.apply(tuple(old.get(j, f.zero) for j in range(n)))
+
+    mult = {(i, j): dict(enumerate(new_coords(c.algebra.multiply(cols[i], cols[j]))))
+            for i in range(n) for j in range(n)}
+    alg = StructAlgebra(f, BasedSpace(tuple(f"b{i}'" for i in range(n))), mult,
+                        new_coords(c.algebra.unit_dict()))
+    coaction = {}
+    for i in range(n):
+        terms = {}  # h-index → the B-leg in the old basis
+        for j, pj in cols[i].items():
+            for (hh, k), ck in c.coaction_basis(j).items():
+                leg = terms.setdefault(hh, {})
+                leg[k] = f.add(leg.get(k, f.zero), f.mul(pj, ck))
+        coaction[i] = {(hh, l): x for hh, leg in terms.items()
+                       for l, x in enumerate(new_coords(leg)) if not f.is_zero(x)}
+    return ComoduleAlgebra(c.host, alg, coaction)
+
+
+METAMORPHIC_FIELDS = [QQ, GF(101), GF(94906249)]
+METAMORPHIC_CASES = [(name, field) for name in
+                     ("sweedler:1", "double:C2", "subgroup:S3:C2", "trivial:C2")
+                     for field in METAMORPHIC_FIELDS]
+
+
+def _metamorphic_input(name, field):
+    if name == "trivial:C2":
+        h, _ = group_algebra(cyclic_group(2), field)
+        return _trivial_coaction(h.algebra, h)
+    return named_example(name, field).comodule
+
+
+@pytest.mark.parametrize("name, field", METAMORPHIC_CASES,
+                         ids=[f"{n}-{f}" for n, f in METAMORPHIC_CASES])
+@settings(max_examples=4, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_simplicity_and_end_space_invariant_under_change_of_basis(name, field, data):
+    c = _metamorphic_input(name, field)
+    n = c.dim
+    hi = 3 if field == QQ else field.p - 1
+    lo = -3 if field == QQ else 0
+    entries = data.draw(st.lists(st.integers(lo, hi), min_size=n * n, max_size=n * n))
+    rebased = _rebase(c, entries)
+    assume(rebased is not None)
+    assert check_comodule_algebra(rebased)
+    assert h_simplicity(rebased).status == h_simplicity(c).status
+    assert compute_end_space(rebased).dim == compute_end_space(c).dim
 
 
 def test_end_space_escape_detection(dc2):

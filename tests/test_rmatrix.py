@@ -2,9 +2,12 @@
 
 import pytest
 
+import hopffact.rmatrix as rmatrix_module
+
 from hopffact.constructions import (
     drinfeld_double_group,
     group_algebra,
+    named_example,
     sweedler_h4,
     sweedler_r_matrix,
 )
@@ -23,7 +26,7 @@ from hopffact.rmatrix import (
     r_matrix,
     trivial_r_matrix,
 )
-from hopffact.tensors import TensorElement, tensor_mult, tensor_unit
+from hopffact.tensors import TensorElement, tensor_invert, tensor_mult, tensor_unit
 
 
 def test_trivial_r_on_group_algebra_passes():
@@ -191,3 +194,17 @@ def test_checked_constructor_rejects_non_r_matrix():
         r_matrix(h, cand)
     good = r_matrix(h, trivial_r_matrix(h).element)
     assert is_triangular(good)
+
+
+def test_r_matrix_inverts_once(monkeypatch):
+    b = named_example("double:C2")
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return tensor_invert(*args)
+
+    monkeypatch.setattr(rmatrix_module, "tensor_invert", counting)
+    r = r_matrix(b.hopf, b.rmatrix.element)
+    assert len(calls) == 1
+    assert r.inverse == b.rmatrix.inverse
