@@ -31,7 +31,8 @@ from .constructions import named_example
 from .errors import BundleFormatError, HopffactError, NotInvertible, UnknownExample
 from .fields import GF, QQ
 from .hopf import check_hopf
-from .rmatrix import RMatrix, check_r_matrix, drinfeld_map
+from .rmatrix import RMatrix, drinfeld_map
+from .rmatrix import _check_axioms as check_r_matrix_axioms
 from .verdicts import Verdict
 
 EXIT_OK = 0
@@ -109,15 +110,20 @@ def cmd_check(args) -> int:
         v = check_hopf(loaded.hopf)
         report.add("check.hopf", _verdict_value(v))
         failed |= not v
-    rmx = None
+    rmx = r_error = None
     if want["rmatrix"] or want["kmatrix"]:
         if loaded.rmatrix_element is None:
             raise BundleFormatError("no rmatrix section in the input")
-    if want["rmatrix"]:
+        # R is inverted once, here, for both its own check and the K check
         try:
-            v = check_r_matrix(loaded.hopf, loaded.rmatrix_element)
+            rmx = RMatrix(loaded.hopf, loaded.rmatrix_element)
         except NotInvertible as exc:
-            v = Verdict.failed("r-invertibility", None, str(exc))
+            r_error = str(exc)
+    if want["rmatrix"]:
+        if rmx is None:
+            v = Verdict.failed("r-invertibility", None, r_error)
+        else:
+            v = check_r_matrix_axioms(loaded.hopf, loaded.rmatrix_element)
         report.add("check.rmatrix", _verdict_value(v))
         failed |= not v
     if want["comodule"] or want["kmatrix"]:
@@ -130,12 +136,13 @@ def cmd_check(args) -> int:
     if want["kmatrix"]:
         if loaded.kmatrix_element is None:
             raise BundleFormatError("no kmatrix section in the input")
-        try:
-            r = RMatrix(loaded.hopf, loaded.rmatrix_element)
-            k = KMatrix(loaded.comodule, r, loaded.kmatrix_element)
-            v = check_k_matrix(k)
-        except NotInvertible as exc:
-            v = Verdict.failed("k-invertibility", None, str(exc))
+        if rmx is None:
+            v = Verdict.failed("k-invertibility", None, r_error)
+        else:
+            try:
+                v = check_k_matrix(KMatrix(loaded.comodule, rmx, loaded.kmatrix_element))
+            except NotInvertible as exc:
+                v = Verdict.failed("k-invertibility", None, str(exc))
         report.add("check.kmatrix", _verdict_value(v))
         failed |= not v
     report.add("result", "FAIL" if failed else "PASS")

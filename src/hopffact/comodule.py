@@ -12,18 +12,31 @@ import numpy as np
 from .algebras import StructAlgebra, algebra_generators, check_algebra, _dicts_equal
 from .errors import HopffactError, ImageEscapesEndSpace, SpaceMismatch
 from .fields import GF, Field, PrimeField
-from .hopf import HModule, HopfAlgebra, check_module, kron_matrix, trivial_module
+from .hopf import (
+    HModule,
+    HopfAlgebra,
+    _kron_sum,
+    check_module,
+    element_terms,
+    kron_sums,
+    trivial_module,
+)
 from .linalg import (
     BasedSpace,
-    GFBatchSpan,
     IncrementalSpan,
     MapMatrix,
+    _SLICE_CELLS,
+    _OverBudget,
     _apply,
+    _combine,
     _dtype,
     _field_array,
+    _gather,
     _kernel,
     _mod_matmul,
+    _mul,
     _scalar_rows,
+    _sparse_values,
     echelonize,
     kernel_basis,
 )
@@ -283,173 +296,112 @@ def regular_bmodule(c: ComoduleAlgebra) -> BModule:
 
 def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
     """e_{X,M}: X⊗M → X⊗M, x⊗m ↦ (first leg · x) ⊗ (second leg ∗ m)."""
-    f = k.host.field
-    sp = x.space.tensor(m.space)
-    out = MapMatrix.zero(f, sp, sp)
-    for (a, b), cv in k.element.coeffs.items():
-        out = out + kron_matrix(x.action[a], m.action[b]).scale(cv)
-    return out
+    return kron_sums(element_terms(k.element), x.action, m.action)[0]
 
 
 # ---------------------------------------------------------------------------
-# Columnwise sparse verification of the braided-module axioms
+# Batched sparse verification of the braided-module axioms, with the sparse
+# operators of ``linalg``
 # ---------------------------------------------------------------------------
 
-def _sparse_cols(mats):
-    """Per-basis sparse columns of a family of action matrices."""
-    out = []
-    for mat in mats:
-        f = mat.field
-        cols = []
-        for j in range(mat.domain.dim):
-            col = {}
-            for i, row in enumerate(mat.rows):
-                if not f.is_zero(row[j]):
-                    col[i] = row[j]
-            cols.append(col)
-        out.append(cols)
-    return out
+def _legs(key: np.ndarray, dims):
+    """Split batch keys column·dim + flat index into the column and the
+    three leg indices."""
+    col, flat = np.divmod(key, dims[0] * dims[1] * dims[2])
+    return col, [flat // (dims[1] * dims[2]), flat // dims[2] % dims[1], flat % dims[2]]
 
 
-def _add_term(f, acc, key, val):
-    cur = f.add(acc.get(key, f.zero), val)
-    if f.is_zero(cur):
-        acc.pop(key, None)
-    else:
-        acc[key] = cur
-
-
-def _apply_two_leg(f, vec, terms, cols_a, cols_b, legs, out_order=None):
-    """Σ_terms coeff · (op_a on leg0) ⊗ (op_b on leg1), other legs fixed.
-
-    ``vec`` maps index tuples to scalars; ``legs`` names the two positions
-    acted on; ``out_order`` optionally permutes the full index tuple after
-    acting (used for braidings that swap legs).
-    """
+def _act(f, batch, dims, op, legs, order, limit):
+    """Apply a two-leg operator to ``legs`` (la, lb) of a batch of columns,
+    then reorder the legs by ``order``; the batch is (keys, values)."""
+    key, val = batch
     la, lb = legs
-    out = {}
-    for idx, cv in vec.items():
-        for (a, b), tc in terms.items():
-            ca = cols_a[a][idx[la]]
-            if not ca:
-                continue
-            cb = cols_b[b][idx[lb]]
-            if not cb:
-                continue
-            base = f.mul(cv, tc)
-            for ia, va in ca.items():
-                fa = f.mul(base, va)
-                for ib, vb in cb.items():
-                    new = list(idx)
-                    new[la] = ia
-                    new[lb] = ib
-                    if out_order is not None:
-                        new = [new[p] for p in out_order]
-                    _add_term(f, out, tuple(new), f.mul(fa, vb))
-    return out
+    col, idx = _legs(key, dims)
+    rep, out, tv = _gather(op, idx[la] * dims[lb] + idx[lb], limit)
+    idx = [i[rep] for i in idx]
+    idx[la], idx[lb] = np.divmod(out, dims[lb])
+    i0, i1, i2 = (idx[p] for p in order)
+    d0, d1, d2 = dims = [dims[p] for p in order]
+    key = col[rep] * (d0 * d1 * d2) + (i0 * d1 + i1) * d2 + i2
+    return _combine(f, key, _mul(f, val[rep], tv)), dims
 
 
-def _nonzero_index(cols):
-    """For each carrier column j, the list of basis indices acting nonzero."""
-    dim = len(cols[0]) if cols else 0
-    out = [[] for _ in range(dim)]
-    for i, percol in enumerate(cols):
-        for j in range(dim):
-            if percol[j]:
-                out[j].append(i)
-    return out
+def _failing_columns(f, lhs, rhs, first, last, dims, limit):
+    """The columns first..last-1 of X⊗Y⊗M on which an identity fails:
+    ``lhs`` is the left side on X⊗Y⊗M, ``rhs`` the two-leg steps."""
+    n = dims[0] * dims[1] * dims[2]
+    cols = np.arange(first, last, dtype=np.int64)
+    rep, out, val = _gather(lhs, cols, limit)
+    left = _combine(f, (rep + first) * n + out, val)
+    right, d = (cols * n + cols, _sparse_values(f, [f.one]).repeat(cols.size)), dims
+    for op, legs, order in rhs:
+        right, d = _act(f, right, d, op, legs, order, limit)
+    neg = (f.p - right[1]) % f.p if isinstance(f, PrimeField) else -right[1]
+    key, _ = _combine(f, np.concatenate((left[0], right[0])), np.concatenate((left[1], neg)))
+    return np.unique(key // n)
 
 
 def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verdict:
-    """Both braided-module identities on a concrete (X, Y, M), columnwise.
+    """Both braided-module identities on a concrete (X, Y, M), and the unit law.
 
-    Dense composite matrices on X⊗Y⊗M are never formed, so this scales to
-    the largest corpus instances.
+    Identity 1 is e_{X⊗Y,M} = (id_X ▷ e_{Y,M}) c_{Y,X} (id_Y ▷ e_{X,M}) c_{Y,X}⁻¹
+    and identity 2 is e_{X,Y▷M} = c_{Y,X} (id_Y ▷ e_{X,M}) c_{X,Y} (Kolb 2020).
+    Each side is applied to a batch of basis columns of X⊗Y⊗M at once: the
+    braidings and e are two-leg sparse operators, and the left sides,
+    (Δ⊗id)K and (id⊗δ)K, three-leg ones, each built once as a sum of outer
+    products of the nonzeros of the action matrices.  Every column is
+    checked exactly; dense matrices on X⊗Y⊗M are never formed.  Batches
+    are halved until no expansion exceeds ``linalg._SLICE_CELLS`` entries.
+    The witness is the first failing column (jx, jy, jm) in lexicographic
+    order, named by identity 1 when it fails there.
     """
     f = k.host.field
-    c = k.comodule
     h = k.host
     r = k.rmatrix
-    xa = _sparse_cols(x.action)
-    ya = _sparse_cols(y.action)
-    ma = _sparse_cols(m.action)
-    kt = dict(k.element.coeffs)
-    rt = dict(r.element.coeffs)
-    rinv = dict(r.inverse.coeffs)
-    # Δ applied to the first K-leg (for e_{X⊗Y,M}), grouped by the leg that
-    # acts on X so columns only visit terms that can survive
-    k_split_by_a1: dict = {}
-    for (a, b), cv in kt.items():
-        for (a1, a2), dc in h.comult_basis(a).items():
-            k_split_by_a1.setdefault(a1, []).append((a2, b, f.mul(cv, dc)))
-    # δ applied to the second K-leg (for e_{X, Y▷M}), grouped likewise
-    k_coact_by_a: dict = {}
-    for (a, b), cv in kt.items():
-        for (hh, bb), dc in c.coaction_basis(b).items():
-            k_coact_by_a.setdefault(a, []).append((hh, bb, f.mul(cv, dc)))
-    x_nz = _nonzero_index(xa)
-
-    for jx in range(x.dim):
-        a_live = x_nz[jx]
-        for jy in range(y.dim):
-            for jm in range(m.dim):
-                start = {(jx, jy, jm): f.one}
-                # identity (1) left side: e_{X⊗Y,M} via Δ on the first K-leg
-                lhs = {}
-                for a1 in a_live:
-                    cx = xa[a1][jx]
-                    for a2, b, cv in k_split_by_a1.get(a1, ()):
-                        cy = ya[a2][jy]
-                        if not cy:
-                            continue
-                        cm = ma[b][jm]
-                        if not cm:
-                            continue
-                        for ix, vx in cx.items():
-                            for iy, vy in cy.items():
-                                vxy = f.mul(f.mul(vx, vy), cv)
-                                for im, vm in cm.items():
-                                    _add_term(f, lhs, (ix, iy, im), f.mul(vxy, vm))
-                # right side, step by step (input legs (x, y, m)):
-                # c_{Y,X}^{-1} ▷ id: output legs (y, x, m); the inverse braiding
-                # puts the first leg of R^{-1} on Y and the second on X
-                vec = _apply_two_leg(f, start, rinv, ya, xa, (1, 0), (1, 0, 2))
-                # id_Y ▷ e_{X,M}: first K-leg on X, second on M
-                vec = _apply_two_leg(f, vec, kt, xa, ma, (1, 2))
-                # c_{Y,X} ▷ id: (y, x, m) → (x, y, m); lower R-leg on Y, upper on X
-                vec = _apply_two_leg(f, vec, rt, ya, xa, (0, 1), (1, 0, 2))
-                # id_X ▷ e_{Y,M}
-                vec = _apply_two_leg(f, vec, kt, ya, ma, (1, 2))
-                if not _dicts_equal(f, lhs, vec):
-                    return Verdict.failed("braided-module-1", (jx, jy, jm))
-                # identity (2) left side: e_{X,Y▷M} via δ on the second K-leg
-                lhs2 = {}
-                for a in a_live:
-                    cx = xa[a][jx]
-                    for hh, bb, cv in k_coact_by_a.get(a, ()):
-                        cy = ya[hh][jy]
-                        if not cy:
-                            continue
-                        cm = ma[bb][jm]
-                        if not cm:
-                            continue
-                        for ix, vx in cx.items():
-                            for iy, vy in cy.items():
-                                vxy = f.mul(f.mul(vx, vy), cv)
-                                for im, vm in cm.items():
-                                    _add_term(f, lhs2, (ix, iy, im), f.mul(vxy, vm))
-                # right side: c_{X,Y} ▷ id: (x, y, m) → (y, x, m);
-                # lower R-leg on X, upper on Y
-                vec = _apply_two_leg(f, start, rt, xa, ya, (0, 1), (1, 0, 2))
-                # id_Y ▷ e_{X,M}
-                vec = _apply_two_leg(f, vec, kt, xa, ma, (1, 2))
-                # c_{Y,X} ▷ id: (y, x, m) → (x, y, m)
-                vec = _apply_two_leg(f, vec, rt, ya, xa, (0, 1), (1, 0, 2))
-                if not _dicts_equal(f, lhs2, vec):
-                    return Verdict.failed("braided-module-2", (jx, jy, jm))
+    kt = k.element.coeffs
+    xa, ya, ma = x.action, y.action, m.action
+    dims = [x.dim, y.dim, m.dim]
+    swap = (1, 0, 2)
+    keep = (0, 1, 2)
+    r_yx = _kron_sum(f, element_terms(r.element), (ya, xa))
+    e_xm = _kron_sum(f, element_terms(k.element), (xa, ma))
+    # input legs (x, y, m): c_{Y,X}⁻¹ puts the first leg of R⁻¹ on Y and the
+    # second on X, giving (y, x, m); c_{Y,X} puts the first R-leg on Y and
+    # returns to (x, y, m); c_{X,Y} puts it on X and gives (y, x, m)
+    rhs1 = [
+        (_kron_sum(f, element_terms(r.inverse), (ya, xa)), (1, 0), swap),
+        (e_xm, (1, 2), keep),
+        (r_yx, (0, 1), swap),
+        (_kron_sum(f, element_terms(k.element), (ya, ma)), (1, 2), keep),
+    ]
+    rhs2 = [
+        (_kron_sum(f, element_terms(r.element), (xa, ya)), (0, 1), swap),
+        (e_xm, (1, 2), keep),
+        (r_yx, (0, 1), swap),
+    ]
+    # e_{X⊗Y,M}: Δ on the first K-leg; e_{X,Y▷M}: δ on the second
+    lhs1 = _kron_sum(f, [(0, a1, a2, b, f.mul(cv, dc)) for (a, b), cv in kt.items()
+                         for (a1, a2), dc in h.comult_basis(a).items()], (xa, ya, ma))
+    lhs2 = _kron_sum(f, [(0, a, hh, bb, f.mul(cv, dc)) for (a, b), cv in kt.items()
+                         for (hh, bb), dc in k.comodule.coaction_basis(b).items()], (xa, ya, ma))
+    n = dims[0] * dims[1] * dims[2]
+    first, size = 0, n
+    while first < n:
+        last = min(n, first + size)
+        limit = _SLICE_CELLS if last - first > 1 else None
+        try:
+            bad1 = _failing_columns(f, lhs1, rhs1, first, last, dims, limit)
+            bad2 = _failing_columns(f, lhs2, rhs2, first, last, dims, limit)
+        except _OverBudget:
+            size = (last - first + 1) // 2
+            continue
+        if bad1.size or bad2.size:
+            col = int(min(bad1[:1].tolist() + bad2[:1].tolist()))
+            axiom = "braided-module-1" if col in bad1 else "braided-module-2"
+            return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
+        first = last
     # unit law e_{1,M} = id
-    triv = trivial_module(h)
-    if not module_braiding(k, triv, m).is_identity():
+    if not module_braiding(k, trivial_module(h), m).is_identity():
         return Verdict.failed("braided-module-unit", None, "e_{1,M} ≠ id")
     return Verdict.passed()
 
@@ -534,6 +486,14 @@ def _coords(f: Field, columns: np.ndarray, free, vecs: np.ndarray) -> np.ndarray
     if not np.array_equal(_mod_matmul(f, columns, coords), vecs):
         raise ImageEscapesEndSpace("vector outside the span")
     return coords
+
+
+def _add_term(f, acc, key, val):
+    cur = f.add(acc.get(key, f.zero), val)
+    if f.is_zero(cur):
+        acc.pop(key, None)
+    else:
+        acc[key] = cur
 
 
 def _constraint_op(c: ComoduleAlgebra, b: int):
@@ -730,7 +690,11 @@ def omega_copairing(k: KMatrix, es: EndSpace | None = None) -> TensorElement:
 
 
 def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
-    """h·ω = ε(h)ω for every basis h, with the adjoint action on the H-leg."""
+    """h·ω = ε(h)ω for every basis h, with the adjoint action on the H-leg.
+
+    With W the matrix of ω and A the end-space action, h_t·ω is
+    Σ_{(a, mid) ∈ Δ(h_t)} ad(h_a) · W · A_midᵀ.
+    """
     h = k.host
     f = h.field
     nh, ne = h.dim, es.dim
@@ -739,26 +703,15 @@ def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
         w[i][j] = c
     hsp, esp = omega.factors
     wmat = MapMatrix(f, esp, hsp, w)
+    adjoints = h.adjoint_matrices()
+    moved = [wmat @ act.transpose() for act in es.h_action]
     for t in range(nh):
         acc = MapMatrix.zero(f, esp, hsp)
         for (a, mid), dc in h.comult_basis(t).items():
-            for (a1, a2), dc2 in h.comult_basis(a).items():
-                coeff = f.mul(dc, dc2)
-                adj = _left_right_matrix(h, a1, a2)
-                term = (adj @ wmat) @ es.h_action[mid].transpose()
-                acc = acc + term.scale(coeff)
+            acc = acc + (adjoints[a] @ moved[mid]).scale(dc)
         eps = h.coalgebra.counit[t]
         if acc != wmat.scale(eps):
             raise HopffactError(f"copairing is not invariant at basis {t}")
-
-
-def _left_right_matrix(h: HopfAlgebra, a1: int, a2: int) -> MapMatrix:
-    """Matrix of ℓ ↦ h_{a1} · ℓ · S(h_{a2}) on H."""
-    f = h.field
-    s2 = h.s_basis(a2)
-    rmat = h.algebra.right_mult_matrix(s2)
-    lmat = h.algebra.left_mult_matrix({a1: f.one})
-    return lmat @ rmat
 
 
 @dataclass(frozen=True)
@@ -782,8 +735,7 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     omega = omega_copairing(k, es)
     # source: f with f(h_(1) h' S(h_(2))) = ε(h) f(h')
     rows = []
-    for t in range(nh):
-        adj = _sum_adjoint(h, t)
+    for t, adj in enumerate(h.adjoint_matrices()):
         eps = h.coalgebra.counit[t]
         for s in range(nh):
             row = [adj.rows[a][s] for a in range(nh)]
@@ -830,14 +782,6 @@ def rank_of_rows(rows, ncols, field):
     if not rows or ncols == 0:
         return 0
     return len(echelonize(rows, ncols, field)[1])
-
-
-def _sum_adjoint(h: HopfAlgebra, t: int) -> MapMatrix:
-    f = h.field
-    acc = MapMatrix.zero(f, h.space, h.space)
-    for (a1, a2), dc in h.comult_basis(t).items():
-        acc = acc + _left_right_matrix(h, a1, a2).scale(dc)
-    return acc
 
 
 # ---------------------------------------------------------------------------

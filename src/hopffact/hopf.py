@@ -14,7 +14,18 @@ from .algebras import (
 )
 from .errors import InconsistentSystem, NoAntipode, NotInvertible, SpaceMismatch
 from .fields import Field, PrimeField
-from .linalg import BasedSpace, MapMatrix, _mod_matmul, solve_columns
+from .linalg import (
+    BasedSpace,
+    MapMatrix,
+    _field_array,
+    _gather,
+    _mod_matmul,
+    _mul,
+    _scalar_rows,
+    _sparse_op,
+    _sparse_values,
+    solve_columns,
+)
 from .verdicts import Verdict
 
 import numpy as np
@@ -23,7 +34,7 @@ import numpy as np
 class HopfAlgebra:
     """Algebra + coalgebra on one space, with a verified-invertible antipode."""
 
-    __slots__ = ("field", "algebra", "coalgebra", "antipode", "antipode_inv")
+    __slots__ = ("field", "algebra", "coalgebra", "antipode", "antipode_inv", "_adjoints")
 
     def __init__(self, algebra: StructAlgebra, coalgebra: StructCoalgebra,
                  antipode: MapMatrix, antipode_inv: MapMatrix):
@@ -34,6 +45,7 @@ class HopfAlgebra:
         object.__setattr__(self, "coalgebra", coalgebra)
         object.__setattr__(self, "antipode", antipode)
         object.__setattr__(self, "antipode_inv", antipode_inv)
+        object.__setattr__(self, "_adjoints", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HopfAlgebra is immutable")
@@ -69,6 +81,23 @@ class HopfAlgebra:
         f = self.field
         col = [row[i] for row in self.antipode.rows]
         return {k: c for k, c in enumerate(col) if not f.is_zero(c)}
+
+    def adjoint_matrices(self) -> tuple:
+        """The adjoint action ℓ ↦ h_(1) · ℓ · S(h_(2)) on H of every basis
+        element h, as matrices (computed once)."""
+        if self._adjoints is None:
+            f = self.field
+            alg = self.algebra
+            left = [alg.left_mult_matrix({i: f.one}) for i in range(self.dim)]
+            right_s = [alg.right_mult_matrix(self.s_basis(i)) for i in range(self.dim)]
+            mats = []
+            for t in range(self.dim):
+                acc = MapMatrix.zero(f, self.space, self.space)
+                for (a1, a2), dc in self.comult_basis(t).items():
+                    acc = acc + (left[a1] @ right_s[a2]).scale(dc)
+                mats.append(acc)
+            object.__setattr__(self, "_adjoints", tuple(mats))
+        return self._adjoints
 
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim} over {self.field})"
@@ -389,17 +418,73 @@ def kron_matrix(a: MapMatrix, b: MapMatrix) -> MapMatrix:
     return MapMatrix(f, dom, cod, rows)
 
 
+def _family(f: Field, mats):
+    """The nonzeros of a family of square matrices as a sparse operator:
+    input a (the member), output row·d + column."""
+    if isinstance(f, PrimeField):
+        stack = np.stack([m.numpy() for m in mats])
+    else:
+        stack = _field_array(f, [m.rows for m in mats])
+    which, row, col = np.nonzero(stack)
+    n, d = len(mats), stack.shape[1]
+    return _sparse_op(f, which, row * d + col, stack[which, row, col], n, d * d)
+
+
+def element_terms(t) -> list:
+    """The terms (0, a, b, c) of c·e_a⊗e_b in a two-leg tensor element."""
+    return [(0, a, b, c) for (a, b), c in t.coeffs.items()]
+
+
+def _kron_sum(f: Field, terms, legs, groups: int = 1):
+    """Σ c·A_a ⊗ B_b ⊗ … over ``terms`` [(g, a, b, …, c)], with A, B, …
+    the matrix families in ``legs``, as a sparse operator with input
+    g·dim + u, so each of the ``groups`` g is an operator on A⊗B⊗….
+
+    Entries are products of the nonzeros of the matrices, summed in the
+    field; input and output indices are row-major over the legs.
+    """
+    parts = list(zip(*terms)) or [()] * (len(legs) + 2)
+    src = np.arange(len(terms))
+    inp = np.array(parts[0], dtype=np.int64)
+    out = np.zeros_like(inp)
+    val = _sparse_values(f, parts[-1])
+    n = 1
+    for mats, which in zip(legs, parts[1:-1]):
+        d = mats[0].domain.dim
+        rep, pos, v = _gather(_family(f, mats), np.array(which, dtype=np.int64)[src])
+        row, col = np.divmod(pos, d)
+        src, inp, out = src[rep], inp[rep] * d + col, out[rep] * d + row
+        val = _mul(f, val[rep], v)
+        n *= d
+    return _sparse_op(f, inp, out, val, groups * n, n)
+
+
+def kron_sums(terms, mats_a, mats_b, groups: int = 1, swap: bool = False) -> list:
+    """Σ c·A_a ⊗ B_b for each group g < ``groups`` of ``terms``
+    [(g, a, b, c)], as dense maps on A⊗B; with ``swap`` they land in B⊗A."""
+    f = mats_a[0].field
+    sa, sb = mats_a[0].domain, mats_b[0].domain
+    dom = sa.tensor(sb)
+    cod = sb.tensor(sa) if swap else dom
+    n = dom.dim
+    counts, _, out, val = _kron_sum(f, terms, (mats_a, mats_b), groups)
+    if swap:
+        out = out % sb.dim * sa.dim + out // sb.dim
+    inp = np.repeat(np.arange(groups * n), counts)
+    bounds = np.searchsorted(inp, np.arange(groups + 1) * n)
+    mats = []
+    for g in range(groups):
+        sel = slice(bounds[g], bounds[g + 1])
+        dense = np.zeros((n, n), dtype=val.dtype)
+        dense[out[sel], inp[sel] - g * n] = val[sel]
+        mats.append(MapMatrix(f, dom, cod, _scalar_rows(f, dense)))
+    return mats
+
+
 def module_tensor(h: HopfAlgebra, x: HModule, y: HModule) -> HModule:
     """X ⊗ Y with action through the comultiplication."""
-    f = h.field
-    sp = x.space.tensor(y.space)
-    mats = []
-    for i in range(h.dim):
-        acc = MapMatrix.zero(f, sp, sp)
-        for (a, b), c in h.comult_basis(i).items():
-            acc = acc + kron_matrix(x.action[a], y.action[b]).scale(c)
-        mats.append(acc)
-    return HModule(sp, mats)
+    terms = [(i, a, b, c) for i in range(h.dim) for (a, b), c in h.comult_basis(i).items()]
+    return HModule(x.space.tensor(y.space), kron_sums(terms, x.action, y.action, h.dim))
 
 
 def module_dual(h: HopfAlgebra, x: HModule) -> HModule:

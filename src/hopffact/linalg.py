@@ -563,6 +563,64 @@ def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros((0, k), dtype=_dtype(f))
 
 
+# ---------------------------------------------------------------------------
+# Sparse operators
+#
+# A sparse operator is a tuple (counts, offsets, out, val): the entries
+# (out, val) sorted by input, with counts[i] of them for input i starting at
+# offsets[i].  Values are int64 residues over GF(p), reduced after every
+# product (each product of two residues is below 2**63), and objects over Q.
+# ---------------------------------------------------------------------------
+
+class _OverBudget(Exception):
+    """An expansion would exceed the cell budget of one batch."""
+
+
+def _sparse_values(f: Field, scalars) -> np.ndarray:
+    arr = _field_array(f, scalars)
+    return arr.astype(np.int64) if isinstance(f, PrimeField) else arr
+
+
+def _mul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a * b % f.p if isinstance(f, PrimeField) else a * b
+
+
+def _combine(f: Field, key: np.ndarray, val: np.ndarray):
+    """Sum the values of equal keys in the field and drop the zeros; the
+    keys come back sorted and distinct."""
+    order = np.argsort(key, kind="stable")
+    key, val = key[order], val[order]
+    if key.size:
+        first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        key, val = key[first], np.add.reduceat(val, first)
+        if isinstance(f, PrimeField):
+            val %= f.p
+    keep = val != 0
+    return key[keep], val[keep]
+
+
+def _sparse_op(f: Field, inp, out, val, n_in: int, n_out: int):
+    """The sparse operator with entries (inp, out, val), duplicates summed."""
+    key, val = _combine(f, inp * n_out + out, val)
+    counts = np.bincount(key // n_out, minlength=n_in)
+    return counts, np.cumsum(counts) - counts, key % n_out, val
+
+
+def _gather(op, inp: np.ndarray, limit=None):
+    """Every entry of ``op`` in the inputs ``inp``: (which input, out, val).
+
+    Raises _OverBudget when there would be more than ``limit`` of them.
+    """
+    counts, offsets, out, val = op
+    cnt = counts[inp]
+    total = int(cnt.sum())
+    if limit is not None and total > limit:
+        raise _OverBudget
+    rep = np.repeat(np.arange(inp.size), cnt)
+    pos = np.arange(total) + np.repeat(offsets[inp] - (np.cumsum(cnt) - cnt), cnt)
+    return rep, out[pos], val[pos]
+
+
 def _kernel(f: Field, rows: np.ndarray, ncols: int) -> np.ndarray:
     """Right kernel as an (ncols × nullity) array, read off the RREF."""
     if isinstance(f, PrimeField):

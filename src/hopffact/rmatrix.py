@@ -5,7 +5,7 @@ of the host Hopf algebra."""
 from __future__ import annotations
 
 from .errors import HopffactError, SpaceMismatch
-from .hopf import HModule, HopfAlgebra, kron_matrix
+from .hopf import HModule, HopfAlgebra, element_terms, kron_matrix, kron_sums
 from .linalg import MapMatrix
 from .tensors import (
     TensorElement,
@@ -105,39 +105,13 @@ def r_matrix(host: HopfAlgebra, element: TensorElement) -> RMatrix:
 
 def braiding_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
     """c_{X,Y}: X⊗Y → Y⊗X, x⊗y ↦ (second leg · y) ⊗ (first leg · x)."""
-    f = r.host.field
-    dom = x.space.tensor(y.space)
-    cod = y.space.tensor(x.space)
-    out = MapMatrix.zero(f, dom, cod)
-    for (a, b), c in r.element.coeffs.items():
-        out = out + _cross_kron(y.action[b], x.action[a], dom, cod).scale(c)
-    return out
+    return kron_sums(element_terms(r.element), x.action, y.action, swap=True)[0]
 
 
 def braiding_inverse_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
     """c_{X,Y}^{-1}: Y⊗X → X⊗Y via the inverse element acting componentwise."""
-    f = r.host.field
-    dom = y.space.tensor(x.space)
-    cod = x.space.tensor(y.space)
-    out = MapMatrix.zero(f, dom, cod)
-    for (a, b), c in r.inverse.coeffs.items():
-        out = out + _cross_kron(x.action[a], y.action[b], dom, cod).scale(c)
-    return out
-
-
-def _cross_kron(m_left: MapMatrix, m_right: MapMatrix, dom, cod) -> MapMatrix:
-    """Matrix of v⊗w ↦ (m_left·w) ⊗ (m_right·v) from dom to cod."""
-    k = kron_matrix(m_left, m_right)
-    # reindex: dom orders (v, w); k expects (w, v)
-    f = m_left.field
-    dl = m_right.domain.dim  # v-range
-    dw = m_left.domain.dim   # w-range
-    rows = []
-    for row in k.rows:
-        rows.append(
-            tuple(row[(j % dw) * dl + (j // dw)] for j in range(dl * dw))
-        )
-    return MapMatrix(f, dom, cod, rows)
+    terms = [(0, b, a, c) for (a, b), c in r.inverse.coeffs.items()]
+    return kron_sums(terms, y.action, x.action, swap=True)[0]
 
 
 def check_hexagon(r: RMatrix, x: HModule, y: HModule, z: HModule) -> Verdict:

@@ -188,3 +188,40 @@ def test_full_registry_round_trips_via_files(tmp_path):
         text = bundle_io.dumps(b)
         loaded = bundle_io.loads(text)
         assert bundle_io.dumps(loaded) == text
+
+
+def test_cli_check_all_inverts_r_once(monkeypatch, capsys):
+    # the R check and the K check share one RMatrix (two inversions before)
+    import hopffact.rmatrix as rmatrix_module
+
+    named_example("double:C2")  # memoized: its construction is not counted
+    calls = []
+    invert = rmatrix_module.tensor_invert
+
+    def counting(*args):
+        calls.append(args)
+        return invert(*args)
+
+    monkeypatch.setattr(rmatrix_module, "tensor_invert", counting)
+    assert main(["check", "--example", "double:C2", "--all"]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("flags, lines", [
+    (["--all"], ["check.hopf                   pass",
+                 "check.rmatrix                fail(r-invertibility) {msg}",
+                 "check.comodule               pass",
+                 "check.kmatrix                fail(k-invertibility) {msg}"]),
+    (["--rmatrix"], ["check.rmatrix                fail(r-invertibility) {msg}"]),
+    (["--kmatrix"], ["check.kmatrix                fail(k-invertibility) {msg}"]),
+])
+def test_cli_check_singular_r(tmp_path, capsys, flags, lines):
+    doc = json.loads(bundle_io.dumps(named_example("double:C2")))
+    doc["rmatrix"] = [[0, 0, 1], [0, 2, 1]]  # (e_0 ⊗ 1)-like: a zero divisor
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), *flags]) == 1
+    msg = "zero divisor: the minimal polynomial vanishes at 0"
+    want = [line.format(msg=msg) for line in lines] + ["result                       FAIL"]
+    assert capsys.readouterr().out.splitlines() == want

@@ -625,6 +625,49 @@ def test_simplicity_and_end_space_invariant_under_change_of_basis(name, field, d
     assert compute_end_space(rebased).dim == compute_end_space(c).dim
 
 
+# Adding 1 to one coefficient (i, j) of ω: the basis index t at which the
+# invariance check refuses it (None: the perturbed element is invariant)
+OMEGA_REFUSALS = {
+    (0, 0): None, (0, 1): 1, (0, 2): 1, (0, 3): 2,
+    (1, 0): 2, (1, 1): 1, (1, 2): 1, (1, 3): 2,
+    (2, 0): 1, (2, 1): None, (2, 2): None, (2, 3): 1,
+    (3, 0): 1, (3, 1): None, (3, 2): None, (3, 3): 1,
+}
+
+
+def test_omega_invariance_refusal():
+    from hopffact.comodule import _verify_omega_invariance
+    from hopffact.tensors import TensorElement
+
+    b = named_example("sweedler:1")
+    es = compute_end_space(b.comodule)
+    omega = omega_copairing(b.kmatrix, es)
+    for key, t in OMEGA_REFUSALS.items():
+        coeffs = dict(omega.coeffs)
+        coeffs[key] = coeffs.get(key, QQ.zero) + 1
+        bumped = TensorElement(QQ, omega.factors, coeffs)
+        if t is None:
+            _verify_omega_invariance(b.kmatrix, es, bumped)
+        else:
+            with pytest.raises(HopffactError, match=f"not invariant at basis {t}$"):
+                _verify_omega_invariance(b.kmatrix, es, bumped)
+
+
+def test_omega_invariance_holds_for_every_copairing_on_double_c2(dc2):
+    # D(C2) is commutative and cocommutative and acts trivially on its end
+    # space, so every element of H ⊗ E is invariant and the refusal arm is
+    # unreachable there
+    from hopffact.comodule import _verify_omega_invariance
+    from hopffact.tensors import TensorElement
+
+    es = compute_end_space(dc2.comodule)
+    omega = omega_copairing(dc2.kmatrix, es)
+    for key in [(i, j) for i in range(dc2.hopf.dim) for j in range(es.dim)]:
+        coeffs = dict(omega.coeffs)
+        coeffs[key] = coeffs.get(key, QQ.zero) + 1
+        _verify_omega_invariance(dc2.kmatrix, es, TensorElement(QQ, omega.factors, coeffs))
+
+
 def test_end_space_escape_detection(dc2):
     # the escape guard lives in the coordinatizer: any Hom(H,B) vector
     # outside the span must raise, exactly
