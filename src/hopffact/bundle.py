@@ -2,15 +2,17 @@
 
 A bundle holds the structure constants of a Hopf algebra and, optionally, an
 R-matrix, a comodule algebra, and a K-matrix, over Q or GF(p).  The format
-is specified by the JSON Schema shipped as ``bundle_schema.json``; loading
-validates against it, rejects unknown keys, range-checks all indices, and
-parses every coefficient exactly.
+is specified by the JSON Schema shipped as ``bundle_schema.json``.  Loading
+checks a valid document per term (the validator sees only its skeleton) and
+validates a refused one whole, to report the validator's message and
+position; it also range-checks all indices and parses coefficients exactly.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import dataclass
 from importlib import resources
 
@@ -47,6 +49,40 @@ def _validator():
     return cls(schema)
 
 
+# Row length of each term array, by section (None: the top level; 0: a coefficient vector)
+_TERMS = {
+    "hopf": {"mult": 4, "unit": 0, "comult": 4, "counit": 0, "antipode": 3},
+    "comodule": {"mult": 4, "unit": 0, "coaction": 4},
+    None: {"rmatrix": 3, "kmatrix": 3},
+}
+
+
+def _term_arrays(doc):
+    for name, keys in _TERMS.items():
+        section = doc if name is None else doc.get(name)
+        if isinstance(section, dict):
+            yield from ((section, k, n) for k, n in keys.items() if isinstance(section.get(k), list))
+
+
+def _fast_valid(doc) -> bool:
+    """True only if the schema accepts doc.  The validator checks a copy with
+    the term arrays emptied; a loop checks each row and coefficient by the
+    schema's rules, matching the coefficient pattern by re.search as jsonschema does."""
+    skeleton = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
+    terms = []
+    for section, key, n in _term_arrays(skeleton):
+        terms.append((section[key], n))
+        section[key] = []
+    search = re.compile(_validator().schema["$defs"]["coeff"]["oneOf"][1]["pattern"]).search
+    def is_coeff(c):
+        return type(c) is int or type(c) is str and search(c) is not None
+    return _validator().is_valid(skeleton) and all(
+        all(map(is_coeff, rows)) if n == 0 else all(
+            type(row) is list and len(row) == n and is_coeff(row[-1])
+            and all(type(i) is int and i >= 0 for i in row[:-1]) for row in rows)
+        for rows, n in terms)
+
+
 def _parse_coeff(field, raw, where):
     try:
         return field.parse(raw)
@@ -61,7 +97,7 @@ def _parse_vec(field, raw, dim, where):
 
 
 def _parse_algebra(field, doc, where) -> StructAlgebra:
-    dim = doc["dim"]
+    dim = int(doc["dim"])
     basis = doc["basis"]
     if len(basis) != dim:
         raise BundleFormatError(f"{where}: basis has {len(basis)} labels, dim is {dim}")
@@ -101,17 +137,20 @@ def loads(text: str) -> LoadedBundle:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleFormatError(f"not valid JSON: line {exc.lineno} column {exc.colno}") from exc
-    try:
-        # what jsonschema.validate raises, without re-checking the schema
+    if not (isinstance(doc, dict) and _fast_valid(doc)):
         error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
         if error is not None:
-            raise error
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path)
-        raise BundleFormatError(f"schema violation at /{path}: {exc.message}") from exc
-    field = field_from_spec(doc["field"])
+            path = "/".join(str(p) for p in error.absolute_path)
+            raise BundleFormatError(f"schema violation at /{path}: {error.message}") from error
+        for section, key, n in _term_arrays(doc):
+            if n:  # JSON Schema's integers include 1.0
+                section[key] = [[int(i) for i in row[:-1]] + row[-1:] for row in section[key]]
+    try:
+        field = field_from_spec(doc["field"])
+    except HopffactError as exc:
+        raise BundleFormatError(f"field: {exc}") from exc
     hdoc = doc["hopf"]
-    dim = hdoc["dim"]
+    dim = int(hdoc["dim"])
     alg = _parse_algebra(field, hdoc, "hopf")
     comult: dict = {}
     for row in hdoc["comult"]:

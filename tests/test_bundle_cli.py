@@ -1,14 +1,20 @@
 """Bundle serialization, schema validation, and the command-line interface."""
 
+import importlib.util
 import json
+import random
+from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopffact import bundle as bundle_io
 from hopffact.cli import main
 from hopffact.constructions import named_example, registry_names
 from hopffact.errors import BundleFormatError
-from hopffact.fields import GF
+from hopffact.fields import GF, QQ
 
 
 def test_dumps_loads_round_trip():
@@ -225,3 +231,179 @@ def test_cli_check_singular_r(tmp_path, capsys, flags, lines):
     msg = "zero divisor: the minimal polynomial vanishes at 0"
     want = [line.format(msg=msg) for line in lines] + ["result                       FAIL"]
     assert capsys.readouterr().out.splitlines() == want
+
+
+def _edited(edit):
+    doc = json.loads(bundle_io.dumps(named_example("double:C2")))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set_row(key, index, row, section="hopf"):
+    return lambda doc: (doc[section] if section else doc)[key].__setitem__(index, row)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(surprise=1),
+     "schema violation at /: Additional properties are not allowed "
+     "('surprise' was unexpected)"),
+    (lambda doc: doc["hopf"].update(extra=[]),
+     "schema violation at /hopf: Additional properties are not allowed "
+     "('extra' was unexpected)"),
+    (lambda doc: doc["hopf"].pop("counit"),
+     "schema violation at /hopf: 'counit' is a required property"),
+    (lambda doc: doc.update(field="R"),
+     "schema violation at /field: 'R' is not valid under any of the given schemas"),
+    (_set_row("mult", 0, [0, 0, 0, "+1"]),
+     "schema violation at /hopf/mult/0/3: '+1' does not match '^-?[0-9]+(/-?[0-9]+)?$'"),
+    (_set_row("rmatrix", 0, [0, 0, True], section=None),
+     "schema violation at /rmatrix/0/2: True is not valid under any of the given schemas"),
+    (_set_row("comult", 0, [0, 0, 0, 1.0]),
+     "bad coefficient 1.0 at hopf.comult[0, 0, 0]: cannot parse scalar from 1.0"),
+    (_set_row("unit", 0, "1/0"),
+     "bad coefficient '1/0' at hopf.unit: inverse of 0 in Q"),
+    (_set_row("coaction", 0, [-1, 0, 0, 1], section="comodule"),
+     "schema violation at /comodule/coaction/0/0: -1 is less than the minimum of 0"),
+    (_set_row("mult", 1, [0, 0, 1]),
+     "schema violation at /hopf/mult/1: [0, 0, 1] is too short"),
+    (_set_row("kmatrix", 0, 5, section=None),
+     "schema violation at /kmatrix/0: 5 is not of type 'array'"),
+    (lambda doc: doc["hopf"]["mult"].append([0, 0, 99, 1]),
+     "hopf.mult: index out of range in [0, 0, 99, 1]"),
+    # the schema error in kmatrix wins over the earlier range error in hopf.mult
+    (lambda doc: (doc["hopf"]["mult"].append([0, 0, 99, 1]),
+                  doc["kmatrix"].__setitem__(0, [0, 0])),
+     "schema violation at /kmatrix/0: [0, 0] is too short"),
+], ids=["top-key", "hopf-key", "missing-key", "field", "coeff-plus", "coeff-true",
+        "coeff-float", "coeff-zero-division", "negative-index", "short-row", "non-list-row",
+        "index-range", "precedence"])
+def test_malformed_document_messages(edit, message):
+    with pytest.raises(BundleFormatError) as err:
+        bundle_io.loads(_edited(edit))
+    assert str(err.value) == message
+
+
+def _same_bundle(a, b):
+    # dumps covers every serialized part and writes each index as it is stored
+    return (bundle_io.dumps(a) == bundle_io.dumps(b)
+            and a.hopf.antipode_inv.rows == b.hopf.antipode_inv.rows)
+
+
+def _floats(row):
+    return [float(i) for i in row[:-1]] + row[-1:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["hopf"].update(dim=4.0),
+    lambda doc: doc["comodule"].update(dim=float(doc["comodule"]["dim"])),
+    lambda doc: doc.update(field={"GFp": 7.0}),
+    lambda doc: doc["hopf"]["antipode"].__setitem__(0, _floats(doc["hopf"]["antipode"][0])),
+    lambda doc: doc["hopf"]["mult"].__setitem__(1, _floats(doc["hopf"]["mult"][1])),
+    lambda doc: doc["hopf"]["comult"].__setitem__(1, _floats(doc["hopf"]["comult"][1])),
+    lambda doc: doc["comodule"]["coaction"].__setitem__(
+        1, _floats(doc["comodule"]["coaction"][1])),
+    lambda doc: doc["rmatrix"].__setitem__(1, _floats(doc["rmatrix"][1])),
+    lambda doc: doc["kmatrix"].__setitem__(1, _floats(doc["kmatrix"][1])),
+], ids=["hopf-dim", "comodule-dim", "prime", "antipode", "mult", "comult", "coaction",
+        "rmatrix", "kmatrix"])
+def test_integral_floats_load_like_ints(edit):
+    # JSON Schema counts 4.0 as an integer, so the schema admits these documents
+    twin = json.loads(bundle_io.dumps(named_example("double:C2", GF(7))))
+    doc = json.loads(json.dumps(twin))
+    edit(doc)
+    assert _same_bundle(bundle_io.loads(json.dumps(doc)), bundle_io.loads(json.dumps(twin)))
+
+
+def test_cli_check_integral_float_antipode(tmp_path, capsys):
+    doc = json.loads(bundle_io.dumps(named_example("double:C2")))
+    doc["hopf"]["dim"] = 4.0
+    doc["hopf"]["antipode"][0] = _floats(doc["hopf"]["antipode"][0])
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path), "--all"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "result                       PASS"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"GFp": 4}, "field: 4 is not prime"),
+    ({"GFp": 94906267}, "field: GF(94906267) is outside the supported range: primes p need "
+                        "(p-1)**2 < 2**53, i.e. p <= 94906249"),
+], ids=["not-prime", "too-large"])
+def test_field_errors_are_input_errors(tmp_path, capsys, spec, message):
+    text = _edited(lambda doc: doc.update(field=spec))
+    with pytest.raises(BundleFormatError) as err:
+        bundle_io.loads(text)
+    assert str(err.value) == message
+    path = tmp_path / "field.json"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def _valid_documents():
+    # the registry over Q and GF(101), and both dimension-36 instances with
+    # their bases permuted by the benchmark's permute.py
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "permute.py"
+    spec = importlib.util.spec_from_file_location("permute", path)
+    permute = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(permute)
+    texts = [bundle_io.dumps(named_example(name, field))
+             for field in (QQ, GF(101)) for name in registry_names()]
+    rng = random.Random(36)
+    for name in ("double:S3", "reflective-trivial:S3"):
+        text = bundle_io.dumps(named_example(name, GF(101)))
+        texts.append(permute.permute_text(text, *permute.draw(rng, text)))
+    return texts
+
+
+def test_valid_documents_skip_full_validation(monkeypatch):
+    texts = _valid_documents()
+    monkeypatch.setattr(bundle_io, "_fast_valid", lambda doc: False)
+    reference = [bundle_io.loads(text) for text in texts]  # the full-validation path
+    monkeypatch.undo()
+    calls = []
+    best_match = jsonschema.exceptions.best_match
+
+    def counting(errors):
+        calls.append(1)
+        return best_match(errors)
+
+    monkeypatch.setattr(jsonschema.exceptions, "best_match", counting)
+    for text, want in zip(texts, reference):
+        assert _same_bundle(bundle_io.loads(text), want)
+    assert calls == []
+    with pytest.raises(BundleFormatError):
+        bundle_io.loads(_edited(lambda doc: doc.update(surprise=1)))
+    assert len(calls) == 1
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.text(max_size=2), inner, max_size=3), max_leaves=6)
+_INDEX = st.one_of(st.integers(0, 3), st.integers(-2, 3), st.sampled_from([1.0, True, None, "1", []]))
+_COEFF = st.one_of(
+    st.integers(), st.from_regex(r"^-?[0-9]+(/-?[0-9]+)?$"),
+    st.text(alphabet="0123456789-/+ \n", max_size=6), st.sampled_from([1.0, True, None, []]))
+
+
+@st.composite
+def _slot_values(draw):
+    # a value for the first row (or entry) of a term array, often shaped like one
+    section, key = draw(st.sampled_from(
+        [(section, key) for section, keys in bundle_io._TERMS.items() for key in keys]))
+    n = bundle_io._TERMS[section][key]
+    shaped = st.builds(
+        lambda idx, c, extra: idx + [c] + extra, st.lists(_INDEX, min_size=n - 2, max_size=n),
+        _COEFF, st.lists(_COEFF, max_size=1)) if n else _COEFF
+    return section, key, draw(shaped | _JSON)
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot=_slot_values())
+def test_fast_check_accepts_only_what_the_schema_accepts(slot):
+    doc = json.loads(bundle_io.dumps(named_example("double:C2")))
+    section, key, value = slot
+    (doc if section is None else doc[section])[key][0] = value
+    if bundle_io._fast_valid(doc):
+        assert bundle_io._validator().is_valid(doc)
