@@ -2,21 +2,27 @@
 
 Multiplication is stored sparsely: ``mult[(i, j)]`` is the dict of basis
 coefficients of e_i · e_j (absent pairs multiply to zero).  Comultiplication
-is ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}.
+is ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}.  The same constants
+as sparse tables (``mult_op``, ``comult_op``, built once) feed every product,
+inversion and axiom check; the product kernel lives in ``tensors``.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import HopffactError
 from .fields import Field
 from .linalg import BasedSpace, IncrementalSpan, MapMatrix
+from .tensors import (_coapply, _differing, _first_failure, _linear_op, _products,
+                      _table, _units)
 from .verdicts import Verdict
 
 
 class StructAlgebra:
     """A finite-dimensional unital algebra given by structure constants."""
 
-    __slots__ = ("field", "space", "mult", "unit")
+    __slots__ = ("field", "space", "mult", "unit", "_op")
 
     def __init__(self, field: Field, space: BasedSpace, mult, unit):
         if space.dim == 0:
@@ -33,9 +39,19 @@ class StructAlgebra:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "mult", clean)
         object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "_op", None)
 
     def __setattr__(self, *a):
         raise AttributeError("StructAlgebra is immutable")
+
+    def mult_op(self):
+        """The structure constants as a family (see ``tensors``): element
+        i·n + j is e_i·e_j.  Built once."""
+        if self._op is None:
+            n = self.dim
+            rows = [(i, j, k, c) for (i, j), prod in self.mult.items() for k, c in prod.items()]
+            object.__setattr__(self, "_op", _table(self.field, rows, (n, n), (n,)))
+        return self._op
 
     @property
     def dim(self) -> int:
@@ -124,7 +140,7 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
 class StructCoalgebra:
     """A finite-dimensional coalgebra given by structure constants."""
 
-    __slots__ = ("field", "space", "comult", "counit")
+    __slots__ = ("field", "space", "comult", "counit", "_op")
 
     def __init__(self, field: Field, space: BasedSpace, comult, counit):
         counit = tuple(counit)
@@ -140,9 +156,19 @@ class StructCoalgebra:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "comult", clean)
         object.__setattr__(self, "counit", counit)
+        object.__setattr__(self, "_op", None)
 
     def __setattr__(self, *a):
         raise AttributeError("StructCoalgebra is immutable")
+
+    def comult_op(self):
+        """The structure constants as a family (see ``tensors``): element i
+        is Δ(e_i) on the flattened H⊗H.  Built once."""
+        if self._op is None:
+            n = self.dim
+            rows = [(i, j, k, c) for i, terms in self.comult.items() for (j, k), c in terms.items()]
+            object.__setattr__(self, "_op", _table(self.field, rows, (n,), (n, n)))
+        return self._op
 
     @property
     def dim(self) -> int:
@@ -150,19 +176,6 @@ class StructCoalgebra:
 
     def comult_basis(self, i: int) -> dict:
         return self.comult.get(i, {})
-
-    def comult_of(self, x: dict) -> dict:
-        """Comultiplication of a sparse element, as {(j, k): coeff}."""
-        f = self.field
-        out = {}
-        for i, ci in x.items():
-            for jk, c in self.comult_basis(i).items():
-                val = f.add(out.get(jk, f.zero), f.mul(ci, c))
-                if f.is_zero(val):
-                    out.pop(jk, None)
-                else:
-                    out[jk] = val
-        return out
 
     def counit_of(self, x: dict):
         f = self.field
@@ -175,70 +188,44 @@ class StructCoalgebra:
         return f"StructCoalgebra(dim={self.dim} over {self.field})"
 
 
-def _dicts_equal(field, a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    z = field.zero
-    return all(a.get(k, z) == b.get(k, z) for k in keys)
-
-
 def check_algebra(a: StructAlgebra) -> Verdict:
-    """Associativity and unitality, entrywise, first failure wins."""
-    f = a.field
-    n = a.dim
-    u = a.unit_dict()
-    for i in range(n):
-        ei = {i: f.one}
-        left = a.multiply(u, ei)
-        right = a.multiply(ei, u)
-        if not _dicts_equal(f, left, ei):
-            return Verdict.failed("unitality", (i,), "1·e_i ≠ e_i")
-        if not _dicts_equal(f, right, ei):
-            return Verdict.failed("unitality", (i,), "e_i·1 ≠ e_i")
-    for i in range(n):
-        for j in range(n):
-            ij = a.mult_basis(i, j)
-            for k in range(n):
-                lhs = a.multiply(ij, {k: f.one})
-                rhs = a.multiply({i: f.one}, a.mult_basis(j, k))
-                if not _dicts_equal(f, lhs, rhs):
-                    return Verdict.failed("associativity", (i, j, k))
+    """Unitality, then associativity, entrywise; first failure wins.
+
+    Each identity is checked on every basis index at once: 1·e_i and e_i·1
+    for all i, then (e_i e_j) e_k and e_i (e_j e_k) for all n³ triples.
+    """
+    f, n = a.field, a.dim
+    m, e, unit = a.mult_op(), _linear_op(f, np.eye(n, dtype=np.int64)), _units(f, [a])
+    every, none = np.arange(n), np.zeros(n, dtype=np.int64)
+    bad = _first_failure(
+        _differing(f, _products(f, unit, e, (none, every), [m], [n]), e, n),
+        _differing(f, _products(f, e, unit, (every, none), [m], [n]), e, n),
+    )
+    if bad:
+        return Verdict.failed("unitality", bad[:1], ("1·e_i ≠ e_i", "e_i·1 ≠ e_i")[bad[1]])
+    pairs = np.arange(n * n)
+    lhs = _products(f, m, e, (np.repeat(pairs, n), np.tile(every, n * n)), [m], [n])
+    rhs = _products(f, e, m, (np.repeat(every, n * n), np.tile(pairs, n)), [m], [n])
+    bad = _differing(f, lhs, rhs, n)
+    if bad.size:
+        i, jk = divmod(int(bad[0]), n * n)
+        return Verdict.failed("associativity", (i, *divmod(jk, n)))
     return Verdict.passed()
 
 
 def check_coalgebra(c: StructCoalgebra) -> Verdict:
-    """Coassociativity and counitality, entrywise duals of the above."""
-    f = c.field
-    n = c.dim
-    for i in range(n):
-        delta = c.comult_basis(i)
-        left = {}
-        right = {}
-        for (j, k), coeff in delta.items():
-            if not f.is_zero(c.counit[j]):
-                left[k] = f.add(left.get(k, f.zero), f.mul(c.counit[j], coeff))
-            if not f.is_zero(c.counit[k]):
-                right[j] = f.add(right.get(j, f.zero), f.mul(c.counit[k], coeff))
-        ei = {i: f.one}
-        left = {k: v for k, v in left.items() if not f.is_zero(v)}
-        right = {k: v for k, v in right.items() if not f.is_zero(v)}
-        if not _dicts_equal(f, left, ei):
-            return Verdict.failed("counitality", (i,), "(ε⊗id)Δ ≠ id")
-        if not _dicts_equal(f, right, ei):
-            return Verdict.failed("counitality", (i,), "(id⊗ε)Δ ≠ id")
-    for i in range(n):
-        lhs = {}
-        rhs = {}
-        for (j, k), coeff in c.comult_basis(i).items():
-            for (u, v), c2 in c.comult_basis(j).items():
-                key = (u, v, k)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(coeff, c2))
-            for (u, v), c2 in c.comult_basis(k).items():
-                key = (j, u, v)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(coeff, c2))
-        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
-        rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
-        if not _dicts_equal(f, lhs, rhs):
-            return Verdict.failed("coassociativity", (i,))
+    """Counitality, then coassociativity, entrywise duals of the above."""
+    f, n = c.field, c.dim
+    d, e, eps = c.comult_op(), _linear_op(f, np.eye(n, dtype=np.int64)), _linear_op(f, [c.counit])
+    bad = _first_failure(*(_differing(f, _coapply(f, d, (n, n), leg, eps, 1), e, n)
+                           for leg in (0, 1)))
+    if bad:
+        sides = ("(ε⊗id)Δ ≠ id", "(id⊗ε)Δ ≠ id")
+        return Verdict.failed("counitality", bad[:1], sides[bad[1]])
+    bad = _differing(f, _coapply(f, d, (n, n), 0, d, n * n),
+                     _coapply(f, d, (n, n), 1, d, n * n), n ** 3)
+    if bad.size:
+        return Verdict.failed("coassociativity", (int(bad[0]),))
     return Verdict.passed()
 
 

@@ -21,7 +21,7 @@ import jsonschema
 from .algebras import StructAlgebra, StructCoalgebra
 from .comodule import ComoduleAlgebra
 from .constructions import ExampleBundle
-from .errors import BundleFormatError, HopffactError, NoAntipode, NotInvertible
+from .errors import BundleFormatError, HopffactError, NoAntipode
 from .fields import Field, field_from_spec, field_to_spec
 from .hopf import HopfAlgebra, solve_antipode
 from .linalg import BasedSpace, MapMatrix
@@ -176,12 +176,7 @@ def loads(text: str) -> LoadedBundle:
             antipode = solve_antipode(alg, coalg)
         except NoAntipode as exc:
             raise BundleFormatError(f"hopf: no antipode can be solved: {exc}") from exc
-    try:
-        antipode_inv = antipode.inverse()
-    except NotInvertible:
-        # keep the (invalid) data; check_hopf will report the failure
-        antipode_inv = MapMatrix.identity(field, alg.space)
-    hopf = HopfAlgebra(alg, coalg, antipode, antipode_inv)
+    hopf = HopfAlgebra(alg, coalg, antipode)  # S⁻¹ is computed on first use
     r_elt = None
     if "rmatrix" in doc:
         r_elt = _parse_triples(

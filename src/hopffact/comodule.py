@@ -5,18 +5,19 @@ symmetric-center membership."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StructAlgebra, algebra_generators, check_algebra, _dicts_equal
+from .algebras import StructAlgebra, algebra_generators, check_algebra
 from .errors import HopffactError, ImageEscapesEndSpace, SpaceMismatch
 from .fields import GF, Field, PrimeField
 from .hopf import (
     HModule,
     HopfAlgebra,
+    _check_representation,
     _kron_sum,
-    check_module,
     element_terms,
     kron_sums,
     trivial_module,
@@ -35,6 +36,7 @@ from .linalg import (
     _kernel,
     _mod_matmul,
     _mul,
+    _neg,
     _scalar_rows,
     _sparse_values,
     echelonize,
@@ -43,11 +45,18 @@ from .linalg import (
 from .meataxe import norton, spin
 from .rmatrix import RMatrix
 from .tensors import (
+    _ONE_PAIR,
     TensorElement,
-    coapply_leg,
+    _coapply,
+    _linear_op,
+    _differing,
+    _first_failure,
+    _flat,
+    _products,
+    _table,
+    _units,
     leg_embed,
     tensor_invert,
-    tensor_mult,
     verify_inverse,
 )
 from .verdicts import Verdict
@@ -58,7 +67,7 @@ BModule = HModule  # same data: one endomorphism per algebra basis element
 class ComoduleAlgebra:
     """An algebra B with a coaction δ: B → H⊗B, stored sparsely."""
 
-    __slots__ = ("host", "algebra", "coaction", "_ops")
+    __slots__ = ("host", "algebra", "coaction", "_ops", "_op")
 
     def __init__(self, host: HopfAlgebra, algebra: StructAlgebra, coaction):
         if algebra.field != host.field:
@@ -74,9 +83,20 @@ class ComoduleAlgebra:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coaction", clean)
         object.__setattr__(self, "_ops", None)
+        object.__setattr__(self, "_op", None)
 
     def __setattr__(self, *a):
         raise AttributeError("ComoduleAlgebra is immutable")
+
+    def coaction_op(self):
+        """The coaction as a family (see ``tensors``): element b is δ(b) on
+        the flattened H⊗B.  Built once."""
+        if self._op is None:
+            dims = (self.host.dim, self.dim)
+            rows = [(b, hh, bb, c) for b, terms in self.coaction.items()
+                    for (hh, bb), c in terms.items()]
+            object.__setattr__(self, "_op", _table(self.field, rows, dims[1:], dims))
+        return self._op
 
     @property
     def field(self) -> Field:
@@ -88,25 +108,6 @@ class ComoduleAlgebra:
 
     def coaction_basis(self, b: int) -> dict:
         return self.coaction.get(b, {})
-
-    def coaction_of(self, x: dict) -> dict:
-        f = self.field
-        out = {}
-        for b, cb in x.items():
-            for hb, c in self.coaction_basis(b).items():
-                val = f.add(out.get(hb, f.zero), f.mul(cb, c))
-                if f.is_zero(val):
-                    out.pop(hb, None)
-                else:
-                    out[hb] = val
-        return out
-
-    def coaction_element(self, b: int) -> TensorElement:
-        return TensorElement(
-            self.field,
-            (self.host.space, self.algebra.space),
-            dict(self.coaction_basis(b)),
-        )
 
     def coaction_matrix(self) -> MapMatrix:
         """δ as a dense MapMatrix B → H⊗B."""
@@ -120,76 +121,40 @@ class ComoduleAlgebra:
                 rows[hh * nb + bb][b] = c
         return MapMatrix(f, dom, cod, rows)
 
-    def coefficient_matrix(self, i: int) -> MapMatrix:
-        """The coaction coefficient operator b ↦ (h^i ⊗ id) δ(b)."""
-        f = self.field
-        n = self.dim
-        rows = [[f.zero] * n for _ in range(n)]
-        for b in range(n):
-            for (hh, bb), c in self.coaction_basis(b).items():
-                if hh == i:
-                    rows[bb][b] = f.add(rows[bb][b], c)
-        return MapMatrix(f, self.algebra.space, self.algebra.space, rows)
-
     def __repr__(self):
         return f"ComoduleAlgebra(dim B={self.dim}, dim H={self.host.dim})"
 
 
 def check_comodule_algebra(c: ComoduleAlgebra) -> Verdict:
-    """δ is an algebra map, coassociative, and counital."""
-    f = c.field
-    h = c.host
-    nb = c.dim
+    """δ is an algebra map, coassociative, and counital.
+
+    Multiplicativity is checked on all pairs (i, j) at once, then
+    coassociativity and the counit law on every b at once; at the first
+    failing b coassociativity is named before the counit.
+    """
+    f, h = c.field, c.host
+    nb, nh = c.dim, h.dim
     v = check_algebra(c.algebra)
     if not v:
         return v
-    # δ(1_B) = 1_H ⊗ 1_B and multiplicativity
-    unit_b = c.algebra.unit_dict()
-    target = {}
-    for i, ci in h.unit_dict().items():
-        for b, cb in unit_b.items():
-            target[(i, b)] = f.mul(ci, cb)
-    if not _dicts_equal(f, c.coaction_of(unit_b), target):
+    mh, mb, delta = h.algebra.mult_op(), c.algebra.mult_op(), c.coaction_op()
+    if _differing(f, _coapply(f, _units(f, [c.algebra]), (nb,), 0, delta, nh * nb),
+                  _units(f, [h.algebra, c.algebra]), nh * nb).size:
         return Verdict.failed("coaction-algebra-map", None, "δ(1) ≠ 1⊗1")
-    for i in range(nb):
-        di = c.coaction_basis(i)
-        for j in range(nb):
-            lhs = c.coaction_of(c.algebra.mult_basis(i, j))
-            rhs = {}
-            for (a1, b1), c1 in di.items():
-                for (a2, b2), c2 in c.coaction_basis(j).items():
-                    c12 = f.mul(c1, c2)
-                    for x, cx in h.algebra.mult_basis(a1, a2).items():
-                        for y, cy in c.algebra.mult_basis(b1, b2).items():
-                            key = (x, y)
-                            rhs[key] = f.add(
-                                rhs.get(key, f.zero), f.mul(c12, f.mul(cx, cy))
-                            )
-            rhs = {k: v2 for k, v2 in rhs.items() if not f.is_zero(v2)}
-            if not _dicts_equal(f, lhs, rhs):
-                return Verdict.failed("coaction-algebra-map", (i, j))
-    # coassociativity (Δ⊗id)δ = (id⊗δ)δ and counit law
-    for b in range(nb):
-        lhs = {}
-        rhs = {}
-        eps = {}
-        for (hh, bb), cv in c.coaction_basis(b).items():
-            for (a1, a2), dc in h.comult_basis(hh).items():
-                key = (a1, a2, bb)
-                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(cv, dc))
-            for (h2, b2), dc in c.coaction_basis(bb).items():
-                key = (hh, h2, b2)
-                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(cv, dc))
-            e = h.coalgebra.counit[hh]
-            if not f.is_zero(e):
-                eps[bb] = f.add(eps.get(bb, f.zero), f.mul(e, cv))
-        lhs = {k: v2 for k, v2 in lhs.items() if not f.is_zero(v2)}
-        rhs = {k: v2 for k, v2 in rhs.items() if not f.is_zero(v2)}
-        if not _dicts_equal(f, lhs, rhs):
-            return Verdict.failed("coaction-coassociativity", (b,))
-        eps = {k: v2 for k, v2 in eps.items() if not f.is_zero(v2)}
-        if not _dicts_equal(f, eps, {b: f.one}):
-            return Verdict.failed("coaction-counit", (b,))
+    pairs = (np.repeat(np.arange(nb), nb), np.tile(np.arange(nb), nb))
+    bad = _differing(f, _coapply(f, mb, (nb,), 0, delta, nh * nb),
+                     _products(f, delta, delta, pairs, [mh, mb], [nh, nb]), nh * nb)
+    if bad.size:
+        return Verdict.failed("coaction-algebra-map", divmod(int(bad[0]), nb))
+    counit = _linear_op(f, [h.coalgebra.counit])
+    bad = _first_failure(
+        _differing(f, _coapply(f, delta, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh),
+                   _coapply(f, delta, (nh, nb), 1, delta, nh * nb), nh * nh * nb),
+        _differing(f, _coapply(f, delta, (nh, nb), 0, counit, 1),
+                   _linear_op(f, np.eye(nb, dtype=np.int64)), nb),
+    )
+    if bad:
+        return Verdict.failed(("coaction-coassociativity", "coaction-counit")[bad[1]], bad[:1])
     return Verdict.passed()
 
 
@@ -232,48 +197,36 @@ class KMatrix:
 
 
 def check_k_matrix(k: KMatrix) -> Verdict:
-    """The three K-matrix axioms, entrywise in H⊗H⊗B and H⊗B."""
-    c = k.comodule
-    h = k.host
-    f = h.field
-    halg = h.algebra
-    balg = c.algebra
-    algs2 = [halg, balg]
-    algs3 = [halg, halg, balg]
-    spaces3 = (h.space, h.space, balg.space)
+    """The three K-matrix axioms, entrywise in H⊗H⊗B and H⊗B; axiom (iii)
+    on every basis element b at once."""
+    c, h = k.comodule, k.host
+    f, nh, nb = h.field, h.dim, c.dim
+    halg, balg = h.algebra, c.algebra
+    spaces3, algs3 = (h.space, h.space, balg.space), [halg, halg, balg]
+    ops3, dims3 = [halg.mult_op(), halg.mult_op(), balg.mult_op()], [nh, nh, nb]
+
+    def leg(t, slots):
+        return _flat(leg_embed(t, slots, spaces3, algs3))
+
+    def product(*factors):
+        return functools.reduce(lambda a, b: _products(f, a, b, _ONE_PAIR, ops3, dims3), factors)
+
     r = k.rmatrix
-    r21 = leg_embed(r.element.swap(), (0, 1), spaces3, algs3)
-    r21_inv = leg_embed(r.inverse.swap(), (0, 1), spaces3, algs3)
-    r12 = leg_embed(r.element, (0, 1), spaces3, algs3)
-    k13 = leg_embed(k.element, (0, 2), spaces3, algs3)
-    k23 = leg_embed(k.element, (1, 2), spaces3, algs3)
-    lhs_i = coapply_leg(k.element, 0, h.coalgebra.comult)
-    rhs_i = tensor_mult(
-        tensor_mult(tensor_mult(k23, r21, algs3), k13, algs3), r21_inv, algs3
-    )
-    if lhs_i != rhs_i:
+    r21, r21_inv = leg(r.element.swap(), (0, 1)), leg(r.inverse.swap(), (0, 1))
+    r12, k13, k23 = leg(r.element, (0, 1)), leg(k.element, (0, 2)), leg(k.element, (1, 2))
+    kf, delta = _flat(k.element), c.coaction_op()
+    if _differing(f, _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh),
+                  product(k23, r21, k13, r21_inv), nh * nh * nb).size:
         return Verdict.failed("kmatrix-i", None, "(Δ⊗id)K ≠ K23 R21 K13 R21⁻¹")
-    lhs_ii = _coapply_coaction(k.element, c)
-    rhs_ii = tensor_mult(tensor_mult(r21, k13, algs3), r12, algs3)
-    if lhs_ii != rhs_ii:
+    if _differing(f, _coapply(f, kf, (nh, nb), 1, delta, nh * nb),
+                  product(r21, k13, r12), nh * nh * nb).size:
         return Verdict.failed("kmatrix-ii", None, "(id⊗δ)K ≠ R21 K13 R12")
-    for b in range(c.dim):
-        db = c.coaction_element(b)
-        if tensor_mult(k.element, db, algs2) != tensor_mult(db, k.element, algs2):
-            return Verdict.failed("kmatrix-iii", (b,), "Kδ(b) ≠ δ(b)K")
+    every, none = np.arange(nb), np.zeros(nb, dtype=np.int64)
+    bad = _differing(f, _products(f, kf, delta, (none, every), ops3[1:], dims3[1:]),
+                     _products(f, delta, kf, (every, none), ops3[1:], dims3[1:]), nh * nb)
+    if bad.size:
+        return Verdict.failed("kmatrix-iii", (int(bad[0]),), "Kδ(b) ≠ δ(b)K")
     return Verdict.passed()
-
-
-def _coapply_coaction(t: TensorElement, c: ComoduleAlgebra) -> TensorElement:
-    """(id_H ⊗ δ) applied to an element of H⊗B, landing in H⊗H⊗B."""
-    f = t.field
-    factors = (t.factors[0], c.host.space, c.algebra.space)
-    out = {}
-    for (i, b), cv in t.coeffs.items():
-        for (hh, bb), dc in c.coaction_basis(b).items():
-            key = (i, hh, bb)
-            out[key] = f.add(out.get(key, f.zero), f.mul(cv, dc))
-    return TensorElement(f, factors, out)
 
 
 def k_matrix(comodule: ComoduleAlgebra, rmatrix: RMatrix,
@@ -336,8 +289,8 @@ def _failing_columns(f, lhs, rhs, first, last, dims, limit):
     right, d = (cols * n + cols, _sparse_values(f, [f.one]).repeat(cols.size)), dims
     for op, legs, order in rhs:
         right, d = _act(f, right, d, op, legs, order, limit)
-    neg = (f.p - right[1]) % f.p if isinstance(f, PrimeField) else -right[1]
-    key, _ = _combine(f, np.concatenate((left[0], right[0])), np.concatenate((left[1], neg)))
+    key, _ = _combine(f, np.concatenate((left[0], right[0])),
+                      np.concatenate((left[1], _neg(f, right[1]))))
     return np.unique(key // n)
 
 
@@ -549,6 +502,12 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     the reduced basis (the identity on its free coordinates) that one
     elimination of all the constraints would give.  Over GF(p) every product
     goes through ``_mod_matmul``.
+
+    The H-action on E is re-checked from the algebra generators g of H:
+    ρ(1) = id and ρ(g)ρ(b) = ρ(gb) for every basis element b.  That covers
+    every pair by induction on word length: the a with ρ(a)ρ(b) = ρ(ab) for
+    all b form a subspace holding 1 and the generators, and if a and a'
+    are in it then ρ(aa')ρ(b) = ρ(a)ρ(a')ρ(b) = ρ(a)ρ(a'b) = ρ(aa'b).
     """
     f = c.field
     h = c.host
@@ -594,7 +553,8 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
         h_action.append(MapMatrix(f, sp, sp, _scalar_rows(f, coords)))
     es = EndSpace(c, sp, basis_maps, h_action, kernel, free)
     if es.dim:
-        v = check_module(h, HModule(sp, h_action))
+        gens = algebra_generators(h.algebra)
+        v = _check_representation(h.algebra, HModule(sp, h_action), gens)
         if not v:
             raise HopffactError(f"end-space action is not a module: {v.describe()}")
     return es
@@ -789,19 +749,23 @@ def rank_of_rows(rows, ncols, field):
 # ---------------------------------------------------------------------------
 
 def _operator_family(c: ComoduleAlgebra):
-    """Left/right multiplications and coaction coefficient operators on B
-    (cached on the comodule algebra)."""
-    if c._ops is not None:
-        return c._ops
-    f = c.field
-    ops = []
-    for i in range(c.dim):
-        ops.append(c.algebra.left_mult_matrix({i: f.one}))
-    for i in range(c.dim):
-        ops.append(c.algebra.right_mult_matrix({i: f.one}))
-    for i in range(c.host.dim):
-        ops.append(c.coefficient_matrix(i))
-    object.__setattr__(c, "_ops", tuple(ops))
+    """Left and right multiplications by the basis of B, then the coaction
+    coefficient operators b ↦ (h^i ⊗ id)δ(b), read off the structure
+    constants (cached on the comodule algebra)."""
+    if c._ops is None:
+        f, nb, sp = c.field, c.dim, c.algebra.space
+        counts, _, k, mv = c.algebra.mult_op()
+        i, j = np.divmod(np.repeat(np.arange(nb * nb), counts), nb)
+        counts, _, out, cv = c.coaction_op()
+        hh, bb = np.divmod(out, nb)
+        b = np.repeat(np.arange(nb), counts)
+        # operator, row, column: e_i· sends e_j to e_k and ·e_j sends e_i to e_k
+        which = np.concatenate((i, nb + j, 2 * nb + hh))
+        key = (which * nb + np.concatenate((k, k, bb))) * nb + np.concatenate((j, i, b))
+        stack = np.zeros((2 * nb + c.host.dim) * nb * nb, dtype=mv.dtype)
+        stack[key] = np.concatenate((mv, mv, cv))
+        ops = (MapMatrix(f, sp, sp, _scalar_rows(f, m)) for m in stack.reshape(-1, nb, nb))
+        object.__setattr__(c, "_ops", tuple(ops))
     return c._ops
 
 

@@ -24,7 +24,7 @@ from .groups import FiniteGroup, group_by_name, subgroup_elements
 from .hopf import HopfAlgebra, check_hopf, make_hopf
 from .linalg import BasedSpace, MapMatrix
 from .rmatrix import RMatrix, check_r_matrix, r_matrix, trivial_r_matrix
-from .tensors import TensorElement
+from .tensors import TensorElement, tensor_mult
 from .verdicts import Verdict
 
 
@@ -413,25 +413,13 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
 
     # coaction: δ(a⊗ε) from the base coaction, δ(1⊗f) from the R-matrix
     # twist, extended multiplicatively
-    tmats = []  # per k: dict {(w1, w2): coeff} for R_21 (h_k ⊗ 1) R
-    for k in range(nh):
-        inner: dict = {}
-        for (u, v), rc in r.element.coeffs.items():
-            left = h.multiply({k: f.one}, {u: f.one})
-            for w, cw in left.items():
-                key = (w, v)
-                inner[key] = f.add(inner.get(key, f.zero), f.mul(rc, cw))
-        outer: dict = {}
-        for (w, v), c in inner.items():
-            for (u2, v2), rc in r.element.coeffs.items():
-                left = h.multiply({v2: f.one}, {w: f.one})
-                for w1, cw in left.items():
-                    right = h.multiply({u2: f.one}, {v: f.one})
-                    for w2, cw2 in right.items():
-                        key = (w1, w2)
-                        val = f.mul(f.mul(c, rc), f.mul(cw, cw2))
-                        outer[key] = f.add(outer.get(key, f.zero), val)
-        tmats.append({k2: v for k2, v in outer.items() if not f.is_zero(v)})
+    algs2 = [h.algebra, h.algebra]
+    tmats = [  # per k: {(w1, w2): coeff} for R_21 (h_k ⊗ 1) R
+        tensor_mult(r.element.swap(), tensor_mult(
+            TensorElement(f, r.element.factors, {(k, u): c for u, c in h.unit_dict().items()}),
+            r.element, algs2), algs2).coeffs
+        for k in range(nh)
+    ]
     # δ_ref(f_k) = Σ_m ⟨f_k, first leg of T_m⟩ (second leg) ⊗ f_m
     dual_coaction = []
     for k in range(nh):
@@ -442,21 +430,6 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
                     key = (w2, m)
                     entry[key] = f.add(entry.get(key, f.zero), c)
         dual_coaction.append(entry)
-
-    def halg_mult_pairs(p: dict, q: dict) -> dict:
-        """Product in H ⊗ R_H(A): p, q sparse over (h_idx, b_idx)."""
-        out: dict = {}
-        for (h1, b1), c1 in p.items():
-            for (h2, b2), c2 in q.items():
-                c12 = f.mul(c1, c2)
-                hm = h.algebra.mult_basis(h1, h2)
-                bm = alg.mult_basis(b1, b2)
-                for hk, ch in hm.items():
-                    for bk, cb in bm.items():
-                        key = (hk, bk)
-                        val = f.mul(c12, f.mul(ch, cb))
-                        out[key] = f.add(out.get(key, f.zero), val)
-        return {k2: v for k2, v in out.items() if not f.is_zero(v)}
 
     coaction: dict = {}
     eps_b0 = {k: c for k, c in enumerate(b0_unit) if not f.is_zero(c)}
@@ -471,7 +444,10 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
                 for (hh, m), c in dual_coaction[k].items()
                 for au, cu in a.algebra.unit_dict().items()
             }
-            coaction[bidx(i, k)] = halg_mult_pairs(base_part, dual_part)
+            hb = (h.space, sp)  # the product in H ⊗ R_H(A)
+            coaction[bidx(i, k)] = tensor_mult(TensorElement(f, hb, base_part),
+                                               TensorElement(f, hb, dual_part),
+                                               [h.algebra, alg]).coeffs
     comodule = ComoduleAlgebra(h, alg, coaction)
     _verified(check_comodule_algebra(comodule), "reflective algebra comodule")
     # crossed-product relation (1⊗f)(a'⊗1) = a'_[0] ⊗ (f ↼ a'_[-1])

@@ -10,13 +10,13 @@ from .algebras import (
     check_coalgebra,
     dual_algebra_of_coalgebra,
     dual_coalgebra_of_algebra,
-    _dicts_equal,
 )
 from .errors import InconsistentSystem, NoAntipode, NotInvertible, SpaceMismatch
 from .fields import Field, PrimeField
 from .linalg import (
     BasedSpace,
     MapMatrix,
+    _apply,
     _field_array,
     _gather,
     _mod_matmul,
@@ -26,29 +26,49 @@ from .linalg import (
     _sparse_values,
     solve_columns,
 )
+from .tensors import (
+    _coapply,
+    _differing,
+    _first_failure,
+    _flip,
+    _linear_op,
+    _members,
+    _products,
+    _units,
+)
 from .verdicts import Verdict
 
 import numpy as np
 
 
 class HopfAlgebra:
-    """Algebra + coalgebra on one space, with a verified-invertible antipode."""
+    """Algebra + coalgebra on one space, with an antipode.
 
-    __slots__ = ("field", "algebra", "coalgebra", "antipode", "antipode_inv", "_adjoints")
+    The inverse of the antipode is computed on first use when it is not
+    supplied, and kept; NotInvertible propagates when S is singular.
+    """
+
+    __slots__ = ("field", "algebra", "coalgebra", "antipode", "_antipode_inv", "_adjoints")
 
     def __init__(self, algebra: StructAlgebra, coalgebra: StructCoalgebra,
-                 antipode: MapMatrix, antipode_inv: MapMatrix):
+                 antipode: MapMatrix, antipode_inv: MapMatrix | None = None):
         if algebra.space.labels != coalgebra.space.labels:
             raise SpaceMismatch("algebra and coalgebra live on different spaces")
         object.__setattr__(self, "field", algebra.field)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "coalgebra", coalgebra)
         object.__setattr__(self, "antipode", antipode)
-        object.__setattr__(self, "antipode_inv", antipode_inv)
+        object.__setattr__(self, "_antipode_inv", antipode_inv)
         object.__setattr__(self, "_adjoints", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HopfAlgebra is immutable")
+
+    @property
+    def antipode_inv(self) -> MapMatrix:
+        if self._antipode_inv is None:
+            object.__setattr__(self, "_antipode_inv", self.antipode.inverse())
+        return self._antipode_inv
 
     @property
     def space(self) -> BasedSpace:
@@ -78,9 +98,7 @@ class HopfAlgebra:
         return _matrix_apply_dict(self.antipode_inv, x)
 
     def s_basis(self, i: int) -> dict:
-        f = self.field
-        col = [row[i] for row in self.antipode.rows]
-        return {k: c for k, c in enumerate(col) if not f.is_zero(c)}
+        return self.s_dict({i: self.field.one})
 
     def adjoint_matrices(self) -> tuple:
         """The adjoint action ℓ ↦ h_(1) · ℓ · S(h_(2)) on H of every basis
@@ -126,30 +144,19 @@ def solve_antipode(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> MapMat
     Raises NoAntipode when the system is inconsistent or the solution fails
     the right-hand identity m(id⊗S)Δ = uε.
     """
-    f = algebra.field
-    n = algebra.dim
-    sp = algebra.space
-    # unknowns S[a][b] (column-major: x[a*n+b] = S[a][b], S(e_b) = Σ_a S[a][b] e_a)
-    row_map: dict = {}
-    for i in range(n):
-        for (j, k), dc in coalgebra.comult_basis(i).items():
-            for a in range(n):
-                for c, mc in algebra.mult_basis(a, k).items():
-                    key = (i, c)
-                    col = a * n + j
-                    cur = row_map.setdefault(key, {})
-                    cur[col] = f.add(cur.get(col, f.zero), f.mul(dc, mc))
-    rows = []
-    rhs = []
-    for i in range(n):
-        eps = coalgebra.counit[i]
-        for c in range(n):
-            entries = row_map.get((i, c), {})
-            row = [f.zero] * (n * n)
-            for col, v in entries.items():
-                row[col] = v
-            rows.append(tuple(row))
-            rhs.append(f.mul(eps, algebra.unit[c]))
+    f, n, sp = algebra.field, algebra.dim, algebra.space
+    # unknowns S[a][b] (column-major: x[a*n+b] = S[a][b], S(e_b) = Σ_a S[a][b] e_a);
+    # equation i·n + c: the e_c-coefficient of Σ dc·S(e_j)e_k over Δ(e_i) ∋ dc·e_j⊗e_k
+    d = coalgebra.comult_op()
+    j, k = np.divmod(d[2], n)
+    rep, c, mc = _gather(algebra.mult_op(), (np.arange(n) * n + k[:, None]).ravel())
+    term, a = np.divmod(rep, n)
+    counts, _, cols, vals = _sparse_op(f, _members(d)[term] * n + c, a * n + j[term],
+                                       _mul(f, d[3][term], mc), n * n, n * n)
+    system = np.zeros((n * n, n * n), dtype=vals.dtype)
+    system[np.repeat(np.arange(n * n), counts), cols] = vals
+    rows = _scalar_rows(f, system)
+    rhs = [f.mul(eps, u) for eps in coalgebra.counit for u in algebra.unit]
     try:
         sol = solve_columns(rows, [tuple(rhs)], n * n, f)[0]
     except InconsistentSystem as exc:
@@ -163,33 +170,23 @@ def solve_antipode(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> MapMat
 
 
 def _check_antipode_identities(algebra, coalgebra, s: MapMatrix) -> Verdict:
-    f = algebra.field
-    n = algebra.dim
-    u = algebra.unit_dict()
-    for i in range(n):
-        target = {
-            k: f.mul(coalgebra.counit[i], c)
-            for k, c in u.items()
-            if not f.is_zero(f.mul(coalgebra.counit[i], c))
-        }
-        left = {}
-        right = {}
-        for (j, k), dc in coalgebra.comult_basis(i).items():
-            sj = _matrix_apply_dict(s, {j: dc})
-            for out, c in algebra.multiply(sj, {k: f.one}).items():
-                val = f.add(left.get(out, f.zero), c)
-                left[out] = val
-            sk = _matrix_apply_dict(s, {k: dc})
-            for out, c in algebra.multiply({j: f.one}, sk).items():
-                val = f.add(right.get(out, f.zero), c)
-                right[out] = val
-        left = {k: v for k, v in left.items() if not f.is_zero(v)}
-        right = {k: v for k, v in right.items() if not f.is_zero(v)}
-        if not _dicts_equal(f, left, target):
-            return Verdict.failed("antipode-left", (i,), "m(S⊗id)Δ ≠ uε")
-        if not _dicts_equal(f, right, target):
-            return Verdict.failed("antipode-right", (i,), "m(id⊗S)Δ ≠ uε")
+    """m(S⊗id)Δ = uε, then m(id⊗S)Δ = uε, on every basis element at once."""
+    bad = _antipode_failure(algebra, coalgebra, coalgebra.comult_op(), s)
+    if bad:
+        return Verdict.failed(("antipode-left", "antipode-right")[bad[1]], bad[:1],
+                              ("m(S⊗id)Δ ≠ uε", "m(id⊗S)Δ ≠ uε")[bad[1]])
     return Verdict.passed()
+
+
+def _antipode_failure(algebra, coalgebra, d, s: MapMatrix):
+    """The first basis index i, and the side, at which m(S⊗id)d(e_i) or
+    m(id⊗S)d(e_i) differs from ε(e_i)1, for the comultiplication family d;
+    None when neither does."""
+    f, n = algebra.field, algebra.dim
+    target = _linear_op(f, [[f.mul(u, e) for e in coalgebra.counit] for u in algebra.unit])
+    s_op, m = _linear_op(f, s.rows), algebra.mult_op()
+    sides = (_coapply(f, _coapply(f, d, (n, n), leg, s_op, n), (n * n,), 0, m, n) for leg in (0, 1))
+    return _first_failure(*(_differing(f, side, target, n) for side in sides))
 
 
 def make_hopf(algebra: StructAlgebra, coalgebra: StructCoalgebra,
@@ -215,63 +212,40 @@ def make_hopf(algebra: StructAlgebra, coalgebra: StructCoalgebra,
 
 
 def _check_coop_antipode(h: HopfAlgebra) -> Verdict:
-    """Σ S⁻¹(h_(2)) h_(1) = ε(h)1 = Σ h_(2) S⁻¹(h_(1))."""
-    f = h.field
-    u = h.unit_dict()
-    for i in range(h.dim):
-        eps = h.coalgebra.counit[i]
-        target = {k: f.mul(eps, c) for k, c in u.items() if not f.is_zero(f.mul(eps, c))}
-        left: dict = {}
-        right: dict = {}
-        for (j, k), dc in h.comult_basis(i).items():
-            sk = h.s_inv_dict({k: dc})
-            for out, c in h.multiply(sk, {j: f.one}).items():
-                left[out] = f.add(left.get(out, f.zero), c)
-            sj = h.s_inv_dict({j: dc})
-            for out, c in h.multiply({k: f.one}, sj).items():
-                right[out] = f.add(right.get(out, f.zero), c)
-        left = {k: v for k, v in left.items() if not f.is_zero(v)}
-        right = {k: v for k, v in right.items() if not f.is_zero(v)}
-        if not _dicts_equal(f, left, target) or not _dicts_equal(f, right, target):
-            return Verdict.failed("coop-antipode", (i,))
+    """Σ S⁻¹(h_(2)) h_(1) = ε(h)1 = Σ h_(2) S⁻¹(h_(1)): the antipode
+    identities of the co-opposite, whose antipode is S⁻¹."""
+    n = h.dim
+    d_op = _flip(h.field, h.coalgebra.comult_op(), (n, n))
+    bad = _antipode_failure(h.algebra, h.coalgebra, d_op, h.antipode_inv)
+    if bad:
+        return Verdict.failed("coop-antipode", bad[:1])
     return Verdict.passed()
 
 
 def check_bialgebra(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> Verdict:
-    """Δ and ε are algebra maps; Δ(1) = 1⊗1 and ε(1) = 1."""
-    f = algebra.field
-    n = algebra.dim
-    u = algebra.unit_dict()
-    du = coalgebra.comult_of(u)
-    u2 = {}
-    for a, ca in u.items():
-        for b, cb in u.items():
-            u2[(a, b)] = f.mul(ca, cb)
-    if not _dicts_equal(f, du, u2):
+    """Δ and ε are algebra maps; Δ(1) = 1⊗1 and ε(1) = 1.
+
+    Δ(e_i e_j) = Δ(e_i)Δ(e_j) and ε(e_i e_j) = ε(e_i)ε(e_j) are checked on
+    all pairs (i, j) at once; at the first failing pair Δ is named before ε.
+    """
+    f, n = algebra.field, algebra.dim
+    m, d = algebra.mult_op(), coalgebra.comult_op()
+    if _differing(f, _coapply(f, _units(f, [algebra]), (n,), 0, d, n * n),
+                  _units(f, [algebra, algebra]), n * n).size:
         return Verdict.failed("bialgebra", None, "Δ(1) ≠ 1⊗1")
-    if coalgebra.counit_of(u) != f.one:
+    if coalgebra.counit_of(algebra.unit_dict()) != f.one:
         return Verdict.failed("bialgebra", None, "ε(1) ≠ 1")
-    for i in range(n):
-        for j in range(n):
-            prod = algebra.mult_basis(i, j)
-            lhs = coalgebra.comult_of(prod)
-            rhs = {}
-            for (a, b), c1 in coalgebra.comult_basis(i).items():
-                for (a2, b2), c2 in coalgebra.comult_basis(j).items():
-                    c12 = f.mul(c1, c2)
-                    for x, cx in algebra.mult_basis(a, a2).items():
-                        for y, cy in algebra.mult_basis(b, b2).items():
-                            key = (x, y)
-                            rhs[key] = f.add(
-                                rhs.get(key, f.zero), f.mul(c12, f.mul(cx, cy))
-                            )
-            rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
-            if not _dicts_equal(f, lhs, rhs):
-                return Verdict.failed("bialgebra", (i, j), "Δ not multiplicative")
-            e_lhs = coalgebra.counit_of(prod)
-            e_rhs = f.mul(coalgebra.counit[i], coalgebra.counit[j])
-            if e_lhs != e_rhs:
-                return Verdict.failed("bialgebra", (i, j), "ε not multiplicative")
+    every, eps = np.arange(n), _sparse_values(f, coalgebra.counit)
+    i, j = np.repeat(every, n), np.tile(every, n)
+    eps_ij = _sparse_op(f, i * n + j, np.zeros_like(i), _mul(f, eps[i], eps[j]), n * n, 1)
+    bad = _first_failure(
+        _differing(f, _coapply(f, m, (n,), 0, d, n * n),
+                   _products(f, d, d, (i, j), [m, m], [n, n]), n * n),
+        _differing(f, _coapply(f, m, (n,), 0, _linear_op(f, [coalgebra.counit]), 1), eps_ij, 1),
+    )
+    if bad:
+        return Verdict.failed("bialgebra", divmod(int(bad[0]), n),
+                              ("Δ not multiplicative", "ε not multiplicative")[bad[1]])
     return Verdict.passed()
 
 
@@ -289,6 +263,10 @@ def check_hopf(h: HopfAlgebra) -> Verdict:
     v = _check_antipode_identities(h.algebra, h.coalgebra, h.antipode)
     if not v:
         return v
+    try:
+        h.antipode_inv
+    except NotInvertible:
+        return Verdict.failed("antipode-inverse", None, "S∘S⁻¹ ≠ id")
     if not (h.antipode @ h.antipode_inv).is_identity():
         return Verdict.failed("antipode-inverse", None, "S∘S⁻¹ ≠ id")
     if not (h.antipode_inv @ h.antipode).is_identity():
@@ -332,15 +310,6 @@ class HModule:
     def dim(self) -> int:
         return self.space.dim
 
-    def act(self, x: dict, vec):
-        """Apply a sparse Hopf element to a dense carrier vector."""
-        f = self.action[0].field
-        out = [f.zero] * self.dim
-        for i, ci in x.items():
-            piece = self.action[i].apply(vec)
-            out = [f.add(a, f.mul(ci, b)) for a, b in zip(out, piece)]
-        return tuple(out)
-
     def __repr__(self):
         return f"HModule(dim={self.dim})"
 
@@ -366,40 +335,34 @@ def check_module(h: HopfAlgebra, x: HModule) -> Verdict:
 
 
 def check_representation(algebra, x: HModule) -> Verdict:
-    """Representation laws of a structure-constant algebra on a module."""
-    f = algebra.field
-    if len(x.action) != algebra.dim:
+    """Representation laws of a structure-constant algebra on a module:
+    ρ(1) = id, then ρ(e_i)ρ(e_j) = ρ(e_i e_j) for every pair; the witness
+    is the first failing pair."""
+    return _check_representation(algebra, x, range(algebra.dim))
+
+
+def _check_representation(algebra, x: HModule, lefts) -> Verdict:
+    """ρ(1) = id, then ρ(e_i)ρ(e_j) = ρ(e_i e_j) for every i in ``lefts``
+    and every j, all j at once: ρ(e_i) times all the ρ(e_j) side by side,
+    against the products e_i·e_j applied sparsely to the stacked ρ(e_k)."""
+    f, n, d = algebra.field, algebra.dim, x.dim
+    if len(x.action) != n:
         return Verdict.failed("module-shape", None, "one matrix per basis element required")
-    ident = MapMatrix.identity(f, x.space)
-    rho_unit = _combine_action(f, x, algebra.unit_dict())
-    if rho_unit != ident:
+    flat = _field_array(f, [m.rows for m in x.action]).reshape(n, d * d)
+    if not np.array_equal(_mod_matmul(f, _field_array(f, [algebra.unit]), flat)[0],
+                          np.eye(d, dtype=flat.dtype).ravel()):
         return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
-    use_np = isinstance(f, PrimeField) and x.dim > 8
-    if use_np:
-        stacks = [m.numpy().astype(np.float64) for m in x.action]
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            prod = algebra.mult_basis(i, j)
-            if use_np:
-                lhs = _mod_matmul(f, stacks[i], stacks[j])
-                rhs = np.zeros_like(lhs)
-                for k, c in prod.items():
-                    # c·x + r ≤ (p-1)² + p - 1 < 2**53 for a supported prime
-                    rhs = (rhs + c * stacks[k]) % f.p
-                if not np.array_equal(lhs, rhs):
-                    return Verdict.failed("module-mult", (i, j))
-            else:
-                lhs = x.action[i] @ x.action[j]
-                if lhs != _combine_action(f, x, prod):
-                    return Verdict.failed("module-mult", (i, j))
+    stack = flat.reshape(n, d, d)
+    side = stack.transpose(1, 0, 2).reshape(d, n * d)  # [ρ(e_0) … ρ(e_{n-1})]
+    for i in lefts:
+        lhs = _mod_matmul(f, stack[i], side).reshape(d, n, d).transpose(1, 0, 2).reshape(n, d * d)
+        j, k, c = _gather(algebra.mult_op(), i * n + np.arange(n))
+        rhs = np.zeros_like(lhs)
+        rhs[np.unique(j)] = _apply(f, (j, k, c), flat)
+        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+        if bad.size:
+            return Verdict.failed("module-mult", (i, int(bad[0])))
     return Verdict.passed()
-
-
-def _combine_action(f, x: HModule, elem: dict) -> MapMatrix:
-    out = MapMatrix.zero(f, x.space, x.space)
-    for i, c in elem.items():
-        out = out + x.action[i].scale(c)
-    return out
 
 
 def kron_matrix(a: MapMatrix, b: MapMatrix) -> MapMatrix:

@@ -585,6 +585,10 @@ def _mul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b % f.p if isinstance(f, PrimeField) else a * b
 
 
+def _neg(f: Field, a: np.ndarray) -> np.ndarray:
+    return -a % f.p if isinstance(f, PrimeField) else -a
+
+
 def _combine(f: Field, key: np.ndarray, val: np.ndarray):
     """Sum the values of equal keys in the field and drop the zeros; the
     keys come back sorted and distinct."""

@@ -4,12 +4,19 @@ of the host Hopf algebra."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import HopffactError, SpaceMismatch
 from .hopf import HModule, HopfAlgebra, element_terms, kron_matrix, kron_sums
 from .linalg import MapMatrix
 from .tensors import (
+    _ONE_PAIR,
     TensorElement,
-    coapply_leg,
+    _coapply,
+    _differing,
+    _flat,
+    _flip,
+    _products,
     leg_embed,
     tensor_invert,
     tensor_mult,
@@ -70,26 +77,26 @@ def check_r_matrix(host: HopfAlgebra, element: TensorElement) -> Verdict:
 
 
 def _check_axioms(host: HopfAlgebra, element: TensorElement) -> Verdict:
-    alg = host.algebra
-    algs2 = [alg, alg]
-    algs3 = [alg, alg, alg]
-    spaces3 = (host.space,) * 3
-    comult = host.coalgebra.comult_basis
-    r13 = leg_embed(element, (0, 2), spaces3, algs3)
-    r23 = leg_embed(element, (1, 2), spaces3, algs3)
-    r12 = leg_embed(element, (0, 1), spaces3, algs3)
-    lhs_i = coapply_leg(element, 0, host.coalgebra.comult)
-    if lhs_i != tensor_mult(r13, r23, algs3):
+    """(Δ⊗id)R = R13 R23 and (id⊗Δ)R = R13 R12 in H⊗H⊗H, then
+    RΔ(h) = Δop(h)R for every basis element h at once."""
+    f, n = host.field, host.dim
+    m, d = host.algebra.mult_op(), host.coalgebra.comult_op()
+    spaces3, algs3 = (host.space,) * 3, [host.algebra] * 3
+    r = _flat(element)
+    r13, r23, r12 = (_flat(leg_embed(element, slots, spaces3, algs3))
+                     for slots in ((0, 2), (1, 2), (0, 1)))
+    if _differing(f, _coapply(f, r, (n, n), 0, d, n * n),
+                  _products(f, r13, r23, _ONE_PAIR, [m] * 3, [n] * 3), n ** 3).size:
         return Verdict.failed("quasitriangular-i", None, "(Δ⊗id)R ≠ R13 R23")
-    lhs_ii = coapply_leg(element, 1, host.coalgebra.comult)
-    if lhs_ii != tensor_mult(r13, r12, algs3):
+    if _differing(f, _coapply(f, r, (n, n), 1, d, n * n),
+                  _products(f, r13, r12, _ONE_PAIR, [m] * 3, [n] * 3), n ** 3).size:
         return Verdict.failed("quasitriangular-ii", None, "(id⊗Δ)R ≠ R13 R12")
-    f = host.field
-    for i in range(host.dim):
-        delta = TensorElement(f, (host.space, host.space), dict(comult(i)))
-        delta_op = delta.swap()
-        if tensor_mult(element, delta, algs2) != tensor_mult(delta_op, element, algs2):
-            return Verdict.failed("quasitriangular-iii", (i,), "RΔ(h) ≠ Δop(h)R")
+    every, none = np.arange(n), np.zeros(n, dtype=np.int64)
+    d_op = _flip(f, d, (n, n))
+    bad = _differing(f, _products(f, r, d, (none, every), [m, m], [n, n]),
+                     _products(f, d_op, r, (every, none), [m, m], [n, n]), n * n)
+    if bad.size:
+        return Verdict.failed("quasitriangular-iii", (int(bad[0]),), "RΔ(h) ≠ Δop(h)R")
     return Verdict.passed()
 
 

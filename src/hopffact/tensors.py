@@ -3,7 +3,13 @@
 A ``TensorElement`` stores a map from multi-indices to nonzero scalars.
 Slotwise products, leg embeddings (placing an element into chosen slots of a
 larger product with algebra units elsewhere), leg permutations, functional
-contractions, and inversion in a product algebra all live here.
+contractions, and inversion in a product algebra all live here, and so does
+the product kernel that the axiom checks share.  The kernel works on
+families of elements (see "The product kernel" below); the structure
+constants are families too, built once per algebra, coalgebra and coaction
+(``StructAlgebra.mult_op``, ``StructCoalgebra.comult_op``,
+``ComoduleAlgebra.coaction_op``), so every product, coproduct and axiom
+check is a few gathers through them.
 
 Inversion reads t⁻¹ off an annihilating polynomial of t instead of solving
 a dense N×N system (N the dimension of the product); ``tensor_invert`` says
@@ -14,20 +20,21 @@ degree of t's minimal polynomial.  Every inverse, computed or supplied to
 
 from __future__ import annotations
 
-import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import HopffactError, NotInvertible, SpaceMismatch
 from .fields import Field, PrimeField, require_same_field
-from .linalg import _apply, _field_array, _krylov, _mod_matmul, _scalar_rows
+from .linalg import (_SLICE_CELLS, _OverBudget, _apply, _combine, _dtype, _field_array, _gather,
+                     _krylov, _mod_matmul, _mul, _neg, _scalar_rows, _sparse_op, _sparse_values)
 
 
 class TensorElement:
     """Element of factors[0] ⊗ ... ⊗ factors[k-1], sparsely stored."""
 
-    __slots__ = ("field", "factors", "coeffs")
+    __slots__ = ("field", "factors", "coeffs", "_fam")
 
     def __init__(self, field: Field, factors, coeffs):
         factors = tuple(factors)
@@ -44,6 +51,7 @@ class TensorElement:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "_fam", None)
 
     def __setattr__(self, *a):
         raise AttributeError("TensorElement is immutable")
@@ -134,20 +142,6 @@ class TensorElement:
             out[rest] = f.add(out.get(rest, f.zero), f.mul(w, c))
         return TensorElement(f, factors, out)
 
-    def as_matrix_rows(self):
-        """Dense coordinate vector in the full tensor basis (row-major)."""
-        dims = [sp.dim for sp in self.factors]
-        total = 1
-        for d in dims:
-            total *= d
-        vec = [self.field.zero] * total
-        for idx, c in self.coeffs.items():
-            flat = 0
-            for i, d in zip(idx, dims):
-                flat = flat * d + i
-            vec[flat] = c
-        return tuple(vec)
-
 
 def leg_embed(t: TensorElement, slots, ambient_factors, ambient_algebras) -> TensorElement:
     """Place ``t``'s legs at ``slots`` inside a larger product, units elsewhere.
@@ -197,40 +191,14 @@ def leg_embed(t: TensorElement, slots, ambient_factors, ambient_algebras) -> Ten
 def tensor_mult(a: TensorElement, b: TensorElement, algebras) -> TensorElement:
     """Slotwise product: (x1⊗...⊗xk)(y1⊗...⊗yk) = x1y1 ⊗ ... ⊗ xkyk."""
     a._check_compatible(b)
-    if len(algebras) != a.arity or any(alg is None for alg in algebras):
-        raise HopffactError("every slot needs an algebra")
-    f = a.field
-    out = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
-            partial = [((), f.mul(ca, cb))]
-            for slot in range(a.arity):
-                prod = algebras[slot].mult_basis(ia[slot], ib[slot])
-                if not prod:
-                    partial = []
-                    break
-                partial = [
-                    (idx + (k,), f.mul(c, ck))
-                    for idx, c in partial
-                    for k, ck in prod.items()
-                ]
-            for idx, c in partial:
-                out[idx] = f.add(out.get(idx, f.zero), c)
-    return TensorElement(f, a.factors, out)
+    dims = [sp.dim for sp in a.factors]
+    return _element(a.field, a.factors, _products(a.field, _flat(a), _flat(b), _ONE_PAIR,
+                                                  _mult_ops(a, algebras), dims))
 
 
 def tensor_unit(field: Field, factors, algebras) -> TensorElement:
     """The unit element 1 ⊗ ... ⊗ 1 of a product of algebras."""
-    f = field
-    out = {(): f.one}
-    for alg in algebras:
-        nxt = {}
-        for idx, c in out.items():
-            for j, uc in enumerate(alg.unit):
-                if not f.is_zero(uc):
-                    nxt[idx + (j,)] = f.mul(c, uc)
-        out = nxt
-    return TensorElement(f, tuple(factors), out)
+    return _element(field, tuple(factors), _units(field, algebras))
 
 
 def tensor_invert(t: TensorElement, algebras) -> TensorElement:
@@ -253,11 +221,7 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     minimal polynomial of small degree.
     """
     f = t.field
-    if len(algebras) != t.arity or any(alg is None for alg in algebras):
-        raise HopffactError("every slot needs an algebra")
-    dims = [sp.dim for sp in t.factors]
-    n = math.prod(dims)
-    unit = tensor_unit(f, t.factors, algebras)
+    n = math.prod(sp.dim for sp in t.factors)
     op = _left_mult_op(t, algebras)
     hit = np.unique(op[0])  # the rows where left multiplication can land
 
@@ -266,7 +230,10 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
         nxt[hit] = _apply(f, op, col)
         return nxt
 
-    powers, ann = _krylov(f, step, _field_array(f, unit.as_matrix_rows()), n + 1)
+    _, _, key, val = _units(f, algebras)
+    unit = np.zeros(n, dtype=_dtype(f))
+    unit[key] = val
+    powers, ann = _krylov(f, step, unit, n + 1)
     m = powers.shape[1]
     with_c0 = np.nonzero(ann[0] != 0)[0]
     if not with_c0.size:
@@ -274,9 +241,9 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     c = [f.scalar(x) for x in ann[:, with_c0[0]]]
     scale = f.neg(f.inv(c[0]))
     coeffs = _field_array(f, [f.mul(scale, ck) for ck in c[1:]]).reshape(m - 1, 1)
-    vec = _scalar_rows(f, _mod_matmul(f, powers[:, :m - 1], coeffs).T)[0]
-    indices = itertools.product(*(range(d) for d in dims))  # row-major
-    inv = TensorElement(f, t.factors, {idx: x for idx, x in zip(indices, vec) if x})
+    vec = _mod_matmul(f, powers[:, :m - 1], coeffs)[:, 0]
+    key = np.flatnonzero(vec)
+    inv = _element(f, t.factors, (None, None, key, vec[key]))
     verify_inverse(t, inv, algebras)
     return inv
 
@@ -284,8 +251,13 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
 def verify_inverse(t: TensorElement, inv: TensorElement, algebras) -> None:
     """Raise NotInvertible unless ``inv`` is a two-sided inverse of ``t``;
     both products are formed sparsely."""
-    unit = tensor_unit(t.field, t.factors, algebras)
-    if tensor_mult(inv, t, algebras) != unit or tensor_mult(t, inv, algebras) != unit:
+    t._check_compatible(inv)
+    f = t.field
+    dims = [sp.dim for sp in t.factors]
+    both, unit = _stack(_flat(inv), _flat(t)), _units(f, algebras)
+    pairs = (np.arange(2), np.arange(2)[::-1])  # inv·t and t·inv
+    prods = _products(f, both, both, pairs, _mult_ops(t, algebras), dims)
+    if _differing(f, prods, _stack(unit, unit), math.prod(dims)).size:
         raise NotInvertible("candidate inverse is not two-sided")
 
 
@@ -294,56 +266,187 @@ def _left_mult_op(t: TensorElement, algebras):
     multi-indices), as COO arrays (rows, cols, vals) sorted by row.
 
     A term c·e_{i_1}⊗…⊗e_{i_k} contributes c times the Kronecker product
-    of the slots' left multiplications by e_{i_s}, read straight from the
-    structure constants; entries are summed in the field.
+    of the slots' left multiplications by e_{i_s}, read off the product
+    tables at the pairs i_s·d + j for every j; entries are summed in the
+    field.
     """
     f = t.field
-    gf = isinstance(f, PrimeField)
-    vtype = np.int64 if gf else object
-    dims = [sp.dim for sp in t.factors]
-    n = math.prod(dims)
-    tables = []  # per slot: arrays i, j, k, c over the products e_i·e_j ∋ c·e_k
+    n = stride = math.prod(sp.dim for sp in t.factors)
+    _, _, key, val = _flat(t)
+    rows = cols = np.zeros(key.size, dtype=np.int64)
+    for op, d in zip(_mult_ops(t, algebras), [sp.dim for sp in t.factors]):
+        stride //= d
+        rep, k, c = _gather(op, ((key // stride % d * d)[:, None] + np.arange(d)).ravel())
+        term, j = np.divmod(rep, d)
+        key, rows, cols = key[term], rows[term] * d + k, cols[term] * d + j
+        val = _mul(f, val[term], c)
+    key, val = _combine(f, rows * n + cols, val)
+    return key // n, key % n, _field_array(f, val)
+
+
+# ---------------------------------------------------------------------------
+# The product kernel
+#
+# A family of elements of a tensor product is a sparse operator of
+# ``linalg`` whose input g is the element's index and whose outputs are the
+# element's terms, keyed by the row-major flat multi-index.
+# ---------------------------------------------------------------------------
+
+_ONE_PAIR = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
+
+
+def _table(f: Field, rows, dims_in, dims_out):
+    """Rows (indices…, c) as a family: the first len(dims_in) indices,
+    row-major, give the input and the others the output; duplicates are
+    summed and zeros dropped."""
+    cols = list(zip(*rows)) or [()] * (len(dims_in) + len(dims_out) + 1)
+    idx = np.array(cols[:-1], dtype=np.int64).reshape(len(cols) - 1, -1)
+    a = len(dims_in)
+    try:
+        inp = np.ravel_multi_index(idx[:a], dims_in)
+        out = np.ravel_multi_index(idx[a:], dims_out)
+    except ValueError as exc:
+        raise HopffactError("structure-constant index outside the basis") from exc
+    return _sparse_op(f, inp, out, _sparse_values(f, cols[-1]), math.prod(dims_in),
+                      math.prod(dims_out))
+
+
+def _flat(t: TensorElement):
+    """``t`` as a family of one element (built once)."""
+    if t._fam is None:
+        rows = [(0,) + idx + (c,) for idx, c in t.coeffs.items()]
+        object.__setattr__(t, "_fam", _table(t.field, rows, (1,), [sp.dim for sp in t.factors]))
+    return t._fam
+
+
+def _element(f: Field, factors, fam) -> TensorElement:
+    """A family of one element on the product of ``factors`` as a TensorElement."""
+    indices = zip(*(i.tolist() for i in np.unravel_index(fam[2], [sp.dim for sp in factors])))
+    return TensorElement(f, factors, dict(zip(indices, _scalar_rows(f, fam[3][None])[0])))
+
+
+def _stack(*fams):
+    """The families one after the other, as one family."""
+    counts = np.concatenate([fam[0] for fam in fams])
+    return (counts, np.cumsum(counts) - counts, np.concatenate([fam[2] for fam in fams]),
+            np.concatenate([fam[3] for fam in fams]))
+
+
+def _units(f: Field, algebras):
+    """The unit 1⊗…⊗1 of a product of algebras as a family of one element."""
+    key, val = [0], [f.one]
     for alg in algebras:
-        terms = [(i, j, k, ck) for (i, j), prod in alg.mult.items() for k, ck in prod.items()]
-        parts = list(zip(*terms)) or [(), (), (), ()]
-        tables.append([np.array(x, dtype=np.int64) for x in parts[:3]]
-                      + [np.array(parts[3], dtype=vtype)])
-    keys, vals = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=vtype)]
-    for idx, c in t.coeffs.items():
-        rows = cols = np.zeros(1, dtype=np.int64)
-        v = np.array([c], dtype=vtype)
-        for (ti, tj, tk, tc), d, i in zip(tables, dims, idx):
-            sel = ti == i
-            rows = (rows[:, None] * d + tk[sel]).ravel()
-            cols = (cols[:, None] * d + tj[sel]).ravel()
-            v = (v[:, None] * tc[sel]).ravel()
-            if gf:
-                v %= f.p
-        keys.append(rows * n + cols)
-        vals.append(v)
-    uniq, where = np.unique(np.concatenate(keys), return_inverse=True)
-    acc = np.zeros(uniq.size, dtype=vtype)
-    np.add.at(acc, where, np.concatenate(vals))
-    if gf:
-        acc %= f.p
-    keep = acc != 0
-    return uniq[keep] // n, uniq[keep] % n, _field_array(f, acc[keep])
+        terms = [(j, c) for j, c in enumerate(alg.unit) if c]
+        key = [k * alg.dim + j for k in key for j, _ in terms]
+        val = [f.mul(v, c) for v in val for _, c in terms]
+    key = np.array(key, dtype=np.int64)
+    return np.array([key.size]), np.zeros(1, dtype=np.int64), key, _sparse_values(f, val)
 
 
-def coapply_leg(t: TensorElement, leg: int, comult) -> TensorElement:
-    """Apply a comultiplication to one leg, splitting it into two legs.
+def _mult_ops(t: TensorElement, algebras) -> list:
+    if len(algebras) != t.arity or any(alg is None for alg in algebras):
+        raise HopffactError("every slot needs an algebra")
+    return [alg.mult_op() for alg in algebras]
 
-    ``comult`` maps a basis index to a dict {(j, k): coeff}; the leg at
-    position ``leg`` is replaced by two adjacent legs of the same space.
+
+def _members(fam):
+    """The element index of every entry of a family."""
+    return np.repeat(np.arange(fam[0].size), fam[0])
+
+
+def _products(f: Field, left, right, pairs, ops, dims):
+    """The slotwise products left[g]·right[h] for every (g, h) in ``pairs``
+    (two index arrays), as a family with one element per pair.
+
+    ``left`` and ``right`` are families on the product with factor
+    dimensions ``dims``, and ``ops`` are the product operators of its
+    slots.  The term pairs are expanded in batches of left terms, halved
+    until no expansion exceeds ``linalg._SLICE_CELLS`` entries.
     """
-    if not 0 <= leg < t.arity:
-        raise HopffactError("no such leg")
-    f = t.field
-    sp = t.factors[leg]
-    factors = t.factors[:leg] + (sp, sp) + t.factors[leg + 1 :]
-    out = {}
-    for idx, c in t.coeffs.items():
-        for (j, k), dc in comult.get(idx[leg], {}).items():
-            key = idx[:leg] + (j, k) + idx[leg + 1 :]
-            out[key] = f.add(out.get(key, f.zero), f.mul(c, dc))
-    return TensorElement(f, factors, out)
+    gl, gr = pairs
+    n = math.prod(dims)
+    pair, ka, va = _gather(left, gl)
+    va, da = _integers(f, va)
+    vb_all, db = _integers(f, right[3])
+    right = right[:3] + (vb_all,)
+    keys, vals = [np.zeros(0, dtype=np.int64)], [va[:0]]
+    first, size = 0, pair.size
+    while first < pair.size:
+        last = min(pair.size, first + size)
+        limit = _SLICE_CELLS if last - first > 1 else None
+        p = pair[first:last]
+        try:
+            rep, kb, vb = _gather(right, gr[p], limit)
+            key, a, val = p[rep], ka[first:last][rep], _mul(f, va[first:last][rep], vb)
+            stride = n
+            for op, d in zip(ops, dims):
+                stride //= d
+                rep, k, c = _gather(op, a // stride % d * d + kb // stride % d, limit)
+                key, a, kb, val = key[rep] * d + k, a[rep], kb[rep], _mul(f, val[rep], c)
+        except _OverBudget:
+            size = (last - first + 1) // 2
+            continue
+        key, val = _combine(f, key, val)
+        keys.append(key)
+        vals.append(val)
+        first = last
+    key, val = np.concatenate(keys), np.concatenate(vals)
+    if len(keys) > 2:  # batches can share keys
+        key, val = _combine(f, key, val)
+    if da * db != 1:
+        val = _field_array(f, [Fraction(x, da * db) for x in val])
+    counts = np.bincount(key // n, minlength=gl.size)
+    return counts, np.cumsum(counts) - counts, key % n, val
+
+
+def _integers(f: Field, val):
+    """Over Q, integers x and a denominator d with val = x / d, so that
+    products are formed in integer arithmetic; over GF(p), (val, 1)."""
+    if isinstance(f, PrimeField):
+        return val, 1
+    d = math.lcm(*(x.denominator for x in val))
+    if d == 1:
+        return val, 1
+    return _field_array(f, [x.numerator * (d // x.denominator) for x in val]), d
+
+
+def _coapply(f: Field, fam, dims, leg: int, op, width: int):
+    """Apply a linear map ``op`` with ``width`` outputs to one leg of every
+    element: a coproduct or coaction (its output flattened over the two new
+    legs, row-major) or an endomorphism of the leg."""
+    post = math.prod(dims[leg + 1:])
+    pre, rest = np.divmod(fam[2], dims[leg] * post)
+    i, rest = np.divmod(rest, post)
+    rep, out, c = _gather(op, i)
+    key = (pre[rep] * width + out) * post + rest[rep]
+    n = math.prod(dims) // dims[leg] * width
+    return _sparse_op(f, _members(fam)[rep], key, _mul(f, fam[3][rep], c), fam[0].size, n)
+
+
+def _flip(f: Field, fam, dims):
+    """Swap the two legs of every element of a two-leg family."""
+    first, second = np.divmod(fam[2], dims[1])
+    return _sparse_op(f, _members(fam), second * dims[0] + first, fam[3], fam[0].size,
+                      dims[0] * dims[1])
+
+
+def _linear_op(f: Field, rows):
+    """A matrix, as rows, as a family: element j is its column j."""
+    arr = _sparse_values(f, rows)
+    out, inp = np.nonzero(arr)
+    return _sparse_op(f, inp, out, arr[out, inp], arr.shape[1], arr.shape[0])
+
+
+def _differing(f: Field, a, b, n: int) -> np.ndarray:
+    """The element indices, ascending, at which two families with outputs
+    below n differ."""
+    key = np.concatenate((_members(a) * n + a[2], _members(b) * n + b[2]))
+    key, _ = _combine(f, key, np.concatenate((a[3], _neg(f, b[3]))))
+    return np.unique(key // n)
+
+
+def _first_failure(*bad):
+    """The smallest index in any of the ascending arrays ``bad`` and the
+    position of the first array holding it, or None when all are empty."""
+    g = min((int(b[0]) for b in bad if b.size), default=None)
+    return None if g is None else (g, next(i for i, b in enumerate(bad) if g in b))

@@ -1,0 +1,554 @@
+"""The batched axiom checks against entrywise references.
+
+The ``_reference_*`` functions are the earlier implementations, which loop
+over basis indices and multiply sparse dicts one product at a time; the
+batched checks must return the same verdict, axiom name, witness and
+message on every input.  Perturbing one structure constant, one coaction
+coefficient or one coefficient of R or K reaches the failure branches.
+"""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from hopffact.algebras import (
+    StructAlgebra,
+    StructCoalgebra,
+    algebra_generators,
+    check_algebra,
+    check_coalgebra,
+)
+from hopffact.bundle import dumps, loads
+from hopffact.cli import main
+from hopffact.comodule import (
+    ComoduleAlgebra,
+    KMatrix,
+    check_comodule_algebra,
+    check_k_matrix,
+)
+from hopffact.constructions import dual_group_algebra, group_algebra, named_example
+from hopffact.errors import HopffactError, NotInvertible
+from hopffact.fields import GF, QQ
+from hopffact.groups import cyclic_group, symmetric_group
+from hopffact.hopf import (
+    HModule,
+    HopfAlgebra,
+    _check_representation,
+    check_bialgebra,
+    check_hopf,
+    check_representation,
+    regular_module,
+)
+from hopffact.linalg import MapMatrix
+from hopffact.rmatrix import RMatrix, _check_axioms
+from hopffact.tensors import TensorElement, leg_embed, tensor_mult, tensor_unit
+from hopffact.verdicts import Verdict
+
+
+# ---------------------------------------------------------------------------
+# Entrywise references
+# ---------------------------------------------------------------------------
+
+def _dicts_equal(field, a: dict, b: dict) -> bool:
+    keys = set(a) | set(b)
+    z = field.zero
+    return all(a.get(k, z) == b.get(k, z) for k in keys)
+
+
+def _comult_of(c, x: dict) -> dict:
+    f = c.field
+    out = {}
+    for i, ci in x.items():
+        for jk, cv in c.comult_basis(i).items():
+            val = f.add(out.get(jk, f.zero), f.mul(ci, cv))
+            if f.is_zero(val):
+                out.pop(jk, None)
+            else:
+                out[jk] = val
+    return out
+
+
+def _coaction_of(c, x: dict) -> dict:
+    f = c.field
+    out = {}
+    for b, cb in x.items():
+        for hb, cv in c.coaction_basis(b).items():
+            val = f.add(out.get(hb, f.zero), f.mul(cb, cv))
+            if f.is_zero(val):
+                out.pop(hb, None)
+            else:
+                out[hb] = val
+    return out
+
+
+def _reference_tensor_mult(a, b, algebras):
+    f = a.field
+    out = {}
+    for ia, ca in a.coeffs.items():
+        for ib, cb in b.coeffs.items():
+            partial = [((), f.mul(ca, cb))]
+            for slot in range(a.arity):
+                prod = algebras[slot].mult_basis(ia[slot], ib[slot])
+                if not prod:
+                    partial = []
+                    break
+                partial = [
+                    (idx + (k,), f.mul(c, ck))
+                    for idx, c in partial
+                    for k, ck in prod.items()
+                ]
+            for idx, c in partial:
+                out[idx] = f.add(out.get(idx, f.zero), c)
+    return TensorElement(f, a.factors, out)
+
+
+def _coapply_leg(t, leg, comult):
+    f = t.field
+    sp = t.factors[leg]
+    factors = t.factors[:leg] + (sp, sp) + t.factors[leg + 1:]
+    out = {}
+    for idx, c in t.coeffs.items():
+        for (j, k), dc in comult.get(idx[leg], {}).items():
+            key = idx[:leg] + (j, k) + idx[leg + 1:]
+            out[key] = f.add(out.get(key, f.zero), f.mul(c, dc))
+    return TensorElement(f, factors, out)
+
+
+def _coapply_coaction(t, c):
+    f = t.field
+    factors = (t.factors[0], c.host.space, c.algebra.space)
+    out = {}
+    for (i, b), cv in t.coeffs.items():
+        for (hh, bb), dc in c.coaction_basis(b).items():
+            key = (i, hh, bb)
+            out[key] = f.add(out.get(key, f.zero), f.mul(cv, dc))
+    return TensorElement(f, factors, out)
+
+
+def _reference_check_algebra(a):
+    f = a.field
+    n = a.dim
+    u = a.unit_dict()
+    for i in range(n):
+        ei = {i: f.one}
+        left = a.multiply(u, ei)
+        right = a.multiply(ei, u)
+        if not _dicts_equal(f, left, ei):
+            return Verdict.failed("unitality", (i,), "1·e_i ≠ e_i")
+        if not _dicts_equal(f, right, ei):
+            return Verdict.failed("unitality", (i,), "e_i·1 ≠ e_i")
+    for i in range(n):
+        for j in range(n):
+            ij = a.mult_basis(i, j)
+            for k in range(n):
+                lhs = a.multiply(ij, {k: f.one})
+                rhs = a.multiply({i: f.one}, a.mult_basis(j, k))
+                if not _dicts_equal(f, lhs, rhs):
+                    return Verdict.failed("associativity", (i, j, k))
+    return Verdict.passed()
+
+
+def _reference_check_coalgebra(c):
+    f = c.field
+    n = c.dim
+    for i in range(n):
+        delta = c.comult_basis(i)
+        left = {}
+        right = {}
+        for (j, k), coeff in delta.items():
+            if not f.is_zero(c.counit[j]):
+                left[k] = f.add(left.get(k, f.zero), f.mul(c.counit[j], coeff))
+            if not f.is_zero(c.counit[k]):
+                right[j] = f.add(right.get(j, f.zero), f.mul(c.counit[k], coeff))
+        ei = {i: f.one}
+        left = {k: v for k, v in left.items() if not f.is_zero(v)}
+        right = {k: v for k, v in right.items() if not f.is_zero(v)}
+        if not _dicts_equal(f, left, ei):
+            return Verdict.failed("counitality", (i,), "(ε⊗id)Δ ≠ id")
+        if not _dicts_equal(f, right, ei):
+            return Verdict.failed("counitality", (i,), "(id⊗ε)Δ ≠ id")
+    for i in range(n):
+        lhs = {}
+        rhs = {}
+        for (j, k), coeff in c.comult_basis(i).items():
+            for (u, v), c2 in c.comult_basis(j).items():
+                key = (u, v, k)
+                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(coeff, c2))
+            for (u, v), c2 in c.comult_basis(k).items():
+                key = (j, u, v)
+                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(coeff, c2))
+        lhs = {k: v for k, v in lhs.items() if not f.is_zero(v)}
+        rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
+        if not _dicts_equal(f, lhs, rhs):
+            return Verdict.failed("coassociativity", (i,))
+    return Verdict.passed()
+
+
+def _reference_check_bialgebra(algebra, coalgebra):
+    f = algebra.field
+    n = algebra.dim
+    u = algebra.unit_dict()
+    du = _comult_of(coalgebra, u)
+    u2 = {}
+    for a, ca in u.items():
+        for b, cb in u.items():
+            u2[(a, b)] = f.mul(ca, cb)
+    if not _dicts_equal(f, du, u2):
+        return Verdict.failed("bialgebra", None, "Δ(1) ≠ 1⊗1")
+    if coalgebra.counit_of(u) != f.one:
+        return Verdict.failed("bialgebra", None, "ε(1) ≠ 1")
+    for i in range(n):
+        for j in range(n):
+            prod = algebra.mult_basis(i, j)
+            lhs = _comult_of(coalgebra, prod)
+            rhs = {}
+            for (a, b), c1 in coalgebra.comult_basis(i).items():
+                for (a2, b2), c2 in coalgebra.comult_basis(j).items():
+                    c12 = f.mul(c1, c2)
+                    for x, cx in algebra.mult_basis(a, a2).items():
+                        for y, cy in algebra.mult_basis(b, b2).items():
+                            key = (x, y)
+                            rhs[key] = f.add(
+                                rhs.get(key, f.zero), f.mul(c12, f.mul(cx, cy))
+                            )
+            rhs = {k: v for k, v in rhs.items() if not f.is_zero(v)}
+            if not _dicts_equal(f, lhs, rhs):
+                return Verdict.failed("bialgebra", (i, j), "Δ not multiplicative")
+            e_lhs = coalgebra.counit_of(prod)
+            e_rhs = f.mul(coalgebra.counit[i], coalgebra.counit[j])
+            if e_lhs != e_rhs:
+                return Verdict.failed("bialgebra", (i, j), "ε not multiplicative")
+    return Verdict.passed()
+
+
+def _reference_check_comodule_algebra(c):
+    f = c.field
+    h = c.host
+    nb = c.dim
+    v = _reference_check_algebra(c.algebra)
+    if not v:
+        return v
+    unit_b = c.algebra.unit_dict()
+    target = {}
+    for i, ci in h.unit_dict().items():
+        for b, cb in unit_b.items():
+            target[(i, b)] = f.mul(ci, cb)
+    if not _dicts_equal(f, _coaction_of(c, unit_b), target):
+        return Verdict.failed("coaction-algebra-map", None, "δ(1) ≠ 1⊗1")
+    for i in range(nb):
+        di = c.coaction_basis(i)
+        for j in range(nb):
+            lhs = _coaction_of(c, c.algebra.mult_basis(i, j))
+            rhs = {}
+            for (a1, b1), c1 in di.items():
+                for (a2, b2), c2 in c.coaction_basis(j).items():
+                    c12 = f.mul(c1, c2)
+                    for x, cx in h.algebra.mult_basis(a1, a2).items():
+                        for y, cy in c.algebra.mult_basis(b1, b2).items():
+                            key = (x, y)
+                            rhs[key] = f.add(
+                                rhs.get(key, f.zero), f.mul(c12, f.mul(cx, cy))
+                            )
+            rhs = {k: v2 for k, v2 in rhs.items() if not f.is_zero(v2)}
+            if not _dicts_equal(f, lhs, rhs):
+                return Verdict.failed("coaction-algebra-map", (i, j))
+    for b in range(nb):
+        lhs = {}
+        rhs = {}
+        eps = {}
+        for (hh, bb), cv in c.coaction_basis(b).items():
+            for (a1, a2), dc in h.comult_basis(hh).items():
+                key = (a1, a2, bb)
+                lhs[key] = f.add(lhs.get(key, f.zero), f.mul(cv, dc))
+            for (h2, b2), dc in c.coaction_basis(bb).items():
+                key = (hh, h2, b2)
+                rhs[key] = f.add(rhs.get(key, f.zero), f.mul(cv, dc))
+            e = h.coalgebra.counit[hh]
+            if not f.is_zero(e):
+                eps[bb] = f.add(eps.get(bb, f.zero), f.mul(e, cv))
+        lhs = {k: v2 for k, v2 in lhs.items() if not f.is_zero(v2)}
+        rhs = {k: v2 for k, v2 in rhs.items() if not f.is_zero(v2)}
+        if not _dicts_equal(f, lhs, rhs):
+            return Verdict.failed("coaction-coassociativity", (b,))
+        eps = {k: v2 for k, v2 in eps.items() if not f.is_zero(v2)}
+        if not _dicts_equal(f, eps, {b: f.one}):
+            return Verdict.failed("coaction-counit", (b,))
+    return Verdict.passed()
+
+
+def _reference_check_r_axioms(host, element):
+    alg = host.algebra
+    algs2 = [alg, alg]
+    algs3 = [alg, alg, alg]
+    spaces3 = (host.space,) * 3
+    comult = host.coalgebra.comult_basis
+    mult = _reference_tensor_mult
+    r13 = leg_embed(element, (0, 2), spaces3, algs3)
+    r23 = leg_embed(element, (1, 2), spaces3, algs3)
+    r12 = leg_embed(element, (0, 1), spaces3, algs3)
+    lhs_i = _coapply_leg(element, 0, host.coalgebra.comult)
+    if lhs_i != mult(r13, r23, algs3):
+        return Verdict.failed("quasitriangular-i", None, "(Δ⊗id)R ≠ R13 R23")
+    lhs_ii = _coapply_leg(element, 1, host.coalgebra.comult)
+    if lhs_ii != mult(r13, r12, algs3):
+        return Verdict.failed("quasitriangular-ii", None, "(id⊗Δ)R ≠ R13 R12")
+    f = host.field
+    for i in range(host.dim):
+        delta = TensorElement(f, (host.space, host.space), dict(comult(i)))
+        delta_op = delta.swap()
+        if mult(element, delta, algs2) != mult(delta_op, element, algs2):
+            return Verdict.failed("quasitriangular-iii", (i,), "RΔ(h) ≠ Δop(h)R")
+    return Verdict.passed()
+
+
+def _reference_check_k_matrix(k):
+    c = k.comodule
+    h = k.host
+    f = h.field
+    halg = h.algebra
+    balg = c.algebra
+    algs2 = [halg, balg]
+    algs3 = [halg, halg, balg]
+    spaces3 = (h.space, h.space, balg.space)
+    mult = _reference_tensor_mult
+    r = k.rmatrix
+    r21 = leg_embed(r.element.swap(), (0, 1), spaces3, algs3)
+    r21_inv = leg_embed(r.inverse.swap(), (0, 1), spaces3, algs3)
+    r12 = leg_embed(r.element, (0, 1), spaces3, algs3)
+    k13 = leg_embed(k.element, (0, 2), spaces3, algs3)
+    k23 = leg_embed(k.element, (1, 2), spaces3, algs3)
+    lhs_i = _coapply_leg(k.element, 0, h.coalgebra.comult)
+    rhs_i = mult(mult(mult(k23, r21, algs3), k13, algs3), r21_inv, algs3)
+    if lhs_i != rhs_i:
+        return Verdict.failed("kmatrix-i", None, "(Δ⊗id)K ≠ K23 R21 K13 R21⁻¹")
+    lhs_ii = _coapply_coaction(k.element, c)
+    rhs_ii = mult(mult(r21, k13, algs3), r12, algs3)
+    if lhs_ii != rhs_ii:
+        return Verdict.failed("kmatrix-ii", None, "(id⊗δ)K ≠ R21 K13 R12")
+    for b in range(c.dim):
+        db = TensorElement(f, (h.space, balg.space), dict(c.coaction_basis(b)))
+        if mult(k.element, db, algs2) != mult(db, k.element, algs2):
+            return Verdict.failed("kmatrix-iii", (b,), "Kδ(b) ≠ δ(b)K")
+    return Verdict.passed()
+
+
+# ---------------------------------------------------------------------------
+# Single-coefficient perturbations
+# ---------------------------------------------------------------------------
+
+INSTANCES = ("sweedler:1", "double:C2", "subgroup:S3:C2")
+FIELDS = (QQ, GF(101), GF(94906249))
+KINDS = ("hmult", "hcomult", "hunit", "hcounit", "r", "bmult", "coaction", "k")
+
+
+def _bumped(table, outer, inner, value, f):
+    out = {k: dict(v) for k, v in table.items()}
+    entry = out.setdefault(outer, {})
+    entry[inner] = f.add(entry.get(inner, f.zero), value)
+    return out
+
+
+def _perturbed(ex, kind, idx, value):
+    """(host, R element, comodule algebra, K element) with one coefficient
+    of the chosen structure moved by ``value``; ``idx`` picks the entry."""
+    f, h, c = ex.field, ex.hopf, ex.comodule
+    r_elt, k_elt = ex.rmatrix.element, ex.kmatrix.element
+    n, nb = h.dim, c.dim
+    i, j, k = (x % n for x in idx)
+    bi, bj, bk = (x % nb for x in idx)
+    if kind in ("hmult", "hunit", "hcomult", "hcounit"):
+        alg, coalg = h.algebra, h.coalgebra
+        if kind == "hmult":
+            alg = StructAlgebra(f, h.space, _bumped(alg.mult, (i, j), k, value, f), alg.unit)
+        elif kind == "hunit":
+            unit = list(alg.unit)
+            unit[i] = f.add(unit[i], value)
+            alg = StructAlgebra(f, h.space, alg.mult, unit)
+        elif kind == "hcomult":
+            coalg = StructCoalgebra(f, h.space, _bumped(coalg.comult, i, (j, k), value, f),
+                                    coalg.counit)
+        else:
+            counit = list(coalg.counit)
+            counit[i] = f.add(counit[i], value)
+            coalg = StructCoalgebra(f, h.space, coalg.comult, counit)
+        h = HopfAlgebra(alg, coalg, h.antipode, h.antipode_inv)
+        c = ComoduleAlgebra(h, c.algebra, c.coaction)
+    elif kind == "r":
+        r_elt = TensorElement(f, r_elt.factors, _bumped({0: r_elt.coeffs}, 0, (i, j), value, f)[0])
+    elif kind == "k":
+        k_elt = TensorElement(f, k_elt.factors, _bumped({0: k_elt.coeffs}, 0, (i, bj), value, f)[0])
+    elif kind == "bmult":
+        balg = StructAlgebra(f, c.algebra.space, _bumped(c.algebra.mult, (bi, bj), bk, value, f),
+                             c.algebra.unit)
+        c = ComoduleAlgebra(h, balg, c.coaction)
+    else:
+        c = ComoduleAlgebra(h, c.algebra, _bumped(c.coaction, bi, (j, bk), value, f))
+    return h, r_elt, c, k_elt
+
+
+def _outcome(check, *args):
+    try:
+        v = check(*args)
+    except HopffactError as exc:
+        return type(exc).__name__, str(exc)
+    return v.ok, v.axiom, v.witness, v.detail
+
+
+def _pairs(h, r_elt, c, k_elt):
+    """(name, batched outcome, reference outcome) for every rewritten check."""
+    yield ("algebra", _outcome(check_algebra, h.algebra),
+           _outcome(_reference_check_algebra, h.algebra))
+    yield ("coalgebra", _outcome(check_coalgebra, h.coalgebra),
+           _outcome(_reference_check_coalgebra, h.coalgebra))
+    yield ("bialgebra", _outcome(check_bialgebra, h.algebra, h.coalgebra),
+           _outcome(_reference_check_bialgebra, h.algebra, h.coalgebra))
+    yield ("r", _outcome(_check_axioms, h, r_elt), _outcome(_reference_check_r_axioms, h, r_elt))
+    yield ("comodule", _outcome(check_comodule_algebra, c),
+           _outcome(_reference_check_comodule_algebra, c))
+    try:
+        km = KMatrix(c, RMatrix(h, r_elt), k_elt)
+    except NotInvertible:
+        return
+    yield "k", _outcome(check_k_matrix, km), _outcome(_reference_check_k_matrix, km)
+
+
+@st.composite
+def perturbations(draw):
+    ex = named_example(draw(st.sampled_from(INSTANCES)), draw(st.sampled_from(FIELDS)))
+    kind = draw(st.sampled_from(KINDS))
+    idx = tuple(draw(st.integers(0, 35)) for _ in range(3))
+    num = draw(st.integers(-3, 3).filter(bool))
+    value = ex.field.scalar(Fraction(num, draw(st.sampled_from((1, 2, 3)))))
+    return (ex.name, ex.field, kind, idx), _perturbed(ex, kind, idx, value)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(perturbations())
+def test_batched_checks_match_references(case):
+    _, structures = case
+    for name, batched, reference in _pairs(*structures):
+        assert batched == reference, name
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", INSTANCES)
+def test_registry_instances_pass_both(name, field):
+    ex = named_example(name, field)
+    structures = (ex.hopf, ex.rmatrix.element, ex.comodule, ex.kmatrix.element)
+    for check, batched, reference in _pairs(*structures):
+        assert batched == reference == (True, None, None, None), check
+
+
+def test_tensor_mult_matches_reference():
+    ex = named_example("double:C2", QQ)
+    r, algs = ex.rmatrix, [ex.hopf.algebra] * 2
+    for a, b in ((r.element.swap(), r.element), (r.element, r.inverse), (r.inverse, r.element)):
+        assert tensor_mult(a, b, algs) == _reference_tensor_mult(a, b, algs)
+
+
+# ---------------------------------------------------------------------------
+# Pinned witnesses
+# ---------------------------------------------------------------------------
+
+PINS = [
+    ("hmult", (1, 1, 0), "algebra", (False, "associativity", (1, 1, 2), None)),
+    ("hmult", (0, 1, 0), "bialgebra", (False, "bialgebra", (0, 1), "Δ not multiplicative")),
+    ("hcounit", (1, 0, 0), "bialgebra", (False, "bialgebra", (1, 1), "ε not multiplicative")),
+    ("hmult", (0, 1, 0), "comodule", (False, "coaction-algebra-map", (0, 1), None)),
+    ("hcomult", (2, 0, 0), "comodule", (False, "coaction-coassociativity", (2,), None)),
+    ("hcounit", (2, 0, 0), "comodule", (False, "coaction-counit", (2,), None)),
+    ("bmult", (0, 2, 0), "k", (False, "kmatrix-iii", (2,), "Kδ(b) ≠ δ(b)K")),
+]
+
+
+@pytest.mark.parametrize("kind, idx, check, expected", PINS)
+def test_pinned_witness_on_sweedler(kind, idx, check, expected):
+    structures = _perturbed(named_example("sweedler:1", QQ), kind, idx, QQ.one)
+    outcomes = {name: (batched, reference) for name, batched, reference in _pairs(*structures)}
+    assert outcomes[check] == (expected, expected)
+
+
+def test_delta_named_before_epsilon_at_the_same_pair():
+    # e_0·e_1 gains e_0: both Δ(e_0 e_1) and ε(e_0 e_1) move at (0, 1)
+    h = _perturbed(named_example("sweedler:1", QQ), "hmult", (0, 1, 0), QQ.one)[0]
+    co, prod = h.coalgebra, h.algebra.mult_basis(0, 1)
+    assert co.counit_of(prod) != QQ.mul(co.counit[0], co.counit[1])
+    assert check_bialgebra(h.algebra, h.coalgebra).detail == "Δ not multiplicative"
+
+
+def test_coassociativity_named_before_counit_at_the_same_b():
+    # kC2 coacting on itself by δ(g) = g⊗1 is an algebra map, but at b = g
+    # both (Δ⊗id)δ = (id⊗δ)δ and (ε⊗id)δ = id fail
+    h, _ = group_algebra(cyclic_group(2))
+    c = ComoduleAlgebra(h, h.algebra, {0: {(0, 0): QQ.one}, 1: {(1, 0): QQ.one}})
+    expected = (False, "coaction-coassociativity", (1,), None)
+    assert _outcome(check_comodule_algebra, c) == expected
+    assert _outcome(_reference_check_comodule_algebra, c) == expected
+
+
+def test_pinned_quasitriangular_iii():
+    structures = _perturbed(named_example("subgroup:S3:C2", QQ), "hmult", (0, 2, 0), QQ.one)
+    expected = (False, "quasitriangular-iii", (2,), "RΔ(h) ≠ Δop(h)R")
+    assert _outcome(_check_axioms, *structures[:2]) == expected
+    assert _outcome(_reference_check_r_axioms, *structures[:2]) == expected
+    # 1⊗1 on the non-cocommutative dual of kS3 passes (i) and (ii) only
+    hd = dual_group_algebra(symmetric_group(3))
+    unit = tensor_unit(QQ, (hd.space, hd.space), [hd.algebra] * 2)
+    assert _outcome(_check_axioms, hd, unit) == _outcome(_reference_check_r_axioms, hd, unit)
+    assert _check_axioms(hd, unit).axiom == "quasitriangular-iii"
+
+
+# ---------------------------------------------------------------------------
+# The inverse of the antipode, and the H-action re-check from generators
+# ---------------------------------------------------------------------------
+
+def _singular_antipode_doc():
+    doc = json.loads(dumps(named_example("double:C2", QQ)))
+    doc["hopf"]["antipode"] = doc["hopf"]["antipode"][:1]
+    return json.dumps(doc)
+
+
+def test_loading_leaves_the_antipode_inverse_for_first_use():
+    b = loads(dumps(named_example("double:C2", QQ)))
+    assert b.hopf._antipode_inv is None
+    assert check_hopf(b.hopf)
+    assert (b.hopf.antipode @ b.hopf._antipode_inv).is_identity()
+    singular = loads(_singular_antipode_doc())
+    with pytest.raises(NotInvertible):
+        singular.hopf.antipode_inv
+
+
+def test_cli_check_singular_antipode(tmp_path, capsys):
+    path = tmp_path / "singular.json"
+    path.write_text(_singular_antipode_doc())
+    assert main(["check", str(path), "--all"]) == 1
+    assert capsys.readouterr().out == (
+        "check.hopf                   fail(antipode-left, witness=(0,)) m(S⊗id)Δ ≠ uε\n"
+        "check.rmatrix                pass\n"
+        "check.comodule               pass\n"
+        "check.kmatrix                pass\n"
+        "result                       FAIL\n"
+    )
+
+
+def _bumped_module(h, which, row, col, value):
+    reg = regular_module(h)
+    action = list(reg.action)
+    rows = [list(r) for r in action[which].rows]
+    rows[row][col] = h.field.add(rows[row][col], value)
+    action[which] = MapMatrix(h.field, reg.space, reg.space, rows)
+    return HModule(reg.space, action)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("double:C2", "sweedler:1", "subgroup:S3:C2", "regular:S3")),
+       st.integers(0, 35), st.integers(0, 35), st.integers(0, 35), st.integers(-2, 2))
+def test_generators_decide_the_representation_laws(name, which, row, col, value):
+    h = named_example(name, QQ).hopf
+    n = h.dim
+    x = _bumped_module(h, which % n, row % n, col % n, QQ.scalar(value))
+    by_generators = _check_representation(h.algebra, x, algebra_generators(h.algebra))
+    assert bool(by_generators) == bool(check_representation(h.algebra, x))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hopffact.algebras import _dicts_equal
 from hopffact.comodule import (
     check_braided_module,
     module_braiding,
@@ -26,6 +25,12 @@ from hopffact.verdicts import Verdict
 # ---------------------------------------------------------------------------
 # Columnwise reference
 # ---------------------------------------------------------------------------
+
+def _dicts_equal(field, a: dict, b: dict) -> bool:
+    keys = set(a) | set(b)
+    z = field.zero
+    return all(a.get(k, z) == b.get(k, z) for k in keys)
+
 
 def _sparse_cols(mats):
     out = []
