@@ -9,7 +9,8 @@ rebuilt here from the general construction and checked entrywise.
 H-simplicity is decided by Norton's irreducibility test: the certificate
 ``norton`` means absolutely simple.  Over Q the proof comes from the
 operators reduced mod a prime near 2**20, which suffices because a rational
-costable ideal would reduce to one mod p.
+costable ideal would reduce to one mod p.  A costable ideal found mod p is
+rationally reconstructed and verified exactly over Q before it is shown.
 """
 
 from hopffact import (
@@ -49,3 +50,9 @@ h, r = group_algebra(cyclic_group(2))
 data = reflective_algebra(h, r, regular_comodule(h))
 print("crossed product of kC2 with its twisted dual: dim",
       data.comodule.dim, "- construction is verification")
+# It is not H-simple: the MeatAxe finds a costable ideal mod p, and its
+# rational lift is re-checked over Q as a proper costable ideal.
+verdict = h_simplicity(data.comodule)
+print(f"its simplicity over Q: {verdict.status} ({verdict.certificate});",
+      f"a {len(verdict.witness)}-dimensional costable ideal lifted from GF(p):",
+      [[str(x) for x in vec] for vec in verdict.witness])

@@ -33,6 +33,7 @@ from .linalg import (
     _dtype,
     _field_array,
     _gather,
+    _gf_echelon,
     _kernel,
     _mod_matmul,
     _mul,
@@ -41,6 +42,7 @@ from .linalg import (
     _sparse_values,
     echelonize,
     kernel_basis,
+    rational_lift,
 )
 from .meataxe import norton, spin
 from .rmatrix import RMatrix
@@ -560,10 +562,6 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     return es
 
 
-def _flatten_map(m: MapMatrix):
-    return tuple(x for row in m.rows for x in row)
-
-
 # ---------------------------------------------------------------------------
 # The factorizability map, copairing, and weak factorizability
 # ---------------------------------------------------------------------------
@@ -828,7 +826,6 @@ class SimplicityVerdict:
         return self.status == "simple"
 
 
-_BURNSIDE_DENSE_CAP = 48  # dim B above this would need dim^4 memory; corpus max is 36
 # Primes for the mod-p image over Q: below 2**20, so every product of a
 # matrix of dimension up to 8192 is one BLAS call in _mod_matmul
 _NORTON_PRIMES = (1048573, 1048571, 1048559)
@@ -853,11 +850,16 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
     Q-invariant subspace W of dimension k gives the saturated lattice
     W ∩ ℤ_(p)ⁿ, also invariant, whose reduction is a k-dimensional
     invariant subspace mod p.  The same argument over a number field shows
-    that absolute simplicity mod p gives absolute simplicity over Q.  Only
-    when no prime proves simplicity does the exact Q cascade run: basis
-    spinning, a Burnside dimension count of the operator algebra, the
-    trace-form ideal, and kernels of commutant elements at rational
-    eigenvalues; anything else is reported Inconclusive with the field.
+    that absolute simplicity mod p gives absolute simplicity over Q.  A
+    NotSimple witness mod p is lifted: its RREF, alone and CRT-combined
+    with the RREF of each earlier prime with the same pivot columns, is
+    rationally reconstructed (``linalg.rational_lift``), and a candidate
+    is accepted only when its exact costable closure over Q is proper and
+    of the candidate's dimension; that closure is the witness.  A mod-p
+    ideal that is not the reduction of a rational one (an eigenspace of i
+    in Q(i) mod p ≡ 1 mod 4) never lifts.  When no prime decides, the
+    costable ideals spun from the basis vectors are tried (certificate
+    ``spin(basis i)``); otherwise the verdict is Inconclusive.
     """
     f = c.field
     n = c.dim
@@ -874,27 +876,30 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
         if not 0 < len(witness) == len(rows) < n:
             raise HopffactError("Norton witness is not a proper costable ideal (bug)")
         return SimplicityVerdict(status, cert, tuple(witness), tag)
+    earlier = {}  # pivot columns → [(prime, RREF of its witness)]
     for p in _NORTON_PRIMES:
         stack = _reduce_mod(ops, p)
         found = None if stack is None else norton(GF(p), stack)
-        if found is not None and found[0] == "simple":
-            return SimplicityVerdict("simple", found[1], None, tag)
-    # refutation by basis spinning
+        if found is None:
+            continue
+        status, cert, rows = found
+        if status == "simple":
+            return SimplicityVerdict(status, cert, None, tag)
+        ech, piv = _gf_echelon(np.array(rows, dtype=np.float64), p)
+        same = earlier.setdefault(tuple(piv), [])
+        for residues, primes in [((ech,), (p,))] + [((e, ech), (q, p)) for q, e in same]:
+            cand = rational_lift(residues, primes)
+            if cand is None:
+                continue
+            closure = costable_closure(c, cand)
+            if 0 < len(closure) == len(cand) < n:
+                return SimplicityVerdict(status, cert, tuple(closure), tag)
+        same.append((p, ech))
     for i in range(n):
         gen = tuple(f.one if j == i else f.zero for j in range(n))
         closure = costable_closure(c, [gen])
         if 0 < len(closure) < n:
             return SimplicityVerdict("not-simple", f"spin(basis {i})", tuple(closure), tag)
-    op_basis = _saturate_operator_algebra(c, ops)
-    if op_basis is not None and len(op_basis) == n * n:
-        return SimplicityVerdict("simple", "burnside", None, tag)
-    if op_basis is not None and n <= _BURNSIDE_DENSE_CAP and len(op_basis) <= 256:
-        witness = _trace_ideal_witness(c, op_basis)
-        if witness is not None:
-            return SimplicityVerdict("not-simple", "trace-ideal", tuple(witness), tag)
-        witness = _commutant_witness(c, ops)
-        if witness is not None:
-            return SimplicityVerdict("not-simple", "commutant-kernel", tuple(witness), tag)
     return SimplicityVerdict("inconclusive", None, None, tag)
 
 
@@ -907,152 +912,3 @@ def _reduce_mod(ops, p: int):
     n = ops[0].domain.dim
     res = [x.numerator * pow(x.denominator, -1, p) % p for x in vals]
     return np.array(res, dtype=np.float64).reshape(len(ops), n, n)
-
-
-def _saturate_operator_algebra(c: ComoduleAlgebra, ops):
-    """Basis of the unital algebra generated by ``ops`` inside End(B), over Q.
-
-    Returns a list of matrices (as MapMatrix) or None when the iteration cap
-    is hit (it cannot be for correct inputs; the cap guarantees termination).
-    """
-    f = c.field
-    n = c.dim
-    cap = n * n + 1
-    span = IncrementalSpan(f, n * n)
-    ident = MapMatrix.identity(f, c.algebra.space)
-    mats = []
-    work = []
-    for m in [ident, *ops]:
-        if span.add(_flatten_map(m)):
-            mats.append(m)
-            work.append(m)
-    rounds = 0
-    while work and rounds < cap:
-        rounds += 1
-        nxt = []
-        for m in work:
-            for g in ops:
-                prod = g @ m
-                if span.add(_flatten_map(prod)):
-                    mats.append(prod)
-                    nxt.append(prod)
-                if span.dim == n * n:
-                    return mats
-        work = nxt
-    return mats if not work else None
-
-
-def _trace_ideal_witness(c: ComoduleAlgebra, op_basis):
-    """Witness from the trace-form ideal T = {x : tr(x y) = 0 ∀y} of the
-    operator algebra: T·B is always a costable ideal; in characteristic 0,
-    T is the radical, so a nonzero T on a faithful module forces T·B to be
-    proper and nonzero."""
-    f = c.field
-    n = c.dim
-    k = len(op_basis)
-    gram = []
-    for a in op_basis:
-        row = []
-        at = list(zip(*a.rows))
-        for b in op_basis:
-            s = f.zero
-            for i in range(n):
-                for x, y in zip(at[i], b.rows[i]):
-                    if not f.is_zero(x) and not f.is_zero(y):
-                        s = f.add(s, f.mul(x, y))
-            row.append(s)
-        gram.append(tuple(row))
-    null = kernel_basis(gram, k, f)
-    if not null:
-        return None
-    span = IncrementalSpan(f, n)
-    for co in null:
-        mat = MapMatrix.zero(f, c.algebra.space, c.algebra.space)
-        for j, cj in enumerate(co):
-            if not f.is_zero(cj):
-                mat = mat + op_basis[j].scale(cj)
-        for col in range(n):
-            vec = tuple(row[col] for row in mat.rows)
-            span.add(vec)
-    if 0 < span.dim < n:
-        basis = span.basis_vectors()
-        closed = costable_closure(c, basis)
-        if len(closed) == span.dim:
-            return closed
-    return None
-
-
-def _commutant_witness(c: ComoduleAlgebra, ops):
-    """Witness from ker(z - λ) for commutant elements z and base-field λ."""
-    f = c.field
-    n = c.dim
-    # solve z·op = op·z for all operators
-    rows = []
-    for op in ops:
-        m = op.rows
-        for i in range(n):
-            for j in range(n):
-                row = [f.zero] * (n * n)
-                for t in range(n):
-                    row[i * n + t] = f.add(row[i * n + t], m[t][j])
-                    row[t * n + j] = f.sub(row[t * n + j], m[i][t])
-                rows.append(tuple(row))
-    comm = kernel_basis(rows, n * n, f)
-    for co in comm:
-        mat_rows = [tuple(co[i * n + j] for j in range(n)) for i in range(n)]
-        z = MapMatrix(f, c.algebra.space, c.algebra.space, mat_rows)
-        for lam in _eigenvalue_candidates(f, z):
-            shifted = z - MapMatrix.identity(f, c.algebra.space).scale(lam)
-            ker = shifted.kernel()
-            if 0 < len(ker) < n:
-                closed = costable_closure(c, ker)
-                if 0 < len(closed) < n:
-                    return closed
-    return None
-
-
-def _eigenvalue_candidates(f, z: MapMatrix):
-    """Rational eigenvalues of z: the rational roots of its characteristic
-    polynomial."""
-    n = z.domain.dim
-    from fractions import Fraction
-    from math import lcm as _lcm
-
-    den = 1
-    for row in z.rows:
-        for x in row:
-            den = _lcm(den, Fraction(x).denominator)
-    a = [[Fraction(x) * den for x in row] for row in z.rows]
-    # Faddeev–LeVerrier char poly of the (integer) matrix den·z
-    mk = [row[:] for row in a]
-    cs = [Fraction(1)]
-    for k in range(1, n + 1):
-        tr = sum(mk[i][i] for i in range(n))
-        ck = -tr / k
-        cs.append(ck)
-        if k == n:
-            break
-        for i in range(n):
-            mk[i][i] += ck
-        mk = [
-            [sum(a[i][t] * mk[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-    const = cs[-1]
-    cands = {Fraction(0)} if const == 0 else set()
-    if const != 0:
-        cnum = abs(int(const))
-        for d in range(1, min(cnum, 100000) + 1):
-            if cnum % d == 0:
-                cands.add(Fraction(d))
-                cands.add(Fraction(-d))
-                cands.add(Fraction(cnum // d))
-                cands.add(Fraction(-(cnum // d)))
-    roots = []
-    for lam in sorted(cands):
-        val = Fraction(0)
-        for ck in cs:
-            val = val * lam + ck
-        if val == 0:
-            roots.append(lam / den)
-    return roots

@@ -1,13 +1,14 @@
 """Exact dense linear algebra over Q and GF(p), with based-space bookkeeping.
 
-Two elimination backends sit behind one interface: fraction-free Bareiss
-elimination on denominator-cleared integer rows for Q, and a vectorized
-mod-p elimination for GF(p) that runs on float64 numpy arrays.  The float
-path is exact for every prime ``GF`` accepts: every intermediate integer is
-kept below 2**53 (pivot rows and factor columns are reduced mod p before
-each update, so entries grow by at most (p-1)**2 per pivot step, and the
-matrix is reduced again before they could reach 2**53).  Every other GF(p)
-float product goes through ``_mod_matmul``.  Callers never see a float.
+Two elimination backends sit behind one interface, and both end in the
+RREF: fraction-free Bareiss elimination on denominator-cleared integer rows
+for Q, then an exact back-elimination, and a vectorized mod-p elimination
+for GF(p) that runs on float64 numpy arrays.  The float path is exact for
+every prime ``GF`` accepts: every intermediate integer is kept below 2**53
+(pivot rows and factor columns are reduced mod p before each update, so
+entries grow by at most (p-1)**2 per pivot step, and the matrix is reduced
+again before they could reach 2**53).  Every other GF(p) float product goes
+through ``_mod_matmul``.  Callers never see a float.
 
 The array helpers below (``_field_array``, ``_mod_matmul``, ``_apply``,
 ``_kernel``) hold field scalars as float64 residues over GF(p) and as
@@ -17,7 +18,7 @@ Python objects over Q, so one algorithm serves both fields.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -169,6 +170,36 @@ def _gf_echelon(a: np.ndarray, p: int, reduced: bool = True):
     return a[:r], piv_cols
 
 
+def rational_lift(residues, primes):
+    """The rational matrix whose images mod each of ``primes`` are the
+    arrays ``residues``, if it has small enough entries; else None.
+
+    The residues are combined by the Chinese remainder theorem into one
+    array mod M = ∏ primes, and each entry u is reconstructed as the r/s
+    with r ≡ s·u mod M and |r|, |s| ≤ ⌊√(M/2)⌋ (Wang 1981), which is
+    unique when it exists.  The result is only a candidate: the caller
+    verifies it over Q.
+    """
+    m, acc = 1, np.zeros(residues[0].shape, dtype=object)
+    for res, p in zip(residues, primes):
+        acc += m * ((res.astype(np.int64).astype(object) - acc) * pow(m, -1, p) % p)
+        m *= p
+    bound = isqrt(m // 2)
+    rows = []
+    for row in acc:
+        out = []
+        for u in row:
+            r0, s0, r1, s1 = m, 0, int(u), 1
+            while r1 > bound:
+                q = r0 // r1
+                r0, s0, r1, s1 = r1, s1, r0 - q * r1, s0 - q * s1
+            if abs(s1) > bound or gcd(r1, s1) != 1:
+                return None
+            out.append(Fraction(r1, s1))
+        rows.append(tuple(out))
+    return rows
+
+
 def _as_gf_array(rows, ncols: int) -> np.ndarray:
     if isinstance(rows, np.ndarray):
         return rows.astype(np.float64, copy=True)
@@ -177,12 +208,30 @@ def _as_gf_array(rows, ncols: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def echelonize(rows, ncols: int, field: Field):
-    """Row-echelon form; returns (rows, pivot_cols).
+def _back_eliminate(ech, piv):
+    """RREF of a Bareiss echelon, as Fraction rows.
 
-    Over Q the returned rows are Fraction tuples scaled so each pivot is 1;
-    over GF(p) the result is a reduced (RREF) float64 array of ints in
-    [0, p).  The row space is preserved exactly either way.
+    The last Bareiss pivot d is the leading minor of the pivot rows at the
+    pivot columns, so d·RREF = adj·rows is integral.  Its rows X_i follow
+    from the last one up: row i of the echelon is d_i·RREF_i plus its
+    entries at later pivot columns times the later RREF rows, so
+    X_i = (d·E_i − Σ_{j>i} E_i[piv_j]·X_j) / d_i, an exact division.
+    """
+    e = np.array(ech, dtype=object).reshape(len(piv), -1)
+    d = e[-1, piv[-1]]
+    x = np.empty_like(e)
+    for i in range(len(piv) - 1, -1, -1):
+        x[i] = (d * e[i] - e[i, piv[i + 1:]] @ x[i + 1:]) // e[i, piv[i]]
+    return [tuple(Fraction(v, d) for v in row) for row in x]
+
+
+def echelonize(rows, ncols: int, field: Field):
+    """Reduced row-echelon form (RREF); returns (rows, pivot_cols).
+
+    Over Q the returned rows are Fraction tuples, back-eliminated from a
+    Bareiss echelon; over GF(p) they are a float64 array of ints in
+    [0, p).  Each pivot is 1 and the only nonzero entry of its column, and
+    the row space is preserved exactly.
     """
     LINALG_STATS["eliminations"] += 1
     if isinstance(field, PrimeField):
@@ -192,11 +241,7 @@ def echelonize(rows, ncols: int, field: Field):
         return [], []
     int_rows = [_clear_denominators(r) for r in rows]
     ech, piv = _bareiss_echelon(int_rows, ncols)
-    out = []
-    for row, c in zip(ech, piv):
-        pivot = Fraction(row[c])
-        out.append(tuple(Fraction(x) / pivot for x in row))
-    return out, piv
+    return (_back_eliminate(ech, piv) if piv else []), piv
 
 
 def rank_of(rows, ncols: int, field: Field) -> int:
@@ -220,7 +265,9 @@ def kernel_basis_array(rows, ncols: int, field: PrimeField) -> np.ndarray:
 
 
 def kernel_basis(rows, ncols: int, field: Field):
-    """Basis of the right kernel of the matrix given by ``rows``.
+    """Basis of the right kernel of the matrix given by ``rows``, read off
+    the RREF: the vector of a free column is 1 there, 0 on the other free
+    columns, and minus that column of the RREF on the pivots.
 
     Asserts rank + nullity = ncols before returning.
     """
@@ -234,15 +281,8 @@ def kernel_basis(rows, ncols: int, field: Field):
     for fc in free_cols:
         v = [field.zero] * ncols
         v[fc] = field.one
-        for i in range(len(piv) - 1, -1, -1):
-            pc = piv[i]
-            s = field.zero
-            row = ech[i]
-            for c in range(pc + 1, ncols):
-                if not field.is_zero(row[c]) and not field.is_zero(v[c]):
-                    s = field.add(s, field.mul(row[c], v[c]))
-            # echelon pivots are normalized to 1
-            v[pc] = field.neg(s)
+        for row, pc in zip(ech, piv):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     LINALG_STATS["rank_nullity_checks"] += 1
     assert len(piv) + len(basis) == ncols, "rank-nullity violated"
@@ -252,8 +292,9 @@ def kernel_basis(rows, ncols: int, field: Field):
 def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
     """Solve A x = b for each column b in ``rhs_cols``.
 
-    Returns a list of solution vectors (free variables set to zero), or
-    raises InconsistentSystem when some system is inconsistent.
+    Returns a list of solution vectors (free variables set to zero), read
+    off the RREF of [A | b], or raises InconsistentSystem when some system
+    is inconsistent.
     """
     nrhs = len(rhs_cols)
     if isinstance(field, PrimeField):
@@ -270,26 +311,15 @@ def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
         if piv:
             x[piv, :] = ech[:, ncols:]
         return [tuple(int(v) for v in x[:, j]) for j in range(nrhs)]
-    nrows = len(a_rows)
-    aug = []
-    for i in range(nrows):
-        aug.append(tuple(a_rows[i]) + tuple(col[i] for col in rhs_cols))
+    aug = [tuple(row) + tuple(col[i] for col in rhs_cols) for i, row in enumerate(a_rows)]
     ech, piv = echelonize(aug, ncols + nrhs, field)
     if any(c >= ncols for c in piv):
         raise InconsistentSystem("inconsistent linear system")
-    sols = []
-    for j in range(nrhs):
-        x = [field.zero] * ncols
-        for i in range(len(piv) - 1, -1, -1):
-            pc = piv[i]
-            row = ech[i]
-            s = row[ncols + j]
-            for c in range(pc + 1, ncols):
-                if not field.is_zero(row[c]) and not field.is_zero(x[c]):
-                    s = field.sub(s, field.mul(row[c], x[c]))
-            x[pc] = s
-        sols.append(tuple(x))
-    return sols
+    sols = [[field.zero] * ncols for _ in range(nrhs)]
+    for row, pc in zip(ech, piv):
+        for j, x in enumerate(sols):
+            x[pc] = row[ncols + j]
+    return [tuple(x) for x in sols]
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +413,6 @@ class MapMatrix:
         f = self.field
         rows = [
             tuple(f.add(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return MapMatrix(f, self.domain, self.codomain, rows)
-
-    def __sub__(self, other):
-        self._require_same_shape(other)
-        f = self.field
-        rows = [
-            tuple(f.sub(x, y) for x, y in zip(r1, r2))
             for r1, r2 in zip(self.rows, other.rows)
         ]
         return MapMatrix(f, self.domain, self.codomain, rows)
@@ -660,7 +681,8 @@ def _krylov(f: Field, step, v: np.ndarray, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# Incremental spans (used by closures and operator-algebra saturation)
+# Incremental spans (used by closures, generator selection and weak
+# factorizability)
 # ---------------------------------------------------------------------------
 
 class IncrementalSpan:

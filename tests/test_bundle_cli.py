@@ -12,9 +12,16 @@ from hypothesis import strategies as st
 
 from hopffact import bundle as bundle_io
 from hopffact.cli import main
-from hopffact.constructions import named_example, registry_names
+from hopffact.constructions import (
+    group_algebra,
+    named_example,
+    reflective_algebra,
+    registry_names,
+    regular_comodule,
+)
 from hopffact.errors import BundleFormatError
 from hopffact.fields import GF, QQ
+from hopffact.groups import cyclic_group
 
 
 def test_dumps_loads_round_trip():
@@ -144,6 +151,24 @@ def test_cli_simple(capsys):
     assert main(["simple", "--example", "subgroup:S3:C3"]) == 0
     out = capsys.readouterr().out
     assert "simple" in out
+
+
+def test_cli_simple_reports_a_q_witness(tmp_path, capsys):
+    # the crossed product of kC2 with its twisted dual is not simple over Q:
+    # the ideal comes from a mod-p spin, lifted and verified over Q
+    h, r = group_algebra(cyclic_group(2))
+    data = reflective_algebra(h, r, regular_comodule(h))
+    path = tmp_path / "crossed_c2.json"
+    path.write_text(bundle_io.dumps(bundle_io.LoadedBundle(
+        QQ, h, r.element, data.comodule, data.kmatrix.element)))
+    assert main(["simple", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["status", "not-simple"]
+    assert lines[2].split() == ["certificate", "spin"]
+    assert sum(line.startswith("witness  [") for line in lines) == 2
+    assert main(["simple", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["field"], doc["status"], doc["witness.dim"]) == ("Q", "not-simple", 2)
 
 
 def test_cli_construct_round_trip(tmp_path, capsys):

@@ -1,13 +1,16 @@
 """Comodule algebras, K-matrices, end spaces, factorizability maps,
 weak factorizability, costable ideals, and symmetric-center membership."""
 
+import hashlib
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import hopffact.comodule as comodule
 import hopffact.meataxe as meataxe
 
 from hopffact.algebras import StructAlgebra, algebra_generators
@@ -290,6 +293,30 @@ def test_end_space_rescaled_sweedler_over_large_prime():
     assert compute_end_space(c).dim == 4
 
 
+# sha256 of every end-space basis, ω and weak-factorizability tuple of the
+# registry over Q.  The Q kernel basis read off the RREF is unique (the
+# identity on the free columns), so any change of elimination that keeps
+# the answers exact keeps this digest
+Q_REGISTRY_DIGEST = "36a529be6527a3de33e2d34be30923e02c02ff5604136d5773487e148fd9015f"
+
+
+def test_q_registry_end_spaces_are_pinned():
+    digest = hashlib.sha256()
+    for name in registry_names():
+        b = named_example(name)
+        if b.comodule is None:
+            continue
+        es = compute_end_space(b.comodule)
+        digest.update(name.encode())
+        for m in es.basis_maps:
+            digest.update(repr([[str(x) for x in row] for row in m.rows]).encode())
+        if b.kmatrix is not None:
+            omega = omega_copairing(b.kmatrix, es)
+            digest.update(repr([(i, str(x)) for i, x in omega.items()]).encode())
+            digest.update(repr(astuple(weak_factorizability(b.kmatrix, es))).encode())
+    assert digest.hexdigest() == Q_REGISTRY_DIGEST
+
+
 def test_theta_trivial_k_collapses():
     # θ(f)(h) = ε(h) ε_{H*}(f) 1_B, so the matrix has rank one and every
     # column is carried by the functional's value at 1
@@ -555,9 +582,61 @@ def test_h_simplicity_inconclusive_at_the_cap(monkeypatch):
     monkeypatch.setattr(meataxe, "CAP", 0)
     c = named_example("double:C2", GF(101)).comodule
     assert h_simplicity(c) == SimplicityVerdict("inconclusive", None, None, "GF(101)")
-    # over Q no prime decides, so the exact cascade runs and counts dimensions
+    # over Q no prime decides and no basis vector spins to a proper ideal
     sv = h_simplicity(named_example("double:C2").comodule)
-    assert (sv.status, sv.certificate) == ("simple", "burnside")
+    assert sv == SimplicityVerdict("inconclusive", None, None, "Q")
+
+
+def _group_trivial_coaction(g):
+    h, _ = group_algebra(g)
+    return _trivial_coaction(h.algebra, h)
+
+
+def _rebasings(bases, count, seed):
+    """``count`` rebasings of the comodule algebras ``bases`` in turn, by
+    matrices with entries in [−9, 9] drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        c = bases[len(out) % len(bases)]
+        rebased = _rebase(c, [rng.randint(-9, 9) for _ in range(c.dim ** 2)])
+        if rebased is not None:
+            out.append(rebased)
+    return out
+
+
+def test_h_simplicity_lifts_the_mod_p_witness_over_q():
+    # kC3, kS3 and kC4 with the trivial coaction are not simple in any
+    # basis; on these bases the witness comes from a mod-p spin lifted to Q
+    bases = [_group_trivial_coaction(g) for g in
+             (cyclic_group(3), symmetric_group(3), cyclic_group(4))]
+    for c in _rebasings(bases, 40, 5):
+        sv = h_simplicity(c)
+        assert sv.certificate in ("spin", "dual-spin")
+        _assert_verified_witness(c, sv)
+
+
+def test_h_simplicity_never_lifts_an_irrational_witness(monkeypatch):
+    # mod 1048573 ≡ 1 mod 4, i is a residue, so Q(i) and Q[C4] = Q² × Q(i)
+    # split into eigenspaces of i that are not reductions of rational ideals
+    monkeypatch.setattr(comodule, "_NORTON_PRIMES", (1048573,))
+    for c in (gaussian_rationals(QQ), _group_trivial_coaction(cyclic_group(4))):
+        assert h_simplicity(c) == SimplicityVerdict("inconclusive", None, None, "Q")
+
+
+def test_h_simplicity_lift_through_two_primes(monkeypatch):
+    # the witness of this rebasing of kC4 has entries too large to be
+    # reconstructed from one prime; the CRT of two recovers it
+    c = _group_trivial_coaction(cyclic_group(4))
+    rng = random.Random(11)
+    rebased = [_rebase(c, [rng.randint(-9, 9) for _ in range(16)]) for _ in range(2)][1]
+    sv = h_simplicity(rebased)
+    assert sv.certificate == "spin"
+    _assert_verified_witness(rebased, sv)
+    for p in comodule._NORTON_PRIMES:
+        with monkeypatch.context() as m:
+            m.setattr(comodule, "_NORTON_PRIMES", (p,))
+            assert h_simplicity(rebased).status == "inconclusive"
 
 
 def _rebase(c, entries):

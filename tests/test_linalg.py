@@ -14,7 +14,10 @@ from hopffact.linalg import (
     GFBatchSpan,
     IncrementalSpan,
     MapMatrix,
+    echelonize,
     kernel_basis,
+    rank_of,
+    rational_lift,
     solve_columns,
     space,
 )
@@ -85,6 +88,47 @@ def test_kernel_vectors_are_in_kernel():
             m = mat(field, rows)
             for v in m.kernel():
                 assert all(field.is_zero(x) for x in m.apply(v))
+
+
+def test_q_echelon_is_reduced_and_matches_gf():
+    # the Q echelon is the RREF: unit pivot columns, the same row space,
+    # and (integral input, no pivot lost mod p) the lift of the GF(p) RREF
+    rng = random.Random(17)
+    p = 1048573
+    for trial in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        basis = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        rows = [[sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(ncols)]
+                for _ in range(nrows)]
+        ech, piv = echelonize([[Fr(x) for x in r] for r in rows], ncols, QQ)
+        assert piv == sorted(piv)
+        for i, c in enumerate(piv):
+            assert [row[c] for row in ech] == [Fr(i == k) for k in range(len(piv))]
+        assert rank_of(rows + [list(r) for r in ech], ncols, QQ) == len(piv)
+        gf_ech, gf_piv = echelonize(rows, ncols, GF(p))
+        assert gf_piv == piv
+        assert [[x.numerator * pow(x.denominator, -1, p) % p for x in r] for r in ech] \
+            == gf_ech.astype(int).tolist()
+
+
+def test_rational_lift():
+    import numpy as np
+
+    p, q = 1048573, 1048571
+
+    def mod(rows, m):
+        return np.array([[x.numerator * pow(x.denominator, -1, m) % m for x in r]
+                         for r in rows], dtype=np.float64)
+
+    small = [(Fr(0), Fr(-3, 7), Fr(700)), (Fr(1), Fr(-724), Fr(5, 723))]
+    assert rational_lift([mod(small, p)], [p]) == small
+    # 1000 > ⌊√(p/2)⌋ = 724: one prime is not enough, two are
+    big = [(Fr(1000, 3), Fr(-17, 1001))]
+    assert rational_lift([mod(big, p)], [p]) is None
+    assert rational_lift([mod(big, p), mod(big, q)], [p, q]) == big
+    # a square root of −1 mod p ≡ 1 mod 4 is no small rational
+    i = next(pow(a, (p - 1) // 4, p) for a in range(2, 50) if pow(a, (p - 1) // 2, p) == p - 1)
+    assert rational_lift([np.array([[1.0, float(i)]])], [p]) is None
 
 
 def test_solve_exact():
