@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import HopffactError
 from .fields import Field
-from .linalg import BasedSpace, IncrementalSpan, MapMatrix
+from .linalg import BasedSpace, MapMatrix, Span
 from .tensors import (_coapply, _differing, _first_failure, _linear_op, _products,
                       _table, _units)
 from .verdicts import Verdict
@@ -115,7 +115,7 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
     multiplication by them.  Raises unless that span ends as all of ``a``.
     """
     f, n = a.field, a.dim
-    span = IncrementalSpan(f, n)
+    span = Span(f, n)
     span.add(a.unit)
     found = [a.unit_dict()]  # elements spanning the subalgebra generated so far
     gens: list[int] = []

@@ -24,8 +24,8 @@ from .hopf import (
 )
 from .linalg import (
     BasedSpace,
-    IncrementalSpan,
     MapMatrix,
+    Span,
     _SLICE_CELLS,
     _OverBudget,
     _apply,
@@ -38,13 +38,14 @@ from .linalg import (
     _mod_matmul,
     _mul,
     _neg,
+    _reduce,
     _scalar_rows,
     _sparse_values,
-    echelonize,
-    kernel_basis,
+    rank_of,
     rational_lift,
+    spin,
 )
-from .meataxe import norton, spin
+from .meataxe import norton
 from .rmatrix import RMatrix
 from .tensors import (
     _ONE_PAIR,
@@ -538,21 +539,19 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     if not np.array_equal(kernel[free], np.eye(k, dtype=_dtype(f))):
         raise HopffactError("end-space basis is not reduced (bug)")
     sp = BasedSpace(tuple(f"ξ{i}" for i in range(k)))
-    basis_maps = [
-        MapMatrix(f, h.space, c.algebra.space, _scalar_rows(f, kernel[:, j].reshape(nb, nh)))
-        for j in range(k)
-    ]
+    basis_maps = [MapMatrix(f, h.space, c.algebra.space, kernel[:, j].reshape(nb, nh))
+                  for j in range(k)]
     # right-multiply every ξ by h_i at once: ξ ↦ ξ·R(h_i) on the H index
     by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1)
     h_action = []
     for i in range(nh):
-        right = _field_array(f, h.algebra.right_mult_matrix({i: f.one}).rows)
+        right = h.algebra.right_mult_matrix({i: f.one}).array
         moved = _mod_matmul(f, by_row, right).transpose(0, 2, 1).reshape(n, k)
         try:
             coords = _coords(f, kernel, free, moved)
         except ImageEscapesEndSpace as exc:
             raise HopffactError("end space is not action-stable (bug)") from exc
-        h_action.append(MapMatrix(f, sp, sp, _scalar_rows(f, coords)))
+        h_action.append(MapMatrix(f, sp, sp, coords))
     es = EndSpace(c, sp, basis_maps, h_action, kernel, free)
     if es.dim:
         gens = algebra_generators(h.algebra)
@@ -688,70 +687,47 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     """
     h = k.host
     f = h.field
-    nh = h.dim
     es = es if es is not None else compute_end_space(k.comodule)
     omega = omega_copairing(k, es)
-    # source: f with f(h_(1) h' S(h_(2))) = ε(h) f(h')
-    rows = []
-    for t, adj in enumerate(h.adjoint_matrices()):
-        eps = h.coalgebra.counit[t]
-        for s in range(nh):
-            row = [adj.rows[a][s] for a in range(nh)]
-            row[s] = f.sub(row[s], eps)
-            rows.append(tuple(row))
-    source = kernel_basis(rows, nh, f)
-    # target: invariants of the end-space action
+    counit = h.coalgebra.counit
+    # source: f with f(h_(1) h' S(h_(2))) = ε(h) f(h'), i.e. ad(h)ᵀ f = ε(h) f
+    source = _invariants(f, [adj.transpose() for adj in h.adjoint_matrices()], counit)
     ne = es.dim
-    rows_t = []
-    for t in range(nh):
-        eps = h.coalgebra.counit[t]
-        act = es.h_action[t]
-        for r in range(ne):
-            row = list(act.rows[r])
-            row[r] = f.sub(row[r], eps)
-            rows_t.append(tuple(row))
-    target = kernel_basis(rows_t, ne, f) if ne else []
+    target = _invariants(f, es.h_action, counit) if ne else np.zeros((0, 0))
     # Ω on the source basis
-    w = [[f.zero] * ne for _ in range(nh)]
+    w = np.zeros((h.dim, ne), dtype=_dtype(f))
     for (i, j), c in omega.coeffs.items():
-        w[i][j] = c
-    images = []
-    for fvec in source:
-        img = [f.zero] * ne
-        for i, ci in enumerate(fvec):
-            if f.is_zero(ci):
-                continue
-            img = [f.add(a, f.mul(ci, b)) for a, b in zip(img, w[i])]
-        images.append(tuple(img))
-    # images must land in the invariant target subspace
-    if images and ne:
-        span = IncrementalSpan(f, ne)
-        for tv in target:
-            span.add(tv)
-        for img in images:
-            if not span.contains(img):
-                raise HopffactError("Ω image leaves the invariant subspace")
-    rank = rank_of_rows(images, ne, f)
+        w[i, j] = c
+    images = _mod_matmul(f, source, w)
+    if images.size:
+        span = Span(f, ne)
+        span.add_batch(target)
+        if not span.contains(images):
+            raise HopffactError("Ω image leaves the invariant subspace")
+    rank = rank_of(images, ne, f) if images.size else 0
     bij = rank == len(source) == len(target)
     return WeakFactorizability(len(source), len(target), rank, bij)
 
 
-def rank_of_rows(rows, ncols, field):
-    if not rows or ncols == 0:
-        return 0
-    return len(echelonize(rows, ncols, field)[1])
+def _invariants(f: Field, mats, counit) -> np.ndarray:
+    """The vectors v with A_t v = ε(h_t) v for every matrix A_t of ``mats``,
+    as the rows of a basis read off the RREF."""
+    eye = np.eye(mats[0].domain.dim, dtype=_dtype(f))
+    rows = np.concatenate([_reduce(f, m.array - eye * eps) for m, eps in zip(mats, counit)])
+    return _kernel(f, rows, eye.shape[0]).T
 
 
 # ---------------------------------------------------------------------------
 # Costable ideals and H-simplicity
 # ---------------------------------------------------------------------------
 
-def _operator_family(c: ComoduleAlgebra):
+def _operator_family(c: ComoduleAlgebra) -> np.ndarray:
     """Left and right multiplications by the basis of B, then the coaction
     coefficient operators b ↦ (h^i ⊗ id)δ(b), read off the structure
-    constants (cached on the comodule algebra)."""
+    constants, as one read-only stack of field arrays (cached on the
+    comodule algebra)."""
     if c._ops is None:
-        f, nb, sp = c.field, c.dim, c.algebra.space
+        f, nb = c.field, c.dim
         counts, _, k, mv = c.algebra.mult_op()
         i, j = np.divmod(np.repeat(np.arange(nb * nb), counts), nb)
         counts, _, out, cv = c.coaction_op()
@@ -760,10 +736,11 @@ def _operator_family(c: ComoduleAlgebra):
         # operator, row, column: e_i· sends e_j to e_k and ·e_j sends e_i to e_k
         which = np.concatenate((i, nb + j, 2 * nb + hh))
         key = (which * nb + np.concatenate((k, k, bb))) * nb + np.concatenate((j, i, b))
-        stack = np.zeros((2 * nb + c.host.dim) * nb * nb, dtype=mv.dtype)
+        stack = np.zeros((2 * nb + c.host.dim) * nb * nb, dtype=_dtype(f))
         stack[key] = np.concatenate((mv, mv, cv))
-        ops = (MapMatrix(f, sp, sp, _scalar_rows(f, m)) for m in stack.reshape(-1, nb, nb))
-        object.__setattr__(c, "_ops", tuple(ops))
+        stack = stack.reshape(-1, nb, nb)
+        stack.flags.writeable = False
+        object.__setattr__(c, "_ops", stack)
     return c._ops
 
 
@@ -772,46 +749,21 @@ def costable_closure(c: ComoduleAlgebra, generators):
     and right multiplication and every coaction coefficient map.
 
     In finite dimension this is exactly the costable ideal generated by the
-    given vectors; the result is an echelon basis (possibly empty).
+    given vectors.  It is one spin over the operator family, and one more
+    sweep must add nothing; the result is the RREF basis (possibly empty),
+    rows in the order found.
     """
     f = c.field
     n = c.dim
-    ops = _operator_family(c)
-    gens = []
-    for g in generators:
-        g = tuple(g)
-        if len(g) != n:
-            raise SpaceMismatch("generator length does not match B")
-        gens.append(g)
-    if isinstance(f, PrimeField):
-        return _costable_closure_gf(c, ops, gens)
-    span = IncrementalSpan(f, n)
-    work = [g for g in gens if span.add(g)]
-    while work:
-        vec = work.pop()
-        for op in ops:
-            img = op.apply(vec)
-            if span.add(img):
-                work.append(img)
-    # idempotence: one more sweep must add nothing
-    for row in list(span.basis_vectors()):
-        for op in ops:
-            if span.add(op.apply(row)):
-                raise HopffactError("closure not idempotent (bug)")
-    return span.basis_vectors()
-
-
-def _costable_closure_gf(c: ComoduleAlgebra, ops, gens):
-    f = c.field
-    n = c.dim
+    gens = [tuple(g) for g in generators]
+    if any(len(g) != n for g in gens):
+        raise SpaceMismatch("generator length does not match B")
     # imgs[o, v] = ops[o] · v for every row v: v @ ops[o]ᵀ
-    stack_t = np.stack([op.numpy().astype(np.float64).T for op in ops])
-    span = spin(f, stack_t, np.array(gens, dtype=np.float64).reshape(-1, n))
-    if span.dim:
-        imgs = _mod_matmul(f, span.rows, stack_t)
-        if span.add_batch(imgs.reshape(-1, n)):
-            raise HopffactError("closure not idempotent (bug)")
-    return [tuple(int(x) for x in row) for row in span.rows]
+    stack_t = _operator_family(c).transpose(0, 2, 1)
+    span = spin(f, stack_t, _field_array(f, gens).reshape(len(gens), n))
+    if span.dim and span.add_batch(_mod_matmul(f, span.rows, stack_t).reshape(-1, n)):
+        raise HopffactError("closure not idempotent (bug)")
+    return [tuple(row) for row in _scalar_rows(f, span.rows)]
 
 
 @dataclass(frozen=True)
@@ -866,13 +818,13 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
     tag = f.tag
     ops = _operator_family(c)
     if isinstance(f, PrimeField):
-        found = norton(f, np.stack([op.numpy().astype(np.float64) for op in ops]))
+        found = norton(f, ops)
         if found is None:
             return SimplicityVerdict("inconclusive", None, None, tag)
         status, cert, rows = found
         if status == "simple":
             return SimplicityVerdict(status, cert, None, tag)
-        witness = costable_closure(c, [tuple(int(x) for x in row) for row in rows])
+        witness = costable_closure(c, rows)
         if not 0 < len(witness) == len(rows) < n:
             raise HopffactError("Norton witness is not a proper costable ideal (bug)")
         return SimplicityVerdict(status, cert, tuple(witness), tag)
@@ -903,12 +855,11 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
     return SimplicityVerdict("inconclusive", None, None, tag)
 
 
-def _reduce_mod(ops, p: int):
-    """The rational operators mod p as a float64 stack, or None when p
-    divides a denominator."""
-    vals = [x for op in ops for row in op.rows for x in row]
+def _reduce_mod(ops: np.ndarray, p: int):
+    """The stack of rational operators mod p as a float64 stack, or None
+    when p divides a denominator."""
+    vals = ops.ravel().tolist()
     if any(x.denominator % p == 0 for x in vals):
         return None
-    n = ops[0].domain.dim
     res = [x.numerator * pow(x.denominator, -1, p) % p for x in vals]
-    return np.array(res, dtype=np.float64).reshape(len(ops), n, n)
+    return np.array(res, dtype=np.float64).reshape(ops.shape)

@@ -12,16 +12,17 @@ from .algebras import (
     dual_coalgebra_of_algebra,
 )
 from .errors import InconsistentSystem, NoAntipode, NotInvertible, SpaceMismatch
-from .fields import Field, PrimeField
+from .fields import Field
 from .linalg import (
     BasedSpace,
     MapMatrix,
     _apply,
+    _dtype,
     _field_array,
     _gather,
     _mod_matmul,
     _mul,
-    _scalar_rows,
+    _reduce,
     _sparse_op,
     _sparse_values,
     solve_columns,
@@ -155,14 +156,12 @@ def solve_antipode(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> MapMat
                                        _mul(f, d[3][term], mc), n * n, n * n)
     system = np.zeros((n * n, n * n), dtype=vals.dtype)
     system[np.repeat(np.arange(n * n), counts), cols] = vals
-    rows = _scalar_rows(f, system)
     rhs = [f.mul(eps, u) for eps in coalgebra.counit for u in algebra.unit]
     try:
-        sol = solve_columns(rows, [tuple(rhs)], n * n, f)[0]
+        sol = solve_columns(system, [tuple(rhs)], n * n, f)[0]
     except InconsistentSystem as exc:
         raise NoAntipode("antipode system is inconsistent") from exc
-    s_rows = [tuple(sol[a * n + b] for b in range(n)) for a in range(n)]
-    s = MapMatrix(f, sp, sp, s_rows)
+    s = MapMatrix(f, sp, sp, _field_array(f, sol).reshape(n, n))
     verdict = _check_antipode_identities(algebra, coalgebra, s)
     if not verdict:
         raise NoAntipode(f"solved map fails {verdict.axiom} at {verdict.witness}")
@@ -184,7 +183,7 @@ def _antipode_failure(algebra, coalgebra, d, s: MapMatrix):
     None when neither does."""
     f, n = algebra.field, algebra.dim
     target = _linear_op(f, [[f.mul(u, e) for e in coalgebra.counit] for u in algebra.unit])
-    s_op, m = _linear_op(f, s.rows), algebra.mult_op()
+    s_op, m = _linear_op(f, s.array), algebra.mult_op()
     sides = (_coapply(f, _coapply(f, d, (n, n), leg, s_op, n), (n * n,), 0, m, n) for leg in (0, 1))
     return _first_failure(*(_differing(f, side, target, n) for side in sides))
 
@@ -279,10 +278,8 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
     dual_space = h.space.dual()
     alg = dual_algebra_of_coalgebra(h.coalgebra, dual_space)
     coalg = dual_coalgebra_of_algebra(h.algebra, dual_space)
-    s_t = MapMatrix(h.field, dual_space, dual_space,
-                    tuple(zip(*h.antipode.rows)))
-    s_inv_t = MapMatrix(h.field, dual_space, dual_space,
-                        tuple(zip(*h.antipode_inv.rows)))
+    s_t = MapMatrix(h.field, dual_space, dual_space, h.antipode.array.T)
+    s_inv_t = MapMatrix(h.field, dual_space, dual_space, h.antipode_inv.array.T)
     return HopfAlgebra(alg, coalg, s_t, s_inv_t)
 
 
@@ -348,7 +345,7 @@ def _check_representation(algebra, x: HModule, lefts) -> Verdict:
     f, n, d = algebra.field, algebra.dim, x.dim
     if len(x.action) != n:
         return Verdict.failed("module-shape", None, "one matrix per basis element required")
-    flat = _field_array(f, [m.rows for m in x.action]).reshape(n, d * d)
+    flat = np.stack([m.array for m in x.action]).reshape(n, d * d)
     if not np.array_equal(_mod_matmul(f, _field_array(f, [algebra.unit]), flat)[0],
                           np.eye(d, dtype=flat.dtype).ravel()):
         return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
@@ -368,29 +365,17 @@ def _check_representation(algebra, x: HModule, lefts) -> Verdict:
 def kron_matrix(a: MapMatrix, b: MapMatrix) -> MapMatrix:
     """Kronecker product with tensor-labelled spaces."""
     f = a.field
-    dom = a.domain.tensor(b.domain)
-    cod = a.codomain.tensor(b.codomain)
-    if isinstance(f, PrimeField):
-        arr = np.kron(a.numpy(), b.numpy()) % f.p
-        rows = [tuple(int(v) for v in row) for row in arr]
-        return MapMatrix(f, dom, cod, rows)
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(f.mul(x, y) for x in ra for y in rb))
-    return MapMatrix(f, dom, cod, rows)
+    return MapMatrix(f, a.domain.tensor(b.domain), a.codomain.tensor(b.codomain),
+                     _reduce(f, np.kron(a.array, b.array)))
 
 
 def _family(f: Field, mats):
     """The nonzeros of a family of square matrices as a sparse operator:
     input a (the member), output row·d + column."""
-    if isinstance(f, PrimeField):
-        stack = np.stack([m.numpy() for m in mats])
-    else:
-        stack = _field_array(f, [m.rows for m in mats])
+    stack = np.stack([m.array for m in mats])
     which, row, col = np.nonzero(stack)
     n, d = len(mats), stack.shape[1]
-    return _sparse_op(f, which, row * d + col, stack[which, row, col], n, d * d)
+    return _sparse_op(f, which, row * d + col, _sparse_values(f, stack[which, row, col]), n, d * d)
 
 
 def element_terms(t) -> list:
@@ -438,9 +423,9 @@ def kron_sums(terms, mats_a, mats_b, groups: int = 1, swap: bool = False) -> lis
     mats = []
     for g in range(groups):
         sel = slice(bounds[g], bounds[g + 1])
-        dense = np.zeros((n, n), dtype=val.dtype)
+        dense = np.zeros((n, n), dtype=_dtype(f))
         dense[out[sel], inp[sel] - g * n] = val[sel]
-        mats.append(MapMatrix(f, dom, cod, _scalar_rows(f, dense)))
+        mats.append(MapMatrix(f, dom, cod, dense))
     return mats
 
 
@@ -459,8 +444,7 @@ def module_dual(h: HopfAlgebra, x: HModule) -> HModule:
         acc = MapMatrix.zero(f, x.space, x.space)
         for j, c in h.s_basis(i).items():
             acc = acc + x.action[j].scale(c)
-        rows = tuple(zip(*acc.rows))
-        mats.append(MapMatrix(f, sp, sp, rows))
+        mats.append(MapMatrix(f, sp, sp, acc.array.T))
     return HModule(sp, mats)
 
 

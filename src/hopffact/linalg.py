@@ -1,18 +1,22 @@
 """Exact dense linear algebra over Q and GF(p), with based-space bookkeeping.
 
-Two elimination backends sit behind one interface, and both end in the
+Every matrix is a field array: float64 residues in [0, p) over GF(p), and
+Python objects over Q (ints where a value is integral, Fractions
+otherwise), so one algorithm serves both fields.  ``MapMatrix`` holds one,
+``Span`` keeps the RREF of a growing subspace in one, and the array helpers
+below (``_field_array``, ``_mod_matmul``, ``_apply``, ``_kernel``) work on
+them.
+
+Two elimination backends sit behind ``echelonize``, and both end in the
 RREF: fraction-free Bareiss elimination on denominator-cleared integer rows
 for Q, then an exact back-elimination, and a vectorized mod-p elimination
-for GF(p) that runs on float64 numpy arrays.  The float path is exact for
-every prime ``GF`` accepts: every intermediate integer is kept below 2**53
-(pivot rows and factor columns are reduced mod p before each update, so
-entries grow by at most (p-1)**2 per pivot step, and the matrix is reduced
-again before they could reach 2**53).  Every other GF(p) float product goes
-through ``_mod_matmul``.  Callers never see a float.
-
-The array helpers below (``_field_array``, ``_mod_matmul``, ``_apply``,
-``_kernel``) hold field scalars as float64 residues over GF(p) and as
-Python objects over Q, so one algorithm serves both fields.
+for GF(p).  The float path is exact for every prime ``GF`` accepts: every
+intermediate integer is kept below 2**53 (pivot rows and factor columns are
+reduced mod p before each update, so entries grow by at most (p-1)**2 per
+pivot step, and the matrix is reduced again before they could reach 2**53).
+Every other GF(p) float product goes through ``_mod_matmul``.  Callers
+never see a float: ``MapMatrix.rows`` and the vector-returning functions
+give field scalars.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from math import gcd, isqrt, lcm
 import numpy as np
 
 from .errors import HopffactError, InconsistentSystem, NotInvertible, SpaceMismatch
-from .fields import _FLOAT_EXACT_LIMIT, GF, Field, PrimeField, require_same_field
+from .fields import _FLOAT_EXACT_LIMIT, Field, PrimeField, require_same_field
 
 # Running totals used by the acceptance suite: every kernel computation
 # re-checks rank + nullity = domain dimension.
@@ -74,9 +78,9 @@ def space(prefix: str, dim: int) -> BasedSpace:
 
 def _clear_denominators(row):
     """Scale a row of Fractions to coprime integers (kernel-preserving)."""
-    denoms = [Fraction(x).denominator for x in row]
-    mult = lcm(*denoms) if denoms else 1
-    ints = [int(Fraction(x) * mult) for x in row]
+    row = [Fraction(x) for x in row]
+    mult = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (mult // x.denominator) for x in row]
     g = 0
     for v in ints:
         g = gcd(g, v)
@@ -119,11 +123,10 @@ def _bareiss_echelon(int_rows, ncols):
     return m[:r], piv_cols
 
 
-def _gf_echelon(a: np.ndarray, p: int, reduced: bool = True):
-    """In-place mod-p elimination on a float64 matrix of residues.
+def _gf_echelon(a: np.ndarray, p: int):
+    """In-place mod-p elimination to RREF on a float64 matrix of residues.
 
-    Returns (matrix, pivot_cols); the result is fully reduced mod p.  With
-    ``reduced=True`` entries above pivots are cleared too (RREF).  An update
+    Returns (matrix, pivot_cols); the result is fully reduced mod p.  An update
     moves an entry by at most (p-1)**2, so the whole matrix is reduced
     whenever the next update could reach 2**53: for small p that never
     happens, for p near the top of the supported range it happens every
@@ -151,19 +154,12 @@ def _gf_echelon(a: np.ndarray, p: int, reduced: bool = True):
             a %= p
             bound = p - 1
         bound += growth
-        if reduced:
-            factors = a[:, c] % p
-            factors[r] = 0
-            nzf = np.nonzero(factors)[0]
-            if nzf.size:
-                a[nzf] -= np.outer(factors[nzf], a[r])
-                a[nzf, c] = 0
-        else:
-            factors = a[r + 1 :, c] % p
-            nzf = np.nonzero(factors)[0]
-            if nzf.size:
-                a[r + 1 + nzf] -= np.outer(factors[nzf], a[r])
-                a[r + 1 + nzf, c] = 0
+        factors = a[:, c] % p
+        factors[r] = 0
+        nzf = np.nonzero(factors)[0]
+        if nzf.size:
+            a[nzf] -= np.outer(factors[nzf], a[r])
+            a[nzf, c] = 0
         piv_cols.append(c)
         r += 1
     a %= p
@@ -248,45 +244,10 @@ def rank_of(rows, ncols: int, field: Field) -> int:
     return len(echelonize(rows, ncols, field)[1])
 
 
-def kernel_basis_array(rows, ncols: int, field: PrimeField) -> np.ndarray:
-    """GF(p) kernel as an (ncols × nullity) float64 array, read off the RREF."""
-    ech, piv = echelonize(rows, ncols, field)
-    piv_set = set(piv)
-    free_cols = [c for c in range(ncols) if c not in piv_set]
-    p = field.p
-    out = np.zeros((ncols, len(free_cols)), dtype=np.float64)
-    if free_cols:
-        out[free_cols, np.arange(len(free_cols))] = 1.0
-        if piv:
-            out[piv, :] = (-ech[:, free_cols]) % p
-    LINALG_STATS["rank_nullity_checks"] += 1
-    assert len(piv) + len(free_cols) == ncols, "rank-nullity violated"
-    return out
-
-
 def kernel_basis(rows, ncols: int, field: Field):
-    """Basis of the right kernel of the matrix given by ``rows``, read off
-    the RREF: the vector of a free column is 1 there, 0 on the other free
-    columns, and minus that column of the RREF on the pivots.
-
-    Asserts rank + nullity = ncols before returning.
-    """
-    if isinstance(field, PrimeField):
-        arr = kernel_basis_array(rows, ncols, field)
-        return [tuple(int(x) for x in arr[:, j]) for j in range(arr.shape[1])]
-    ech, piv = echelonize(rows, ncols, field)
-    piv_set = set(piv)
-    free_cols = [c for c in range(ncols) if c not in piv_set]
-    basis = []
-    for fc in free_cols:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, pc in zip(ech, piv):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    LINALG_STATS["rank_nullity_checks"] += 1
-    assert len(piv) + len(basis) == ncols, "rank-nullity violated"
-    return basis
+    """Basis of the right kernel of the matrix given by ``rows``, as tuples
+    of field scalars (the columns of ``_kernel``)."""
+    return [tuple(v) for v in _scalar_rows(field, _kernel(field, rows, ncols).T)]
 
 
 def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
@@ -296,30 +257,16 @@ def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
     off the RREF of [A | b], or raises InconsistentSystem when some system
     is inconsistent.
     """
-    nrhs = len(rhs_cols)
-    if isinstance(field, PrimeField):
-        a = _as_gf_array(a_rows, ncols)
-        if nrhs:
-            rhs = np.array([tuple(col) for col in rhs_cols], dtype=np.float64).T
-        else:
-            rhs = np.zeros((a.shape[0], 0), dtype=np.float64)
-        aug = np.hstack([a, rhs])
-        ech, piv = echelonize(aug, ncols + nrhs, field)
-        if any(c >= ncols for c in piv):
-            raise InconsistentSystem("inconsistent linear system")
-        x = np.zeros((ncols, nrhs), dtype=np.float64)
-        if piv:
-            x[piv, :] = ech[:, ncols:]
-        return [tuple(int(v) for v in x[:, j]) for j in range(nrhs)]
-    aug = [tuple(row) + tuple(col[i] for col in rhs_cols) for i, row in enumerate(a_rows)]
-    ech, piv = echelonize(aug, ncols + nrhs, field)
+    nrows, nrhs = len(a_rows), len(rhs_cols)
+    a = _field_array(field, a_rows).reshape(nrows, ncols)
+    rhs = _field_array(field, rhs_cols).reshape(nrhs, nrows).T
+    ech, piv = echelonize(np.hstack([a, rhs]), ncols + nrhs, field)
     if any(c >= ncols for c in piv):
         raise InconsistentSystem("inconsistent linear system")
-    sols = [[field.zero] * ncols for _ in range(nrhs)]
-    for row, pc in zip(ech, piv):
-        for j, x in enumerate(sols):
-            x[pc] = row[ncols + j]
-    return [tuple(x) for x in sols]
+    x = np.zeros((ncols, nrhs), dtype=_dtype(field))
+    if piv:
+        x[piv, :] = _field_array(field, ech).reshape(len(piv), -1)[:, ncols:]
+    return [tuple(v) for v in _scalar_rows(field, x.T)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,57 +274,58 @@ def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
 # ---------------------------------------------------------------------------
 
 class MapMatrix:
-    """A linear map between based spaces, stored densely (codomain × domain).
+    """A linear map between based spaces, stored densely (codomain × domain)
+    as one read-only field array, ``array``.
 
     Immutable.  Composition requires the inner space labels to agree.
+    ``rows`` is the same matrix as tuples of field scalars (Fractions over
+    Q, ints in [0, p) over GF(p)), built on first use.
     """
 
-    __slots__ = ("field", "domain", "codomain", "rows", "_np")
+    __slots__ = ("field", "domain", "codomain", "array", "_rows")
 
     def __init__(self, field: Field, domain: BasedSpace, codomain: BasedSpace, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
+        """``rows`` is a field array, taken as is, or rows of field scalars."""
+        if not (isinstance(rows, np.ndarray) and rows.dtype == _dtype(field)):
+            try:
+                rows = _field_array(field, rows)
+            except (ValueError, AttributeError):  # ragged rows
+                rows = None
+            else:
+                if rows.ndim == 1 and not rows.size:  # no rows at all
+                    rows = rows.reshape(0, domain.dim)
+        if rows is None or rows.shape != (codomain.dim, domain.dim):
             raise HopffactError("matrix shape does not match its spaces")
+        rows.flags.writeable = False
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_np", None)
+        object.__setattr__(self, "array", rows)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, *a):
         raise AttributeError("MapMatrix is immutable")
 
+    @property
+    def rows(self) -> tuple:
+        if self._rows is None:
+            rows = tuple(map(tuple, _scalar_rows(self.field, self.array)))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
     # -- constructors ------------------------------------------------------
     @staticmethod
     def identity(field: Field, sp: BasedSpace) -> "MapMatrix":
-        rows = [
-            tuple(field.one if i == j else field.zero for j in range(sp.dim))
-            for i in range(sp.dim)
-        ]
-        return MapMatrix(field, sp, sp, rows)
+        return MapMatrix(field, sp, sp, np.eye(sp.dim, dtype=_dtype(field)))
 
     @staticmethod
     def zero(field: Field, domain: BasedSpace, codomain: BasedSpace) -> "MapMatrix":
-        row = tuple(field.zero for _ in range(domain.dim))
-        return MapMatrix(field, domain, codomain, [row] * codomain.dim)
+        return MapMatrix(field, domain, codomain,
+                         np.zeros((codomain.dim, domain.dim), dtype=_dtype(field)))
 
     @staticmethod
     def from_columns(field, domain, codomain, cols) -> "MapMatrix":
-        rows = [
-            tuple(cols[j][i] for j in range(domain.dim))
-            for i in range(codomain.dim)
-        ]
-        return MapMatrix(field, domain, codomain, rows)
-
-    def numpy(self) -> np.ndarray:
-        """Int64 view for GF fields (cached, treated as read-only)."""
-        if not isinstance(self.field, PrimeField):
-            raise HopffactError("numpy view only exists over GF(p)")
-        if self._np is None:
-            arr = np.array(self.rows, dtype=np.int64)
-            arr.flags.writeable = False
-            object.__setattr__(self, "_np", arr)
-        return self._np
+        return MapMatrix(field, codomain, domain, cols).transpose()
 
     # -- algebra -----------------------------------------------------------
     def compose(self, other: "MapMatrix") -> "MapMatrix":
@@ -385,42 +333,20 @@ class MapMatrix:
         require_same_field(self.field, other.field)
         if other.codomain.labels != self.domain.labels:
             raise SpaceMismatch("composition: inner spaces differ")
-        f = self.field
-        if isinstance(f, PrimeField):
-            prod = _mod_matmul(
-                f, self.numpy().astype(np.float64), other.numpy().astype(np.float64)
-            )
-            return MapMatrix(f, other.domain, self.codomain, _scalar_rows(f, prod))
-        a, b = self.rows, other.rows
-        n, k, m = self.codomain.dim, self.domain.dim, other.domain.dim
-        bt = list(zip(*b)) if b else [()] * m
-        rows = []
-        for i in range(n):
-            ai = a[i]
-            rows.append(
-                tuple(
-                    sum((ai[t] * bt[j][t] for t in range(k) if ai[t]), Fraction(0))
-                    for j in range(m)
-                )
-            )
-        return MapMatrix(f, other.domain, self.codomain, rows)
+        prod = _mod_matmul(self.field, self.array, other.array)
+        return MapMatrix(self.field, other.domain, self.codomain, prod)
 
     def __matmul__(self, other):
         return self.compose(other)
 
     def __add__(self, other):
         self._require_same_shape(other)
-        f = self.field
-        rows = [
-            tuple(f.add(x, y) for x, y in zip(r1, r2))
-            for r1, r2 in zip(self.rows, other.rows)
-        ]
-        return MapMatrix(f, self.domain, self.codomain, rows)
+        return MapMatrix(self.field, self.domain, self.codomain,
+                         _reduce(self.field, self.array + other.array))
 
     def scale(self, scalar) -> "MapMatrix":
-        f = self.field
-        rows = [tuple(f.mul(scalar, x) for x in r) for r in self.rows]
-        return MapMatrix(f, self.domain, self.codomain, rows)
+        return MapMatrix(self.field, self.domain, self.codomain,
+                         _reduce(self.field, self.array * scalar))
 
     def _require_same_shape(self, other):
         require_same_field(self.field, other.field)
@@ -431,44 +357,34 @@ class MapMatrix:
             raise SpaceMismatch("matrix shapes (spaces) differ")
 
     def transpose(self) -> "MapMatrix":
-        rows = tuple(zip(*self.rows)) if self.rows else ()
-        return MapMatrix(self.field, self.codomain, self.domain, rows)
+        return MapMatrix(self.field, self.codomain, self.domain, self.array.T)
 
     def apply(self, vec):
         if len(vec) != self.domain.dim:
             raise SpaceMismatch("vector length does not match domain")
         f = self.field
-        out = []
-        for row in self.rows:
-            s = f.zero
-            for x, v in zip(row, vec):
-                if not f.is_zero(x) and not f.is_zero(v):
-                    s = f.add(s, f.mul(x, v))
-            out.append(s)
-        return tuple(out)
+        col = _reduce(f, _field_array(f, vec)).reshape(-1, 1)
+        return tuple(_scalar_rows(f, _mod_matmul(f, self.array, col).T)[0])
 
     # -- rank / kernel / solve ----------------------------------------------
     def rank(self) -> int:
-        return rank_of(self.rows, self.domain.dim, self.field)
+        return rank_of(self.array, self.domain.dim, self.field)
 
     def kernel(self):
         """Basis of ker(self) as domain vectors."""
-        return kernel_basis(self.rows, self.domain.dim, self.field)
+        return kernel_basis(self.array, self.domain.dim, self.field)
 
     def solve(self, target):
         """One preimage of ``target`` (a codomain vector)."""
-        return solve_columns(self.rows, [tuple(target)], self.domain.dim, self.field)[0]
+        return solve_columns(self.array, [tuple(target)], self.domain.dim, self.field)[0]
 
     def inverse(self) -> "MapMatrix":
         if self.domain.dim != self.codomain.dim:
             raise NotInvertible("non-square matrix")
         f = self.field
-        eye = [
-            tuple(f.one if i == j else f.zero for i in range(self.codomain.dim))
-            for j in range(self.codomain.dim)
-        ]
+        eye = np.eye(self.codomain.dim, dtype=_dtype(f))
         try:
-            cols = solve_columns(self.rows, eye, self.domain.dim, f)
+            cols = solve_columns(self.array, eye, self.domain.dim, f)
         except InconsistentSystem as exc:
             raise NotInvertible(str(exc)) from exc
         # an inconsistent-free solve of a square system can still be singular
@@ -478,14 +394,8 @@ class MapMatrix:
         return inv
 
     def is_identity(self) -> bool:
-        if self.domain.labels != self.codomain.labels:
-            return False
-        f = self.field
-        return all(
-            (x == f.one if i == j else f.is_zero(x))
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-        )
+        return self.domain.labels == self.codomain.labels and np.array_equal(
+            self.array, np.eye(self.domain.dim, dtype=self.array.dtype))
 
     def __eq__(self, other):
         return (
@@ -493,7 +403,7 @@ class MapMatrix:
             and self.field == other.field
             and self.domain.labels == other.domain.labels
             and self.codomain.labels == other.codomain.labels
-            and self.rows == other.rows
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self):
@@ -510,6 +420,8 @@ class MapMatrix:
 # Over Q the arrays hold objects, with integral Fractions stored as ints:
 # the same values, with far cheaper arithmetic.
 _integral = np.frompyfunc(lambda x: x.numerator if x.denominator == 1 else x, 1, 1)
+# x / d for an integer array x and an integer d, in the same format
+_ratio = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 1)
 
 
 def _dtype(f: Field):
@@ -518,8 +430,24 @@ def _dtype(f: Field):
 
 
 def _field_array(f: Field, rows) -> np.ndarray:
-    arr = np.array(rows, dtype=_dtype(f))
+    """``rows`` as a field array; a float64 array over GF(p) is not copied."""
+    arr = np.asarray(rows, dtype=_dtype(f))
     return arr if isinstance(f, PrimeField) else _integral(arr)
+
+
+def _reduce(f: Field, a: np.ndarray) -> np.ndarray:
+    """An integer-valued array reduced into [0, p) over GF(p); as is over Q."""
+    return a % f.p if isinstance(f, PrimeField) else a
+
+
+def _integers(f: Field, val: np.ndarray):
+    """Over Q, an integer array x and a denominator d with val = x / d, so
+    that products are formed in integer arithmetic; over GF(p), (val, 1)."""
+    if isinstance(f, PrimeField) or set(map(type, val.flat)) <= {int}:
+        return val, 1
+    d = lcm(*(x.denominator for x in val.flat))
+    ints = [x.numerator * (d // x.denominator) for x in val.flat]
+    return np.array(ints, dtype=object).reshape(val.shape), d
 
 
 def _scalar_rows(f: Field, arr: np.ndarray) -> list:
@@ -539,10 +467,13 @@ def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
     prime a block holds at least one product), so every intermediate is an
     exact integer; the result is reduced into [0, p) in place.  Passing c
     saves a reduction: (c - a @ b) is one pass as ``_mod_matmul(f, -a, b, c)``.
-    Over Q numpy's object product is exact.
+    Over Q the product is numpy's object product of the operands' integer
+    numerators over their common denominators, divided once at the end.
     """
     if not isinstance(f, PrimeField):
-        return a @ b if c is None else c + a @ b
+        (ia, da), (ib, db) = _integers(f, a), _integers(f, b)
+        out = ia @ ib if da * db == 1 else _ratio(ia @ ib, da * db)
+        return out if c is None else c + out
     p = f.p
     block = (_FLOAT_EXACT_LIMIT - p) // (p - 1) ** 2
     out = a[..., :block] @ b[..., :block, :]
@@ -603,11 +534,11 @@ def _sparse_values(f: Field, scalars) -> np.ndarray:
 
 
 def _mul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a * b % f.p if isinstance(f, PrimeField) else a * b
+    return _reduce(f, a * b)
 
 
 def _neg(f: Field, a: np.ndarray) -> np.ndarray:
-    return -a % f.p if isinstance(f, PrimeField) else -a
+    return _reduce(f, -a)
 
 
 def _combine(f: Field, key: np.ndarray, val: np.ndarray):
@@ -617,9 +548,7 @@ def _combine(f: Field, key: np.ndarray, val: np.ndarray):
     key, val = key[order], val[order]
     if key.size:
         first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        key, val = key[first], np.add.reduceat(val, first)
-        if isinstance(f, PrimeField):
-            val %= f.p
+        key, val = key[first], _reduce(f, np.add.reduceat(val, first))
     keep = val != 0
     return key[keep], val[keep]
 
@@ -646,12 +575,22 @@ def _gather(op, inp: np.ndarray, limit=None):
     return rep, out[pos], val[pos]
 
 
-def _kernel(f: Field, rows: np.ndarray, ncols: int) -> np.ndarray:
-    """Right kernel as an (ncols × nullity) array, read off the RREF."""
-    if isinstance(f, PrimeField):
-        return kernel_basis_array(rows, ncols, f)
-    basis = kernel_basis(rows, ncols, f)
-    return _field_array(f, basis).reshape(len(basis), ncols).T
+def _kernel(f: Field, rows, ncols: int) -> np.ndarray:
+    """Right kernel as an (ncols × nullity) field array, read off the RREF:
+    the vector of a free column is 1 there, 0 on the other free columns,
+    and minus that column of the RREF on the pivots.
+
+    Asserts rank + nullity = ncols before returning.
+    """
+    ech, piv = echelonize(rows, ncols, f)
+    free = sorted(set(range(ncols)) - set(piv))
+    out = np.zeros((ncols, len(free)), dtype=_dtype(f))
+    out[free, np.arange(len(free))] = 1
+    if piv and free:
+        out[piv, :] = _reduce(f, -_field_array(f, ech).reshape(len(piv), ncols)[:, free])
+    LINALG_STATS["rank_nullity_checks"] += 1
+    assert len(piv) + len(free) == ncols, "rank-nullity violated"
+    return out
 
 
 def _krylov(f: Field, step, v: np.ndarray, cap: int):
@@ -681,113 +620,75 @@ def _krylov(f: Field, step, v: np.ndarray, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# Incremental spans (used by closures, generator selection and weak
-# factorizability)
+# Spans (closures, spins, generator selection and weak factorizability)
 # ---------------------------------------------------------------------------
 
-class IncrementalSpan:
-    """Grow-only echelon basis of a subspace of field^n.
+class Span:
+    """Grow-only subspace of fieldⁿ, kept as the rows of its RREF in a field
+    array: every pivot column is a unit column, and the rows stay in the
+    order they were found.
 
-    Over Q rows are kept as coprime integer tuples; over GF(p) as ints in
-    [0, p).  ``add`` reduces the vector against the current echelon and
-    reports whether the span grew.
+    A batch is reduced against the rows in one ``_mod_matmul``; the rows
+    left nonzero are eliminated with ``echelonize``, and their pivot columns
+    are cleared from the old rows.
     """
 
     def __init__(self, field: Field, n: int):
         self.field = field
         self.n = n
-        self.rows = []       # echelon rows, pivot entry first nonzero
-        self.piv = []        # pivot column per row, strictly handled below
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def _reduce(self, vec):
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            v = [int(x) % p for x in vec]
-            for row, pc in zip(self.rows, self.piv):
-                f = v[pc]
-                if f:
-                    for k in range(pc, self.n):
-                        if row[k]:
-                            v[k] = (v[k] - f * row[k]) % p
-            return v
-        v = _clear_denominators(vec)
-        for row, pc in zip(self.rows, self.piv):
-            f = v[pc]
-            if f:
-                piv = row[pc]
-                for k in range(self.n):
-                    v[k] = piv * v[k] - f * row[k]
-                g = 0
-                for x in v:
-                    g = gcd(g, x)
-                if g > 1:
-                    v = [x // g for x in v]
-        return v
-
-    def add(self, vec) -> bool:
-        v = self._reduce(vec)
-        pc = next((i for i, x in enumerate(v) if x), None)
-        if pc is None:
-            return False
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            inv = pow(v[pc], p - 2, p)
-            v = [(x * inv) % p for x in v]
-        self.rows.append(v)
-        self.piv.append(pc)
-        order = sorted(range(len(self.piv)), key=self.piv.__getitem__)
-        self.rows = [self.rows[i] for i in order]
-        self.piv = [self.piv[i] for i in order]
-        return True
-
-    def contains(self, vec) -> bool:
-        return all(x == 0 for x in self._reduce(vec))
-
-    def basis_vectors(self):
-        """Echelon basis as field-element tuples."""
-        f = self.field
-        if isinstance(f, PrimeField):
-            return [tuple(x % f.p for x in row) for row in self.rows]
-        return [tuple(Fraction(x) for x in row) for row in self.rows]
-
-
-class GFBatchSpan:
-    """Numpy-backed incremental span over GF(p) for large saturations.
-
-    Keeps the echelon in RREF (pivot columns are unit columns), so reducing
-    a batch is one dense product, through ``_mod_matmul``.
-    """
-
-    def __init__(self, p: int, n: int):
-        self.field = GF(p)
-        self.p = p
-        self.n = n
-        self.rows = np.zeros((0, n), dtype=np.float64)
+        self.rows = np.zeros((0, n), dtype=_dtype(field))
         self.piv = []
 
     @property
     def dim(self) -> int:
         return len(self.piv)
 
-    def add_batch(self, batch: np.ndarray) -> int:
-        """Add the rows of ``batch`` (int-valued); returns #new pivots."""
-        f, p = self.field, self.p
-        b = batch.astype(np.float64) % p
+    def _residue(self, batch) -> np.ndarray:
+        """The rows of ``batch`` (or the one vector) minus their components
+        along the span."""
+        f = self.field
+        b = _reduce(f, _field_array(f, batch).reshape(-1, self.n))
         if self.piv:
             b = _mod_matmul(f, -b[:, self.piv], self.rows, b)
-        b = b[b.any(axis=1)]
-        if b.shape[0] == 0:
+        return b
+
+    def add_batch(self, batch) -> int:
+        """Add the rows of ``batch``; returns the number of new pivots."""
+        f = self.field
+        b = self._residue(batch)
+        b = b[(b != 0).any(axis=1)]
+        if not b.shape[0]:
             return 0
-        ech, piv_new = _gf_echelon(b, p, reduced=True)
-        if not piv_new:
-            return 0
+        ech, piv = echelonize(b, self.n, f)
+        ech = _field_array(f, ech).reshape(len(piv), self.n)
         if self.piv:
-            # clear the new pivot columns from existing rows (keep RREF)
-            self.rows = _mod_matmul(f, -self.rows[:, piv_new], ech, self.rows)
+            # clear the new pivot columns from the old rows (keep the RREF)
+            self.rows = _mod_matmul(f, -self.rows[:, piv], ech, self.rows)
         self.rows = np.vstack([self.rows, ech])
-        self.piv.extend(int(c) for c in piv_new)
-        return len(piv_new)
+        self.piv.extend(piv)
+        return len(piv)
+
+    def add(self, vec) -> bool:
+        """Add one vector; returns whether the span grew."""
+        return self.add_batch(vec) > 0
+
+    def contains(self, vecs) -> bool:
+        """Whether the span holds every row of ``vecs`` (or the one vector)."""
+        return not (self._residue(vecs) != 0).any()
+
+
+def spin(f: Field, stack_t: np.ndarray, gens) -> Span:
+    """The smallest subspace of fieldⁿ that contains the rows of ``gens``
+    and is closed under v ↦ v @ stack_t[o] for every o.
+
+    Each round applies every operator to the rows found in the last one.
+    """
+    n = stack_t.shape[-1]
+    span = Span(f, n)
+    span.add_batch(gens)
+    start = 0
+    while start < span.dim < n:
+        frontier = span.rows[start:]
+        start = span.dim
+        span.add_batch(_mod_matmul(f, frontier, stack_t).reshape(-1, n))
+    return span

@@ -1,6 +1,7 @@
 """Norton's irreducibility test (the MeatAxe of Parker and of Holt & Rees)
-for a module GF(p)ⁿ given by a stack of operator matrices, with the spin
-(smallest invariant subspace) and the GF(p) polynomial arithmetic it needs.
+for a module GF(p)ⁿ given by a stack of operator matrices, with the GF(p)
+polynomial arithmetic it needs; the spin (smallest invariant subspace) is
+``linalg.spin``.
 """
 
 from __future__ import annotations
@@ -10,24 +11,10 @@ import random
 import numpy as np
 
 from .fields import PrimeField
-from .linalg import GFBatchSpan, _kernel, _krylov, _mod_matmul
+from .linalg import _kernel, _krylov, _mod_matmul, spin
 
 CAP = 64   # random elements of the operator algebra tried
 SEED = 0   # fixed, so verdicts and witnesses are reproducible
-
-
-def spin(f: PrimeField, stack_t: np.ndarray, gens: np.ndarray) -> GFBatchSpan:
-    """The smallest subspace of GF(p)^n that contains the rows of ``gens``
-    and is closed under v ↦ v @ stack_t[o] for every o."""
-    n = stack_t.shape[-1]
-    span = GFBatchSpan(f.p, n)
-    span.add_batch(gens)
-    frontier = span.rows.copy()
-    while frontier.shape[0] and span.dim < n:
-        start = span.dim
-        span.add_batch(_mod_matmul(f, frontier, stack_t).reshape(-1, n))
-        frontier = span.rows[start:].copy()
-    return span
 
 
 def norton(f: PrimeField, ops: np.ndarray):

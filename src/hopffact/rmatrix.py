@@ -133,13 +133,13 @@ def check_hexagon(r: RMatrix, x: HModule, y: HModule, z: HModule) -> Verdict:
     rhs1 = kron_matrix(braiding_matrix(r, x, z), idy) @ kron_matrix(
         idx, braiding_matrix(r, y, z)
     )
-    if lhs1.rows != rhs1.rows:
+    if not np.array_equal(lhs1.array, rhs1.array):
         return Verdict.failed("hexagon-1", None, "c_{X⊗Y,Z} ≠ (c_XZ⊗id)(id⊗c_YZ)")
     lhs2 = braiding_matrix(r, x, yz)
     rhs2 = kron_matrix(idy, braiding_matrix(r, x, z)) @ kron_matrix(
         braiding_matrix(r, x, y), idz
     )
-    if lhs2.rows != rhs2.rows:
+    if not np.array_equal(lhs2.array, rhs2.array):
         return Verdict.failed("hexagon-2", None, "c_{X,Y⊗Z} ≠ (id⊗c_XZ)(c_XY⊗id)")
     return Verdict.passed()
 

@@ -21,14 +21,14 @@ degree of t's minimal polynomial.  Every inverse, computed or supplied to
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import HopffactError, NotInvertible, SpaceMismatch
-from .fields import Field, PrimeField, require_same_field
+from .fields import Field, require_same_field
 from .linalg import (_SLICE_CELLS, _OverBudget, _apply, _combine, _dtype, _field_array, _gather,
-                     _krylov, _mod_matmul, _mul, _neg, _scalar_rows, _sparse_op, _sparse_values)
+                     _integers, _krylov, _mod_matmul, _mul, _neg, _ratio, _scalar_rows,
+                     _sparse_op, _sparse_values)
 
 
 class TensorElement:
@@ -394,20 +394,9 @@ def _products(f: Field, left, right, pairs, ops, dims):
     if len(keys) > 2:  # batches can share keys
         key, val = _combine(f, key, val)
     if da * db != 1:
-        val = _field_array(f, [Fraction(x, da * db) for x in val])
+        val = _ratio(val, da * db)
     counts = np.bincount(key // n, minlength=gl.size)
     return counts, np.cumsum(counts) - counts, key % n, val
-
-
-def _integers(f: Field, val):
-    """Over Q, integers x and a denominator d with val = x / d, so that
-    products are formed in integer arithmetic; over GF(p), (val, 1)."""
-    if isinstance(f, PrimeField):
-        return val, 1
-    d = math.lcm(*(x.denominator for x in val))
-    if d == 1:
-        return val, 1
-    return _field_array(f, [x.numerator * (d // x.denominator) for x in val]), d
 
 
 def _coapply(f: Field, fam, dims, leg: int, op, width: int):

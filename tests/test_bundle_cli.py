@@ -1,5 +1,6 @@
 """Bundle serialization, schema validation, and the command-line interface."""
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -142,6 +143,34 @@ def test_cli_factorizable_levels(capsys):
                  "--level", "hopf"]) == 0
     out = capsys.readouterr().out
     assert "FACTORIZABLE" in out
+
+
+# Every check, factorizability level and H-simplicity verdict, text and
+# --json, on six registry inputs over Q and GF(101); the stdout and exit
+# codes are pinned by one sha256, so a refactor cannot change a byte of them.
+_DIGEST_EXAMPLES = ("double:C2", "sweedler:1", "regular:S3", "subgroup:S3:C2",
+                    "reflective-trivial:C3", "group:S3")
+_DIGEST_COMMANDS = (["check", "--all"], ["factorizable", "--level", "comodule"],
+                    ["factorizable", "--level", "weak"], ["factorizable", "--level", "hopf"],
+                    ["simple"])
+CLI_DIGEST = "db97cf8576f4221227d7c37d9f1b23c17fadfe794725f4b661bb93d7a95c6a0c"
+
+
+def _cli_digest(capsys):
+    digest = hashlib.sha256()
+    for name in _DIGEST_EXAMPLES:
+        for field in ("q", "gf:101"):
+            for command in _DIGEST_COMMANDS:
+                for extra in ([], ["--json"]):
+                    argv = command + ["--example", name, "--field", field] + extra
+                    code = main(argv)
+                    out = capsys.readouterr().out
+                    digest.update(f"{' '.join(argv)}\n{code}\n{out}".encode())
+    return digest.hexdigest()
+
+
+def test_cli_stdout_digest(capsys):
+    assert _cli_digest(capsys) == CLI_DIGEST
 
 
 def test_cli_simple(capsys):

@@ -36,6 +36,7 @@ from hopffact.comodule import (
 from hopffact.constructions import (
     group_algebra,
     named_example,
+    reflective_algebra,
     registry_names,
     regular_comodule,
     subgroup_comodule,
@@ -47,7 +48,7 @@ from hopffact.errors import HopffactError, NotInvertible
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import regular_module, trivial_module
-from hopffact.linalg import BasedSpace, IncrementalSpan, MapMatrix, echelonize, kernel_basis
+from hopffact.linalg import BasedSpace, MapMatrix, Span, echelonize, kernel_basis
 from hopffact.rmatrix import RMatrix
 from hopffact.rmatrix import drinfeld_map
 
@@ -244,7 +245,7 @@ def _words_span_dim(alg, gens):
     """Dimension of the span of all words in ``gens``, grown by left
     multiplication from 1."""
     f = alg.field
-    span = IncrementalSpan(f, alg.dim)
+    span = Span(f, alg.dim)
     frontier = [alg.unit_dict()]
     span.add(alg.unit)
     while frontier:
@@ -478,6 +479,33 @@ def test_costable_closure_reflective_basis_vectors_spin_up():
     for i in range(n):
         gen = tuple(QQ.one if j == i else QQ.zero for j in range(n))
         assert len(costable_closure(b.comodule, [gen])) == n
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_costable_closures_agree_over_q_and_gf(order):
+    # the crossed product of kC_n with its twisted dual: one spin serves
+    # both fields, and every basis vector spins to an ideal of dimension n
+    dims = []
+    for f in (QQ, GF(101)):
+        h, r = group_algebra(cyclic_group(order), f)
+        c = reflective_algebra(h, r, regular_comodule(h)).comodule
+        basis = [tuple(f.one if j == i else f.zero for j in range(c.dim)) for i in range(c.dim)]
+        dims.append([len(costable_closure(c, [v])) for v in basis])
+    assert dims[0] == dims[1] == [order] * order ** 2
+
+
+def test_h_simplicity_q_witness_is_reduced():
+    # the rows of a Q witness are its RREF, in the order the spin found them
+    h, r = group_algebra(cyclic_group(2))
+    crossed = reflective_algebra(h, r, regular_comodule(h)).comodule
+    rebased = _rebasings([_group_trivial_coaction(symmetric_group(3))], 4, 6)
+    for c in [crossed] + rebased:
+        sv = h_simplicity(c)
+        _assert_verified_witness(c, sv)
+        lead = [next(j for j, x in enumerate(row) if x) for row in sv.witness]
+        ech, piv = echelonize(list(sv.witness), c.dim, QQ)
+        assert piv == sorted(lead)
+        assert [tuple(row) for row in ech] == [row for _, row in sorted(zip(lead, sv.witness))]
 
 
 def test_h_simplicity_verdicts():

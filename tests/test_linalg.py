@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from hopffact import linalg
@@ -11,9 +12,8 @@ from hopffact.fields import GF, QQ
 from hopffact.linalg import (
     LINALG_STATS,
     BasedSpace,
-    GFBatchSpan,
-    IncrementalSpan,
     MapMatrix,
+    Span,
     echelonize,
     kernel_basis,
     rank_of,
@@ -112,8 +112,6 @@ def test_q_echelon_is_reduced_and_matches_gf():
 
 
 def test_rational_lift():
-    import numpy as np
-
     p, q = 1048573, 1048571
 
     def mod(rows, m):
@@ -207,7 +205,7 @@ def test_based_space_label_identity():
 
 def test_incremental_span_q_and_gf():
     for field in (QQ, GF(7)):
-        sp = IncrementalSpan(field, 3)
+        sp = Span(field, 3)
         one = field.one
         zero = field.zero
         assert sp.add((one, zero, one))
@@ -219,13 +217,22 @@ def test_incremental_span_q_and_gf():
 
 
 def test_gf_batch_span():
-    import numpy as np
+    _check_add_batch(GF(101))
 
-    span = GFBatchSpan(101, 4)
-    batch = np.array([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]], dtype=np.float64)
+
+def test_span_add_batch_over_q():
+    _check_add_batch(QQ)
+
+
+def _check_add_batch(field):
+    def arr(rows):
+        return np.array(rows, dtype=linalg._dtype(field))
+
+    span = Span(field, 4)
+    batch = arr([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 0, 1]])
     assert span.add_batch(batch) == 2
     assert span.dim == 2
-    assert span.add_batch(np.array([[1, 0, 0, 0]], dtype=np.float64)) == 1
+    assert span.add_batch(arr([[1, 0, 0, 0]])) == 1
     assert span.add_batch(batch) == 0
 
 
@@ -235,12 +242,10 @@ P_TOP = 94906249  # the largest prime GF accepts
 def test_gf_batch_span_exact_near_the_prime_limit():
     # the reduction against two stored rows used to sum two unreduced
     # products of residues, past 2**53, and grew the span in 16 of these 200 trials
-    import numpy as np
-
     rng = random.Random(3)
     p = P_TOP
     for _ in range(200):
-        span = GFBatchSpan(p, 4)
+        span = Span(GF(p), 4)
         rows = [[rng.randrange(p) for _ in range(4)] for _ in range(2)]
         for row in rows:
             span.add_batch(np.array([row], dtype=np.float64))
@@ -252,12 +257,10 @@ def test_gf_batch_span_exact_near_the_prime_limit():
 
 def test_gf_batch_span_keeps_rref_near_the_prime_limit():
     # two new pivots cleared from a stored row: a sum of two products
-    import numpy as np
-
     rng = random.Random(4)
     p = P_TOP
     for _ in range(50):
-        span = GFBatchSpan(p, 5)
+        span = Span(GF(p), 5)
         rows = [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
         span.add_batch(np.array(rows[:1], dtype=np.float64))
         assert span.add_batch(np.array(rows[1:], dtype=np.float64)) == 2
@@ -283,10 +286,21 @@ def test_elimination_exact_at_the_largest_prime():
 
 
 def _span_rank(f, rows):
-    sp = IncrementalSpan(f, len(rows[0]))
-    for r in rows:
-        sp.add(r)
-    return sp.dim
+    """Rank by scalar Gaussian elimination mod p, independent of linalg."""
+    p = f.p
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][c] * inv % p
+            rows[i] = [(x - factor * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def test_inverse_renames_only_singular_systems(monkeypatch):
@@ -305,3 +319,66 @@ def test_solve_columns_multiple_rhs():
     sols = solve_columns(rows, [(Fr(1), Fr(0)), (Fr(0), Fr(1))], 2, QQ)
     assert sols[0] == (Fr(-5), Fr(3))
     assert sols[1] == (Fr(2), Fr(-1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_map_matrix_from_rows_equals_from_array(field):
+    rows = [[field.parse(x) for x in r] for r in [[1, -2, 0], [3, 0, 5]]]
+    a = mat(field, rows)
+    b = MapMatrix(field, a.domain, a.codomain, linalg._field_array(field, rows))
+    assert a == b and hash(a) == hash(b)
+    assert a.array.dtype == linalg._dtype(field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_map_matrix_array_is_read_only(field):
+    m = mat(field, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError):
+        m.array[0, 0] = 7
+    with pytest.raises(AttributeError):
+        m.array = m.array.copy()
+
+
+def test_map_matrix_rows_hold_field_scalars():
+    q = mat(QQ, [["1/2", 3], [0, -4]])
+    assert all(type(x) is Fr for row in q.rows for x in row)
+    assert q.rows == ((Fr(1, 2), Fr(3)), (Fr(0), Fr(-4)))
+    g = mat(GF(7), [[3, -1], [0, 8]])
+    assert all(type(x) is int and 0 <= x < 7 for row in g.rows for x in row)
+    assert g.rows == ((3, 6), (0, 1))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_map_matrix_wrong_shape_raises(field):
+    dom, cod = space("d", 3), space("c", 2)
+    with pytest.raises(HopffactError):
+        MapMatrix(field, dom, cod, np.zeros((3, 2), dtype=linalg._dtype(field)))
+    with pytest.raises(HopffactError):
+        MapMatrix(field, dom, cod, [[field.one] * 3, [field.one] * 2])
+    with pytest.raises(HopffactError):
+        MapMatrix(field, dom, cod, [])
+
+
+def test_map_matrix_arithmetic_at_the_largest_prime():
+    # every product of two residues is near 2**53 here; the scalar
+    # reference works in Python ints
+    from hopffact.hopf import kron_matrix
+
+    f, p = GF(P_TOP), P_TOP
+    rng = random.Random(12)
+
+    def rand(nr, nc):
+        return [[rng.randrange(p) for _ in range(nc)] for _ in range(nr)]
+
+    def matmul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+
+    a, b, c = rand(3, 5), rand(5, 4), rand(3, 5)
+    ma, mb, mc = mat(f, a), mat(f, b, cod=space("d", 5)), mat(f, c)
+    s = rng.randrange(p)
+    assert [list(r) for r in (ma @ mb).rows] == matmul(a, b)
+    assert [list(r) for r in (ma + mc).rows] == [[(x + y) % p for x, y in zip(r, t)]
+                                                  for r, t in zip(a, c)]
+    assert [list(r) for r in ma.scale(s).rows] == [[x * s % p for x in r] for r in a]
+    kron = [[x * y % p for x in ra for y in rb] for ra in a for rb in c]
+    assert [list(r) for r in kron_matrix(ma, mc).rows] == kron
