@@ -40,6 +40,7 @@ from .linalg import (
     _neg,
     _reduce,
     _scalar_rows,
+    _sparse_kernel,
     _sparse_values,
     rank_of,
     rational_lift,
@@ -402,17 +403,17 @@ class EndSpace:
         return self.space.dim
 
     def coords_many(self, vectors):
-        """Coordinates of flattened Hom(H,B) vectors in the ξ-basis.
+        """Coordinates of flattened Hom(H,B) vectors, the rows of a field
+        array or of field scalars, in the ξ-basis.
 
         Raises ImageEscapesEndSpace when a vector is outside the span.
         """
         f = self.comodule.field
         n = self._kernel.shape[0]
-        vectors = [[f.scalar(x) for x in v] for v in vectors]
-        if any(len(v) != n for v in vectors):
+        vecs = _field_array(f, vectors)
+        if vecs.ndim != 2 or vecs.shape[1] != n:
             raise SpaceMismatch("vector length does not match Hom(H,B)")
-        vecs = _field_array(f, vectors).reshape(len(vectors), n).T
-        coords = _coords(f, self._kernel, self._free, vecs)
+        coords = _coords(f, self._kernel, self._free, _reduce(f, vecs).T)
         return [tuple(co) for co in _scalar_rows(f, coords.T)]
 
     def evaluation_at_unit(self) -> MapMatrix:
@@ -484,7 +485,7 @@ def _constraint_op(c: ComoduleAlgebra, b: int):
     return rows, cols, _field_array(f, [acc[k] for k in keys])
 
 
-_REFINE_BATCH = 2  # generator constraints imposed per kernel refinement
+_NO_ENTRIES = (np.zeros(0, dtype=np.int64),) * 3  # an empty COO operator
 
 
 def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
@@ -496,15 +497,15 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     constraints of the algebra generators that ``algebra_generators`` picks
     are imposed.  Each basis element's constraint is a sparse operator on
     Hom(H,B), assembled as COO arrays straight from the structure constants.
-    The kernel starts as all of Hom(H,B) and is refined by a few stacked
-    generator constraints at a time: they are applied sparsely to the
-    current kernel basis, their all-zero rows dropped, and the basis
-    replaced by its combinations in the kernel of the result.  The final
-    basis is then checked against the constraint of every basis element of
-    B, so exactness does not rest on the generator argument alone.  It is
-    the reduced basis (the identity on its free coordinates) that one
-    elimination of all the constraints would give.  Over GF(p) every product
-    goes through ``_mod_matmul``.
+    The generators' operators are stacked into one sparse system, whose
+    columns fall into many small connected components (two columns are
+    joined when a constraint row holds both); ``_sparse_kernel`` eliminates
+    each component on its own.  That gives the reduced basis (the identity
+    on its free coordinates) of one elimination of the whole system,
+    because a block-diagonal system has the pivots and the reduced kernel
+    of its blocks.  The basis is then checked against the constraint of
+    every basis element of B, so exactness does not rest on the generator
+    argument alone.  Over GF(p) every product goes through ``_mod_matmul``.
 
     The H-action on E is re-checked from the algebra generators g of H:
     ρ(1) = id and ρ(g)ρ(b) = ρ(gb) for every basis element b.  That covers
@@ -518,15 +519,11 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     n = nb * nh
     ops = [_constraint_op(c, b) for b in range(nb)]
     gens = algebra_generators(c.algebra)
-    kernel = np.eye(n, dtype=_dtype(f))
-    for s in range(0, len(gens), _REFINE_BATCH):
-        if not kernel.shape[1]:
-            break
-        prod = np.concatenate([_apply(f, ops[g], kernel) for g in gens[s:s + _REFINE_BATCH]])
-        prod = prod[(prod != 0).any(axis=1)]
-        coeffs = _kernel(f, prod, kernel.shape[1])
-        # the first batch refines the identity, so its kernel is the new basis
-        kernel = coeffs if s == 0 else _mod_matmul(f, kernel, coeffs)
+    parts = [ops[g] for g in gens] + [_NO_ENTRIES]
+    rows = np.concatenate([r + i * n for i, (r, _, _) in enumerate(parts)])
+    cols = np.concatenate([c for _, c, _ in parts])
+    vals = np.concatenate([v for _, _, v in parts])
+    kernel = _sparse_kernel(f, rows, cols, vals, n)
     for b, op in enumerate(ops):
         if (_apply(f, op, kernel) != 0).any():
             raise HopffactError(
@@ -541,17 +538,23 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     sp = BasedSpace(tuple(f"ξ{i}" for i in range(k)))
     basis_maps = [MapMatrix(f, h.space, c.algebra.space, kernel[:, j].reshape(nb, nh))
                   for j in range(k)]
-    # right-multiply every ξ by h_i at once: ξ ↦ ξ·R(h_i) on the H index
-    by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1)
-    h_action = []
-    for i in range(nh):
-        right = h.algebra.right_mult_matrix({i: f.one}).array
-        moved = _mod_matmul(f, by_row, right).transpose(0, 2, 1).reshape(n, k)
+    # right-multiply every ξ by every h_i at once, ξ ↦ ξ·R(h_i) on the H
+    # index: one product with the R(h_i) side by side, a slice of them at a time
+    by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1).reshape(nb * k, nh)
+    rights = np.concatenate(
+        [h.algebra.right_mult_matrix({i: f.one}).array for i in range(nh)], axis=1)
+    step = max(1, _SLICE_CELLS // max(1, nb * k * nh))
+    coords = []
+    for s in range(0, nh, step):
+        m = min(step, nh - s)
+        moved = _mod_matmul(f, by_row, rights[:, s * nh:(s + m) * nh])
+        moved = moved.reshape(nb, k, m, nh).transpose(0, 3, 2, 1).reshape(n, m * k)
         try:
-            coords = _coords(f, kernel, free, moved)
+            coords.append(_coords(f, kernel, free, moved))
         except ImageEscapesEndSpace as exc:
             raise HopffactError("end space is not action-stable (bug)") from exc
-        h_action.append(MapMatrix(f, sp, sp, coords))
+    coords = np.concatenate(coords, axis=1)
+    h_action = [MapMatrix(f, sp, sp, coords[:, i * k:(i + 1) * k]) for i in range(nh)]
     es = EndSpace(c, sp, basis_maps, h_action, kernel, free)
     if es.dim:
         gens = algebra_generators(h.algebra)
@@ -589,14 +592,10 @@ def _theta_matrix_from_elements(k: KMatrix, es: EndSpace, elements) -> MapMatrix
     h = k.host
     f = h.field
     nb, nh = k.comodule.dim, h.dim
-    targets = []
-    for a in range(nh):
-        vec = [f.zero] * (nb * nh)
-        for t in range(nh):
-            for (hh, bb), cv in elements[t].items():
-                if hh == a:
-                    vec[bb * nh + t] = f.add(vec[bb * nh + t], cv)
-        targets.append(tuple(vec))
+    targets = np.zeros((nh, nb * nh), dtype=_dtype(f))
+    for t in range(nh):
+        for (hh, bb), cv in elements[t].items():
+            targets[hh, bb * nh + t] = cv
     coords = es.coords_many(targets)
     rows = [tuple(coords[a][r] for a in range(nh)) for r in range(es.dim)]
     return MapMatrix(f, h.space.dual(), es.space, rows)
@@ -837,7 +836,7 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
         status, cert, rows = found
         if status == "simple":
             return SimplicityVerdict(status, cert, None, tag)
-        ech, piv = _gf_echelon(np.array(rows, dtype=np.float64), p)
+        ech, piv = _gf_echelon(np.array(rows, dtype=np.float64, order="C"), p)
         same = earlier.setdefault(tuple(piv), [])
         for residues, primes in [((ech,), (p,))] + [((e, ech), (q, p)) for q, e in same]:
             cand = rational_lift(residues, primes)

@@ -11,10 +11,11 @@ Two elimination backends sit behind ``echelonize``, and both end in the
 RREF: fraction-free Bareiss elimination on denominator-cleared integer rows
 for Q, then an exact back-elimination, and a vectorized mod-p elimination
 for GF(p).  The float path is exact for every prime ``GF`` accepts: every
-intermediate integer is kept below 2**53 (pivot rows and factor columns are
-reduced mod p before each update, so entries grow by at most (p-1)**2 per
-pivot step, and the matrix is reduced again before they could reach 2**53).
-Every other GF(p) float product goes through ``_mod_matmul``.  Callers
+intermediate integer is kept within the bound of ``_mod_p``, which reduces
+every full array (pivot rows and factor columns are reduced mod p before
+each update, so entries grow by at most (p-1)**2 per pivot step, and the
+matrix is reduced again before they could leave that bound).  Every other
+GF(p) float product goes through ``_mod_matmul``.  Callers
 never see a float: ``MapMatrix.rows`` and the vector-returning functions
 give field scalars.
 """
@@ -128,9 +129,9 @@ def _gf_echelon(a: np.ndarray, p: int):
 
     Returns (matrix, pivot_cols); the result is fully reduced mod p.  An update
     moves an entry by at most (p-1)**2, so the whole matrix is reduced
-    whenever the next update could reach 2**53: for small p that never
-    happens, for p near the top of the supported range it happens every
-    pivot step.
+    whenever the next update could leave the exact range of ``_mod_p``: for
+    small p that never happens, for p near the top of the supported range
+    it happens every pivot step.  ``a`` must be C-contiguous.
     """
     nrows, ncols = a.shape
     growth = (p - 1) ** 2
@@ -150,8 +151,8 @@ def _gf_echelon(a: np.ndarray, p: int):
         a[r] %= p
         inv = pow(int(a[r, c]), p - 2, p)
         a[r] = (a[r] * inv) % p
-        if bound + growth >= _FLOAT_EXACT_LIMIT:
-            a %= p
+        if bound + growth > _FLOAT_EXACT_LIMIT - 2 * p:
+            _mod_p(a, p)
             bound = p - 1
         bound += growth
         factors = a[:, c] % p
@@ -162,7 +163,7 @@ def _gf_echelon(a: np.ndarray, p: int):
             a[nzf, c] = 0
         piv_cols.append(c)
         r += 1
-    a %= p
+    _mod_p(a, p)
     return a[:r], piv_cols
 
 
@@ -197,11 +198,10 @@ def rational_lift(residues, primes):
 
 
 def _as_gf_array(rows, ncols: int) -> np.ndarray:
-    if isinstance(rows, np.ndarray):
-        return rows.astype(np.float64, copy=True)
+    """A C-contiguous float64 copy of ``rows``."""
     if not len(rows):
         return np.zeros((0, ncols), dtype=np.float64)
-    return np.array(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64, order="C")
 
 
 def _back_eliminate(ech, piv):
@@ -436,8 +436,50 @@ def _field_array(f: Field, rows) -> np.ndarray:
 
 
 def _reduce(f: Field, a: np.ndarray) -> np.ndarray:
-    """An integer-valued array reduced into [0, p) over GF(p); as is over Q."""
-    return a % f.p if isinstance(f, PrimeField) else a
+    """An integer-valued array reduced into [0, p) over GF(p), as a new array
+    (float64 within the bound of ``_mod_p``, or int64); as is over Q."""
+    if not isinstance(f, PrimeField):
+        return a
+    if a.dtype != np.float64:
+        return a % f.p
+    return _mod_p(np.array(a, order="C"), f.p)
+
+
+_MOD_CHUNK = 1 << 15  # cells per step of ``_mod_p``
+_MOD_SMALL = 1 << 10  # up to this many cells ``_mod_p`` calls np.remainder
+
+
+def _mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """Reduce the integers of a C-contiguous float64 array into [0, p) in
+    place, and return it.
+
+    Each x becomes r = x − p·⌊x·(1/p)⌋, plus or minus p once.  This is exact
+    for |x| ≤ 2**53 − p, the contract every caller keeps: the computed
+    quotient is then within one of ⌊x/p⌋, so p times it is an integer of
+    absolute value at most 2**53, held exactly, and r lies in [−p, 2p).
+    Just above the bound the product p·⌊x·(1/p)⌋ can round, and r is wrong.
+    On large arrays this is several times faster than ``np.remainder``
+    (exact on every float integer), which costs less on small ones because
+    it is one pass instead of six.  The work goes in chunks of
+    ``_MOD_CHUNK`` cells, so no temporary is larger.
+    """
+    if not a.flags.c_contiguous:  # reshape would copy, and reduce the copy
+        raise ValueError("_mod_p needs a C-contiguous array")
+    if a.size <= _MOD_SMALL:
+        return np.remainder(a, p, out=a)
+    flat = a.reshape(-1)
+    inv = 1.0 / p
+    q = np.empty(min(flat.size, _MOD_CHUNK))
+    for s in range(0, flat.size, _MOD_CHUNK):
+        x = flat[s:s + _MOD_CHUNK]
+        t = q[:x.size]
+        np.multiply(x, inv, out=t)
+        np.floor(t, out=t)
+        t *= p
+        x -= t
+        np.add(x, p, out=x, where=x < 0)
+        np.subtract(x, p, out=x, where=x >= p)
+    return a
 
 
 def _integers(f: Field, val: np.ndarray):
@@ -462,10 +504,11 @@ def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
     broadcast as in numpy.
 
     Over GF(p) every operand holds ints of absolute value below p as
-    float64.  The inner dimension is cut into blocks whose partial sums,
-    plus c or the reduced accumulator, stay below 2**53 (for a supported
-    prime a block holds at least one product), so every intermediate is an
-    exact integer; the result is reduced into [0, p) in place.  Passing c
+    float64.  The inner dimension is cut into blocks of
+    ⌊(2**53 − 2p)/(p − 1)²⌋ products (at least one for a supported prime),
+    so a partial sum plus c or the reduced accumulator stays within the
+    bound 2**53 − p of ``_mod_p``, which reduces the result into [0, p) in
+    place after each block; every intermediate is an exact integer.  Passing c
     saves a reduction: (c - a @ b) is one pass as ``_mod_matmul(f, -a, b, c)``.
     Over Q the product is numpy's object product of the operands' integer
     numerators over their common denominators, divided once at the end.
@@ -475,14 +518,14 @@ def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
         out = ia @ ib if da * db == 1 else _ratio(ia @ ib, da * db)
         return out if c is None else c + out
     p = f.p
-    block = (_FLOAT_EXACT_LIMIT - p) // (p - 1) ** 2
+    block = (_FLOAT_EXACT_LIMIT - 2 * p) // (p - 1) ** 2
     out = a[..., :block] @ b[..., :block, :]
     if c is not None:
         out += c
-    out %= p
+    _mod_p(out, p)
     for s in range(block, a.shape[-1], block):
         out += a[..., s:s + block] @ b[..., s:s + block, :]
-        out %= p
+        _mod_p(out, p)
     return out
 
 
@@ -591,6 +634,80 @@ def _kernel(f: Field, rows, ncols: int) -> np.ndarray:
     LINALG_STATS["rank_nullity_checks"] += 1
     assert len(piv) + len(free) == ncols, "rank-nullity violated"
     return out
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
+    """The connected components of the columns of a COO matrix whose
+    entries are sorted by row, two columns joined when they share a row:
+    each column's label is the smallest column of its component.
+
+    Label propagation with pointer jumping: every row takes the smallest
+    label of its columns, every column the smallest label of its rows, then
+    each label is replaced by its own label, until nothing changes.  At
+    that point the columns of a row share one label, and it is the
+    component's smallest column, whose label never moves.
+    """
+    label = np.arange(ncols)
+    if not rows.size:
+        return label
+    row_start = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+    row_len = np.diff(np.append(row_start, rows.size))
+    by_col = np.argsort(cols, kind="stable")
+    sorted_cols = cols[by_col]
+    col_start = np.flatnonzero(np.concatenate(([True], sorted_cols[1:] != sorted_cols[:-1])))
+    touched = sorted_cols[col_start]
+    while True:
+        row_min = np.repeat(np.minimum.reduceat(label[cols], row_start), row_len)
+        new = label.copy()
+        new[touched] = np.minimum.reduceat(row_min[by_col], col_start)
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _sparse_kernel(f: Field, rows, cols, vals, ncols: int) -> np.ndarray:
+    """``_kernel`` of the COO matrix (rows, cols, vals), sorted by row with
+    at most one entry per position, eliminated one connected component of
+    its columns (``_components``) at a time.
+
+    A column with no entry is a free unit vector, a component of one column
+    is forced to 0, and every other component is one small dense block.
+    The kernel columns are ordered by free coordinate, and the result is
+    the one ``_kernel`` gives on the whole matrix: the system is block
+    diagonal, so a column depends on the earlier columns exactly when it
+    depends on the earlier columns of its own block, and the pivots, the
+    free columns and the reduced kernel vectors are those of one
+    elimination of everything.
+    """
+    keep = vals != 0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    label = _components(rows, cols, ncols)
+    used = np.zeros(ncols, dtype=bool)
+    used[cols] = True
+    size = np.bincount(label[used], minlength=ncols)
+    blocks = []  # (columns, their kernel) of each component of 2+ columns
+    multi = size[label[cols]] > 1
+    order = np.lexsort((rows[multi], label[cols[multi]]))
+    rows, cols, vals = rows[multi][order], cols[multi][order], vals[multi][order]
+    starts = np.flatnonzero(np.diff(label[cols], prepend=-1))
+    for s, e in zip(starts, np.append(starts[1:], cols.size)):
+        _, r = np.unique(rows[s:e], return_inverse=True)
+        block_cols, c = np.unique(cols[s:e], return_inverse=True)
+        block = np.zeros((r.max() + 1, block_cols.size), dtype=_dtype(f))
+        block[r, c] = vals[s:e]
+        blocks.append((block_cols, _kernel(f, block, block_cols.size)))
+    unit = np.flatnonzero(~used)
+    out = np.zeros((ncols, unit.size + sum(ker.shape[1] for _, ker in blocks)),
+                   dtype=_dtype(f))
+    out[unit, np.arange(unit.size)] = 1
+    j = unit.size
+    for block_cols, ker in blocks:
+        out[block_cols, j:j + ker.shape[1]] = ker
+        j += ker.shape[1]
+    # a reduced kernel vector's free coordinate is its last nonzero entry
+    free = ncols - 1 - np.argmax((out != 0)[::-1], axis=0)
+    return out[:, np.argsort(free)]
 
 
 def _krylov(f: Field, step, v: np.ndarray, cap: int):

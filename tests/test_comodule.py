@@ -796,6 +796,92 @@ def test_end_space_escape_detection(dc2):
     assert coords[0] == QQ.one
 
 
+def _reference_end_space(c):
+    """The reduced kernel basis of the dense stack of every basis element's
+    constraint, by scalar Gauss–Jordan elimination written here rather than
+    taken from ``linalg``; one list of field scalars per basis vector,
+    ordered by free coordinate."""
+    f = c.field
+    n = c.dim * c.host.dim
+    dense = []
+    for b in range(c.dim):
+        rows, cols, vals = comodule._constraint_op(c, b)
+        by_row = {}
+        for r, col, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            by_row.setdefault(r, [f.zero] * n)[col] = f.scalar(v)
+        dense.extend(by_row.values())
+    piv = {}  # pivot column → its RREF row
+    for row in dense:
+        for col, prow in piv.items():
+            if not f.is_zero(row[col]):
+                row = [f.sub(x, f.mul(row[col], y)) for x, y in zip(row, prow)]
+        lead = next((j for j, x in enumerate(row) if not f.is_zero(x)), None)
+        if lead is None:
+            continue
+        inv = f.inv(row[lead])
+        row = [f.mul(inv, x) for x in row]
+        for col, prow in piv.items():
+            piv[col] = [f.sub(x, f.mul(prow[lead], y)) for x, y in zip(prow, row)]
+        piv[lead] = row
+    return [[f.one if i == j else f.neg(piv[i][j]) if i in piv else f.zero
+             for i in range(n)] for j in range(n) if j not in piv]
+
+
+def _end_space_basis(es):
+    return [[x for row in xi.rows for x in row] for xi in es.basis_maps]
+
+
+REFERENCE_FIELDS = [QQ, GF(101), GF(2)]
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_end_space_equals_the_reference_kernel_on_the_registry(field):
+    for name in registry_names():
+        try:
+            b = named_example(name, field)
+        except HopffactError:  # Sweedler's algebra needs characteristic ≠ 2
+            continue
+        if b.comodule is None:
+            continue
+        assert _end_space_basis(compute_end_space(b.comodule)) == \
+            _reference_end_space(b.comodule), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_end_space_equals_the_reference_kernel_in_one_component(field):
+    # a dense change of basis of B joins every coordinate of Hom(H,B)
+    # into one connected component of the generators' constraint system
+    from hopffact.linalg import _components
+
+    c = named_example("regular:S3", field).comodule
+    rng = random.Random(5)
+    rebased = None
+    while rebased is None:
+        rebased = _rebase(c, [rng.choice([-1, 1, 2]) for _ in range(c.dim ** 2)])
+    n = rebased.dim * rebased.host.dim
+    ops = [comodule._constraint_op(rebased, g) for g in algebra_generators(rebased.algebra)]
+    rows = np.concatenate([op[0] + i * n for i, op in enumerate(ops)])
+    cols = np.concatenate([op[1] for op in ops])
+    assert set(_components(rows, cols, n)) == {0}
+    es = compute_end_space(rebased)
+    assert es.dim == compute_end_space(c).dim
+    assert _end_space_basis(es) == _reference_end_space(rebased)
+
+
+def test_end_space_refuses_a_coaction_that_is_not_an_algebra_map():
+    # kC3 is generated by g, so δ(g²) is never imposed while the kernel is
+    # built; changing it to g² ⊗ g must fail the check against every basis
+    # element
+    c = named_example("regular:C3").comodule
+    assert algebra_generators(c.algebra) == [1]
+    coaction = dict(c.coaction)
+    assert coaction[2] == {(2, 2): QQ.one}
+    coaction[2] = {(2, 1): QQ.one}
+    bad = ComoduleAlgebra(c.host, c.algebra, coaction)
+    with pytest.raises(HopffactError, match="basis element 2: the coaction is not an algebra map"):
+        compute_end_space(bad)
+
+
 def test_z2_membership(dc2):
     triv = trivial_module(dc2.hopf)
     reg = regular_module(dc2.hopf)

@@ -382,3 +382,57 @@ def test_map_matrix_arithmetic_at_the_largest_prime():
     assert [list(r) for r in ma.scale(s).rows] == [[x * s % p for x in r] for r in a]
     kron = [[x * y % p for x in ra for y in rb] for ra in a for rb in c]
     assert [list(r) for r in kron_matrix(ma, mc).rows] == kron
+
+
+REDUCTION_PRIMES = [2, 3, 101, 2**26 - 5, P_TOP]
+
+
+@pytest.mark.parametrize("p", REDUCTION_PRIMES)
+def test_mod_p_exact_at_the_contract_bound(p):
+    # _mod_p is exact for |x| <= 2**53 - p: the bound itself, the 5,000
+    # values below it, random values, and values at and next to multiples
+    # of p (where the rounded quotient is one off, either way), both signs
+    top = 2**53 - p
+    rng = random.Random(p)
+    values = [top - i for i in range(5001)]
+    values += [rng.randrange(top + 1) for _ in range(1999)]
+    values += [k * p + d for k in [rng.randrange(top // p) for _ in range(700)]
+               for d in (-1, 0, 1, p - 1)]
+    values += [-v for v in values]
+    want = [v % p for v in values]
+    whole = np.array(values, dtype=np.float64)
+    assert whole.size > linalg._MOD_SMALL
+    assert linalg._mod_p(whole, p) is whole
+    assert whole.astype(np.int64).tolist() == want
+    # the same values a few at a time, and as a 2-D array
+    for s in range(0, len(values), 700):
+        part = np.array(values[s:s + 700], dtype=np.float64).reshape(7, -1)
+        linalg._mod_p(part, p)
+        assert part.astype(np.int64).ravel().tolist() == want[s:s + 700]
+
+
+def test_mod_p_refuses_a_non_contiguous_array():
+    # reducing a copy would leave the array itself unreduced
+    a = np.full((40, 40), 1000.0)
+    with pytest.raises(ValueError):
+        linalg._mod_p(a.T, 7)
+    with pytest.raises(ValueError):
+        linalg._mod_p(a[:, ::2], 7)
+
+
+@pytest.mark.parametrize("p", [2**26 - 5, P_TOP])
+def test_mod_matmul_exact_with_largest_entries_at_the_block_size(p):
+    # every entry ±(p - 1), so each block's partial sum plus c or the
+    # reduced accumulator reaches the largest value the block size allows
+    f = GF(p)
+    block = (2**53 - 2 * p) // (p - 1) ** 2
+    for inner in (block - 1, block, block + 1, 3 * block + 1):
+        for sa, sb in ((1, 1), (-1, 1)):
+            a = np.full((3, inner), sa * (p - 1), dtype=np.float64)
+            b = np.full((inner, 2), sb * (p - 1), dtype=np.float64)
+            c = np.full((3, 2), p - 1, dtype=np.float64)
+            dot = inner * sa * sb * (p - 1) ** 2
+            got = linalg._mod_matmul(f, a, b)
+            assert got.astype(np.int64).tolist() == [[dot % p] * 2] * 3
+            got = linalg._mod_matmul(f, a, b, c)
+            assert got.astype(np.int64).tolist() == [[(dot + p - 1) % p] * 2] * 3
