@@ -1,10 +1,12 @@
 """Structure-constant algebras and coalgebras with axiom checkers.
 
-Multiplication is stored sparsely: ``mult[(i, j)]`` is the dict of basis
-coefficients of e_i · e_j (absent pairs multiply to zero).  Comultiplication
-is ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}.  The same constants
-as sparse tables (``mult_op``, ``comult_op``, built once) feed every product,
-inversion and axiom check; the product kernel lives in ``tensors``.
+The structure constants are stored sparsely as dicts: ``mult[(i, j)]`` is
+the dict of basis coefficients of e_i · e_j (absent pairs multiply to zero),
+and ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}.  The dicts are
+storage and bundle I/O.  Every computation reads the same constants as
+tables built once from them: the sparse families ``mult_op`` and
+``comult_op``, which feed the product kernel of ``tensors``, and the dense
+stack of left and right multiplications ``mult_stack``.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from .errors import HopffactError
 from .fields import Field
-from .linalg import BasedSpace, MapMatrix, Span
+from .linalg import BasedSpace, MapMatrix, Span, _dtype, _field_array, _mod_matmul, _reduce
 from .tensors import (_coapply, _differing, _first_failure, _linear_op, _products,
                       _table, _units)
 from .verdicts import Verdict
@@ -22,7 +24,7 @@ from .verdicts import Verdict
 class StructAlgebra:
     """A finite-dimensional unital algebra given by structure constants."""
 
-    __slots__ = ("field", "space", "mult", "unit", "_op")
+    __slots__ = ("field", "space", "mult", "unit", "_op", "_stack")
 
     def __init__(self, field: Field, space: BasedSpace, mult, unit):
         if space.dim == 0:
@@ -40,6 +42,7 @@ class StructAlgebra:
         object.__setattr__(self, "mult", clean)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_op", None)
+        object.__setattr__(self, "_stack", None)
 
     def __setattr__(self, *a):
         raise AttributeError("StructAlgebra is immutable")
@@ -52,6 +55,21 @@ class StructAlgebra:
             rows = [(i, j, k, c) for (i, j), prod in self.mult.items() for k, c in prod.items()]
             object.__setattr__(self, "_op", _table(self.field, rows, (n, n), (n,)))
         return self._op
+
+    def mult_stack(self) -> np.ndarray:
+        """Left, then right, multiplication by every basis element, as one
+        read-only stack of field arrays: entry i is λ(e_i) and entry n + j
+        is ρ(e_j), both with [e_i e_j]_k at row k.  Built once."""
+        if self._stack is None:
+            n = self.dim
+            counts, _, k, val = self.mult_op()
+            i, j = np.divmod(np.repeat(np.arange(n * n), counts), n)
+            stack = np.zeros((2 * n, n, n), dtype=_dtype(self.field))
+            stack[i, k, j] = val
+            stack[n + j, k, i] = val
+            stack.flags.writeable = False
+            object.__setattr__(self, "_stack", stack)
+        return self._stack
 
     @property
     def dim(self) -> int:
@@ -84,24 +102,18 @@ class StructAlgebra:
         return out
 
     def left_mult_matrix(self, x: dict) -> MapMatrix:
-        f = self.field
-        n = self.dim
-        rows = [[f.zero] * n for _ in range(n)]
-        for i, ci in x.items():
-            for j in range(n):
-                for k, ck in self.mult_basis(i, j).items():
-                    rows[k][j] = f.add(rows[k][j], f.mul(ci, ck))
-        return MapMatrix(f, self.space, self.space, rows)
+        return self._mult_matrix(x, 0)
 
     def right_mult_matrix(self, x: dict) -> MapMatrix:
-        f = self.field
-        n = self.dim
-        rows = [[f.zero] * n for _ in range(n)]
-        for j, cj in x.items():
-            for i in range(n):
-                for k, ck in self.mult_basis(i, j).items():
-                    rows[k][i] = f.add(rows[k][i], f.mul(cj, ck))
-        return MapMatrix(f, self.space, self.space, rows)
+        return self._mult_matrix(x, self.dim)
+
+    def _mult_matrix(self, x: dict, offset: int) -> MapMatrix:
+        """Σ x_i · (entry offset + i of ``mult_stack``)."""
+        f, n = self.field, self.dim
+        which = offset + np.fromiter(x, dtype=np.int64, count=len(x))
+        coeffs = _reduce(f, _field_array(f, [list(x.values())]).reshape(1, len(x)))
+        arr = _mod_matmul(f, coeffs, self.mult_stack()[which].reshape(len(x), n * n))
+        return MapMatrix(f, self.space, self.space, arr.reshape(n, n))
 
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim} over {self.field})"
@@ -112,26 +124,27 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
 
     A basis element is chosen when it lies outside the subalgebra generated
     by the elements chosen so far, which is the span of 1 closed under right
-    multiplication by them.  Raises unless that span ends as all of ``a``.
+    multiplication by them.  That span is spun with the right multiplications
+    of ``mult_stack``, on the frontier only: when a generator is chosen, the
+    rows found so far are multiplied by it, then every new row by every
+    generator.  Raises unless the span ends as all of ``a``.
     """
     f, n = a.field, a.dim
+    by = a.mult_stack()[n:].transpose(0, 2, 1)  # v @ by[g] is v·e_g
+    eye = np.eye(n, dtype=_dtype(f))
     span = Span(f, n)
     span.add(a.unit)
-    found = [a.unit_dict()]  # elements spanning the subalgebra generated so far
     gens: list[int] = []
     for i in range(n):
-        if span.contains(tuple(f.one if j == i else f.zero for j in range(n))):
+        if span.contains(eye[i]):
             continue
         gens.append(i)
-        # the old elements still need multiplying by the new generator only
-        pending = [(x, (i,)) for x in found]
-        while pending:
-            x, by = pending.pop()
-            for g in by:
-                y = a.multiply(x, {g: f.one})
-                if span.add(tuple(y.get(j, f.zero) for j in range(n))):
-                    found.append(y)
-                    pending.append((y, tuple(gens)))
+        start = span.dim
+        span.add_batch(_mod_matmul(f, span.rows, by[i]))
+        while start < span.dim < n:
+            frontier = span.rows[start:]
+            start = span.dim
+            span.add_batch(_mod_matmul(f, frontier, by[gens]).reshape(-1, n))
     if span.dim != n:
         raise HopffactError("the chosen generators do not span the algebra")
     return gens

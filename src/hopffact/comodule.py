@@ -41,6 +41,7 @@ from .linalg import (
     _reduce,
     _scalar_rows,
     _sparse_kernel,
+    _sparse_op,
     _sparse_values,
     rank_of,
     rational_lift,
@@ -56,6 +57,7 @@ from .tensors import (
     _differing,
     _first_failure,
     _flat,
+    _members,
     _products,
     _table,
     _units,
@@ -244,11 +246,8 @@ def k_matrix(comodule: ComoduleAlgebra, rmatrix: RMatrix,
 
 
 def regular_bmodule(c: ComoduleAlgebra) -> BModule:
-    f = c.field
-    return BModule(
-        c.algebra.space,
-        [c.algebra.left_mult_matrix({i: f.one}) for i in range(c.dim)],
-    )
+    f, sp = c.field, c.algebra.space
+    return BModule(sp, [MapMatrix(f, sp, sp, m) for m in c.algebra.mult_stack()[:c.dim]])
 
 
 def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
@@ -417,18 +416,14 @@ class EndSpace:
         return [tuple(co) for co in _scalar_rows(f, coords.T)]
 
     def evaluation_at_unit(self) -> MapMatrix:
-        """The map ξ ↦ ξ(1_H) from the span to B."""
+        """The map ξ ↦ ξ(1_H) from the span to B: the unit's coordinates
+        against the H index of every basis map at once."""
         c = self.comodule
         f = c.field
-        u = c.host.unit_dict()
-        cols = []
-        for mat in self.basis_maps:
-            vec = [f.zero] * c.dim
-            for j, cj in u.items():
-                piece = [row[j] for row in mat.rows]
-                vec = [f.add(a, f.mul(cj, b)) for a, b in zip(vec, piece)]
-            cols.append(tuple(vec))
-        return MapMatrix.from_columns(f, self.space, c.algebra.space, cols)
+        unit = _field_array(f, [c.host.algebra.unit])
+        maps = self._kernel.reshape(c.dim, c.host.dim, self.dim)
+        vals = _mod_matmul(f, unit, maps).reshape(c.dim, self.dim)
+        return MapMatrix(f, self.space, c.algebra.space, vals)
 
     def __repr__(self):
         return f"EndSpace(dim={self.dim})"
@@ -445,47 +440,47 @@ def _coords(f: Field, columns: np.ndarray, free, vecs: np.ndarray) -> np.ndarray
     return coords
 
 
-def _add_term(f, acc, key, val):
-    cur = f.add(acc.get(key, f.zero), val)
-    if f.is_zero(cur):
-        acc.pop(key, None)
-    else:
-        acc[key] = cur
+def _constraint_ops(c: ComoduleAlgebra):
+    """The intertwiner constraints of every basis element of B as one COO
+    operator (rows, cols, vals) sorted by row: row b·n + r is row r of the
+    constraint of b, n = dim B · dim H.
+
+    With ξ flattened as ξ[r·dim H + s] = coefficient of b_r in ξ(h_s), the
+    constraint of b is Σ_{c·h_i⊗b_j in δ(b)} c·ρ(b_j) ⊗ λ(h_i)ᵀ − λ(b) ⊗ id,
+    so row (r', s') and column (r, s) carry
+    Σ c·[b_r b_j]_{r'}·[h_i h_s']_s − [b b_r]_{r'}·[s = s'].
+    All of them are one ``_kron_sum`` of the multiplication stacks, one
+    group per b, so entries are summed in the field and no entry is ever
+    larger than a field element.
+    """
+    f, h = c.field, c.host
+    nb, nh = c.dim, h.dim
+    n = nb * nh
+    counts, _, out, cv = c.coaction_op()
+    hi, bj = np.divmod(out, nb)
+    every = np.arange(nb)
+    terms = zip(np.concatenate((np.repeat(every, counts), every)).tolist(),
+                np.concatenate((bj, nb + every)).tolist(),  # ρ(b_j), then λ(b)
+                np.concatenate((hi, np.full(nb, nh))).tolist(),  # λ(h_i)ᵀ, then id
+                cv.tolist() + [f.neg(f.one)] * nb)
+    bsp, hsp = c.algebra.space, h.space
+    sb, sh = c.algebra.mult_stack(), h.algebra.mult_stack()
+    legs = ([MapMatrix(f, bsp, bsp, m) for m in np.concatenate((sb[nb:], sb[:nb]))],
+            [MapMatrix(f, hsp, hsp, m.T) for m in sh[:nh]] + [MapMatrix.identity(f, hsp)])
+    counts, _, out, val = _kron_sum(f, list(terms), legs, nb)
+    b, cols = np.divmod(np.repeat(np.arange(nb * n), counts), n)
+    rows = b * n + out
+    order = np.argsort(rows * n + cols)
+    return rows[order], cols[order], _field_array(f, val[order])
 
 
 def _constraint_op(c: ComoduleAlgebra, b: int):
     """The intertwiner constraint of basis element b as COO arrays
-    (rows, cols, vals), sorted by row.
-
-    With ξ flattened as ξ[r·dim H + s] = coefficient of b_r in ξ(h_s), row
-    (r', s') and column (r, s) carry
-    Σ_{c·h_i⊗b_j in δ(b)} c·[b_r b_j]_{r'}·[h_i h_s']_s − [b b_r]_{r'}·[s = s'].
-    Entries come straight from the structure constants and are summed in
-    the field, so no entry is ever larger than a field element.
-    """
-    f = c.field
-    nh = c.host.dim
-    hmul = c.host.algebra.mult_basis
-    bmul = c.algebra.mult_basis
-    acc: dict = {}
-    for (hi, bj), cv in c.coaction_basis(b).items():
-        hterms = [(s2, s, cs) for s2 in range(nh) for s, cs in hmul(hi, s2).items()]
-        for r in range(c.dim):
-            for r2, cr in bmul(r, bj).items():
-                a = f.mul(cv, cr)
-                for s2, s, cs in hterms:
-                    _add_term(f, acc, (r2 * nh + s2, r * nh + s), f.mul(a, cs))
-    for r in range(c.dim):
-        for r2, cr in bmul(b, r).items():
-            for s in range(nh):
-                _add_term(f, acc, (r2 * nh + s, r * nh + s), f.neg(cr))
-    keys = sorted(acc)
-    rows = np.array([k[0] for k in keys], dtype=np.int64)
-    cols = np.array([k[1] for k in keys], dtype=np.int64)
-    return rows, cols, _field_array(f, [acc[k] for k in keys])
-
-
-_NO_ENTRIES = (np.zeros(0, dtype=np.int64),) * 3  # an empty COO operator
+    (rows, cols, vals), sorted by row (see ``_constraint_ops``)."""
+    n = c.dim * c.host.dim
+    rows, cols, vals = _constraint_ops(c)
+    sel = slice(*np.searchsorted(rows, [b * n, (b + 1) * n]))
+    return rows[sel] - b * n, cols[sel], vals[sel]
 
 
 def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
@@ -496,11 +491,11 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     satisfy this form a subalgebra, because δ is an algebra map, so only the
     constraints of the algebra generators that ``algebra_generators`` picks
     are imposed.  Each basis element's constraint is a sparse operator on
-    Hom(H,B), assembled as COO arrays straight from the structure constants.
-    The generators' operators are stacked into one sparse system, whose
-    columns fall into many small connected components (two columns are
-    joined when a constraint row holds both); ``_sparse_kernel`` eliminates
-    each component on its own.  That gives the reduced basis (the identity
+    Hom(H,B); ``_constraint_ops`` assembles all of them at once from the
+    multiplication stacks.  The generators' operators form one sparse
+    system, whose columns fall into many small connected components (two
+    columns are joined when a constraint row holds both); ``_sparse_kernel``
+    eliminates each component on its own.  That gives the reduced basis (the identity
     on its free coordinates) of one elimination of the whole system,
     because a block-diagonal system has the pivots and the reduced kernel
     of its blocks.  The basis is then checked against the constraint of
@@ -517,15 +512,14 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     h = c.host
     nb, nh = c.dim, h.dim
     n = nb * nh
-    ops = [_constraint_op(c, b) for b in range(nb)]
-    gens = algebra_generators(c.algebra)
-    parts = [ops[g] for g in gens] + [_NO_ENTRIES]
-    rows = np.concatenate([r + i * n for i, (r, _, _) in enumerate(parts)])
-    cols = np.concatenate([c for _, c, _ in parts])
-    vals = np.concatenate([v for _, _, v in parts])
-    kernel = _sparse_kernel(f, rows, cols, vals, n)
-    for b, op in enumerate(ops):
-        if (_apply(f, op, kernel) != 0).any():
+    ops = _constraint_ops(c)
+    imposed = np.isin(ops[0] // n, algebra_generators(c.algebra))
+    kernel = _sparse_kernel(f, *(a[imposed] for a in ops), n)
+    # one basis element at a time: a single _apply of all of them would hold
+    # the products of every constraint row at once
+    bounds = np.searchsorted(ops[0], np.arange(nb + 1) * n)
+    for b in range(nb):
+        if (_apply(f, [a[bounds[b]:bounds[b + 1]] for a in ops], kernel) != 0).any():
             raise HopffactError(
                 f"the generators' kernel fails the constraint of basis element {b}: "
                 "the coaction is not an algebra map"
@@ -541,8 +535,7 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     # right-multiply every ξ by every h_i at once, ξ ↦ ξ·R(h_i) on the H
     # index: one product with the R(h_i) side by side, a slice of them at a time
     by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1).reshape(nb * k, nh)
-    rights = np.concatenate(
-        [h.algebra.right_mult_matrix({i: f.one}).array for i in range(nh)], axis=1)
+    rights = h.algebra.mult_stack()[nh:].transpose(1, 0, 2).reshape(nh, nh * nh)
     step = max(1, _SLICE_CELLS // max(1, nb * k * nh))
     coords = []
     for s in range(0, nh, step):
@@ -569,36 +562,38 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
 # ---------------------------------------------------------------------------
 
 def _theta_elements(k: KMatrix, double_antipode: bool):
-    """For each basis h_t: Σ S(h_(1)) K_i h_(2) ⊗ K^i  (optionally with an
-    outer antipode on the first leg) as a dict {(hh, bb): coeff}."""
-    h = k.host
-    f = h.field
-    out = []
-    for t in range(h.dim):
-        acc: dict = {}
-        for (a1, a2), dc in h.comult_basis(t).items():
-            s1 = h.s_dict({a1: dc})
-            for (u, v), cv in k.element.coeffs.items():
-                left = h.multiply(h.multiply(s1, {u: f.one}), {a2: f.one})
-                if double_antipode:
-                    left = h.s_dict(left)
-                for hh, ch in left.items():
-                    _add_term(f, acc, (hh, v), f.mul(ch, cv))
-        out.append(acc)
-    return out
+    """For each basis h_t, Σ S(h_(1)) K_i h_(2) ⊗ K^i in H⊗B (optionally
+    with an outer antipode on the first leg), as a family.
+
+    Φ(a⊗c) = (e_a ⊗ 1)·K·(e_c ⊗ 1) is the family of dim H² products, and
+    the elements are Φ applied to (S⊗id)Δ(h_t); the outer antipode is one
+    more ``_coapply`` on the H-leg.
+    """
+    h, c = k.host, k.comodule
+    f, nh, nb = h.field, h.dim, c.dim
+    ops, dims = [h.algebra.mult_op(), c.algebra.mult_op()], [nh, nb]
+    _, _, key, val = _units(f, [c.algebra])
+    every = np.arange(nh)
+    a = np.repeat(every, key.size)
+    e_1 = _sparse_op(f, a, a * nb + np.tile(key, nh), np.tile(val, nh), nh, nh * nb)
+    left = _products(f, e_1, _flat(k.element), (every, np.zeros(nh, dtype=np.int64)), ops, dims)
+    phi = _products(f, left, e_1, (np.repeat(every, nh), np.tile(every, nh)), ops, dims)
+    s_op = _linear_op(f, h.antipode.array)
+    twisted = _coapply(f, h.coalgebra.comult_op(), (nh, nh), 0, s_op, nh)
+    theta = _coapply(f, twisted, (nh * nh,), 0, phi, nh * nb)
+    return _coapply(f, theta, (nh, nb), 0, s_op, nh) if double_antipode else theta
 
 
 def _theta_matrix_from_elements(k: KMatrix, es: EndSpace, elements) -> MapMatrix:
+    """The map h^a ↦ [h_t ↦ the h_a-leg of element t], in the end-space
+    basis; a map outside the span raises ImageEscapesEndSpace."""
     h = k.host
     f = h.field
     nb, nh = k.comodule.dim, h.dim
-    targets = np.zeros((nh, nb * nh), dtype=_dtype(f))
-    for t in range(nh):
-        for (hh, bb), cv in elements[t].items():
-            targets[hh, bb * nh + t] = cv
-    coords = es.coords_many(targets)
-    rows = [tuple(coords[a][r] for a in range(nh)) for r in range(es.dim)]
-    return MapMatrix(f, h.space.dual(), es.space, rows)
+    hh, bb = np.divmod(elements[2], nb)
+    targets = np.zeros((nb * nh, nh), dtype=_dtype(f))
+    targets[bb * nh + _members(elements), hh] = elements[3]
+    return MapMatrix(f, h.space.dual(), es.space, _coords(f, es._kernel, es._free, targets))
 
 
 def theta_comodule(k: KMatrix, es: EndSpace | None = None) -> MapMatrix:
@@ -633,13 +628,9 @@ def omega_copairing(k: KMatrix, es: EndSpace | None = None) -> TensorElement:
     h = k.host
     f = h.field
     es = es if es is not None else compute_end_space(k.comodule)
-    theta_mod = _theta_matrix_from_elements(k, es, _theta_elements(k, True))
-    coeffs = {}
-    for i in range(h.dim):
-        for j in range(es.dim):
-            c = theta_mod.rows[j][i]
-            if not f.is_zero(c):
-                coeffs[(i, j)] = c
+    w = theta_module_category(k, es).array.T
+    i, j = np.nonzero(w)
+    coeffs = dict(zip(zip(i.tolist(), j.tolist()), _scalar_rows(f, w[i, j][None])[0]))
     omega = TensorElement(f, (h.space, es.space), coeffs)
     _verify_omega_invariance(k, es, omega)
     return omega
@@ -648,26 +639,29 @@ def omega_copairing(k: KMatrix, es: EndSpace | None = None) -> TensorElement:
 def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
     """h·ω = ε(h)ω for every basis h, with the adjoint action on the H-leg.
 
-    With W the matrix of ω and A the end-space action, h_t·ω is
-    Σ_{(a, mid) ∈ Δ(h_t)} ad(h_a) · W · A_midᵀ.
+    On H⊗E, h_t·ω is Σ_{(a, mid) ∈ Δ(h_t)} (ad(h_a) ⊗ A_mid)·ω, A the
+    end-space action: one ``_kron_sum`` with a group per t, applied to the
+    terms of ω for every t at once.
     """
     h = k.host
     f = h.field
     nh, ne = h.dim, es.dim
-    w = [[f.zero] * ne for _ in range(nh)]
-    for (i, j), c in omega.coeffs.items():
-        w[i][j] = c
-    hsp, esp = omega.factors
-    wmat = MapMatrix(f, esp, hsp, w)
-    adjoints = h.adjoint_matrices()
-    moved = [wmat @ act.transpose() for act in es.h_action]
-    for t in range(nh):
-        acc = MapMatrix.zero(f, esp, hsp)
-        for (a, mid), dc in h.comult_basis(t).items():
-            acc = acc + (adjoints[a] @ moved[mid]).scale(dc)
-        eps = h.coalgebra.counit[t]
-        if acc != wmat.scale(eps):
-            raise HopffactError(f"copairing is not invariant at basis {t}")
+    if not ne:  # H ⊗ 0 holds only 0
+        return
+    n = nh * ne
+    counts, _, out, dc = h.coalgebra.comult_op()
+    a, mid = np.divmod(out, nh)
+    terms = zip(np.repeat(np.arange(nh), counts).tolist(), a.tolist(), mid.tolist(), dc.tolist())
+    op = _kron_sum(f, list(terms), (h.adjoint_matrices(), es.h_action), nh)
+    _, _, key, val = _flat(omega)
+    t, term = np.repeat(np.arange(nh), key.size), np.tile(np.arange(key.size), nh)
+    rep, out, v = _gather(op, t * n + key[term])
+    moved = _sparse_op(f, t[rep], out, _mul(f, v, val[term[rep]]), nh, n)
+    eps = _sparse_values(f, h.coalgebra.counit)
+    fixed = _sparse_op(f, t, key[term], _mul(f, eps[t], val[term]), nh, n)
+    bad = _differing(f, moved, fixed, n)
+    if bad.size:
+        raise HopffactError(f"copairing is not invariant at basis {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -711,9 +705,11 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
 def _invariants(f: Field, mats, counit) -> np.ndarray:
     """The vectors v with A_t v = ε(h_t) v for every matrix A_t of ``mats``,
     as the rows of a basis read off the RREF."""
-    eye = np.eye(mats[0].domain.dim, dtype=_dtype(f))
-    rows = np.concatenate([_reduce(f, m.array - eye * eps) for m, eps in zip(mats, counit)])
-    return _kernel(f, rows, eye.shape[0]).T
+    d = mats[0].domain.dim
+    rows = np.stack([m.array for m in mats])
+    diag = np.arange(d)
+    rows[:, diag, diag] = _reduce(f, rows[:, diag, diag] - _field_array(f, counit)[:, None])
+    return _kernel(f, rows.reshape(-1, d), d).T
 
 
 # ---------------------------------------------------------------------------
@@ -721,23 +717,17 @@ def _invariants(f: Field, mats, counit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _operator_family(c: ComoduleAlgebra) -> np.ndarray:
-    """Left and right multiplications by the basis of B, then the coaction
-    coefficient operators b ↦ (h^i ⊗ id)δ(b), read off the structure
-    constants, as one read-only stack of field arrays (cached on the
-    comodule algebra)."""
+    """Left and right multiplications by the basis of B (its
+    ``mult_stack``), then the coaction coefficient operators
+    b ↦ (h^i ⊗ id)δ(b), read off the coaction table, as one read-only stack
+    of field arrays (cached on the comodule algebra)."""
     if c._ops is None:
         f, nb = c.field, c.dim
-        counts, _, k, mv = c.algebra.mult_op()
-        i, j = np.divmod(np.repeat(np.arange(nb * nb), counts), nb)
         counts, _, out, cv = c.coaction_op()
         hh, bb = np.divmod(out, nb)
-        b = np.repeat(np.arange(nb), counts)
-        # operator, row, column: e_i· sends e_j to e_k and ·e_j sends e_i to e_k
-        which = np.concatenate((i, nb + j, 2 * nb + hh))
-        key = (which * nb + np.concatenate((k, k, bb))) * nb + np.concatenate((j, i, b))
-        stack = np.zeros((2 * nb + c.host.dim) * nb * nb, dtype=_dtype(f))
-        stack[key] = np.concatenate((mv, mv, cv))
-        stack = stack.reshape(-1, nb, nb)
+        coeffs = np.zeros((c.host.dim, nb, nb), dtype=_dtype(f))
+        coeffs[hh, bb, np.repeat(np.arange(nb), counts)] = cv
+        stack = np.concatenate((c.algebra.mult_stack(), coeffs))
         stack.flags.writeable = False
         object.__setattr__(c, "_ops", stack)
     return c._ops
@@ -802,11 +792,12 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
     W ∩ ℤ_(p)ⁿ, also invariant, whose reduction is a k-dimensional
     invariant subspace mod p.  The same argument over a number field shows
     that absolute simplicity mod p gives absolute simplicity over Q.  A
-    NotSimple witness mod p is lifted: its RREF, alone and CRT-combined
-    with the RREF of each earlier prime with the same pivot columns, is
-    rationally reconstructed (``linalg.rational_lift``), and a candidate
-    is accepted only when its exact costable closure over Q is proper and
-    of the candidate's dimension; that closure is the witness.  A mod-p
+    NotSimple witness mod p is lifted: its RREF, alone, CRT-combined with
+    the RREF of each earlier prime with the same pivot columns, and
+    CRT-combined with all of those at once, is rationally reconstructed
+    (``linalg.rational_lift``), and a candidate is accepted only when its
+    exact costable closure over Q is proper and of the candidate's
+    dimension; that closure is the witness.  A mod-p
     ideal that is not the reduction of a rational one (an eigenspace of i
     in Q(i) mod p ≡ 1 mod 4) never lifts.  When no prime decides, the
     costable ideals spun from the basis vectors are tried (certificate
@@ -838,7 +829,10 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
             return SimplicityVerdict(status, cert, None, tag)
         ech, piv = _gf_echelon(np.array(rows, dtype=np.float64, order="C"), p)
         same = earlier.setdefault(tuple(piv), [])
-        for residues, primes in [((ech,), (p,))] + [((e, ech), (q, p)) for q, e in same]:
+        tries = [((ech,), (p,))] + [((e, ech), (q, p)) for q, e in same]
+        if len(same) > 1:  # every agreeing prime at once
+            tries.append((tuple(e for _, e in same) + (ech,), tuple(q for q, _ in same) + (p,)))
+        for residues, primes in tries:
             cand = rational_lift(residues, primes)
             if cand is None:
                 continue

@@ -280,17 +280,23 @@ class ReflectiveAlgebraData:
     kmatrix: KMatrix
 
 
+def _columns(m: MapMatrix) -> list:
+    """The columns of ``m`` as sparse elements {index: coeff}."""
+    return [{j: x for j, x in enumerate(col) if x} for col in zip(*m.rows)]
+
+
 def _hat_coalgebra(h: HopfAlgebra, r: RMatrix) -> StructCoalgebra:
     """The twisted coproduct on H built from the R-matrix and S^{-1}."""
-    f = h.field
+    f, mult = h.field, h.algebra.multiply
+    s_inv = _columns(h.antipode_inv)
     comult = {}
     for t in range(h.dim):
         inner = {}
         for (d1, d2), dc in h.comult_basis(t).items():
             for (u, v), rc in r.element.coeffs.items():
                 c = f.mul(dc, rc)
-                left = h.multiply({d1: f.one}, {v: f.one})
-                right = h.multiply({d2: f.one}, {u: f.one})
+                left = mult({d1: f.one}, {v: f.one})
+                right = mult({d2: f.one}, {u: f.one})
                 for a, ca in left.items():
                     for b, cb in right.items():
                         key = (a, b)
@@ -302,8 +308,8 @@ def _hat_coalgebra(h: HopfAlgebra, r: RMatrix) -> StructCoalgebra:
                 continue
             for (u2, v2), rc in r.element.coeffs.items():
                 c2 = f.mul(c, rc)
-                left = h.multiply({v2: f.one}, {a: f.one})
-                right = h.multiply({b: f.one}, h.s_inv_dict({u2: f.one}))
+                left = mult({v2: f.one}, {a: f.one})
+                right = mult({b: f.one}, s_inv[u2])
                 for a2, ca in left.items():
                     for b2, cb in right.items():
                         key = (a2, b2)
@@ -335,14 +341,15 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
             b0_mult.setdefault((y, x), {})[t] = c
     b0_unit = tuple(hat.counit)
     # right translation: coords of f ↼ h_l on the dual basis
+    s_inv = _columns(h.antipode_inv)
     act = []  # act[l][s] = dict over a: coeff of ⟨f_a⟩ in (f ↼ h_l) at h_s
     for l in range(nh):
         sl1 = []
         for s in range(nh):
             out = {}
             for (l1, l2), dc in h.comult_basis(l).items():
-                mid = h.multiply(h.multiply({l2: f.one}, {s: f.one}),
-                                 h.s_inv_dict({l1: dc}))
+                mid = h.algebra.multiply(h.algebra.multiply({l2: f.one}, {s: f.one}),
+                                         {j: f.mul(dc, x) for j, x in s_inv[l1].items()})
                 for aidx, ca in mid.items():
                     out[aidx] = f.add(out.get(aidx, f.zero), ca)
             sl1.append({k: v for k, v in out.items() if not f.is_zero(v)})

@@ -79,64 +79,39 @@ class HopfAlgebra:
     def dim(self) -> int:
         return self.algebra.dim
 
-    # sparse-element helpers -------------------------------------------------
-    def multiply(self, x: dict, y: dict) -> dict:
-        return self.algebra.multiply(x, y)
-
     def unit_dict(self) -> dict:
         return self.algebra.unit_dict()
 
     def comult_basis(self, i: int) -> dict:
         return self.coalgebra.comult_basis(i)
 
-    def counit(self, x: dict):
-        return self.coalgebra.counit_of(x)
-
-    def s_dict(self, x: dict) -> dict:
-        return _matrix_apply_dict(self.antipode, x)
-
-    def s_inv_dict(self, x: dict) -> dict:
-        return _matrix_apply_dict(self.antipode_inv, x)
-
-    def s_basis(self, i: int) -> dict:
-        return self.s_dict({i: self.field.one})
-
     def adjoint_matrices(self) -> tuple:
         """The adjoint action ℓ ↦ h_(1) · ℓ · S(h_(2)) on H of every basis
-        element h, as matrices (computed once)."""
+        element h, as matrices (computed once).
+
+        Ψ(a⊗c), the map x ↦ e_a e_x e_c, is the family of the products
+        (e_a e_x)·e_c; the adjoint matrix of h is Ψ applied to
+        (id⊗S)Δ(h).
+        """
         if self._adjoints is None:
-            f = self.field
-            alg = self.algebra
-            left = [alg.left_mult_matrix({i: f.one}) for i in range(self.dim)]
-            right_s = [alg.right_mult_matrix(self.s_basis(i)) for i in range(self.dim)]
-            mats = []
-            for t in range(self.dim):
-                acc = MapMatrix.zero(f, self.space, self.space)
-                for (a1, a2), dc in self.comult_basis(t).items():
-                    acc = acc + (left[a1] @ right_s[a2]).scale(dc)
-                mats.append(acc)
-            object.__setattr__(self, "_adjoints", tuple(mats))
+            f, n = self.field, self.dim
+            m = self.algebra.mult_op()
+            pair, c = np.repeat(np.arange(n * n), n), np.tile(np.arange(n), n * n)
+            prods = _products(f, m, _linear_op(f, np.eye(n, dtype=np.int64)), (pair, c), [m], [n])
+            g = _members(prods)  # (a·n + x)·n + c
+            a, x = np.divmod(pair[g], n)
+            psi = _sparse_op(f, a * n + c[g], prods[2] * n + x, prods[3], n * n, n * n)
+            s_op = _linear_op(f, self.antipode.array)
+            twisted = _coapply(f, self.coalgebra.comult_op(), (n, n), 1, s_op, n)
+            ad = _coapply(f, twisted, (n * n,), 0, psi, n * n)
+            stack = np.zeros((n, n * n), dtype=_dtype(f))
+            stack[_members(ad), ad[2]] = ad[3]
+            mats = tuple(MapMatrix(f, self.space, self.space, s.reshape(n, n)) for s in stack)
+            object.__setattr__(self, "_adjoints", mats)
         return self._adjoints
 
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim} over {self.field})"
-
-
-def _matrix_apply_dict(m: MapMatrix, x: dict) -> dict:
-    f = m.field
-    out = {}
-    for j, cj in x.items():
-        if f.is_zero(cj):
-            continue
-        for k, row in enumerate(m.rows):
-            c = row[j]
-            if not f.is_zero(c):
-                val = f.add(out.get(k, f.zero), f.mul(cj, c))
-                if f.is_zero(val):
-                    out.pop(k, None)
-                else:
-                    out[k] = val
-    return out
 
 
 def solve_antipode(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> MapMatrix:
@@ -312,10 +287,8 @@ class HModule:
 
 
 def regular_module(h: HopfAlgebra) -> HModule:
-    f = h.field
-    return HModule(
-        h.space, [h.algebra.left_mult_matrix({i: f.one}) for i in range(h.dim)]
-    )
+    f, sp = h.field, h.space
+    return HModule(sp, [MapMatrix(f, sp, sp, m) for m in h.algebra.mult_stack()[:h.dim]])
 
 
 def trivial_module(h: HopfAlgebra) -> HModule:
@@ -436,16 +409,12 @@ def module_tensor(h: HopfAlgebra, x: HModule, y: HModule) -> HModule:
 
 
 def module_dual(h: HopfAlgebra, x: HModule) -> HModule:
-    """Left dual X*: the action is the transpose of the S-twisted action."""
-    f = h.field
+    """Left dual X*: the action of h is the transpose of the action of S(h)."""
+    f, d = h.field, x.dim
     sp = x.space.dual()
-    mats = []
-    for i in range(h.dim):
-        acc = MapMatrix.zero(f, x.space, x.space)
-        for j, c in h.s_basis(i).items():
-            acc = acc + x.action[j].scale(c)
-        mats.append(MapMatrix(f, sp, sp, acc.array.T))
-    return HModule(sp, mats)
+    acts = np.stack([m.array for m in x.action]).reshape(h.dim, d * d)
+    twisted = _mod_matmul(f, h.antipode.array.T, acts).reshape(h.dim, d, d)
+    return HModule(sp, [MapMatrix(f, sp, sp, m.T) for m in twisted])
 
 
 def module_evaluation(h: HopfAlgebra, x: HModule) -> MapMatrix:

@@ -667,6 +667,20 @@ def test_h_simplicity_lift_through_two_primes(monkeypatch):
             assert h_simplicity(rebased).status == "inconclusive"
 
 
+def test_h_simplicity_lift_through_every_agreeing_prime(monkeypatch):
+    # all three primes give this rebasing of kS3 a witness with the same
+    # pivots, with entries too large to be reconstructed from one prime or
+    # from two; the CRT of all three recovers it
+    c = _group_trivial_coaction(symmetric_group(3))
+    rng = random.Random(3)
+    rebased = _rebase(c, [rng.randint(-30, 30) for _ in range(c.dim ** 2)])
+    sv = h_simplicity(rebased)
+    assert (sv.certificate, len(sv.witness)) == ("spin", 1)
+    _assert_verified_witness(rebased, sv)
+    monkeypatch.setattr(comodule, "_NORTON_PRIMES", comodule._NORTON_PRIMES[:2])
+    assert h_simplicity(rebased).status == "inconclusive"
+
+
 def _rebase(c, entries):
     """``c`` with B on the basis b'_i = Σ_j P_ji b_j, P the n×n matrix of
     ``entries`` (row-major), structure constants and coaction transported;

@@ -129,15 +129,10 @@ def test_antipode_consequences():
     for builder in (lambda: group_algebra(symmetric_group(3))[0], sweedler_h4):
         h = builder()
         eps = h.coalgebra.counit
-        n = h.dim
-        for j in range(n):
-            sj = h.s_basis(j)
-            val = QQ.zero
-            for k, c in sj.items():
-                val += c * eps[k]
-            assert val == eps[j]
-        s_of_unit = h.s_dict(h.unit_dict())
-        assert s_of_unit == h.unit_dict()
+        s = h.antipode.rows
+        for j in range(h.dim):
+            assert sum(s[k][j] * eps[k] for k in range(h.dim)) == eps[j]
+        assert h.antipode.apply(h.algebra.unit) == h.algebra.unit
 
 
 def test_regular_and_trivial_modules_pass():
