@@ -17,10 +17,10 @@ from .hopf import (
     HModule,
     HopfAlgebra,
     _check_representation,
+    _family,
     _kron_sum,
     element_terms,
     kron_sums,
-    trivial_module,
 )
 from .linalg import (
     BasedSpace,
@@ -252,7 +252,7 @@ def regular_bmodule(c: ComoduleAlgebra) -> BModule:
 
 def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
     """e_{X,M}: X⊗M → X⊗M, x⊗m ↦ (first leg · x) ⊗ (second leg ∗ m)."""
-    return kron_sums(element_terms(k.element), x.action, m.action)[0]
+    return kron_sums(element_terms(k.element), x, m)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -260,26 +260,31 @@ def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
 # operators of ``linalg``
 # ---------------------------------------------------------------------------
 
-def _legs(key: np.ndarray, dims):
-    """Split batch keys column·dim + flat index into the column and the
-    three leg indices."""
-    col, flat = np.divmod(key, dims[0] * dims[1] * dims[2])
-    return col, [flat // (dims[1] * dims[2]), flat // dims[2] % dims[1], flat % dims[2]]
-
-
 def _act(f, batch, dims, op, legs, order, limit):
     """Apply a two-leg operator to ``legs`` (la, lb) of a batch of columns,
-    then reorder the legs by ``order``; the batch is (keys, values)."""
-    key, val = batch
+    then reorder the legs by ``order``; the batch is (column, [three leg
+    indices], values).
+
+    Equal entries are summed only when the step grew the batch: a step with
+    at most one entry per input passes its entries on unsorted, and the sum
+    at the end of the chain adds what is left."""
+    col, idx, val = batch
     la, lb = legs
-    col, idx = _legs(key, dims)
     rep, out, tv = _gather(op, idx[la] * dims[lb] + idx[lb], limit)
     idx = [i[rep] for i in idx]
     idx[la], idx[lb] = np.divmod(out, dims[lb])
-    i0, i1, i2 = (idx[p] for p in order)
-    d0, d1, d2 = dims = [dims[p] for p in order]
-    key = col[rep] * (d0 * d1 * d2) + (i0 * d1 + i1) * d2 + i2
-    return _combine(f, key, _mul(f, val[rep], tv)), dims
+    idx, dims = [idx[p] for p in order], [dims[p] for p in order]
+    col, val = col[rep], _mul(f, val[rep], tv)
+    if rep.size > batch[0].size:
+        key, val = _combine(f, _batch_keys(col, idx, dims), val)
+        col, flat = np.divmod(key, dims[0] * dims[1] * dims[2])
+        idx = list(np.unravel_index(flat, dims))
+    return (col, idx, val), dims
+
+
+def _batch_keys(col, idx, dims):
+    """The keys column·dim + flat index of a batch's entries."""
+    return col * (dims[0] * dims[1] * dims[2]) + (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
 
 
 def _failing_columns(f, lhs, rhs, first, last, dims, limit):
@@ -288,12 +293,12 @@ def _failing_columns(f, lhs, rhs, first, last, dims, limit):
     n = dims[0] * dims[1] * dims[2]
     cols = np.arange(first, last, dtype=np.int64)
     rep, out, val = _gather(lhs, cols, limit)
-    left = _combine(f, (rep + first) * n + out, val)
-    right, d = (cols * n + cols, _sparse_values(f, [f.one]).repeat(cols.size)), dims
+    ones = _sparse_values(f, [f.one]).repeat(cols.size)
+    right, d = (cols, list(np.unravel_index(cols, dims)), ones), dims
     for op, legs, order in rhs:
         right, d = _act(f, right, d, op, legs, order, limit)
-    key, _ = _combine(f, np.concatenate((left[0], right[0])),
-                      np.concatenate((left[1], _neg(f, right[1]))))
+    key, _ = _combine(f, np.concatenate(((rep + first) * n + out, _batch_keys(*right[:2], d))),
+                      np.concatenate((val, _neg(f, right[2]))))
     return np.unique(key // n)
 
 
@@ -304,42 +309,54 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
     and identity 2 is e_{X,Y▷M} = c_{Y,X} (id_Y ▷ e_{X,M}) c_{X,Y} (Kolb 2020).
     Each side is applied to a batch of basis columns of X⊗Y⊗M at once: the
     braidings and e are two-leg sparse operators, and the left sides,
-    (Δ⊗id)K and (id⊗δ)K, three-leg ones, each built once as a sum of outer
-    products of the nonzeros of the action matrices.  Every column is
+    (Δ⊗id)K and (id⊗δ)K, three-leg ones, each a sum of outer products of
+    the nonzeros of the action matrices.  Each module's nonzeros are
+    gathered once for its lifetime (``HModule.family``), and each operator
+    is built once per call and shared by both identities (when X is Y,
+    c_{X,Y} is c_{Y,X} and e_{Y,M} is e_{X,M}).  Along a chain of steps,
+    equal keys are summed only after a step that grew the batch; the one
+    sum of lhs − rhs at the end is exact either way.  Every column is
     checked exactly; dense matrices on X⊗Y⊗M are never formed.  Batches
     are halved until no expansion exceeds ``linalg._SLICE_CELLS`` entries.
     The witness is the first failing column (jx, jy, jm) in lexicographic
     order, named by identity 1 when it fails there.
+
+    The unit law e_{1,M} = id is ρ_M((ε⊗id)K) = id: one product of the
+    coefficients of (ε⊗id)K with M's action matrices.
     """
-    f = k.host.field
-    h = k.host
-    r = k.rmatrix
+    h, r = k.host, k.rmatrix
+    f = h.field
     kt = k.element.coeffs
-    xa, ya, ma = x.action, y.action, m.action
     dims = [x.dim, y.dim, m.dim]
     swap = (1, 0, 2)
     keep = (0, 1, 2)
-    r_yx = _kron_sum(f, element_terms(r.element), (ya, xa))
-    e_xm = _kron_sum(f, element_terms(k.element), (xa, ma))
+
+    def two_leg(t, a, b):
+        return _kron_sum(f, element_terms(t), (a.family(), b.family()), (a.dim, b.dim))
+
+    r_yx = two_leg(r.element, y, x)
+    e_xm = two_leg(k.element, x, m)
+    same = x is y
     # input legs (x, y, m): c_{Y,X}⁻¹ puts the first leg of R⁻¹ on Y and the
     # second on X, giving (y, x, m); c_{Y,X} puts the first R-leg on Y and
     # returns to (x, y, m); c_{X,Y} puts it on X and gives (y, x, m)
     rhs1 = [
-        (_kron_sum(f, element_terms(r.inverse), (ya, xa)), (1, 0), swap),
+        (two_leg(r.inverse, y, x), (1, 0), swap),
         (e_xm, (1, 2), keep),
         (r_yx, (0, 1), swap),
-        (_kron_sum(f, element_terms(k.element), (ya, ma)), (1, 2), keep),
+        (e_xm if same else two_leg(k.element, y, m), (1, 2), keep),
     ]
     rhs2 = [
-        (_kron_sum(f, element_terms(r.element), (xa, ya)), (0, 1), swap),
+        (r_yx if same else two_leg(r.element, x, y), (0, 1), swap),
         (e_xm, (1, 2), keep),
         (r_yx, (0, 1), swap),
     ]
     # e_{X⊗Y,M}: Δ on the first K-leg; e_{X,Y▷M}: δ on the second
+    legs = (x.family(), y.family(), m.family())
     lhs1 = _kron_sum(f, [(0, a1, a2, b, f.mul(cv, dc)) for (a, b), cv in kt.items()
-                         for (a1, a2), dc in h.comult_basis(a).items()], (xa, ya, ma))
+                         for (a1, a2), dc in h.comult_basis(a).items()], legs, dims)
     lhs2 = _kron_sum(f, [(0, a, hh, bb, f.mul(cv, dc)) for (a, b), cv in kt.items()
-                         for (hh, bb), dc in k.comodule.coaction_basis(b).items()], (xa, ya, ma))
+                         for (hh, bb), dc in k.comodule.coaction_basis(b).items()], legs, dims)
     n = dims[0] * dims[1] * dims[2]
     first, size = 0, n
     while first < n:
@@ -357,7 +374,12 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
             return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
         first = last
     # unit law e_{1,M} = id
-    if not module_braiding(k, trivial_module(h), m).is_identity():
+    nh, nb, d = h.dim, k.comodule.dim, m.dim
+    eps_k = _coapply(f, _flat(k.element), (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
+    coeffs = np.zeros((1, nb), dtype=_dtype(f))
+    coeffs[0, eps_k[2]] = eps_k[3]
+    acts = np.stack([a.array for a in m.action]).reshape(nb, d * d)
+    if not np.array_equal(_mod_matmul(f, coeffs, acts)[0], np.eye(d, dtype=acts.dtype).ravel()):
         return Verdict.failed("braided-module-unit", None, "e_{1,M} ≠ id")
     return Verdict.passed()
 
@@ -467,7 +489,8 @@ def _constraint_ops(c: ComoduleAlgebra):
     sb, sh = c.algebra.mult_stack(), h.algebra.mult_stack()
     legs = ([MapMatrix(f, bsp, bsp, m) for m in np.concatenate((sb[nb:], sb[:nb]))],
             [MapMatrix(f, hsp, hsp, m.T) for m in sh[:nh]] + [MapMatrix.identity(f, hsp)])
-    counts, _, out, val = _kron_sum(f, list(terms), legs, nb)
+    counts, _, out, val = _kron_sum(f, list(terms), [_family(f, mats) for mats in legs],
+                                    (nb, nh), nb)
     b, cols = np.divmod(np.repeat(np.arange(nb * n), counts), n)
     rows = b * n + out
     order = np.argsort(rows * n + cols)
@@ -652,7 +675,8 @@ def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
     counts, _, out, dc = h.coalgebra.comult_op()
     a, mid = np.divmod(out, nh)
     terms = zip(np.repeat(np.arange(nh), counts).tolist(), a.tolist(), mid.tolist(), dc.tolist())
-    op = _kron_sum(f, list(terms), (h.adjoint_matrices(), es.h_action), nh)
+    legs = (_family(f, h.adjoint_matrices()), _family(f, es.h_action))
+    op = _kron_sum(f, list(terms), legs, (nh, ne), nh)
     _, _, key, val = _flat(omega)
     t, term = np.repeat(np.arange(nh), key.size), np.tile(np.arange(key.size), nh)
     rep, out, v = _gather(op, t * n + key[term])

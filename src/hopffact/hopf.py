@@ -263,9 +263,13 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 # ---------------------------------------------------------------------------
 
 class HModule:
-    """A finite-dimensional module: one action matrix per Hopf basis element."""
+    """A finite-dimensional module: one action matrix per Hopf basis element.
 
-    __slots__ = ("space", "action")
+    The nonzeros of the action matrices, as one sparse family, are built on
+    first use and kept for the life of the module.
+    """
+
+    __slots__ = ("space", "action", "_fam")
 
     def __init__(self, space: BasedSpace, action):
         action = tuple(action)
@@ -274,6 +278,7 @@ class HModule:
                 raise SpaceMismatch("action matrices must be endomorphisms of the carrier")
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "action", action)
+        object.__setattr__(self, "_fam", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HModule is immutable")
@@ -281,6 +286,12 @@ class HModule:
     @property
     def dim(self) -> int:
         return self.space.dim
+
+    def family(self):
+        """The action matrices as one sparse family (see ``_family``)."""
+        if self._fam is None:
+            object.__setattr__(self, "_fam", _family(self.action[0].field, self.action))
+        return self._fam
 
     def __repr__(self):
         return f"HModule(dim={self.dim})"
@@ -356,10 +367,11 @@ def element_terms(t) -> list:
     return [(0, a, b, c) for (a, b), c in t.coeffs.items()]
 
 
-def _kron_sum(f: Field, terms, legs, groups: int = 1):
+def _kron_sum(f: Field, terms, legs, dims, groups: int = 1):
     """Σ c·A_a ⊗ B_b ⊗ … over ``terms`` [(g, a, b, …, c)], with A, B, …
-    the matrix families in ``legs``, as a sparse operator with input
-    g·dim + u, so each of the ``groups`` g is an operator on A⊗B⊗….
+    the matrix families (``_family``) in ``legs`` on spaces of dimensions
+    ``dims``, as a sparse operator with input g·dim + u, so each of the
+    ``groups`` g is an operator on A⊗B⊗….
 
     Entries are products of the nonzeros of the matrices, summed in the
     field; input and output indices are row-major over the legs.
@@ -370,9 +382,8 @@ def _kron_sum(f: Field, terms, legs, groups: int = 1):
     out = np.zeros_like(inp)
     val = _sparse_values(f, parts[-1])
     n = 1
-    for mats, which in zip(legs, parts[1:-1]):
-        d = mats[0].domain.dim
-        rep, pos, v = _gather(_family(f, mats), np.array(which, dtype=np.int64)[src])
+    for fam, d, which in zip(legs, dims, parts[1:-1]):
+        rep, pos, v = _gather(fam, np.array(which, dtype=np.int64)[src])
         row, col = np.divmod(pos, d)
         src, inp, out = src[rep], inp[rep] * d + col, out[rep] * d + row
         val = _mul(f, val[rep], v)
@@ -380,17 +391,16 @@ def _kron_sum(f: Field, terms, legs, groups: int = 1):
     return _sparse_op(f, inp, out, val, groups * n, n)
 
 
-def kron_sums(terms, mats_a, mats_b, groups: int = 1, swap: bool = False) -> list:
-    """Σ c·A_a ⊗ B_b for each group g < ``groups`` of ``terms``
-    [(g, a, b, c)], as dense maps on A⊗B; with ``swap`` they land in B⊗A."""
-    f = mats_a[0].field
-    sa, sb = mats_a[0].domain, mats_b[0].domain
-    dom = sa.tensor(sb)
-    cod = sb.tensor(sa) if swap else dom
+def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False) -> list:
+    """Σ c·ρ_X(a) ⊗ ρ_Y(b) for each group g < ``groups`` of ``terms``
+    [(g, a, b, c)], as dense maps on X⊗Y; with ``swap`` they land in Y⊗X."""
+    f = x.action[0].field
+    dom = x.space.tensor(y.space)
+    cod = y.space.tensor(x.space) if swap else dom
     n = dom.dim
-    counts, _, out, val = _kron_sum(f, terms, (mats_a, mats_b), groups)
+    counts, _, out, val = _kron_sum(f, terms, (x.family(), y.family()), (x.dim, y.dim), groups)
     if swap:
-        out = out % sb.dim * sa.dim + out // sb.dim
+        out = out % y.dim * x.dim + out // y.dim
     inp = np.repeat(np.arange(groups * n), counts)
     bounds = np.searchsorted(inp, np.arange(groups + 1) * n)
     mats = []
@@ -405,7 +415,7 @@ def kron_sums(terms, mats_a, mats_b, groups: int = 1, swap: bool = False) -> lis
 def module_tensor(h: HopfAlgebra, x: HModule, y: HModule) -> HModule:
     """X ⊗ Y with action through the comultiplication."""
     terms = [(i, a, b, c) for i in range(h.dim) for (a, b), c in h.comult_basis(i).items()]
-    return HModule(x.space.tensor(y.space), kron_sums(terms, x.action, y.action, h.dim))
+    return HModule(x.space.tensor(y.space), kron_sums(terms, x, y, h.dim))
 
 
 def module_dual(h: HopfAlgebra, x: HModule) -> HModule:

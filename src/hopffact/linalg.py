@@ -78,13 +78,12 @@ def space(prefix: str, dim: int) -> BasedSpace:
 # ---------------------------------------------------------------------------
 
 def _clear_denominators(row):
-    """Scale a row of Fractions to coprime integers (kernel-preserving)."""
-    row = [Fraction(x) for x in row]
+    """Scale a row of ints and Fractions to coprime integers
+    (kernel-preserving); both carry ``numerator`` and ``denominator``."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
     mult = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (mult // x.denominator) for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return ints

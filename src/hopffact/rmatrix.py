@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import HopffactError, SpaceMismatch
+from .errors import HopffactError, NotInvertible, SpaceMismatch
 from .hopf import HModule, HopfAlgebra, element_terms, kron_matrix, kron_sums
 from .linalg import MapMatrix
 from .tensors import (
@@ -14,8 +14,10 @@ from .tensors import (
     TensorElement,
     _coapply,
     _differing,
+    _element,
     _flat,
     _flip,
+    _linear_op,
     _products,
     leg_embed,
     tensor_invert,
@@ -29,8 +31,8 @@ from .verdicts import Verdict
 class RMatrix:
     """An invertible element of H⊗H together with its verified inverse.
 
-    The inverse is computed when not supplied; a supplied one is verified
-    two-sided, and NotInvertible is raised when it fails.
+    The inverse is computed when not supplied (``_r_inverse``); a supplied
+    one is verified two-sided, and NotInvertible is raised when it fails.
     """
 
     __slots__ = ("host", "element", "inverse")
@@ -39,11 +41,10 @@ class RMatrix:
                  inverse: TensorElement | None = None):
         if tuple(f.labels for f in element.factors) != (host.space.labels,) * 2:
             raise SpaceMismatch("element must live in H⊗H")
-        algs = [host.algebra, host.algebra]
         if inverse is None:
-            inverse = tensor_invert(element, algs)
+            inverse = _r_inverse(host, element)
         else:
-            verify_inverse(element, inverse, algs)
+            verify_inverse(element, inverse, [host.algebra, host.algebra])
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "inverse", inverse)
@@ -67,12 +68,32 @@ def trivial_r_matrix(host: HopfAlgebra) -> RMatrix:
     return RMatrix(host, unit, unit)
 
 
+def _r_inverse(host: HopfAlgebra, element: TensorElement) -> TensorElement:
+    """The inverse of an element of H⊗H, first tried as (S⊗id)R.
+
+    For an R-matrix R⁻¹ = (S⊗id)R (Kassel, *Quantum Groups*, VIII.2), one
+    application of the antipode to the first leg; the candidate is
+    certified two-sided by ``verify_inverse``.  An element it does not
+    invert (one that is not an R-matrix) is inverted by ``tensor_invert``,
+    which raises NotInvertible on a zero divisor.
+    """
+    f, n = host.field, host.dim
+    algs = [host.algebra, host.algebra]
+    s_op = _linear_op(f, host.antipode.array)
+    candidate = _element(f, element.factors, _coapply(f, _flat(element), (n, n), 0, s_op, n))
+    try:
+        verify_inverse(element, candidate, algs)
+    except NotInvertible:
+        return tensor_invert(element, algs)
+    return candidate
+
+
 def check_r_matrix(host: HopfAlgebra, element: TensorElement) -> Verdict:
     """The three quasitriangularity axioms, checked entrywise in H⊗H⊗H.
 
     Invertibility is a precondition: NotInvertible propagates to the caller.
     """
-    tensor_invert(element, [host.algebra, host.algebra])
+    _r_inverse(host, element)
     return _check_axioms(host, element)
 
 
@@ -112,13 +133,13 @@ def r_matrix(host: HopfAlgebra, element: TensorElement) -> RMatrix:
 
 def braiding_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
     """c_{X,Y}: X⊗Y → Y⊗X, x⊗y ↦ (second leg · y) ⊗ (first leg · x)."""
-    return kron_sums(element_terms(r.element), x.action, y.action, swap=True)[0]
+    return kron_sums(element_terms(r.element), x, y, swap=True)[0]
 
 
 def braiding_inverse_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
     """c_{X,Y}^{-1}: Y⊗X → X⊗Y via the inverse element acting componentwise."""
     terms = [(0, b, a, c) for (a, b), c in r.inverse.coeffs.items()]
-    return kron_sums(terms, y.action, x.action, swap=True)[0]
+    return kron_sums(terms, y, x, swap=True)[0]
 
 
 def check_hexagon(r: RMatrix, x: HModule, y: HModule, z: HModule) -> Verdict:

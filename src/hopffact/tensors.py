@@ -8,14 +8,19 @@ the product kernel that the axiom checks share.  The kernel works on
 families of elements (see "The product kernel" below); the structure
 constants are families too, built once per algebra, coalgebra and coaction
 (``StructAlgebra.mult_op``, ``StructCoalgebra.comult_op``,
-``ComoduleAlgebra.coaction_op``), so every product, coproduct and axiom
-check is a few gathers through them.
+``ComoduleAlgebra.coaction_op``), and so are the action matrices of a
+module, built once per module (``HModule.family``), so every product,
+coproduct, axiom check and braiding operator is a few gathers through
+them.
 
 Inversion reads t⁻¹ off an annihilating polynomial of t instead of solving
 a dense N×N system (N the dimension of the product); ``tensor_invert`` says
 why its "not invertible" verdict is exact and how its cost grows with the
-degree of t's minimal polynomial.  Every inverse, computed or supplied to
-``RMatrix`` or ``KMatrix``, is verified two-sided by ``verify_inverse``.
+degree of t's minimal polynomial.  An R-matrix is inverted in closed form
+instead, as (S⊗id)R (``rmatrix._r_inverse``, one ``_coapply`` of the
+antipode), and reaches ``tensor_invert`` only when that candidate fails.
+Every inverse, computed or supplied to ``RMatrix`` or ``KMatrix``, is
+verified two-sided by ``verify_inverse``.
 """
 
 from __future__ import annotations

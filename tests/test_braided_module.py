@@ -247,6 +247,41 @@ def test_braided_check_pinned_failures(which, a, entry, axiom, witness):
     assert v == _reference_check(b.kmatrix, *mods)
 
 
+@pytest.mark.parametrize("which, a, entry, axiom, witness", [
+    (2, 3, (3, 2), "braided-module-1", (6, 18, 0)),  # X is Y
+    (0, 5, (2, 9), "braided-module-2", (9, 0, 30)),  # X is not Y
+])
+def test_braided_check_pinned_failures_at_dimension_36(which, a, entry, axiom, witness):
+    # D(S3) over GF(101), X = Y regular: 46,656 columns of X⊗Y⊗M; the
+    # bumped entry breaks the monomial shape of every step that reads it
+    b = named_example("double:S3", GF(101))
+    mods = list(_modules(b))
+    mods[which] = _bumped(mods[which], a, *entry)
+    v = check_braided_module(b.kmatrix, *mods)
+    assert (v.axiom, v.witness) == (axiom, witness)
+
+
+def test_braided_checks_build_each_module_family_once(monkeypatch):
+    # the four (X, Y) of {trivial, regular}² share three modules
+    import hopffact.hopf as hopf
+
+    b = named_example("double:S3", GF(101))
+    calls = []
+    family = hopf._family
+
+    def counting(f, mats):
+        calls.append(len(mats))
+        return family(f, mats)
+
+    monkeypatch.setattr(hopf, "_family", counting)
+    m = regular_bmodule(b.comodule)
+    mods = (trivial_module(b.hopf), regular_module(b.hopf))
+    for x in mods:
+        for y in mods:
+            assert check_braided_module(b.kmatrix, x, y, m)
+    assert len(calls) == 3
+
+
 def test_braided_check_unit_law_failure():
     # with M's action zero both identities read 0 = 0, while e_{1,M} = 0
     b = named_example("double:C2")

@@ -254,18 +254,25 @@ def test_cli_check_all_inverts_r_once(monkeypatch, capsys):
     # the R check and the K check share one RMatrix (two inversions before)
     import hopffact.rmatrix as rmatrix_module
 
+    # R⁻¹ is (S⊗id)R: the general inversion never runs on it
     named_example("double:C2")  # memoized: its construction is not counted
-    calls = []
-    invert = rmatrix_module.tensor_invert
+    calls, general = [], []
+    r_inverse, invert = rmatrix_module._r_inverse, rmatrix_module.tensor_invert
 
     def counting(*args):
         calls.append(args)
+        return r_inverse(*args)
+
+    def never(*args):
+        general.append(args)
         return invert(*args)
 
-    monkeypatch.setattr(rmatrix_module, "tensor_invert", counting)
+    monkeypatch.setattr(rmatrix_module, "_r_inverse", counting)
+    monkeypatch.setattr(rmatrix_module, "tensor_invert", never)
     assert main(["check", "--example", "double:C2", "--all"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert len(calls) == 1
+    assert not general
 
 
 @pytest.mark.parametrize("flags, lines", [

@@ -8,10 +8,12 @@ from hopffact.constructions import (
     drinfeld_double_group,
     group_algebra,
     named_example,
+    registry_names,
     sweedler_h4,
     sweedler_r_matrix,
 )
-from hopffact.fields import QQ
+from hopffact.errors import NotInvertible
+from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import module_tensor, regular_module, trivial_module
 from hopffact.rmatrix import (
@@ -196,8 +198,7 @@ def test_checked_constructor_rejects_non_r_matrix():
     assert is_triangular(good)
 
 
-def test_r_matrix_inverts_once(monkeypatch):
-    b = named_example("double:C2")
+def _counting_general_inversion(monkeypatch):
     calls = []
 
     def counting(*args):
@@ -205,6 +206,76 @@ def test_r_matrix_inverts_once(monkeypatch):
         return tensor_invert(*args)
 
     monkeypatch.setattr(rmatrix_module, "tensor_invert", counting)
+    return calls
+
+
+def test_r_matrix_inverts_once(monkeypatch):
+    # one inversion, in closed form: the general inversion never runs on a
+    # genuine R-matrix
+    b = named_example("double:C2")
+    calls = []
+    r_inverse = rmatrix_module._r_inverse
+
+    def counting(*args):
+        calls.append(args)
+        return r_inverse(*args)
+
+    monkeypatch.setattr(rmatrix_module, "_r_inverse", counting)
+    general = _counting_general_inversion(monkeypatch)
     r = r_matrix(b.hopf, b.rmatrix.element)
     assert len(calls) == 1
+    assert not general
     assert r.inverse == b.rmatrix.inverse
+
+
+def _antipode_on_first_leg(h, t):
+    """(S⊗id)t, term by term from the antipode matrix."""
+    f, coeffs = h.field, {}
+    for (a, b), c in t.coeffs.items():
+        for i in range(h.dim):
+            s_ia = h.antipode.rows[i][a]
+            if not f.is_zero(s_ia):
+                coeffs[(i, b)] = f.add(coeffs.get((i, b), f.zero), f.mul(s_ia, c))
+    return TensorElement(f, t.factors, coeffs)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(94906249)], ids=str)
+def test_r_inverse_is_the_closed_form(field, monkeypatch):
+    # R⁻¹ = (S⊗id)R on every R of the registry (and on D(S3) over GF(101)),
+    # equal to the general inversion's answer, and found without it
+    names = list(registry_names()) + (["double:S3"] if field == GF(101) else [])
+    general = _counting_general_inversion(monkeypatch)
+    for name in names:
+        b = named_example(name, field)
+        if b.rmatrix is None:
+            continue
+        h, r = b.hopf, b.rmatrix.element
+        inv = rmatrix_module._r_inverse(h, r)
+        assert not general, name
+        assert inv == _antipode_on_first_leg(h, r), name
+        assert inv == tensor_invert(r, [h.algebra, h.algebra]), name
+
+
+def test_r_inverse_falls_back_on_an_element_that_is_not_an_r_matrix(monkeypatch):
+    # t = 2 + g⊗g in kC2⊗kC2 is invertible, with t⁻¹ = (2 − g⊗g)/3, and
+    # (S⊗id)t = t is not its inverse
+    h, _ = group_algebra(cyclic_group(2))
+    e, g = h.algebra.unit.index(QQ.one), 1 - h.algebra.unit.index(QQ.one)
+    t = TensorElement(QQ, (h.space, h.space), {(e, e): QQ.scalar(2), (g, g): QQ.one})
+    general = _counting_general_inversion(monkeypatch)
+    inv = rmatrix_module._r_inverse(h, t)
+    assert len(general) == 1
+    third = QQ.scalar(1) / 3
+    assert inv == TensorElement(QQ, t.factors, {(e, e): 2 * third, (g, g): -third})
+    assert RMatrix(h, t).inverse == inv
+    assert not check_r_matrix(h, t)
+
+
+def test_r_inverse_refuses_a_zero_divisor():
+    # (1 + g)⊗1 is a zero divisor: (1 + g)(1 − g) = 0 in kC2
+    h, _ = group_algebra(cyclic_group(2))
+    t = TensorElement(QQ, (h.space, h.space), {(0, 0): QQ.one, (1, 0): QQ.one})
+    with pytest.raises(NotInvertible):
+        RMatrix(h, t)
+    with pytest.raises(NotInvertible):
+        check_r_matrix(h, t)
