@@ -24,7 +24,7 @@ from .verdicts import Verdict
 class StructAlgebra:
     """A finite-dimensional unital algebra given by structure constants."""
 
-    __slots__ = ("field", "space", "mult", "unit", "_op", "_stack")
+    __slots__ = ("field", "space", "mult", "unit", "_op", "_stack", "_gens")
 
     def __init__(self, field: Field, space: BasedSpace, mult, unit):
         if space.dim == 0:
@@ -43,6 +43,7 @@ class StructAlgebra:
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_op", None)
         object.__setattr__(self, "_stack", None)
+        object.__setattr__(self, "_gens", None)
 
     def __setattr__(self, *a):
         raise AttributeError("StructAlgebra is immutable")
@@ -127,8 +128,11 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
     multiplication by them.  That span is spun with the right multiplications
     of ``mult_stack``, on the frontier only: when a generator is chosen, the
     rows found so far are multiplied by it, then every new row by every
-    generator.  Raises unless the span ends as all of ``a``.
+    generator.  Raises unless the span ends as all of ``a``.  Chosen once
+    per algebra and kept.
     """
+    if a._gens is not None:
+        return list(a._gens)
     f, n = a.field, a.dim
     by = a.mult_stack()[n:].transpose(0, 2, 1)  # v @ by[g] is v·e_g
     eye = np.eye(n, dtype=_dtype(f))
@@ -147,6 +151,7 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
             span.add_batch(_mod_matmul(f, frontier, by[gens]).reshape(-1, n))
     if span.dim != n:
         raise HopffactError("the chosen generators do not span the algebra")
+    object.__setattr__(a, "_gens", tuple(gens))
     return gens
 
 

@@ -28,7 +28,6 @@ from .linalg import (
     Span,
     _SLICE_CELLS,
     _OverBudget,
-    _apply,
     _combine,
     _dtype,
     _field_array,
@@ -171,7 +170,7 @@ class KMatrix:
     two-sided, and NotInvertible is raised when it fails.
     """
 
-    __slots__ = ("comodule", "rmatrix", "element", "inverse")
+    __slots__ = ("comodule", "rmatrix", "element", "inverse", "_theta")
 
     def __init__(self, comodule: ComoduleAlgebra, rmatrix: RMatrix,
                  element: TensorElement, inverse: TensorElement | None = None):
@@ -190,6 +189,7 @@ class KMatrix:
         object.__setattr__(self, "rmatrix", rmatrix)
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "_theta", None)
 
     def __setattr__(self, *a):
         raise AttributeError("KMatrix is immutable")
@@ -403,18 +403,20 @@ class EndSpace:
     """Span of the intertwiners ξ: H → B, with the induced H-action.
 
     The basis, flattened, is the columns of ``_kernel``, which are the
-    identity on the rows ``_free``.
+    identity on the rows ``_free`` (ascending); ``_columns`` holds their
+    nonzeros as a sparse operator from column to row.
     """
 
-    __slots__ = ("comodule", "space", "basis_maps", "h_action", "_kernel", "_free")
+    __slots__ = ("comodule", "space", "basis_maps", "h_action", "_kernel", "_free", "_columns")
 
-    def __init__(self, comodule, space, basis_maps, h_action, kernel, free):
+    def __init__(self, comodule, space, basis_maps, h_action, kernel, free, columns):
         object.__setattr__(self, "comodule", comodule)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "basis_maps", tuple(basis_maps))
         object.__setattr__(self, "h_action", tuple(h_action))
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_free", free)
+        object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, *a):
         raise AttributeError("EndSpace is immutable")
@@ -434,7 +436,10 @@ class EndSpace:
         vecs = _field_array(f, vectors)
         if vecs.ndim != 2 or vecs.shape[1] != n:
             raise SpaceMismatch("vector length does not match Hom(H,B)")
-        coords = _coords(f, self._kernel, self._free, _reduce(f, vecs).T)
+        vecs = _sparse_values(f, _reduce(f, vecs)).T
+        row, vec = np.nonzero(vecs)
+        m = vecs.shape[1]
+        coords = _coords(f, self._columns, self._free, row * m + vec, vecs[row, vec], m)
         return [tuple(co) for co in _scalar_rows(f, coords.T)]
 
     def evaluation_at_unit(self) -> MapMatrix:
@@ -451,13 +456,22 @@ class EndSpace:
         return f"EndSpace(dim={self.dim})"
 
 
-def _coords(f: Field, columns: np.ndarray, free, vecs: np.ndarray) -> np.ndarray:
-    """Coordinates (k × m) of the columns of ``vecs`` (n × m) in ``columns``
-    (n × k), which are the identity on the rows ``free``: a vector's
-    coordinates are its entries there, and it lies in the span iff the
-    columns rebuild it from them."""
-    coords = vecs[free]
-    if not np.array_equal(_mod_matmul(f, columns, coords), vecs):
+def _coords(f: Field, columns, free: np.ndarray, key: np.ndarray, val: np.ndarray,
+            m: int) -> np.ndarray:
+    """Coordinates (k × m) of m vectors, given by their nonzeros (key, val),
+    key = row·m + vector, as ``_combine`` leaves them, in the span of k
+    columns given by their nonzeros ``columns`` (a sparse operator from
+    column to row), which are the identity on the ascending rows ``free``:
+    a vector's coordinates are its entries there, and it lies in the span
+    iff the columns rebuild exactly its keys and values from them."""
+    row, vec = np.divmod(key, m)
+    at = np.isin(row, free)
+    j, vec, c = np.searchsorted(free, row[at]), vec[at], val[at]
+    coords = np.zeros((free.size, m), dtype=_dtype(f))
+    coords[j, vec] = c
+    rep, out, kv = _gather(columns, j)
+    rkey, rval = _combine(f, out * m + vec[rep], _mul(f, kv, c[rep]))
+    if not (np.array_equal(rkey, key) and np.array_equal(rval, val)):
         raise ImageEscapesEndSpace("vector outside the span")
     return coords
 
@@ -523,7 +537,10 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     because a block-diagonal system has the pivots and the reduced kernel
     of its blocks.  The basis is then checked against the constraint of
     every basis element of B, so exactness does not rest on the generator
-    argument alone.  Over GF(p) every product goes through ``_mod_matmul``.
+    argument alone.  That check and the H-action are sparse joins with the
+    basis's nonzeros (of the constraints keyed by column, and of the
+    structure constants of H keyed by output), summed in the field; no
+    dense array on Hom(H,B) is formed past the kernel.
 
     The H-action on E is re-checked from the algebra generators g of H:
     ρ(1) = id and ρ(g)ρ(b) = ρ(gb) for every basis element b.  That covers
@@ -538,40 +555,42 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     ops = _constraint_ops(c)
     imposed = np.isin(ops[0] // n, algebra_generators(c.algebra))
     kernel = _sparse_kernel(f, *(a[imposed] for a in ops), n)
-    # one basis element at a time: a single _apply of all of them would hold
-    # the products of every constraint row at once
-    bounds = np.searchsorted(ops[0], np.arange(nb + 1) * n)
-    for b in range(nb):
-        if (_apply(f, [a[bounds[b]:bounds[b + 1]] for a in ops], kernel) != 0).any():
-            raise HopffactError(
-                f"the generators' kernel fails the constraint of basis element {b}: "
-                "the coaction is not an algebra map"
-            )
     k = kernel.shape[1]
+    j, r = np.nonzero(kernel.T)  # the kernel entries, column by column
+    kval = _sparse_values(f, kernel[r, j])
+    columns = _sparse_op(f, j, r, kval, k, n)
+    # every basis element's constraint entries against every kernel entry
+    rows, cols, vals = ops
+    rep, out, w = _gather(_sparse_op(f, cols, rows, _sparse_values(f, vals), n, nb * n), r)
+    bad, _ = _combine(f, out * k + j[rep], _mul(f, w, kval[rep]))
+    if bad.size:
+        raise HopffactError(
+            f"the generators' kernel fails the constraint of basis element {bad[0] // (n * k)}: "
+            "the coaction is not an algebra map"
+        )
     # each basis vector ends at its free coordinate, where the others vanish
     free = n - 1 - np.argmax((kernel != 0)[::-1], axis=0)
     if not np.array_equal(kernel[free], np.eye(k, dtype=_dtype(f))):
         raise HopffactError("end-space basis is not reduced (bug)")
     sp = BasedSpace(tuple(f"ξ{i}" for i in range(k)))
-    basis_maps = [MapMatrix(f, h.space, c.algebra.space, kernel[:, j].reshape(nb, nh))
-                  for j in range(k)]
-    # right-multiply every ξ by every h_i at once, ξ ↦ ξ·R(h_i) on the H
-    # index: one product with the R(h_i) side by side, a slice of them at a time
-    by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1).reshape(nb * k, nh)
-    rights = h.algebra.mult_stack()[nh:].transpose(1, 0, 2).reshape(nh, nh * nh)
-    step = max(1, _SLICE_CELLS // max(1, nb * k * nh))
-    coords = []
-    for s in range(0, nh, step):
-        m = min(step, nh - s)
-        moved = _mod_matmul(f, by_row, rights[:, s * nh:(s + m) * nh])
-        moved = moved.reshape(nb, k, m, nh).transpose(0, 3, 2, 1).reshape(n, m * k)
-        try:
-            coords.append(_coords(f, kernel, free, moved))
-        except ImageEscapesEndSpace as exc:
-            raise HopffactError("end space is not action-stable (bug)") from exc
-    coords = np.concatenate(coords, axis=1)
+    basis_maps = [MapMatrix(f, h.space, c.algebra.space, kernel[:, i].reshape(nb, nh))
+                  for i in range(k)]
+    # (ξ_j·h_i)(h_s) = Σ_t [h_s h_i]_t ξ_j(h_t): the structure constants,
+    # keyed by their output t, against every kernel entry (r·nh + t, j);
+    # vector i·k + j is ξ_j·h_i
+    counts, _, prod, const = h.algebra.mult_op()
+    by_out = _sparse_op(f, prod, np.repeat(np.arange(nh * nh), counts), const, nh, nh * nh)
+    rb, t = np.divmod(r, nh)
+    rep, si, cv = _gather(by_out, t)
+    s, i = np.divmod(si, nh)
+    m = nh * k
+    key, val = _combine(f, (rb[rep] * nh + s) * m + i * k + j[rep], _mul(f, cv, kval[rep]))
+    try:
+        coords = _coords(f, columns, free, key, val, m)
+    except ImageEscapesEndSpace as exc:
+        raise HopffactError("end space is not action-stable (bug)") from exc
     h_action = [MapMatrix(f, sp, sp, coords[:, i * k:(i + 1) * k]) for i in range(nh)]
-    es = EndSpace(c, sp, basis_maps, h_action, kernel, free)
+    es = EndSpace(c, sp, basis_maps, h_action, kernel, free, columns)
     if es.dim:
         gens = algebra_generators(h.algebra)
         v = _check_representation(h.algebra, HModule(sp, h_action), gens)
@@ -589,22 +608,24 @@ def _theta_elements(k: KMatrix, double_antipode: bool):
     with an outer antipode on the first leg), as a family.
 
     Φ(a⊗c) = (e_a ⊗ 1)·K·(e_c ⊗ 1) is the family of dim H² products, and
-    the elements are Φ applied to (S⊗id)Δ(h_t); the outer antipode is one
-    more ``_coapply`` on the H-leg.
+    the elements are Φ applied to (S⊗id)Δ(h_t), built once per K-matrix;
+    the outer antipode is one more ``_coapply`` on the H-leg.
     """
     h, c = k.host, k.comodule
     f, nh, nb = h.field, h.dim, c.dim
-    ops, dims = [h.algebra.mult_op(), c.algebra.mult_op()], [nh, nb]
-    _, _, key, val = _units(f, [c.algebra])
-    every = np.arange(nh)
-    a = np.repeat(every, key.size)
-    e_1 = _sparse_op(f, a, a * nb + np.tile(key, nh), np.tile(val, nh), nh, nh * nb)
-    left = _products(f, e_1, _flat(k.element), (every, np.zeros(nh, dtype=np.int64)), ops, dims)
-    phi = _products(f, left, e_1, (np.repeat(every, nh), np.tile(every, nh)), ops, dims)
     s_op = _linear_op(f, h.antipode.array)
-    twisted = _coapply(f, h.coalgebra.comult_op(), (nh, nh), 0, s_op, nh)
-    theta = _coapply(f, twisted, (nh * nh,), 0, phi, nh * nb)
-    return _coapply(f, theta, (nh, nb), 0, s_op, nh) if double_antipode else theta
+    if k._theta is None:
+        ops, dims = [h.algebra.mult_op(), c.algebra.mult_op()], [nh, nb]
+        _, _, key, val = _units(f, [c.algebra])
+        every = np.arange(nh)
+        a = np.repeat(every, key.size)
+        e_1 = _sparse_op(f, a, a * nb + np.tile(key, nh), np.tile(val, nh), nh, nh * nb)
+        left = _products(f, e_1, _flat(k.element), (every, np.zeros(nh, dtype=np.int64)),
+                         ops, dims)
+        phi = _products(f, left, e_1, (np.repeat(every, nh), np.tile(every, nh)), ops, dims)
+        twisted = _coapply(f, h.coalgebra.comult_op(), (nh, nh), 0, s_op, nh)
+        object.__setattr__(k, "_theta", _coapply(f, twisted, (nh * nh,), 0, phi, nh * nb))
+    return _coapply(f, k._theta, (nh, nb), 0, s_op, nh) if double_antipode else k._theta
 
 
 def _theta_matrix_from_elements(k: KMatrix, es: EndSpace, elements) -> MapMatrix:
@@ -614,9 +635,8 @@ def _theta_matrix_from_elements(k: KMatrix, es: EndSpace, elements) -> MapMatrix
     f = h.field
     nb, nh = k.comodule.dim, h.dim
     hh, bb = np.divmod(elements[2], nb)
-    targets = np.zeros((nb * nh, nh), dtype=_dtype(f))
-    targets[bb * nh + _members(elements), hh] = elements[3]
-    return MapMatrix(f, h.space.dual(), es.space, _coords(f, es._kernel, es._free, targets))
+    key, val = _combine(f, (bb * nh + _members(elements)) * nh + hh, elements[3])
+    return MapMatrix(f, h.space.dual(), es.space, _coords(f, es._columns, es._free, key, val, nh))
 
 
 def theta_comodule(k: KMatrix, es: EndSpace | None = None) -> MapMatrix:
@@ -706,11 +726,11 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     f = h.field
     es = es if es is not None else compute_end_space(k.comodule)
     omega = omega_copairing(k, es)
-    counit = h.coalgebra.counit
+    counit, gens = h.coalgebra.counit, algebra_generators(h.algebra)
     # source: f with f(h_(1) h' S(h_(2))) = ε(h) f(h'), i.e. ad(h)ᵀ f = ε(h) f
-    source = _invariants(f, [adj.transpose() for adj in h.adjoint_matrices()], counit)
+    source = _invariants(f, [adj.transpose() for adj in h.adjoint_matrices()], counit, gens)
     ne = es.dim
-    target = _invariants(f, es.h_action, counit) if ne else np.zeros((0, 0))
+    target = _invariants(f, es.h_action, counit, gens) if ne else np.zeros((0, 0))
     # Ω on the source basis
     w = np.zeros((h.dim, ne), dtype=_dtype(f))
     for (i, j), c in omega.coeffs.items():
@@ -726,14 +746,20 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     return WeakFactorizability(len(source), len(target), rank, bij)
 
 
-def _invariants(f: Field, mats, counit) -> np.ndarray:
+def _invariants(f: Field, mats, counit, gens) -> np.ndarray:
     """The vectors v with A_t v = ε(h_t) v for every matrix A_t of ``mats``,
-    as the rows of a basis read off the RREF."""
+    as the rows of a basis read off the RREF.  The h with A_h v = ε(h) v
+    form a subalgebra (h ↦ A_h is multiplicative or antimultiplicative), so
+    only H's generators ``gens`` are imposed, and the basis is then checked
+    against every A_t."""
     d = mats[0].domain.dim
     rows = np.stack([m.array for m in mats])
     diag = np.arange(d)
     rows[:, diag, diag] = _reduce(f, rows[:, diag, diag] - _field_array(f, counit)[:, None])
-    return _kernel(f, rows.reshape(-1, d), d).T
+    basis = _kernel(f, rows[gens].reshape(-1, d), d)
+    if (_mod_matmul(f, rows.reshape(-1, d), basis) != 0).any():
+        raise HopffactError("the generators' invariants are not invariant (bug)")
+    return basis.T
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ weak factorizability, costable ideals, and symmetric-center membership."""
 import hashlib
 import random
 from dataclasses import astuple
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from hopffact.constructions import (
     trivial_comodule,
     trivial_k_matrix,
 )
-from hopffact.errors import HopffactError, NotInvertible
+from hopffact.errors import HopffactError, ImageEscapesEndSpace, NotInvertible
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import regular_module, trivial_module
@@ -937,3 +938,197 @@ def test_dim_zero_comodule_rejected():
 
     with pytest.raises(HopffactError):
         StructAlgebra(QQ, BasedSpace(()), {}, ())
+
+
+# ---------------------------------------------------------------------------
+# The sparse end space against dense references written here: the
+# coordinates of a vector are its entries at the free rows, certified by
+# kernel @ coords == vectors, and ξ·h_i is ξ times the right multiplication
+# by h_i on the H index
+# ---------------------------------------------------------------------------
+
+def _exact(f, a):
+    """``a`` as exact integers over GF(p) (int64) or field scalars over Q."""
+    return np.asarray(a).astype(np.int64) if f != QQ else np.asarray(a, dtype=object)
+
+
+def _exact_product(f, a, b):
+    # over GF(p) the inner dimension stays far below 2**63 / p**2
+    out = _exact(f, a) @ _exact(f, b)
+    return out if f == QQ else out % f.p
+
+
+def _dense_coords(f, kernel, free, vecs):
+    """Coordinates (k × m) of the columns of ``vecs`` (n × m) in the reduced
+    basis ``kernel`` (n × k): the entries at the free rows, when the kernel
+    rebuilds the vectors from them."""
+    coords = _exact(f, vecs)[free]
+    if not np.array_equal(_exact_product(f, kernel, coords), _exact(f, vecs)):
+        raise ImageEscapesEndSpace("vector outside the span")
+    return coords
+
+
+def _kernel_and_free(es):
+    """The basis maps as the columns of an n × k array, and the free row
+    (last nonzero entry) of each."""
+    kernel = np.array(_end_space_basis(es), dtype=object).T.reshape(-1, es.dim)
+    return kernel, [int(np.flatnonzero(col != 0).max()) for col in kernel.T]
+
+
+def _random_scalars(f, rng, shape):
+    if f == QQ:
+        draw = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(np.prod(shape))]
+    else:
+        draw = [rng.randrange(f.p) for _ in range(np.prod(shape))]
+    return np.array(draw, dtype=object).reshape(shape)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(94906249)], ids=str)
+def test_sparse_coords_equal_the_dense_reference(field):
+    es = compute_end_space(named_example("sweedler:1", field).comodule)
+    kernel, free = _kernel_and_free(es)
+    n, k = kernel.shape
+    rng = random.Random(11)
+    coeffs = _random_scalars(field, rng, (k, 7))
+    inside = _exact_product(field, kernel, coeffs)
+    got = es.coords_many([tuple(v) for v in inside.T])
+    assert got == [tuple(c) for c in _dense_coords(field, kernel, free, inside).T]
+    assert got == [tuple(c) for c in coeffs.T]
+    # random vectors: the two agree on membership
+    for vec in _random_scalars(field, rng, (5, n)):
+        try:
+            _dense_coords(field, kernel, free, vec[:, None])
+        except ImageEscapesEndSpace:
+            with pytest.raises(ImageEscapesEndSpace):
+                es.coords_many([tuple(vec)])
+        else:
+            es.coords_many([tuple(vec)])
+    # off the span at a non-free row the basis reaches, and at a row it never reaches
+    reached = np.flatnonzero((kernel != 0).any(axis=1))
+    non_free = [r for r in reached if r not in free]
+    unreached = np.flatnonzero(~(kernel != 0).any(axis=1))
+    assert non_free and unreached.size
+    for r in (non_free[0], unreached[0]):
+        vec = inside[:, 0].copy()
+        vec[r] = field.add(field.scalar(vec[r]), field.one)
+        with pytest.raises(ImageEscapesEndSpace):
+            _dense_coords(field, kernel, free, vec[:, None])
+        with pytest.raises(ImageEscapesEndSpace):
+            es.coords_many([tuple(vec)])
+
+
+def _dense_h_action(c, es):
+    """ξ_j·h_i, ξ ↦ ξ·R(h_i) on the H index, as one dense product of the
+    basis maps by the right multiplications side by side, read off in the
+    end-space basis: one k × k matrix per h_i, as rows."""
+    f, nb, nh = c.field, c.dim, c.host.dim
+    kernel, free = _kernel_and_free(es)
+    k = es.dim
+    rights = np.zeros((nh, nh * nh), dtype=object)  # [h_s h_i]_t at (t, i·nh + s)
+    for (s, i), prod in c.host.algebra.mult.items():
+        for t, ct in prod.items():
+            rights[t, i * nh + s] = ct
+    by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1).reshape(nb * k, nh)
+    moved = _exact_product(f, by_row, rights)
+    moved = moved.reshape(nb, k, nh, nh).transpose(0, 3, 2, 1).reshape(nb * nh, nh * k)
+    coords = _dense_coords(f, kernel, free, moved)
+    return [coords[:, i * k:(i + 1) * k].tolist() for i in range(nh)]
+
+
+def _h_action_cases():
+    for field in REFERENCE_FIELDS:
+        for name in registry_names():
+            try:
+                b = named_example(name, field)
+            except HopffactError:  # Sweedler's algebra needs characteristic ≠ 2
+                continue
+            if b.comodule is not None:
+                yield f"{name}-{field}", b.comodule
+    yield "double:S3-GF(101)", named_example("double:S3", GF(101)).comodule
+    for field in (QQ, GF(101)):  # the dense rebasing of the one-component test
+        c = named_example("regular:S3", field).comodule
+        rng = random.Random(5)
+        rebased = None
+        while rebased is None:
+            rebased = _rebase(c, [rng.choice([-1, 1, 2]) for _ in range(c.dim ** 2)])
+        yield f"rebased regular:S3-{field}", rebased
+
+
+def test_h_action_equals_the_dense_formula():
+    for label, c in _h_action_cases():
+        es = compute_end_space(c)
+        assert [list(map(list, a.rows)) for a in es.h_action] == _dense_h_action(c, es), label
+
+
+@pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
+def test_invariants_of_the_generators_are_those_of_every_basis_element(field):
+    bundles = []
+    for name in registry_names():
+        try:
+            bundles.append(named_example(name, field))
+        except HopffactError:
+            continue
+    if field == GF(101):
+        bundles.append(named_example("double:S3", field))
+    seen_no_generators = False
+    for b in bundles:
+        if b.comodule is None:
+            continue
+        h = b.hopf
+        gens = algebra_generators(h.algebra)
+        seen_no_generators |= not gens
+        es = compute_end_space(b.comodule)
+        families = [[adj.transpose() for adj in h.adjoint_matrices()], es.h_action]
+        for mats in families if es.dim else families[:1]:
+            from_gens = comodule._invariants(field, mats, h.coalgebra.counit, gens)
+            from_all = comodule._invariants(field, mats, h.coalgebra.counit, list(range(h.dim)))
+            assert np.array_equal(from_gens, from_all)
+    assert seen_no_generators  # subgroup:C1:C1, where H is the field
+
+
+def test_invariants_recheck_every_basis_element():
+    # imposing too few elements leaves vectors that some basis element moves:
+    # the check against every basis element refuses them
+    h = named_example("sweedler:1").hopf
+    adj = [a.transpose() for a in h.adjoint_matrices()]
+    with pytest.raises(HopffactError, match="not invariant"):
+        comodule._invariants(QQ, adj, h.coalgebra.counit, [])
+
+
+def test_algebra_generators_spin_once_per_algebra(monkeypatch):
+    # H and B differ in dimension, so the spans tell the two algebras apart
+    import collections
+
+    import hopffact.algebras as algebras
+    from hopffact import bundle
+
+    spins = collections.Counter()  # each spin starts one Span of its algebra
+
+    def counted(f, n):
+        spins[n] += 1
+        return Span(f, n)
+
+    monkeypatch.setattr(algebras, "Span", counted)
+    b = bundle.loads(bundle.dumps(named_example("subgroup:S3:C2")))
+    k = KMatrix(b.comodule, RMatrix(b.hopf, b.rmatrix_element), b.kmatrix_element)
+    es = compute_end_space(b.comodule)
+    weak_factorizability(k, es)
+    algebra_generators(b.hopf.algebra)
+    algebra_generators(b.comodule.algebra)
+    assert spins == {b.hopf.dim: 1, b.comodule.dim: 1}
+
+
+@pytest.mark.parametrize("name, field, basis", [("regular:S3", QQ, 4), ("double:S3", GF(101), 3)],
+                         ids=["regular:S3", "double:S3-GF101"])
+def test_end_space_refuses_a_coaction_bumped_off_the_generators(name, field, basis):
+    # δ(b) gains one term at a basis element that is not a generator, so
+    # the generators' kernel is built without it; the check against every
+    # basis element names it
+    c = named_example(name, field).comodule
+    assert basis not in algebra_generators(c.algebra)
+    coaction = dict(c.coaction)
+    coaction[basis] = dict(coaction[basis])
+    coaction[basis][(basis + 1, basis)] = field.one
+    with pytest.raises(HopffactError, match=f"^the generators' kernel fails the constraint of "
+                       f"basis element {basis}: the coaction is not an algebra map$"):
+        compute_end_space(ComoduleAlgebra(c.host, c.algebra, coaction))
