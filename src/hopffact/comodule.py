@@ -34,6 +34,8 @@ from .linalg import (
     _gather,
     _gf_echelon,
     _kernel,
+    _lift_prime,
+    _mod_image,
     _mod_matmul,
     _mul,
     _neg,
@@ -817,9 +819,9 @@ class SimplicityVerdict:
         return self.status == "simple"
 
 
-# Primes for the mod-p image over Q: below 2**20, so every product of a
-# matrix of dimension up to 8192 is one BLAS call in _mod_matmul
-_NORTON_PRIMES = (1048573, 1048571, 1048559)
+# Primes for the mod-p image over Q: the first three of the sequence the Q
+# eliminator lifts through, the largest primes below 2**20
+_NORTON_PRIMES = tuple(map(_lift_prime, range(3)))
 
 
 def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
@@ -870,7 +872,7 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
         return SimplicityVerdict(status, cert, tuple(witness), tag)
     earlier = {}  # pivot columns → [(prime, RREF of its witness)]
     for p in _NORTON_PRIMES:
-        stack = _reduce_mod(ops, p)
+        stack = _mod_image(ops, p)
         found = None if stack is None else norton(GF(p), stack)
         if found is None:
             continue
@@ -897,12 +899,3 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
             return SimplicityVerdict("not-simple", f"spin(basis {i})", tuple(closure), tag)
     return SimplicityVerdict("inconclusive", None, None, tag)
 
-
-def _reduce_mod(ops: np.ndarray, p: int):
-    """The stack of rational operators mod p as a float64 stack, or None
-    when p divides a denominator."""
-    vals = ops.ravel().tolist()
-    if any(x.denominator % p == 0 for x in vals):
-        return None
-    res = [x.numerator * pow(x.denominator, -1, p) % p for x in vals]
-    return np.array(res, dtype=np.float64).reshape(ops.shape)

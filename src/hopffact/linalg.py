@@ -7,28 +7,30 @@ otherwise), so one algorithm serves both fields.  ``MapMatrix`` holds one,
 below (``_field_array``, ``_mod_matmul``, ``_apply``, ``_kernel``) work on
 them.
 
-Two elimination backends sit behind ``echelonize``, and both end in the
-RREF: fraction-free Bareiss elimination on denominator-cleared integer rows
-for Q, then an exact back-elimination, and a vectorized mod-p elimination
-for GF(p).  The float path is exact for every prime ``GF`` accepts: every
-intermediate integer is kept within the bound of ``_mod_p``, which reduces
-every full array (pivot rows and factor columns are reduced mod p before
-each update, so entries grow by at most (p-1)**2 per pivot step, and the
-matrix is reduced again before they could leave that bound).  Every other
-GF(p) float product goes through ``_mod_matmul``.  Callers
-never see a float: ``MapMatrix.rows`` and the vector-returning functions
-give field scalars.
+One elimination kernel sits behind ``echelonize``: a vectorized mod-p
+elimination to the RREF.  Over GF(p) it runs on the matrix itself; over Q
+on images of the denominator-cleared integer matrix modulo primes below
+2**20, whose RREFs are combined by the CRT, rationally reconstructed and
+accepted only after an exact check over Q.  The float path is exact for
+every prime ``GF`` accepts: every intermediate integer is kept within the
+bound of ``_mod_p``, which reduces every full array (pivot rows and factor
+columns are reduced mod p before each update, so entries grow by at most
+(p-1)**2 per pivot step, and the matrix is reduced again before they could
+leave that bound).  Every other GF(p) float product goes through
+``_mod_matmul``.  Callers never see a float: ``MapMatrix.rows`` and the
+vector-returning functions give field scalars.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, isqrt, lcm
 
 import numpy as np
 
 from .errors import HopffactError, InconsistentSystem, NotInvertible, SpaceMismatch
-from .fields import _FLOAT_EXACT_LIMIT, Field, PrimeField, require_same_field
+from .fields import _FLOAT_EXACT_LIMIT, QQ, Field, PrimeField, require_same_field
 
 # Running totals used by the acceptance suite: every kernel computation
 # re-checks rank + nullity = domain dimension.
@@ -76,52 +78,6 @@ def space(prefix: str, dim: int) -> BasedSpace:
 # ---------------------------------------------------------------------------
 # Raw eliminations (row tuples in, no space bookkeeping)
 # ---------------------------------------------------------------------------
-
-def _clear_denominators(row):
-    """Scale a row of ints and Fractions to coprime integers
-    (kernel-preserving); both carry ``numerator`` and ``denominator``."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    mult = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (mult // x.denominator) for x in row]
-    g = gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _bareiss_echelon(int_rows, ncols):
-    """Fraction-free forward elimination; returns (rows, pivot_cols).
-
-    Rows come in as lists of ints and leave in row-echelon form with exact
-    integer entries; intermediate divisions are exact by the Bareiss
-    two-step identity.
-    """
-    m = [list(r) for r in int_rows]
-    nrows = len(m)
-    piv_cols = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, nrows):
-            mi, mr = m[i], m[r]
-            f = mi[c]
-            # the full two-step update keeps every later division exact,
-            # even on rows whose leading entry is already zero
-            for k in range(c, ncols):
-                mi[k] = (pivot * mi[k] - f * mr[k]) // prev
-        prev = pivot
-        piv_cols.append(c)
-        r += 1
-    return m[:r], piv_cols
-
 
 def _gf_echelon(a: np.ndarray, p: int):
     """In-place mod-p elimination to RREF on a float64 matrix of residues.
@@ -173,27 +129,56 @@ def rational_lift(residues, primes):
     The residues are combined by the Chinese remainder theorem into one
     array mod M = ∏ primes, and each entry u is reconstructed as the r/s
     with r ≡ s·u mod M and |r|, |s| ≤ ⌊√(M/2)⌋ (Wang 1981), which is
-    unique when it exists.  The result is only a candidate: the caller
-    verifies it over Q.
+    unique when it exists.  Integral entries are ints, as in a Q field
+    array.  The result is only a candidate: the caller verifies it over Q.
     """
-    m, acc = 1, np.zeros(residues[0].shape, dtype=object)
-    for res, p in zip(residues, primes):
+    m, acc = primes[0], residues[0].astype(np.int64).astype(object)
+    for res, p in zip(residues[1:], primes[1:]):
         acc += m * ((res.astype(np.int64).astype(object) - acc) * pow(m, -1, p) % p)
         m *= p
     bound = isqrt(m // 2)
     rows = []
-    for row in acc:
+    for row in acc.tolist():
         out = []
         for u in row:
-            r0, s0, r1, s1 = m, 0, int(u), 1
+            r0, s0, r1, s1 = m, 0, u, 1
             while r1 > bound:
                 q = r0 // r1
                 r0, s0, r1, s1 = r1, s1, r0 - q * r1, s0 - q * s1
             if abs(s1) > bound or gcd(r1, s1) != 1:
                 return None
-            out.append(Fraction(r1, s1))
+            out.append(r1 // s1 if abs(s1) == 1 else Fraction(r1, s1))
         rows.append(tuple(out))
     return rows
+
+
+_LIFT_PRIMES = []  # the primes below 2**20, largest first, found on demand
+
+
+def _lift_prime(i: int) -> int:
+    """The i-th prime below 2**20, counting from the largest.
+
+    Below 2**20 an update of ``_gf_echelon`` moves an entry by less than
+    2**40, so it reduces the matrix only every 8,192 pivot steps, and
+    ``_mod_matmul`` takes 8,192 products per block.
+    """
+    while len(_LIFT_PRIMES) <= i:
+        q = (_LIFT_PRIMES[-1] if _LIFT_PRIMES else 1 << 20) - 1
+        while any(q % k == 0 for k in range(2, isqrt(q) + 1)):
+            q -= 1
+        _LIFT_PRIMES.append(q)
+    return _LIFT_PRIMES[i]
+
+
+def _mod_image(val: np.ndarray, p: int):
+    """A rational array mod p, as a C-contiguous float64 array of
+    residues; None when p divides a denominator."""
+    x, d = _integers(QQ, val)
+    if d % p == 0:
+        return None
+    if d != 1:
+        x = x * pow(d, -1, p)
+    return np.array(x % p, dtype=np.float64, order="C")
 
 
 def _as_gf_array(rows, ncols: int) -> np.ndarray:
@@ -203,30 +188,21 @@ def _as_gf_array(rows, ncols: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64, order="C")
 
 
-def _back_eliminate(ech, piv):
-    """RREF of a Bareiss echelon, as Fraction rows.
-
-    The last Bareiss pivot d is the leading minor of the pivot rows at the
-    pivot columns, so d·RREF = adj·rows is integral.  Its rows X_i follow
-    from the last one up: row i of the echelon is d_i·RREF_i plus its
-    entries at later pivot columns times the later RREF rows, so
-    X_i = (d·E_i − Σ_{j>i} E_i[piv_j]·X_j) / d_i, an exact division.
-    """
-    e = np.array(ech, dtype=object).reshape(len(piv), -1)
-    d = e[-1, piv[-1]]
-    x = np.empty_like(e)
-    for i in range(len(piv) - 1, -1, -1):
-        x[i] = (d * e[i] - e[i, piv[i + 1:]] @ x[i + 1:]) // e[i, piv[i]]
-    return [tuple(Fraction(v, d) for v in row) for row in x]
-
-
 def echelonize(rows, ncols: int, field: Field):
     """Reduced row-echelon form (RREF); returns (rows, pivot_cols).
 
-    Over Q the returned rows are Fraction tuples, back-eliminated from a
-    Bareiss echelon; over GF(p) they are a float64 array of ints in
-    [0, p).  Each pivot is 1 and the only nonzero entry of its column, and
-    the row space is preserved exactly.
+    Each pivot is 1 and the only nonzero entry of its column, and the row
+    space is preserved exactly.  Over GF(p) the rows are a float64 array
+    of ints in [0, p).  Over Q they are tuples of ints and Fractions, lifted
+    from RREFs mod primes (``_lift_prime``) of the denominator-cleared
+    integer matrix x: the primes that give the best pivot list so far (more
+    pivots, then the lexicographically earliest) are CRT-combined and
+    rationally reconstructed (``rational_lift``), one prime more until the
+    candidate E passes x == x[:, piv]·E exactly.  That certificate is
+    complete: reduction mod p never raises rank, so rank x ≥ |piv|; the
+    identity puts the row space of x inside that of E, of dimension |piv|,
+    so the two are equal, and the RREF of a row space is unique.  An
+    unlucky prime costs one more prime, never a wrong answer.
     """
     LINALG_STATS["eliminations"] += 1
     if isinstance(field, PrimeField):
@@ -234,9 +210,29 @@ def echelonize(rows, ncols: int, field: Field):
         return _gf_echelon(a, field.p)
     if not len(rows):
         return [], []
-    int_rows = [_clear_denominators(r) for r in rows]
-    ech, piv = _bareiss_echelon(int_rows, ncols)
-    return (_back_eliminate(ech, piv) if piv else []), piv
+    x, _ = _integers(field, np.asarray(rows, dtype=object).reshape(len(rows), ncols))
+    # the best (−rank, pivots) so far, (1, []) before any, and its (p, RREF mod p)
+    best, kept = (1, []), []
+    for i in count():
+        p = _lift_prime(i)
+        ech, piv = _gf_echelon(_mod_image(x, p), p)
+        key = (-len(piv), piv)
+        if key > best:
+            continue  # p lost rank or moved a pivot
+        if key < best:
+            best, kept = key, []
+        kept.append((p, ech))
+        free = sorted(set(range(ncols)) - set(piv))
+        lifted = rational_lift([e[:, free] for _, e in kept], [q for q, _ in kept])
+        if lifted is None:
+            continue
+        lifted = np.array(lifted, dtype=object).reshape(len(piv), len(free))
+        # E is the identity on the pivot columns, so only the others can fail
+        if np.array_equal(_mod_matmul(field, x[:, piv], lifted), x[:, free]):
+            e = np.zeros((len(piv), ncols), dtype=object)
+            e[np.arange(len(piv)), piv] = 1
+            e[:, free] = lifted
+            return list(map(tuple, e.tolist())), piv
 
 
 def rank_of(rows, ncols: int, field: Field) -> int:
@@ -254,7 +250,9 @@ def solve_columns(a_rows, rhs_cols, ncols: int, field: Field):
 
     Returns a list of solution vectors (free variables set to zero), read
     off the RREF of [A | b], or raises InconsistentSystem when some system
-    is inconsistent.
+    is inconsistent, i.e. when that RREF has a pivot in a b column.  Over Q
+    the RREF is certified (``echelonize``), so an unlucky prime cannot
+    make a consistent system look inconsistent.
     """
     nrows, nrhs = len(a_rows), len(rhs_cols)
     a = _field_array(field, a_rows).reshape(nrows, ncols)

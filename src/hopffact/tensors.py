@@ -221,9 +221,10 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     The verdict is therefore exact, and the returned inverse is still
     verified two-sided by ``verify_inverse``.
 
-    The work grows with deg μ (at most N), and over Q also with the size of
-    the powers' coefficients; every R- and K-matrix in the registry has a
-    minimal polynomial of small degree.
+    The work grows with deg μ (at most N).  Over Q the powers' entries grow
+    with the degree too, but the kernel is eliminated mod word-size primes
+    and lifted (``linalg.echelonize``), so their size costs more primes,
+    not wider integers inside the elimination.
     """
     f = t.field
     n = math.prod(sp.dim for sp in t.factors)

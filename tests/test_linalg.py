@@ -129,6 +129,62 @@ def test_rational_lift():
     assert rational_lift([np.array([[1.0, float(i)]])], [p]) is None
 
 
+def _fraction_rref(rows, ncols):
+    """RREF and pivot columns by Gauss–Jordan elimination on Fractions,
+    written here rather than taken from ``linalg``."""
+    rows = [[Fr(x) for x in r] for r in rows]
+    ech, piv = [], []
+    for c in range(ncols):
+        pick = next((r for r in rows if r[c] != 0), None)
+        if pick is None:
+            continue
+        rows.remove(pick)
+        lead = [x / pick[c] for x in pick]
+        ech = [[x - r[c] * y for x, y in zip(r, lead)] for r in ech] + [lead]
+        rows = [[x - r[c] * y for x, y in zip(r, lead)] for r in rows]
+        piv.append(c)
+    return [tuple(r) for r in ech], piv
+
+
+P1 = linalg._lift_prime(0)
+
+UNLUCKY = {
+    # rank 2 over Q, rank 1 mod p₁
+    "rank-drop": [[1, 1], [1, 1 + P1]],
+    # nonzero, but 0 mod p₁
+    "zero-mod-p": [[P1, 0], [0, P1]],
+    # pivots (0, 1) over Q, (0, 2) mod p₁
+    "pivot-shift": [[1, 2, 3], [2, 4 + P1, 5]],
+    # entries 1001/1000 and 1003/1000 above ⌊√(p₁/2)⌋ = 724: two primes
+    "two-primes": [[1000, 0, 1001], [0, 1000, 1003], [2000, 1000, 3005]],
+    "two-primes-fractions": [[Fr(3, 1009), Fr(-2017, 5), 1], [7, Fr(1, 997), Fr(-13, 4)]],
+}
+
+
+@pytest.mark.parametrize("rows", UNLUCKY.values(), ids=UNLUCKY.keys())
+def test_q_echelon_survives_unlucky_primes(rows):
+    ncols = len(rows[0])
+    assert echelonize(rows, ncols, QQ) == _fraction_rref(rows, ncols)
+
+
+def test_q_echelon_matches_fraction_reference_on_random_matrices():
+    rng = random.Random(5)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        basis = [[Fr(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(ncols)]
+                 for _ in range(rng.randint(1, 4))]
+        rows = [[sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(ncols)]
+                for _ in range(nrows)]
+        assert echelonize(rows, ncols, QQ) == _fraction_rref(rows, ncols)
+
+
+def test_q_solve_and_inverse_with_a_pivot_divisible_by_the_first_prime():
+    # mod p₁ the system p₁·x = 1 reads 0 = 1; over Q it is consistent
+    assert solve_columns([[P1]], [[1]], 1, QQ) == [(Fr(1, P1),)]
+    inv = mat(QQ, [[P1, 0], [0, 1]]).inverse()
+    assert inv.rows == ((Fr(1, P1), 0), (0, 1))
+
+
 def test_solve_exact():
     m = mat(QQ, [[2, 1, 0], [0, 1, 4], [1, 0, 1]])
     sol = m.solve((QQ.parse(1), QQ.parse(2), QQ.parse(3)))

@@ -1,12 +1,19 @@
 """Sparse tensor elements: embeddings, slotwise products, inversion."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hopffact.constructions import group_algebra, named_example, registry_names, sweedler_h4
+from hopffact.constructions import (
+    drinfeld_double_group,
+    group_algebra,
+    named_example,
+    registry_names,
+    sweedler_h4,
+)
 from hopffact.errors import HopffactError, NotInvertible, SpaceMismatch
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group
@@ -248,3 +255,31 @@ def test_tensor_invert_agrees_with_dense_reference(make, field, data):
         assert inv == ref
         unit = tensor_unit(field, t.factors, algs)
         assert tensor_mult(t, inv, algs) == unit == tensor_mult(inv, t, algs)
+
+
+def _dense_double_c3_square(field):
+    """1 plus a dense element of D(C3)⊗D(C3) with entries in [−9, 9]
+    (seed 0), and the two factor algebras."""
+    h, _ = drinfeld_double_group(cyclic_group(3), field)
+    algs = [h.algebra, h.algebra]
+    rng = random.Random(0)
+    coeffs = {(i, j): rng.randint(-9, 9) for i in range(h.dim) for j in range(h.dim)}
+    for idx, c in tensor_unit(field, (h.space, h.space), algs).coeffs.items():
+        coeffs[idx] += int(c)
+    return TensorElement(field, (h.space, h.space),
+                         {idx: field.scalar(c) for idx, c in coeffs.items()}), algs
+
+
+def test_tensor_invert_dense_element_over_q_agrees_mod_p():
+    # the minimal polynomial has high degree, so the powers' entries and
+    # the inverse's denominators (above 10**10) need several lift primes
+    t, algs = _dense_double_c3_square(QQ)
+    inv = tensor_invert(t, algs)
+    unit = tensor_unit(QQ, t.factors, algs)
+    assert tensor_mult(t, inv, algs) == unit == tensor_mult(inv, t, algs)
+    assert max(c.denominator for c in inv.coeffs.values()) > 10**10
+    f = GF(101)
+    t_p, algs_p = _dense_double_c3_square(f)
+    reduced = {idx: f.scalar(c.numerator * pow(c.denominator, -1, f.p))
+               for idx, c in inv.coeffs.items()}
+    assert tensor_invert(t_p, algs_p) == TensorElement(f, t_p.factors, reduced)
