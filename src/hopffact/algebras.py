@@ -16,8 +16,8 @@ import numpy as np
 from .errors import HopffactError
 from .fields import Field
 from .linalg import BasedSpace, MapMatrix, Span, _dtype, _field_array, _mod_matmul, _reduce
-from .tensors import (_coapply, _differing, _first_failure, _linear_op, _products,
-                      _table, _units)
+from .tensors import (_coapply, _differing, _first_failure, _linear_op, _ProductOp,
+                      _products, _table, _units)
 from .verdicts import Verdict
 
 
@@ -50,11 +50,12 @@ class StructAlgebra:
 
     def mult_op(self):
         """The structure constants as a family (see ``tensors``): element
-        i·n + j is e_i·e_j.  Built once."""
+        i·n + j is e_i·e_j, with the rows of the table beside it
+        (``tensors._ProductOp``).  Built once."""
         if self._op is None:
             n = self.dim
             rows = [(i, j, k, c) for (i, j), prod in self.mult.items() for k, c in prod.items()]
-            object.__setattr__(self, "_op", _table(self.field, rows, (n, n), (n,)))
+            object.__setattr__(self, "_op", _ProductOp(_table(self.field, rows, (n, n), (n,))))
         return self._op
 
     def mult_stack(self) -> np.ndarray:

@@ -56,13 +56,13 @@ from .tensors import (
     _coapply,
     _linear_op,
     _differing,
+    _embed,
     _first_failure,
     _flat,
     _members,
     _products,
     _table,
     _units,
-    leg_embed,
     tensor_invert,
     verify_inverse,
 )
@@ -210,17 +210,17 @@ def check_k_matrix(k: KMatrix) -> Verdict:
     c, h = k.comodule, k.host
     f, nh, nb = h.field, h.dim, c.dim
     halg, balg = h.algebra, c.algebra
-    spaces3, algs3 = (h.space, h.space, balg.space), [halg, halg, balg]
+    algs3 = [halg, halg, balg]
     ops3, dims3 = [halg.mult_op(), halg.mult_op(), balg.mult_op()], [nh, nh, nb]
 
     def leg(t, slots):
-        return _flat(leg_embed(t, slots, spaces3, algs3))
+        return _embed(f, _flat(t), [sp.dim for sp in t.factors], slots, algs3)
 
     def product(*factors):
         return functools.reduce(lambda a, b: _products(f, a, b, _ONE_PAIR, ops3, dims3), factors)
 
     r = k.rmatrix
-    r21, r21_inv = leg(r.element.swap(), (0, 1)), leg(r.inverse.swap(), (0, 1))
+    r21, r21_inv = leg(r.element, (1, 0)), leg(r.inverse, (1, 0))
     r12, k13, k23 = leg(r.element, (0, 1)), leg(k.element, (0, 2)), leg(k.element, (1, 2))
     kf, delta = _flat(k.element), c.coaction_op()
     if _differing(f, _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh),

@@ -324,19 +324,27 @@ def check_representation(algebra, x: HModule) -> Verdict:
 
 def _check_representation(algebra, x: HModule, lefts) -> Verdict:
     """ρ(1) = id, then ρ(e_i)ρ(e_j) = ρ(e_i e_j) for every i in ``lefts``
-    and every j, all j at once: ρ(e_i) times all the ρ(e_j) side by side,
-    against the products e_i·e_j applied sparsely to the stacked ρ(e_k)."""
+    and every j, all j at once, through the nonzeros of ρ(e_i) and of the
+    structure constants: ρ(1) is the unit's terms applied to the stacked
+    ρ(e_k), ρ(e_i) is applied by its nonzeros to all the ρ(e_j) side by
+    side, and the products e_i·e_j to the stacked ρ(e_k).  No dense
+    product of two action matrices is formed, so the cost follows the
+    nonzeros, not the size of the prime."""
     f, n, d = algebra.field, algebra.dim, x.dim
     if len(x.action) != n:
         return Verdict.failed("module-shape", None, "one matrix per basis element required")
     flat = np.stack([m.array for m in x.action]).reshape(n, d * d)
-    if not np.array_equal(_mod_matmul(f, _field_array(f, [algebra.unit]), flat)[0],
+    _, _, k, c = _units(f, [algebra])
+    if not np.array_equal(_apply(f, (np.zeros_like(k), k, c), flat)[0],
                           np.eye(d, dtype=flat.dtype).ravel()):
         return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
     stack = flat.reshape(n, d, d)
     side = stack.transpose(1, 0, 2).reshape(d, n * d)  # [ρ(e_0) … ρ(e_{n-1})]
     for i in lefts:
-        lhs = _mod_matmul(f, stack[i], side).reshape(d, n, d).transpose(1, 0, 2).reshape(n, d * d)
+        r, s = np.nonzero(stack[i])  # ρ(e_i)'s nonzeros, by row
+        lhs = np.zeros((d, n * d), dtype=flat.dtype)
+        lhs[np.unique(r)] = _apply(f, (r, s, stack[i, r, s]), side)
+        lhs = lhs.reshape(d, n, d).transpose(1, 0, 2).reshape(n, d * d)
         j, k, c = _gather(algebra.mult_op(), i * n + np.arange(n))
         rhs = np.zeros_like(lhs)
         rhs[np.unique(j)] = _apply(f, (j, k, c), flat)

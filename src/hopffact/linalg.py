@@ -559,8 +559,8 @@ def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
 # Sparse operators
 #
 # A sparse operator is a tuple (counts, offsets, out, val): the entries
-# (out, val) sorted by input, with counts[i] of them for input i starting at
-# offsets[i].  Values are int64 residues over GF(p), reduced after every
+# (out, val) sorted by input and, within an input, by out, with counts[i] of
+# them for input i starting at offsets[i].  Values are int64 residues over GF(p), reduced after every
 # product (each product of two residues is below 2**63), and objects over Q.
 # ---------------------------------------------------------------------------
 

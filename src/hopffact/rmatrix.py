@@ -15,11 +15,11 @@ from .tensors import (
     _coapply,
     _differing,
     _element,
+    _embed,
     _flat,
     _flip,
     _linear_op,
     _products,
-    leg_embed,
     tensor_invert,
     tensor_mult,
     tensor_unit,
@@ -102,10 +102,9 @@ def _check_axioms(host: HopfAlgebra, element: TensorElement) -> Verdict:
     RΔ(h) = Δop(h)R for every basis element h at once."""
     f, n = host.field, host.dim
     m, d = host.algebra.mult_op(), host.coalgebra.comult_op()
-    spaces3, algs3 = (host.space,) * 3, [host.algebra] * 3
+    algs3 = [host.algebra] * 3
     r = _flat(element)
-    r13, r23, r12 = (_flat(leg_embed(element, slots, spaces3, algs3))
-                     for slots in ((0, 2), (1, 2), (0, 1)))
+    r13, r23, r12 = (_embed(f, r, (n, n), slots, algs3) for slots in ((0, 2), (1, 2), (0, 1)))
     if _differing(f, _coapply(f, r, (n, n), 0, d, n * n),
                   _products(f, r13, r23, _ONE_PAIR, [m] * 3, [n] * 3), n ** 3).size:
         return Verdict.failed("quasitriangular-i", None, "(Δ⊗id)R ≠ R13 R23")

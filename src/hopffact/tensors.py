@@ -11,7 +11,11 @@ constants are families too, built once per algebra, coalgebra and coaction
 ``ComoduleAlgebra.coaction_op``), and so are the action matrices of a
 module, built once per module (``HModule.family``), so every product,
 coproduct, axiom check and braiding operator is a few gathers through
-them.
+them.  A product expands only the term pairs whose first slots multiply
+to something, read off the rows of the first slot's table
+(``_ProductOp``), unless pairing every term is the smaller expansion
+(``_products``), and a leg embedding is one step of key arithmetic on a
+family (``_embed``).
 
 Inversion reads t⁻¹ off an annihilating polynomial of t instead of solving
 a dense N×N system (N the dimension of the product); ``tensor_invert`` says
@@ -153,7 +157,7 @@ def leg_embed(t: TensorElement, slots, ambient_factors, ambient_algebras) -> Ten
 
     ``slots`` are strictly increasing 0-based positions; every non-slot
     position must carry an algebra in ``ambient_algebras`` so a unit element
-    can be inserted there.
+    can be inserted there.  The embedding is ``_embed`` of ``t``'s family.
     """
     slots = tuple(slots)
     if len(slots) != t.arity:
@@ -166,31 +170,12 @@ def leg_embed(t: TensorElement, slots, ambient_factors, ambient_algebras) -> Ten
     for pos, s in enumerate(slots):
         if ambient_factors[s].labels != t.factors[pos].labels:
             raise SpaceMismatch(f"ambient factor at slot {s} does not match")
-    f = t.field
-    others = [i for i in range(m) if i not in slots]
-    units = []
-    for i in others:
-        alg = ambient_algebras[i]
-        if alg is None:
+    algebras = [None if i in slots else ambient_algebras[i] for i in range(m)]
+    for i, alg in enumerate(algebras):
+        if i not in slots and alg is None:
             raise HopffactError(f"slot {i} needs an algebra to supply a unit")
-        unit = [(j, c) for j, c in enumerate(alg.unit) if not f.is_zero(c)]
-        units.append((i, unit))
-    coeffs = {}
-    for idx, c in t.coeffs.items():
-        partial = [(list(zip(slots, idx)), c)]
-        for i, unit in units:
-            partial = [
-                (assign + [(i, j)], f.mul(cc, uc))
-                for assign, cc in partial
-                for j, uc in unit
-            ]
-        for assign, cc in partial:
-            full = [0] * m
-            for pos, j in assign:
-                full[pos] = j
-            key = tuple(full)
-            coeffs[key] = f.add(coeffs.get(key, f.zero), cc)
-    return TensorElement(f, tuple(ambient_factors), coeffs)
+    fam = _embed(t.field, _flat(t), [sp.dim for sp in t.factors], slots, algebras)
+    return _element(t.field, tuple(ambient_factors), fam)
 
 
 def tensor_mult(a: TensorElement, b: TensorElement, algebras) -> TensorElement:
@@ -295,7 +280,12 @@ def _left_mult_op(t: TensorElement, algebras):
 #
 # A family of elements of a tensor product is a sparse operator of
 # ``linalg`` whose input g is the element's index and whose outputs are the
-# element's terms, keyed by the row-major flat multi-index.
+# element's terms, keyed by the row-major flat multi-index and sorted by it,
+# so the terms of an element that share a first index are contiguous.
+# ``_products`` joins through them: a left term meets only the right terms
+# whose first index it multiplies to something with, as the rows of slot 0's
+# structure table (``_ProductOp.rows``) say, unless pairing every term is the
+# smaller expansion.
 # ---------------------------------------------------------------------------
 
 _ONE_PAIR = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
@@ -317,12 +307,57 @@ def _table(f: Field, rows, dims_in, dims_out):
                       math.prod(dims_out))
 
 
+class _ProductOp(tuple):
+    """A slot's product operator: the family (``_table``) whose element
+    a·d + b is e_a·e_b, built once per algebra (``StructAlgebra.mult_op``).
+
+    It keeps the rows of its table beside it for the join of
+    ``_products``: ``rows`` is the family whose element a lists the b with
+    e_a·e_b ≠ 0, ascending, with the operator input a·d + b as value.
+    """
+
+    def __new__(cls, op):
+        self = super().__new__(cls, op)
+        d = math.isqrt(op[0].size)
+        nz = np.flatnonzero(op[0])
+        row_len = np.bincount(nz // d, minlength=d)
+        self.rows = (row_len, np.cumsum(row_len) - row_len, nz % d, nz)
+        return self
+
+
 def _flat(t: TensorElement):
     """``t`` as a family of one element (built once)."""
     if t._fam is None:
         rows = [(0,) + idx + (c,) for idx, c in t.coeffs.items()]
         object.__setattr__(t, "_fam", _table(t.field, rows, (1,), [sp.dim for sp in t.factors]))
     return t._fam
+
+
+def _embed(f: Field, fam, dims, slots, algebras):
+    """Every element of ``fam``, a family on the product of ``dims``, with
+    its leg i at slot ``slots[i]`` of the product of ``algebras`` and the
+    algebra's unit at every other slot, as a family; only those other
+    slots need an algebra, and ``slots`` may list the legs in any order.
+
+    A key of the result is one mixed-radix number: an entry's digits at its
+    slots and a unit term's index at each other slot, so one entry and one
+    choice of unit terms give one key, with the product of their values.
+    """
+    leg = {s: i for i, s in enumerate(slots)}
+    digits = np.unravel_index(fam[2], dims)
+    src = np.arange(fam[2].size)  # the entry each key comes from
+    key, val, n = np.zeros(src.size, dtype=np.int64), fam[3], 1
+    for s, alg in enumerate(algebras):
+        if s in leg:
+            d = dims[leg[s]]
+            key = key * d + digits[leg[s]][src]
+        else:
+            d = alg.dim
+            _, _, uk, uv = _units(f, [alg])
+            t, u = np.divmod(np.arange(key.size * uk.size), uk.size)
+            src, key, val = src[t], key[t] * d + uk[u], _mul(f, val[t], uv[u])
+        n *= d
+    return _sparse_op(f, _members(fam)[src], key, val, fam[0].size, n)
 
 
 def _element(f: Field, factors, fam) -> TensorElement:
@@ -366,15 +401,42 @@ def _products(f: Field, left, right, pairs, ops, dims):
 
     ``left`` and ``right`` are families on the product with factor
     dimensions ``dims``, and ``ops`` are the product operators of its
-    slots.  The term pairs are expanded in batches of left terms, halved
-    until no expansion exceeds ``linalg._SLICE_CELLS`` entries.
+    slots (``_ProductOp``).  The term pairs are expanded in one of two
+    orders, the one with the smaller count; both counts are known before
+    anything is expanded:
+
+    * the join (Gustavson's row-by-row sparse product), counted as Σ over
+      the left terms of the length of their first index's row in slot 0's
+      table (``_ProductOp.rows``): a left term with first index a meets
+      only the b with e_a·e_b ≠ 0, and for each such b the run of its right
+      element's terms with first index b, contiguous in the sorted keys;
+    * the Cartesian order, counted as Σ over the left terms of their right
+      element's term count: every right term.  It stays the smaller where
+      each right element has one term, as in the associativity checks.
+
+    Ties go to the join, whose slot loop then sees only the pairs that
+    survive slot 0.  The join leaves out exactly the pairs whose first
+    slots multiply to zero, which the Cartesian order drops at slot 0, so
+    both feed the same slot loop the same nonzero products and ``_combine``
+    sums them exactly into the same family.  Values are multiplied only
+    for the pairs that remain.  The expansion goes in batches of left
+    terms, halved until no expansion exceeds ``linalg._SLICE_CELLS``
+    entries.
     """
     gl, gr = pairs
     n = math.prod(dims)
+    stride0 = n // dims[0]
     pair, ka, va = _gather(left, gl)
+    rows = ops[0].rows
+    first0 = ka // stride0
+    join = int(rows[0][first0].sum()) <= int(right[0][gr[pair]].sum())
     va, da = _integers(f, va)
     vb_all, db = _integers(f, right[3])
     right = right[:3] + (vb_all,)
+    if join:  # the right terms as a family with input h·d + b: element h's with first index b
+        cnt = np.bincount(_members(right) * dims[0] + right[2] // stride0,
+                          minlength=right[0].size * dims[0])
+        by_first = (cnt, np.cumsum(cnt) - cnt) + right[2:]
     keys, vals = [np.zeros(0, dtype=np.int64)], [va[:0]]
     first, size = 0, pair.size
     while first < pair.size:
@@ -382,7 +444,12 @@ def _products(f: Field, left, right, pairs, ops, dims):
         limit = _SLICE_CELLS if last - first > 1 else None
         p = pair[first:last]
         try:
-            rep, kb, vb = _gather(right, gr[p], limit)
+            if join:
+                q, b, _ = _gather(rows, first0[first:last], limit)
+                rep, kb, vb = _gather(by_first, gr[p[q]] * dims[0] + b, limit)
+                rep = q[rep]
+            else:
+                rep, kb, vb = _gather(right, gr[p], limit)
             key, a, val = p[rep], ka[first:last][rep], _mul(f, va[first:last][rep], vb)
             stride = n
             for op, d in zip(ops, dims):

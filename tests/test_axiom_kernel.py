@@ -7,9 +7,13 @@ message on every input.  Perturbing one structure constant, one coaction
 coefficient or one coefficient of R or K reaches the failure branches.
 """
 
+import functools
 import json
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -42,9 +46,11 @@ from hopffact.hopf import (
     check_representation,
     regular_module,
 )
-from hopffact.linalg import MapMatrix
+from hopffact import tensors
+from hopffact.linalg import BasedSpace, MapMatrix, _gather
 from hopffact.rmatrix import RMatrix, _check_axioms
-from hopffact.tensors import TensorElement, leg_embed, tensor_mult, tensor_unit
+from hopffact.tensors import (_ONE_PAIR, TensorElement, _element, _embed, _flat, _linear_op,
+                              _products, leg_embed, tensor_mult, tensor_unit)
 from hopffact.verdicts import Verdict
 
 
@@ -552,3 +558,217 @@ def test_generators_decide_the_representation_laws(name, which, row, col, value)
     x = _bumped_module(h, which % n, row % n, col % n, QQ.scalar(value))
     by_generators = _check_representation(h.algebra, x, algebra_generators(h.algebra))
     assert bool(by_generators) == bool(check_representation(h.algebra, x))
+
+
+def _reference_check_representation(algebra, x):
+    f, n, d = algebra.field, algebra.dim, x.dim
+    mats = [m.rows for m in x.action]
+
+    def matmul(a, b):
+        return [[functools.reduce(f.add, (f.mul(a[r][s], b[s][t]) for s in range(d)), f.zero)
+                 for t in range(d)] for r in range(d)]
+
+    def combo(terms):
+        out = [[f.zero] * d for _ in range(d)]
+        for k, c in terms:
+            for r in range(d):
+                for t in range(d):
+                    out[r][t] = f.add(out[r][t], f.mul(c, mats[k][r][t]))
+        return out
+
+    ident = [[f.one if r == t else f.zero for t in range(d)] for r in range(d)]
+    if combo(enumerate(algebra.unit)) != ident:
+        return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
+    for i in range(n):
+        for j in range(n):
+            if matmul(mats[i], mats[j]) != combo(algebra.mult_basis(i, j).items()):
+                return Verdict.failed("module-mult", (i, j))
+    return Verdict.passed()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("double:C2", "sweedler:1", "subgroup:S3:C2", "regular:S3")),
+       st.sampled_from(FIELDS), st.integers(0, 35), st.integers(0, 35), st.integers(0, 35),
+       st.integers(-2, 2))
+def test_sparse_representation_check_matches_reference(name, field, which, row, col, value):
+    h = named_example(name, field).hopf
+    n = h.dim
+    x = _bumped_module(h, which % n, row % n, col % n, field.scalar(value))
+    assert (_outcome(check_representation, h.algebra, x)
+            == _outcome(_reference_check_representation, h.algebra, x))
+
+
+# ---------------------------------------------------------------------------
+# The product kernel's two expansion orders and the family leg embedding
+# ---------------------------------------------------------------------------
+
+P_TOP = 94906249  # the largest prime GF accepts
+
+
+def _reference_leg_embed(t, slots, ambient_factors, ambient_algebras):
+    """The dict leg embedding: every term times every choice of unit terms."""
+    f, m = t.field, len(ambient_factors)
+    units = [(i, [(j, c) for j, c in enumerate(ambient_algebras[i].unit) if not f.is_zero(c)])
+             for i in range(m) if i not in slots]
+    coeffs = {}
+    for idx, c in t.coeffs.items():
+        partial = [(list(zip(slots, idx)), c)]
+        for i, unit in units:
+            partial = [(assign + [(i, j)], f.mul(cc, uc)) for assign, cc in partial for j, uc in unit]
+        for assign, cc in partial:
+            full = [0] * m
+            for pos, j in assign:
+                full[pos] = j
+            coeffs[tuple(full)] = f.add(coeffs.get(tuple(full), f.zero), cc)
+    return TensorElement(f, tuple(ambient_factors), coeffs)
+
+
+def _k_check_legs(ex):
+    """Every leg embedding the K-axiom check makes, as (name, (element,
+    slots) as ``_embed`` takes them, (element, slots) as ``leg_embed``
+    takes them), with the ambient H⊗H⊗B and its algebras."""
+    h, c = ex.hopf, ex.comodule
+    r, k = ex.rmatrix, ex.kmatrix
+    spaces3 = (h.space, h.space, c.algebra.space)
+    algs3 = [h.algebra, h.algebra, c.algebra]
+    legs = [("r21", (r.element, (1, 0)), (r.element.swap(), (0, 1))),
+            ("r21_inv", (r.inverse, (1, 0)), (r.inverse.swap(), (0, 1))),
+            ("r12", (r.element, (0, 1)), (r.element, (0, 1))),
+            ("k13", (k.element, (0, 2)), (k.element, (0, 2))),
+            ("k23", (k.element, (1, 2)), (k.element, (1, 2)))]
+    return legs, spaces3, algs3
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", ("double:C2", "double:C3", "sweedler:1", "subgroup:S3:C2",
+                                  "reflective-trivial:C3", "regular:S3"))
+def test_family_embedding_matches_dict_embedding(name, field):
+    ex = named_example(name, field)
+    f, h, r = ex.field, ex.hopf, ex.rmatrix
+    legs, spaces3, algs3 = _k_check_legs(ex)
+    for what, (t, slots), (ref_t, ref_slots) in legs:
+        ref = _reference_leg_embed(ref_t, ref_slots, spaces3, algs3)
+        assert leg_embed(ref_t, ref_slots, spaces3, algs3) == ref, what
+        fam = _embed(f, _flat(t), [sp.dim for sp in t.factors], slots, algs3)
+        assert _element(f, spaces3, fam) == ref, what
+    hspaces3, halgs3 = (h.space,) * 3, [h.algebra] * 3
+    for slots in ((0, 2), (1, 2), (0, 1)):  # the R-axiom check's embeddings
+        got = _element(f, hspaces3, _embed(f, _flat(r.element), [h.dim] * 2, slots, halgs3))
+        assert got == _reference_leg_embed(r.element, slots, hspaces3, halgs3), slots
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_family_embedding_scales_by_a_unit_other_than_a_basis_element(field):
+    # kC2 on the basis (2·1, g): the unit is (1/2, 0)
+    half, two = field.scalar(Fraction(1, 2)), field.scalar(2)
+    sp = BasedSpace(("u", "g"))
+    mult = {(0, 0): {0: two}, (0, 1): {1: two}, (1, 0): {1: two}, (1, 1): {0: half}}
+    scaled = StructAlgebra(field, sp, mult, (half, field.zero))
+    host = named_example("sweedler:1", field).hopf
+    t = _random_element(random.Random(3), field, (host.space, host.space), 9)
+    spaces3, algs3 = (host.space, sp, host.space), [host.algebra, scaled, host.algebra]
+    ref = _reference_leg_embed(t, (0, 2), spaces3, algs3)
+    assert leg_embed(t, (0, 2), spaces3, algs3) == ref
+    got = _element(field, spaces3, _embed(field, _flat(t.swap()), [4, 4], (2, 0), algs3))
+    assert got == ref
+
+
+def _join_and_cartesian_counts(left, right, pairs, ops, dims):
+    """The two expansion counts ``_products`` compares."""
+    pair, ka, _ = _gather(left, pairs[0])
+    join = int(ops[0].rows[0][ka // (math.prod(dims) // dims[0])].sum())
+    return join, int(right[0][pairs[1][pair]].sum())
+
+
+_D_S3_PRODUCTS = {}
+
+
+def _d_s3_products(field):
+    """Leg-embedded R, R⁻¹ and K of ``double:S3`` over ``field``, paired as
+    the K-axiom products are, with their entrywise products (built once)."""
+    if field not in _D_S3_PRODUCTS:
+        ex = named_example("double:S3", field)
+        legs, spaces3, algs3 = _k_check_legs(ex)
+        el = {what: leg_embed(t, slots, spaces3, algs3) for what, _, (t, slots) in legs}
+        pairs = [("k23", "r21"), ("r21", "k13"), ("k13", "r12"), ("k13", "r21_inv")]
+        _D_S3_PRODUCTS[field] = [
+            (el[a], el[b], algs3, _reference_tensor_mult(el[a], el[b], algs3)) for a, b in pairs]
+    return _D_S3_PRODUCTS[field]
+
+
+@pytest.mark.parametrize("slice_cells", (None, 5), ids=("one-batch", "split"))
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_join_order_matches_reference(field, slice_cells, monkeypatch):
+    if slice_cells is not None:
+        monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
+    for a, b, algs, ref in _d_s3_products(field):
+        f, dims = a.field, [sp.dim for sp in a.factors]
+        ops = [alg.mult_op() for alg in algs]
+        join, cartesian = _join_and_cartesian_counts(_flat(a), _flat(b), _ONE_PAIR, ops, dims)
+        assert join <= cartesian  # this product takes the join
+        got = _products(f, _flat(a), _flat(b), _ONE_PAIR, ops, dims)
+        assert _element(f, a.factors, got) == ref
+
+
+@pytest.mark.parametrize("slice_cells", (None, 5), ids=("one-batch", "split"))
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cartesian_order_matches_reference(field, slice_cells, monkeypatch):
+    if slice_cells is not None:
+        monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
+    alg = named_example("double:C2", field).hopf.algebra
+    f, n = alg.field, alg.dim
+    m, e = alg.mult_op(), _linear_op(f, np.eye(n, dtype=np.int64))
+    every = np.arange(n)
+    pairs = (np.repeat(np.arange(n * n), n), np.tile(every, n * n))  # (e_a e_x) · e_c
+    join, cartesian = _join_and_cartesian_counts(m, e, pairs, [m], [n])
+    assert cartesian < join  # these products take the Cartesian order
+    got = _products(f, m, e, pairs, [m], [n])
+    for g, (ax, c) in enumerate(zip(*pairs)):
+        a, x = divmod(int(ax), n)
+        ref = {}
+        for k, ck in alg.mult_basis(a, x).items():
+            for t, ct in alg.mult_basis(k, int(c)).items():
+                ref[t] = f.add(ref.get(t, f.zero), f.mul(ck, ct))
+        lo, hi = got[1][g], got[1][g] + got[0][g]
+        assert dict(zip(got[2][lo:hi].tolist(), (f.scalar(v) for v in got[3][lo:hi]))) == \
+            {t: v for t, v in ref.items() if not f.is_zero(v)}
+
+
+def _random_element(rng, f, factors, terms):
+    coeffs = {}
+    for _ in range(terms):
+        idx = tuple(rng.randrange(sp.dim) for sp in factors)
+        coeffs[idx] = f.scalar(Fraction(rng.randrange(-9, 10), rng.choice((1, 1, 2, 3))))
+    return TensorElement(f, factors, coeffs)
+
+
+@pytest.mark.parametrize("slice_cells", (None, 5), ids=("one-batch", "split"))
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_both_orders_on_mixed_slots_match_reference(field, slice_cells, monkeypatch):
+    # three different algebras and coefficients other than ±1, so a slot or
+    # a value read from the wrong place shows; the term counts put some
+    # products in each order
+    if slice_cells is not None:
+        monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
+    hosts = [named_example(name, field).hopf for name in ("double:C2", "sweedler:1", "regular:S3")]
+    factors, algs = [h.space for h in hosts], [h.algebra for h in hosts]
+    ops, dims = [alg.mult_op() for alg in algs], [sp.dim for sp in factors]
+    rng = random.Random(7)
+    orders = set()
+    for left_terms, right_terms in ((40, 40), (30, 2), (2, 30), (60, 1), (1, 60)):
+        a = _random_element(rng, field, factors, left_terms)
+        b = _random_element(rng, field, factors, right_terms)
+        join, cartesian = _join_and_cartesian_counts(_flat(a), _flat(b), _ONE_PAIR, ops, dims)
+        orders.add(join <= cartesian)
+        got = _products(field, _flat(a), _flat(b), _ONE_PAIR, ops, dims)
+        assert _element(field, a.factors, got) == _reference_tensor_mult(a, b, algs)
+    assert orders == {True, False}
+
+
+def test_perturbed_k_at_the_largest_prime_is_refused_as_the_reference_refuses():
+    ex = named_example("double:S3", GF(P_TOP))
+    h, r_elt, c, k_elt = _perturbed(ex, "k", (0, 0, 0), ex.field.scalar(3))
+    km = KMatrix(c, RMatrix(h, r_elt), k_elt)
+    batched = _outcome(check_k_matrix, km)
+    assert batched == _outcome(_reference_check_k_matrix, km)
+    assert batched[0] is False
