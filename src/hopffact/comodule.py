@@ -51,7 +51,6 @@ from .linalg import (
 from .meataxe import norton
 from .rmatrix import RMatrix
 from .tensors import (
-    _ONE_PAIR,
     TensorElement,
     _coapply,
     _linear_op,
@@ -148,9 +147,8 @@ def check_comodule_algebra(c: ComoduleAlgebra) -> Verdict:
     if _differing(f, _coapply(f, _units(f, [c.algebra]), (nb,), 0, delta, nh * nb),
                   _units(f, [h.algebra, c.algebra]), nh * nb).size:
         return Verdict.failed("coaction-algebra-map", None, "δ(1) ≠ 1⊗1")
-    pairs = (np.repeat(np.arange(nb), nb), np.tile(np.arange(nb), nb))
-    bad = _differing(f, _coapply(f, mb, (nb,), 0, delta, nh * nb),
-                     _products(f, delta, delta, pairs, [mh, mb], [nh, nb]), nh * nb)
+    bad = _differing(f, _coapply(f, mb, (nb,), 0, delta, nh * nb),  # element i·nb + j
+                     _products(f, delta, delta, [mh, mb], [nh, nb]), nh * nb)
     if bad.size:
         return Verdict.failed("coaction-algebra-map", divmod(int(bad[0]), nb))
     counit = _linear_op(f, [h.coalgebra.counit])
@@ -217,7 +215,7 @@ def check_k_matrix(k: KMatrix) -> Verdict:
         return _embed(f, _flat(t), [sp.dim for sp in t.factors], slots, algs3)
 
     def product(*factors):
-        return functools.reduce(lambda a, b: _products(f, a, b, _ONE_PAIR, ops3, dims3), factors)
+        return functools.reduce(lambda a, b: _products(f, a, b, ops3, dims3), factors)
 
     r = k.rmatrix
     r21, r21_inv = leg(r.element, (1, 0)), leg(r.inverse, (1, 0))
@@ -229,9 +227,8 @@ def check_k_matrix(k: KMatrix) -> Verdict:
     if _differing(f, _coapply(f, kf, (nh, nb), 1, delta, nh * nb),
                   product(r21, k13, r12), nh * nh * nb).size:
         return Verdict.failed("kmatrix-ii", None, "(id⊗δ)K ≠ R21 K13 R12")
-    every, none = np.arange(nb), np.zeros(nb, dtype=np.int64)
-    bad = _differing(f, _products(f, kf, delta, (none, every), ops3[1:], dims3[1:]),
-                     _products(f, delta, kf, (every, none), ops3[1:], dims3[1:]), nh * nb)
+    bad = _differing(f, _products(f, kf, delta, ops3[1:], dims3[1:]),  # element b of each side
+                     _products(f, delta, kf, ops3[1:], dims3[1:]), nh * nb)
     if bad.size:
         return Verdict.failed("kmatrix-iii", (int(bad[0]),), "Kδ(b) ≠ δ(b)K")
     return Verdict.passed()
@@ -619,12 +616,10 @@ def _theta_elements(k: KMatrix, double_antipode: bool):
     if k._theta is None:
         ops, dims = [h.algebra.mult_op(), c.algebra.mult_op()], [nh, nb]
         _, _, key, val = _units(f, [c.algebra])
-        every = np.arange(nh)
-        a = np.repeat(every, key.size)
+        a = np.repeat(np.arange(nh), key.size)
         e_1 = _sparse_op(f, a, a * nb + np.tile(key, nh), np.tile(val, nh), nh, nh * nb)
-        left = _products(f, e_1, _flat(k.element), (every, np.zeros(nh, dtype=np.int64)),
-                         ops, dims)
-        phi = _products(f, left, e_1, (np.repeat(every, nh), np.tile(every, nh)), ops, dims)
+        left = _products(f, e_1, _flat(k.element), ops, dims)  # element a: (e_a ⊗ 1)·K
+        phi = _products(f, left, e_1, ops, dims)  # element a·nh + c: Φ(a⊗c)
         twisted = _coapply(f, h.coalgebra.comult_op(), (nh, nh), 0, s_op, nh)
         object.__setattr__(k, "_theta", _coapply(f, twisted, (nh * nh,), 0, phi, nh * nb))
     return _coapply(f, k._theta, (nh, nb), 0, s_op, nh) if double_antipode else k._theta

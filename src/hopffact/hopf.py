@@ -96,11 +96,10 @@ class HopfAlgebra:
         if self._adjoints is None:
             f, n = self.field, self.dim
             m = self.algebra.mult_op()
-            pair, c = np.repeat(np.arange(n * n), n), np.tile(np.arange(n), n * n)
-            prods = _products(f, m, _linear_op(f, np.eye(n, dtype=np.int64)), (pair, c), [m], [n])
-            g = _members(prods)  # (a·n + x)·n + c
-            a, x = np.divmod(pair[g], n)
-            psi = _sparse_op(f, a * n + c[g], prods[2] * n + x, prods[3], n * n, n * n)
+            prods = _products(f, m, _linear_op(f, np.eye(n, dtype=np.int64)), [m], [n])
+            ax, c = np.divmod(_members(prods), n)  # element (a·n + x)·n + c
+            a, x = np.divmod(ax, n)
+            psi = _sparse_op(f, a * n + c, prods[2] * n + x, prods[3], n * n, n * n)
             s_op = _linear_op(f, self.antipode.array)
             twisted = _coapply(f, self.coalgebra.comult_op(), (n, n), 1, s_op, n)
             ad = _coapply(f, twisted, (n * n,), 0, psi, n * n)
@@ -209,12 +208,12 @@ def check_bialgebra(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> Verdi
         return Verdict.failed("bialgebra", None, "Δ(1) ≠ 1⊗1")
     if coalgebra.counit_of(algebra.unit_dict()) != f.one:
         return Verdict.failed("bialgebra", None, "ε(1) ≠ 1")
-    every, eps = np.arange(n), _sparse_values(f, coalgebra.counit)
-    i, j = np.repeat(every, n), np.tile(every, n)
+    eps = _sparse_values(f, coalgebra.counit)
+    i, j = np.divmod(np.arange(n * n), n)
     eps_ij = _sparse_op(f, i * n + j, np.zeros_like(i), _mul(f, eps[i], eps[j]), n * n, 1)
-    bad = _first_failure(
+    bad = _first_failure(  # element i·n + j: Δ(e_i e_j) against Δ(e_i)Δ(e_j)
         _differing(f, _coapply(f, m, (n,), 0, d, n * n),
-                   _products(f, d, d, (i, j), [m, m], [n, n]), n * n),
+                   _products(f, d, d, [m, m], [n, n]), n * n),
         _differing(f, _coapply(f, m, (n,), 0, _linear_op(f, [coalgebra.counit]), 1), eps_ij, 1),
     )
     if bad:

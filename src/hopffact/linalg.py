@@ -606,12 +606,14 @@ def _gather(op, inp: np.ndarray, limit=None):
     Raises _OverBudget when there would be more than ``limit`` of them.
     """
     counts, offsets, out, val = op
+    # np.add.reduce and array methods: numpy's function wrappers cost more
+    # than the work on small inputs
     cnt = counts[inp]
-    total = int(cnt.sum())
+    total = int(np.add.reduce(cnt))
     if limit is not None and total > limit:
         raise _OverBudget
-    rep = np.repeat(np.arange(inp.size), cnt)
-    pos = np.arange(total) + np.repeat(offsets[inp] - (np.cumsum(cnt) - cnt), cnt)
+    rep = np.arange(inp.size).repeat(cnt)
+    pos = np.arange(total) + (offsets[inp] + cnt - cnt.cumsum()).repeat(cnt)
     return rep, out[pos], val[pos]
 
 

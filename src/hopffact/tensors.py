@@ -11,10 +11,10 @@ constants are families too, built once per algebra, coalgebra and coaction
 ``ComoduleAlgebra.coaction_op``), and so are the action matrices of a
 module, built once per module (``HModule.family``), so every product,
 coproduct, axiom check and braiding operator is a few gathers through
-them.  A product expands only the term pairs whose first slots multiply
-to something, read off the rows of the first slot's table
-(``_ProductOp``), unless pairing every term is the smaller expansion
-(``_products``), and a leg embedding is one step of key arithmetic on a
+them.  One call of ``_products`` multiplies every element of one family
+by every element of another, and expands only the term pairs whose first
+slots multiply to something, read off the rows of the first slot's table
+(``_ProductOp``); a leg embedding is one step of key arithmetic on a
 family (``_embed``).
 
 Inversion reads t⁻¹ off an annihilating polynomial of t instead of solving
@@ -182,7 +182,7 @@ def tensor_mult(a: TensorElement, b: TensorElement, algebras) -> TensorElement:
     """Slotwise product: (x1⊗...⊗xk)(y1⊗...⊗yk) = x1y1 ⊗ ... ⊗ xkyk."""
     a._check_compatible(b)
     dims = [sp.dim for sp in a.factors]
-    return _element(a.field, a.factors, _products(a.field, _flat(a), _flat(b), _ONE_PAIR,
+    return _element(a.field, a.factors, _products(a.field, _flat(a), _flat(b),
                                                   _mult_ops(a, algebras), dims))
 
 
@@ -244,11 +244,10 @@ def verify_inverse(t: TensorElement, inv: TensorElement, algebras) -> None:
     both products are formed sparsely."""
     t._check_compatible(inv)
     f = t.field
-    dims = [sp.dim for sp in t.factors]
-    both, unit = _stack(_flat(inv), _flat(t)), _units(f, algebras)
-    pairs = (np.arange(2), np.arange(2)[::-1])  # inv·t and t·inv
-    prods = _products(f, both, both, pairs, _mult_ops(t, algebras), dims)
-    if _differing(f, prods, _stack(unit, unit), math.prod(dims)).size:
+    dims, ops, unit = [sp.dim for sp in t.factors], _mult_ops(t, algebras), _units(f, algebras)
+    fi, ft = _flat(inv), _flat(t)
+    if any(_differing(f, _products(f, a, b, ops, dims), unit, math.prod(dims)).size
+           for a, b in ((fi, ft), (ft, fi))):  # inv·t, then t·inv
         raise NotInvertible("candidate inverse is not two-sided")
 
 
@@ -282,13 +281,11 @@ def _left_mult_op(t: TensorElement, algebras):
 # ``linalg`` whose input g is the element's index and whose outputs are the
 # element's terms, keyed by the row-major flat multi-index and sorted by it,
 # so the terms of an element that share a first index are contiguous.
-# ``_products`` joins through them: a left term meets only the right terms
-# whose first index it multiplies to something with, as the rows of slot 0's
-# structure table (``_ProductOp.rows``) say, unless pairing every term is the
-# smaller expansion.
+# ``_products`` multiplies every element of one family by every element of
+# another and joins through them: a left term meets only the right terms, of
+# any element, whose first index it multiplies to something with, as the
+# rows of slot 0's structure table (``_ProductOp.rows``) say.
 # ---------------------------------------------------------------------------
-
-_ONE_PAIR = (np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))
 
 
 def _table(f: Field, rows, dims_in, dims_out):
@@ -366,13 +363,6 @@ def _element(f: Field, factors, fam) -> TensorElement:
     return TensorElement(f, factors, dict(zip(indices, _scalar_rows(f, fam[3][None])[0])))
 
 
-def _stack(*fams):
-    """The families one after the other, as one family."""
-    counts = np.concatenate([fam[0] for fam in fams])
-    return (counts, np.cumsum(counts) - counts, np.concatenate([fam[2] for fam in fams]),
-            np.concatenate([fam[3] for fam in fams]))
-
-
 def _units(f: Field, algebras):
     """The unit 1⊗…⊗1 of a product of algebras as a family of one element."""
     key, val = [0], [f.one]
@@ -395,80 +385,65 @@ def _members(fam):
     return np.repeat(np.arange(fam[0].size), fam[0])
 
 
-def _products(f: Field, left, right, pairs, ops, dims):
-    """The slotwise products left[g]·right[h] for every (g, h) in ``pairs``
-    (two index arrays), as a family with one element per pair.
+def _products(f: Field, left, right, ops, dims):
+    """The slotwise products left[g]·right[h] for every g and h, as one
+    family whose element g·H + h is that product (H the number of right
+    elements).
 
     ``left`` and ``right`` are families on the product with factor
     dimensions ``dims``, and ``ops`` are the product operators of its
-    slots (``_ProductOp``).  The term pairs are expanded in one of two
-    orders, the one with the smaller count; both counts are known before
-    anything is expanded:
-
-    * the join (Gustavson's row-by-row sparse product), counted as Σ over
-      the left terms of the length of their first index's row in slot 0's
-      table (``_ProductOp.rows``): a left term with first index a meets
-      only the b with e_a·e_b ≠ 0, and for each such b the run of its right
-      element's terms with first index b, contiguous in the sorted keys;
-    * the Cartesian order, counted as Σ over the left terms of their right
-      element's term count: every right term.  It stays the smaller where
-      each right element has one term, as in the associativity checks.
-
-    Ties go to the join, whose slot loop then sees only the pairs that
-    survive slot 0.  The join leaves out exactly the pairs whose first
-    slots multiply to zero, which the Cartesian order drops at slot 0, so
-    both feed the same slot loop the same nonzero products and ``_combine``
-    sums them exactly into the same family.  Values are multiplied only
-    for the pairs that remain.  The expansion goes in batches of left
-    terms, halved until no expansion exceeds ``linalg._SLICE_CELLS``
-    entries.
+    slots (``_ProductOp``).  The term pairs are expanded by a join
+    (Gustavson's row-by-row sparse product, across elements): the right
+    terms are regrouped once by first index, over all right elements, and a
+    left term with first index a meets, for each b in a's row of slot 0's
+    table (``_ProductOp.rows``: the b with e_a·e_b ≠ 0), exactly the right
+    terms with first index b.  So the expansion leaves out only pairs whose
+    first slots multiply to zero, and values are multiplied only for the
+    pairs that remain; the slot loop forms the products and ``_combine``
+    sums them exactly.  The expansion goes in batches of left terms, halved
+    until no expansion exceeds ``linalg._SLICE_CELLS`` entries.
     """
-    gl, gr = pairs
-    n = math.prod(dims)
+    n, n_right = math.prod(dims), right[0].size
     stride0 = n // dims[0]
-    pair, ka, va = _gather(left, gl)
-    rows = ops[0].rows
-    first0 = ka // stride0
-    join = int(rows[0][first0].sum()) <= int(right[0][gr[pair]].sum())
-    va, da = _integers(f, va)
-    vb_all, db = _integers(f, right[3])
-    right = right[:3] + (vb_all,)
-    if join:  # the right terms as a family with input h·d + b: element h's with first index b
-        cnt = np.bincount(_members(right) * dims[0] + right[2] // stride0,
-                          minlength=right[0].size * dims[0])
-        by_first = (cnt, np.cumsum(cnt) - cnt) + right[2:]
+    first0 = left[2] // stride0
+    va, da = _integers(f, left[3])
+    vb, db = _integers(f, right[3])
+    # the right terms by first index b, each keyed h·n + its key (n is a
+    # multiple of every slot's radix, so the slot loop reads the same
+    # digits), sorted by (b, h, key), as one element's sorted keys already are
+    first = right[2] // stride0
+    order = np.argsort(first, kind="stable") if n_right > 1 else slice(None)
+    cnt = np.bincount(first, minlength=dims[0])
+    by_first = (cnt, np.cumsum(cnt) - cnt, (_members(right) * n + right[2])[order], vb[order])
+    g = _members(left)
     keys, vals = [np.zeros(0, dtype=np.int64)], [va[:0]]
-    first, size = 0, pair.size
-    while first < pair.size:
-        last = min(pair.size, first + size)
-        limit = _SLICE_CELLS if last - first > 1 else None
-        p = pair[first:last]
+    start, size = 0, g.size
+    while start < g.size:
+        stop = min(g.size, start + size)
+        limit = _SLICE_CELLS if stop - start > 1 else None
         try:
-            if join:
-                q, b, _ = _gather(rows, first0[first:last], limit)
-                rep, kb, vb = _gather(by_first, gr[p[q]] * dims[0] + b, limit)
-                rep = q[rep]
-            else:
-                rep, kb, vb = _gather(right, gr[p], limit)
-            key, a, val = p[rep], ka[first:last][rep], _mul(f, va[first:last][rep], vb)
+            q, b, _ = _gather(ops[0].rows, first0[start:stop], limit)
+            rep, kb, vr = _gather(by_first, b, limit)
+            rep = q[rep] + start
+            key, a, val = g[rep] * n_right + kb // n, left[2][rep], _mul(f, va[rep], vr)
             stride = n
             for op, d in zip(ops, dims):
                 stride //= d
                 rep, k, c = _gather(op, a // stride % d * d + kb // stride % d, limit)
                 key, a, kb, val = key[rep] * d + k, a[rep], kb[rep], _mul(f, val[rep], c)
         except _OverBudget:
-            size = (last - first + 1) // 2
+            size = (stop - start + 1) // 2
             continue
         key, val = _combine(f, key, val)
         keys.append(key)
         vals.append(val)
-        first = last
+        start = stop
     key, val = np.concatenate(keys), np.concatenate(vals)
     if len(keys) > 2:  # batches can share keys
         key, val = _combine(f, key, val)
     if da * db != 1:
         val = _ratio(val, da * db)
-    counts = np.bincount(key // n, minlength=gl.size)
+    counts = np.bincount(key // n, minlength=left[0].size * n_right)
     return counts, np.cumsum(counts) - counts, key % n, val
 
 

@@ -9,7 +9,6 @@ coefficient or one coefficient of R or K reaches the failure branches.
 
 import functools
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -47,10 +46,10 @@ from hopffact.hopf import (
     regular_module,
 )
 from hopffact import tensors
-from hopffact.linalg import BasedSpace, MapMatrix, _gather
+from hopffact.linalg import BasedSpace, MapMatrix
 from hopffact.rmatrix import RMatrix, _check_axioms
-from hopffact.tensors import (_ONE_PAIR, TensorElement, _element, _embed, _flat, _linear_op,
-                              _products, leg_embed, tensor_mult, tensor_unit)
+from hopffact.tensors import (TensorElement, _element, _embed, _flat, _linear_op, _products,
+                              leg_embed, tensor_mult, tensor_unit)
 from hopffact.verdicts import Verdict
 
 
@@ -346,8 +345,10 @@ def _reference_check_k_matrix(k):
 # ---------------------------------------------------------------------------
 
 INSTANCES = ("sweedler:1", "double:C2", "subgroup:S3:C2")
-FIELDS = (QQ, GF(101), GF(94906249))
-KINDS = ("hmult", "hcomult", "hunit", "hcounit", "r", "bmult", "coaction", "k")
+P_TOP = 94906249  # the largest prime GF accepts
+FIELDS = (QQ, GF(101), GF(P_TOP))
+KINDS = ("hmult", "hcomult", "hunit", "hcounit", "r", "bmult", "coaction", "k",
+         "hmult-fill", "hmult-clear", "bmult-fill", "bmult-clear")
 
 
 def _bumped(table, outer, inner, value, f):
@@ -357,10 +358,29 @@ def _bumped(table, outer, inner, value, f):
     return out
 
 
+def _toggled(alg, idx, fill, value):
+    """The first (i, j, k) from ``idx`` on, row-major and cyclic, at which
+    the constant of e_k in e_i·e_j is zero (``fill``) or not, and the move
+    that makes it ``value`` or zero."""
+    f, n = alg.field, alg.dim
+    start = np.ravel_multi_index(tuple(x % n for x in idx), (n, n, n))
+    for pos in range(start, start + n ** 3):
+        ijk = tuple(int(x) for x in np.unravel_index(pos % n ** 3, (n, n, n)))
+        c = alg.mult_basis(*ijk[:2]).get(ijk[2], f.zero)
+        if f.is_zero(c) == fill:
+            return ijk, value if fill else f.neg(c)
+
+
 def _perturbed(ex, kind, idx, value):
     """(host, R element, comodule algebra, K element) with one coefficient
-    of the chosen structure moved by ``value``; ``idx`` picks the entry."""
+    of the chosen structure moved by ``value``; ``idx`` picks the entry.
+    The kinds ``*mult-fill`` and ``*mult-clear`` make a zero structure
+    constant ``value`` and a nonzero one zero, the first such from ``idx``."""
     f, h, c = ex.field, ex.hopf, ex.comodule
+    if kind.endswith(("-fill", "-clear")):
+        kind, toggle = kind.split("-")
+        idx, value = _toggled((h.algebra if kind == "hmult" else c.algebra), idx,
+                              toggle == "fill", value)
     r_elt, k_elt = ex.rmatrix.element, ex.kmatrix.element
     n, nb = h.dim, c.dim
     i, j, k = (x % n for x in idx)
@@ -507,6 +527,78 @@ def test_pinned_quasitriangular_iii():
     assert _check_axioms(hd, unit).axiom == "quasitriangular-iii"
 
 
+# A zero structure constant made nonzero, or a nonzero one zeroed: the
+# products the all-pairs join leaves out are exactly the zero ones, so a
+# toggled constant moves which pairs it expands.  The failing checks of each
+# row, with their axiom and first witness, are pinned; every other check
+# passes, and every outcome equals the reference's.
+TOGGLES = [
+    ("double:S3", GF(101), "hmult-fill", (28, 17, 14),
+     {"algebra": ("associativity", (9, 28, 17)), "bialgebra": ("bialgebra", (4, 11)),
+      "r": ("quasitriangular-i", None), "comodule": ("coaction-algebra-map", (4, 11)),
+      "k": ("kmatrix-i", None)}),
+    ("double:S3", GF(101), "hmult-clear", (1, 1, 0),
+     {"algebra": ("associativity", (1, 1, 2)), "bialgebra": ("bialgebra", (1, 1)),
+      "r": ("quasitriangular-i", None), "comodule": ("coaction-algebra-map", (1, 1))}),
+    ("double:S3", GF(101), "bmult-fill", (1, 1, 0),
+     {"comodule": ("associativity", (1, 1, 2)), "k": ("kmatrix-i", None)}),
+    ("double:S3", GF(P_TOP), "hmult-fill", (8, 33, 35),
+     {"algebra": ("associativity", (6, 8, 33)), "bialgebra": ("bialgebra", (2, 3)),
+      "r": ("quasitriangular-i", None), "comodule": ("coaction-algebra-map", (2, 3)),
+      "k": ("kmatrix-i", None)}),
+    ("double:S3", GF(P_TOP), "hmult-clear", (8, 33, 35),
+     {"algebra": ("associativity", (7, 8, 34)), "bialgebra": ("bialgebra", (2, 4)),
+      "r": ("quasitriangular-i", None), "comodule": ("coaction-algebra-map", (2, 4))}),
+    ("double:S3", GF(P_TOP), "bmult-clear", (1, 1, 0),
+     {"comodule": ("associativity", (1, 1, 2))}),
+    ("double:C2", QQ, "hmult-fill", (7, 1, 19),
+     {"algebra": ("associativity", (3, 0, 1)), "bialgebra": ("bialgebra", (1, 1)),
+      "r": ("quasitriangular-i", None), "comodule": ("coaction-algebra-map", (1, 3)),
+      "k": ("kmatrix-i", None)}),
+    ("double:C2", QQ, "hmult-clear", (7, 1, 19),
+     {"algebra": ("unitality", (3,)), "bialgebra": ("bialgebra", (1, 0)),
+      "r": ("quasitriangular-i", None), "comodule": ("coaction-algebra-map", (1, 0))}),
+    ("double:C2", QQ, "bmult-fill", (1, 3, 0), {"comodule": ("associativity", (1, 0, 3))}),
+    # R = 1⊗1 and K = 1⊗1 here, so a toggle reaches the (iii) axioms
+    ("subgroup:S3:C2", QQ, "hmult-fill", (0, 1, 0),
+     {"algebra": ("unitality", (1,)), "bialgebra": ("bialgebra", (0, 1)),
+      "r": ("quasitriangular-iii", (1,)), "comodule": ("coaction-algebra-map", (0, 1)),
+      "k": ("kmatrix-iii", (1,))}),
+    ("subgroup:S3:C2", QQ, "bmult-clear", (1, 2, 0),
+     {"comodule": ("unitality", (1,)), "k": ("kmatrix-iii", (1,))}),
+    ("sweedler:1", GF(101), "bmult-clear", (2, 2, 0),
+     {"comodule": ("unitality", (3,)), "k": ("kmatrix-iii", (3,))}),
+]
+
+
+@pytest.mark.parametrize("name, field, kind, idx, failures",
+                         [pytest.param(*row, id="-".join(map(str, row[:3]))) for row in TOGGLES])
+def test_toggled_constant_witnesses_match_references(name, field, kind, idx, failures):
+    structures = _perturbed(named_example(name, field), kind, idx, field.one)
+    pairs = list(_pairs(*structures))
+    for check, batched, reference in pairs:
+        assert batched == reference, check
+    assert {check: b[1:3] for check, b, _ in pairs if b[0] is not True} == failures
+
+
+@pytest.mark.parametrize("kind", ("hmult-fill", "hmult-clear"))
+@pytest.mark.parametrize("name, field", [("double:S3", GF(101)), ("double:S3", GF(P_TOP)),
+                                         ("double:C2", QQ)], ids=str)
+def test_iii_sweeps_on_toggled_tables_match_reference(name, field, kind):
+    # on these instances R and K have every basis index in their legs, so a
+    # toggled constant fails axiom (i) first; the (iii) sweeps' products,
+    # every RΔ(h), Δop(h)R, Kδ(b) and δ(b)K, are compared here directly
+    h, r_elt, c, k_elt = _perturbed(named_example(name, field), kind, (5, 7, 11), field.one)
+    n, nb = h.dim, c.dim
+    hh, hb = (h.space, h.space), (h.space, c.algebra.space)
+    deltas = [TensorElement(field, hh, dict(h.coalgebra.comult_basis(i))) for i in range(n)]
+    _assert_all_pairs(field, [r_elt], deltas, [h.algebra] * 2)
+    _assert_all_pairs(field, [t.swap() for t in deltas], [r_elt], [h.algebra] * 2)
+    coactions = [TensorElement(field, hb, dict(c.coaction_basis(b))) for b in range(nb)]
+    _assert_all_pairs(field, [k_elt], coactions, [h.algebra, c.algebra])
+    _assert_all_pairs(field, coactions, [k_elt], [h.algebra, c.algebra])
+
+
 # ---------------------------------------------------------------------------
 # The inverse of the antipode, and the H-action re-check from generators
 # ---------------------------------------------------------------------------
@@ -599,11 +691,8 @@ def test_sparse_representation_check_matches_reference(name, field, which, row, 
 
 
 # ---------------------------------------------------------------------------
-# The product kernel's two expansion orders and the family leg embedding
+# The all-pairs product kernel and the family leg embedding
 # ---------------------------------------------------------------------------
-
-P_TOP = 94906249  # the largest prime GF accepts
-
 
 def _reference_leg_embed(t, slots, ambient_factors, ambient_algebras):
     """The dict leg embedding: every term times every choice of unit terms."""
@@ -673,65 +762,96 @@ def test_family_embedding_scales_by_a_unit_other_than_a_basis_element(field):
     assert got == ref
 
 
-def _join_and_cartesian_counts(left, right, pairs, ops, dims):
-    """The two expansion counts ``_products`` compares."""
-    pair, ka, _ = _gather(left, pairs[0])
-    join = int(ops[0].rows[0][ka // (math.prod(dims) // dims[0])].sum())
-    return join, int(right[0][pairs[1][pair]].sum())
+def _family(elements):
+    """Elements of one product as one family, element g the g-th."""
+    fams = [_flat(t) for t in elements]
+    counts = np.concatenate([fam[0] for fam in fams])
+    return (counts, np.cumsum(counts) - counts, np.concatenate([fam[2] for fam in fams]),
+            np.concatenate([fam[3] for fam in fams]))
 
 
-_D_S3_PRODUCTS = {}
+def _members_of(f, factors, fam):
+    """Every element of a family as a TensorElement."""
+    return [_element(f, factors, (None, None, fam[2][lo:lo + c], fam[3][lo:lo + c]))
+            for lo, c in zip(fam[1].tolist(), fam[0].tolist())]
 
 
-def _d_s3_products(field):
-    """Leg-embedded R, R⁻¹ and K of ``double:S3`` over ``field``, paired as
-    the K-axiom products are, with their entrywise products (built once)."""
-    if field not in _D_S3_PRODUCTS:
+def _assert_all_pairs(f, lefts, rights, algs, expected=None):
+    """``_products`` of the two families is every left·right, element g·H + h;
+    ``expected(g, h)`` gives the product, by default the entrywise one."""
+    expected = expected or (lambda g, h: _reference_tensor_mult(lefts[g], rights[h], algs))
+    factors = lefts[0].factors
+    ops, dims = [alg.mult_op() for alg in algs], [sp.dim for sp in factors]
+    got = _members_of(f, factors, _products(f, _family(lefts), _family(rights), ops, dims))
+    assert len(got) == len(lefts) * len(rights)
+    for g in range(len(lefts)):
+        for h in range(len(rights)):
+            assert got[g * len(rights) + h] == expected(g, h), (g, h)
+
+
+_D_S3_LEGS = {}
+
+
+def _d_s3_legs(field):
+    """Leg-embedded R, R⁻¹ and K of ``double:S3`` over ``field`` in H⊗H⊗B,
+    by name, their algebras, and the entrywise product of two of them by
+    name, each formed once."""
+    if field not in _D_S3_LEGS:
         ex = named_example("double:S3", field)
         legs, spaces3, algs3 = _k_check_legs(ex)
         el = {what: leg_embed(t, slots, spaces3, algs3) for what, _, (t, slots) in legs}
-        pairs = [("k23", "r21"), ("r21", "k13"), ("k13", "r12"), ("k13", "r21_inv")]
-        _D_S3_PRODUCTS[field] = [
-            (el[a], el[b], algs3, _reference_tensor_mult(el[a], el[b], algs3)) for a, b in pairs]
-    return _D_S3_PRODUCTS[field]
+
+        @functools.lru_cache(maxsize=None)
+        def product(a, b):
+            return _reference_tensor_mult(el[a], el[b], algs3)
+
+        _D_S3_LEGS[field] = el, algs3, product
+    return _D_S3_LEGS[field]
 
 
 @pytest.mark.parametrize("slice_cells", (None, 5), ids=("one-batch", "split"))
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_join_order_matches_reference(field, slice_cells, monkeypatch):
+    # the K-axiom products of double:S3, one at a time as the check forms
+    # them, then every left·right of two families of their factors at once
     if slice_cells is not None:
         monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
-    for a, b, algs, ref in _d_s3_products(field):
-        f, dims = a.field, [sp.dim for sp in a.factors]
-        ops = [alg.mult_op() for alg in algs]
-        join, cartesian = _join_and_cartesian_counts(_flat(a), _flat(b), _ONE_PAIR, ops, dims)
-        assert join <= cartesian  # this product takes the join
-        got = _products(f, _flat(a), _flat(b), _ONE_PAIR, ops, dims)
-        assert _element(f, a.factors, got) == ref
+    el, algs3, product = _d_s3_legs(field)
+    for a, b in (("k23", "r21"), ("r21", "k13"), ("k13", "r12"), ("k13", "r21_inv")):
+        _assert_all_pairs(field, [el[a]], [el[b]], algs3, lambda g, h: product(a, b))
+    lefts, rights = ("k23", "k13"), ("r21", "r12", "r21_inv")
+    _assert_all_pairs(field, [el[a] for a in lefts], [el[b] for b in rights], algs3,
+                      lambda g, h: product(lefts[g], rights[h]))
 
 
 @pytest.mark.parametrize("slice_cells", (None, 5), ids=("one-batch", "split"))
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_cartesian_order_matches_reference(field, slice_cells, monkeypatch):
+    # every (e_a e_x)·e_c and e_a·(e_x e_c) of double:C2, element
+    # (a·n + x)·n + c, against the entrywise products
     if slice_cells is not None:
         monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
     alg = named_example("double:C2", field).hopf.algebra
     f, n = alg.field, alg.dim
     m, e = alg.mult_op(), _linear_op(f, np.eye(n, dtype=np.int64))
-    every = np.arange(n)
-    pairs = (np.repeat(np.arange(n * n), n), np.tile(every, n * n))  # (e_a e_x) · e_c
-    join, cartesian = _join_and_cartesian_counts(m, e, pairs, [m], [n])
-    assert cartesian < join  # these products take the Cartesian order
-    got = _products(f, m, e, pairs, [m], [n])
-    for g, (ax, c) in enumerate(zip(*pairs)):
-        a, x = divmod(int(ax), n)
-        ref = {}
-        for k, ck in alg.mult_basis(a, x).items():
-            for t, ct in alg.mult_basis(k, int(c)).items():
-                ref[t] = f.add(ref.get(t, f.zero), f.mul(ck, ct))
-        lo, hi = got[1][g], got[1][g] + got[0][g]
-        assert dict(zip(got[2][lo:hi].tolist(), (f.scalar(v) for v in got[3][lo:hi]))) == \
-            {t: v for t, v in ref.items() if not f.is_zero(v)}
+
+    def times(x: dict, y: dict) -> dict:
+        out = {}
+        for i, ci in x.items():
+            for j, cj in y.items():
+                for t, ct in alg.mult_basis(i, j).items():
+                    out[t] = f.add(out.get(t, f.zero), f.mul(f.mul(ci, cj), ct))
+        return {t: v for t, v in out.items() if not f.is_zero(v)}
+
+    for got, side in ((_products(f, m, e, [m], [n]), 0), (_products(f, e, m, [m], [n]), 1)):
+        assert got[0].size == n ** 3
+        for g in range(n ** 3):
+            ax, c = divmod(g, n)
+            a, x = divmod(ax, n)
+            e_a, e_x, e_c = {a: f.one}, {x: f.one}, {c: f.one}
+            ref = times(times(e_a, e_x), e_c) if side == 0 else times(e_a, times(e_x, e_c))
+            lo, hi = got[1][g], got[1][g] + got[0][g]
+            assert dict(zip(got[2][lo:hi].tolist(), (f.scalar(v) for v in got[3][lo:hi]))) == ref
 
 
 def _random_element(rng, f, factors, terms):
@@ -746,23 +866,18 @@ def _random_element(rng, f, factors, terms):
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 def test_both_orders_on_mixed_slots_match_reference(field, slice_cells, monkeypatch):
     # three different algebras and coefficients other than ±1, so a slot or
-    # a value read from the wrong place shows; the term counts put some
-    # products in each order
+    # a value read from the wrong place shows; families of several elements
+    # with different term counts, zero among them and last, multiplied both ways
     if slice_cells is not None:
         monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
     hosts = [named_example(name, field).hopf for name in ("double:C2", "sweedler:1", "regular:S3")]
     factors, algs = [h.space for h in hosts], [h.algebra for h in hosts]
-    ops, dims = [alg.mult_op() for alg in algs], [sp.dim for sp in factors]
     rng = random.Random(7)
-    orders = set()
-    for left_terms, right_terms in ((40, 40), (30, 2), (2, 30), (60, 1), (1, 60)):
-        a = _random_element(rng, field, factors, left_terms)
-        b = _random_element(rng, field, factors, right_terms)
-        join, cartesian = _join_and_cartesian_counts(_flat(a), _flat(b), _ONE_PAIR, ops, dims)
-        orders.add(join <= cartesian)
-        got = _products(field, _flat(a), _flat(b), _ONE_PAIR, ops, dims)
-        assert _element(field, a.factors, got) == _reference_tensor_mult(a, b, algs)
-    assert orders == {True, False}
+    lefts = [_random_element(rng, field, factors, terms) for terms in (40, 2, 0, 60, 1)]
+    rights = [_random_element(rng, field, factors, terms) for terms in (1, 30, 40, 0)]
+    _assert_all_pairs(field, lefts, rights, algs)
+    _assert_all_pairs(field, rights, lefts, algs)
+    _assert_all_pairs(field, lefts[-1:], rights[-1:], algs)
 
 
 def test_perturbed_k_at_the_largest_prime_is_refused_as_the_reference_refuses():
