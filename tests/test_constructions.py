@@ -1,12 +1,16 @@
 """Example factories: verification-at-construction and closed-formula
 regressions for the reflective algebras of doubles."""
 
+import hashlib
 import random
 
 import pytest
 
+from hopffact.algebras import check_coalgebra
+from hopffact.bundle import dumps
 from hopffact.comodule import check_comodule_algebra, check_k_matrix
 from hopffact.constructions import (
+    ExampleBundle,
     drinfeld_double_group,
     group_algebra,
     named_example,
@@ -120,6 +124,57 @@ def test_reflective_general_base():
     assert data.comodule.dim == a.dim * h.dim
     assert check_comodule_algebra(data.comodule)
     assert check_k_matrix(data.kmatrix)
+
+
+def _reflective_hosts():
+    """(name, field, host, R, base comodule) for the reflective algebras
+    pinned below beside the registry's: the doubles D(C2) and D(C3) over
+    the regular comodule, and Sweedler's algebra, the one host with
+    S⁻¹ ≠ S, at λ = 0 and 1 over the trivial and the regular comodule."""
+    for gname in ("C2", "C3"):
+        h, r = drinfeld_double_group(group_by_name(gname), QQ)
+        yield f"double:{gname}/regular", QQ, h, r, regular_comodule(h)
+    for field in (QQ, GF(101)):
+        for lam in (0, 1):
+            h = sweedler_h4(field)
+            r = sweedler_r_matrix(h, lam)
+            for base in (trivial_comodule, regular_comodule):
+                yield f"sweedler:{lam}/{base.__name__}", field, h, r, base(h)
+
+
+def _reflective_bundles():
+    for name, field in (("reflective-trivial:C2", QQ), ("reflective-trivial:C3", QQ),
+                        ("reflective-trivial:C2", GF(2)), ("reflective-trivial:C3", GF(2)),
+                        ("reflective-trivial:S3", GF(101))):
+        yield named_example(name, field)
+    for name, field, h, r, base in _reflective_hosts():
+        data = reflective_algebra(h, r, base)
+        yield ExampleBundle(name, field, h, r, data.comodule, data.kmatrix)
+
+
+# sha256 of the bundle documents of the reflective algebras above: their
+# product, coaction and K-matrix, byte for byte
+REFLECTIVE_DIGEST = "bf9d882319d1eb159aa812eedb6289d46a6fc8169bf6e3696953105297f4f688"
+
+
+def test_reflective_bundles_digest():
+    digest = hashlib.sha256()
+    for b in _reflective_bundles():
+        digest.update(f"{b.name} {b.field}\n{dumps(b)}".encode())
+    assert digest.hexdigest() == REFLECTIVE_DIGEST
+
+
+def test_reflective_algebras_of_sweedler_verify():
+    # S⁻¹ ≠ S only here: the twisted coproduct and the right translation
+    # both use S⁻¹, and every check below sees a slip to S
+    for name, field, h, r, base in _reflective_hosts():
+        if not name.startswith("sweedler"):
+            continue
+        data = reflective_algebra(h, r, base)
+        assert data.comodule.dim == 4 * base.dim, name
+        assert check_coalgebra(data.hat_coalgebra), name
+        assert check_comodule_algebra(data.comodule), name
+        assert check_k_matrix(data.kmatrix), name
 
 
 def test_k_ref_independent_of_dual_basis_choice():
