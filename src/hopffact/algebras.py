@@ -3,10 +3,14 @@
 The structure constants are stored sparsely as dicts: ``mult[(i, j)]`` is
 the dict of basis coefficients of e_i · e_j (absent pairs multiply to zero),
 and ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}.  The dicts are
-storage and bundle I/O.  Every computation reads the same constants as
-tables built once from them: the sparse families ``mult_op`` and
-``comult_op``, which feed the product kernel of ``tensors``, and the dense
-stack of left and right multiplications ``mult_stack``.
+storage, bundle I/O and the reference that the tests compute definitions
+with; ``StructAlgebra.multiply``, the dict product, has no caller in the
+library.  Every computation reads the same constants as tables built once
+from them: the sparse families ``mult_op`` and ``comult_op``, which feed
+the product kernel of ``tensors``, and the dense stack of left and right
+multiplications ``mult_stack``.  A construction that derives new constants
+(the reflective algebras of ``constructions``) computes them as families
+and stores them back as dicts (``tensors._storage``).
 """
 
 from __future__ import annotations
@@ -85,7 +89,8 @@ class StructAlgebra:
         return {i: c for i, c in enumerate(self.unit) if not f.is_zero(c)}
 
     def multiply(self, x: dict, y: dict) -> dict:
-        """Product of two sparse elements {index: coeff}."""
+        """Product of two sparse elements {index: coeff}, on the dicts: the
+        tests' reference for the tables."""
         f = self.field
         out = {}
         for i, ci in x.items():

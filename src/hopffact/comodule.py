@@ -384,14 +384,24 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
 
 
 def z2_membership(k: KMatrix, x: HModule) -> bool:
-    """Symmetric-center membership against the regular B-module.
+    """Symmetric-center membership: e_{X,M} = id for every B-module M.
 
     Naturality reduces the quantifier over all modules to the regular one:
     every finite-dimensional module is a quotient of a free one and the
-    braiding commutes with surjections.
+    braiding commutes with surjections.  Write K = Σ_b k_b ⊗ e_b and
+    1_B = Σ_b u_b e_b; e_{X,B}(v⊗1) = Σ_b ρ_X(k_b)v ⊗ e_b, so X lies in Z₂
+    exactly when ρ_X(k_b) = u_b·id for every b.  That is one product of
+    K's coefficient matrix with X's stacked action matrices.
     """
-    reg = regular_bmodule(k.comodule)
-    return module_braiding(k, x, reg).is_identity()
+    f, nh, nb, d = k.host.field, k.host.dim, k.comodule.dim, x.dim
+    kf = _flat(k.element)
+    a, b = np.divmod(kf[2], nb)
+    coeffs = np.zeros((nb, nh), dtype=_dtype(f))
+    coeffs[b, a] = kf[3]
+    acts = np.stack([m.array for m in x.action]).reshape(nh, d * d)
+    want = np.zeros((nb, d * d), dtype=_dtype(f))
+    want[:, ::d + 1] = _field_array(f, k.comodule.algebra.unit)[:, None]
+    return np.array_equal(_mod_matmul(f, coeffs, acts), want)
 
 
 # ---------------------------------------------------------------------------

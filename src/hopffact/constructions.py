@@ -3,6 +3,13 @@ four-dimensional Taft/Sweedler algebra with its one-parameter family of
 R-matrices, Drinfeld doubles of finite groups, coideal subalgebra comodules,
 and reflective algebras (crossed products with the twisted dual).
 
+The group factories write their structure constants out from the group
+table.  The reflective algebras derive theirs from the host's tables: the
+twisted coproduct, the right translation, the crossed product, its
+coaction and its K-matrix are families of the product kernel of
+``tensors`` (``_products``, ``_coapply``, ``_embed``, ``_flip``), stored
+back as dicts only at the end.
+
 Every factory verifies its output with the axiom checkers before returning;
 construction failures are hard errors, never silent.
 """
@@ -10,6 +17,8 @@ construction failures are hard errors, never silent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebras import StructAlgebra, StructCoalgebra, check_coalgebra
 from .comodule import (
@@ -21,10 +30,11 @@ from .comodule import (
 from .errors import HopffactError, UnknownExample
 from .fields import QQ, Field
 from .groups import FiniteGroup, group_by_name, subgroup_elements
-from .hopf import HopfAlgebra, check_hopf, make_hopf
-from .linalg import BasedSpace, MapMatrix
+from .hopf import HopfAlgebra, _sandwich_maps, check_hopf, make_hopf
+from .linalg import BasedSpace, MapMatrix, _dtype, _gather, _mul, _scalar_rows, _sparse_op
 from .rmatrix import RMatrix, check_r_matrix, r_matrix, trivial_r_matrix
-from .tensors import TensorElement, tensor_mult
+from .tensors import (TensorElement, _coapply, _differing, _element, _embed, _flat, _flip,
+                      _linear_op, _members, _products, _storage, _units)
 from .verdicts import Verdict
 
 
@@ -280,206 +290,105 @@ class ReflectiveAlgebraData:
     kmatrix: KMatrix
 
 
-def _columns(m: MapMatrix) -> list:
-    """The columns of ``m`` as sparse elements {index: coeff}."""
-    return [{j: x for j, x in enumerate(col) if x} for col in zip(*m.rows)]
-
-
 def _hat_coalgebra(h: HopfAlgebra, r: RMatrix) -> StructCoalgebra:
-    """The twisted coproduct on H built from the R-matrix and S^{-1}."""
-    f, mult = h.field, h.algebra.multiply
-    s_inv = _columns(h.antipode_inv)
-    comult = {}
-    for t in range(h.dim):
-        inner = {}
-        for (d1, d2), dc in h.comult_basis(t).items():
-            for (u, v), rc in r.element.coeffs.items():
-                c = f.mul(dc, rc)
-                left = mult({d1: f.one}, {v: f.one})
-                right = mult({d2: f.one}, {u: f.one})
-                for a, ca in left.items():
-                    for b, cb in right.items():
-                        key = (a, b)
-                        val = f.mul(c, f.mul(ca, cb))
-                        inner[key] = f.add(inner.get(key, f.zero), val)
-        outer = {}
-        for (a, b), c in inner.items():
-            if f.is_zero(c):
-                continue
-            for (u2, v2), rc in r.element.coeffs.items():
-                c2 = f.mul(c, rc)
-                left = mult({v2: f.one}, {a: f.one})
-                right = mult({b: f.one}, s_inv[u2])
-                for a2, ca in left.items():
-                    for b2, cb in right.items():
-                        key = (a2, b2)
-                        val = f.mul(c2, f.mul(ca, cb))
-                        outer[key] = f.add(outer.get(key, f.zero), val)
-        comult[t] = {k: v for k, v in outer.items() if not f.is_zero(v)}
-    hat = StructCoalgebra(f, h.space, comult, h.coalgebra.counit)
+    """The twisted coproduct Δ̂(t) = R̃·(Δ(t)·R21) on H, verified.
+
+    For R = Σ u⊗v, R̃ = (id⊗S⁻¹)(R21) = Σ v ⊗ S⁻¹(u), and the outer product
+    is taken in H⊗H^op, whose second slot multiplies by ``mult_op`` with its
+    input pairs swapped: Δ̂(t) = Σ v·t_(1)·v' ⊗ t_(2)·u'·S⁻¹(u).
+    """
+    f, n = h.field, h.dim
+    m = h.algebra.mult_op()
+    i, j = np.divmod(_members(m), n)
+    m_op = _sparse_op(f, j * n + i, m[2], m[3], n * n, n)
+    r21 = _flip(f, _flat(r.element), (n, n))
+    r_tilde = _coapply(f, r21, (n, n), 1, _linear_op(f, h.antipode_inv.array), n)
+    inner = _products(f, h.coalgebra.comult_op(), r21, [m, m], [n, n])
+    hat_fam = _products(f, r_tilde, inner, [m, m_op], [n, n])
+    hat = StructCoalgebra(f, h.space, _storage(f, hat_fam, (n,), (n, n)), h.coalgebra.counit)
     _verified(check_coalgebra(hat), "twisted coalgebra")
     return hat
 
 
-def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> ReflectiveAlgebraData:
-    """The crossed product of A with the opposite dual of the twisted
-    coalgebra, as a quasitriangular comodule algebra.
+def _right_translation(h: HopfAlgebra):
+    """The matrix M_l of x ↦ h_(2)·x·S⁻¹(h_(1)), the adjoint action of
+    H^cop, for every basis element h_l, as a family keyed row·n + column:
+    ``hopf._sandwich_maps`` of (id⊗S⁻¹)Δ^op.  The right translation
+    f ↼ h_l of a functional f has coordinates M_lᵀf."""
+    f, n = h.field, h.dim
+    d_op = _flip(f, h.coalgebra.comult_op(), (n, n))
+    s_inv = _linear_op(f, h.antipode_inv.array)
+    return _sandwich_maps(h.algebra, _coapply(f, d_op, (n, n), 1, s_inv, n))
 
-    Everything is verified: the twisted coalgebra axioms, associativity of
-    the crossed product, the comodule-algebra axioms of the installed
-    coaction, and the K-matrix axioms of the canonical element.
+
+def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> ReflectiveAlgebraData:
+    """The crossed product A ⋊ B0 of A with B0 = (Ĥ*)^op, the opposite dual
+    of the twisted coalgebra, as a quasitriangular comodule algebra on the
+    basis a_i ⊗ f_k (index i·nh + k), built from the structure tables.
+
+    - B0: f_x·f_y = Σ_t ⟨Δ̂(t), f_y⊗f_x⟩ f_t, the Δ̂ family re-keyed from
+      (t; x, y) to y·nh + x → t, with unit ε.
+    - The right translation f ↼ h has coordinates M_hᵀf, where M_h is the
+      matrix of x ↦ h_(2)·x·S⁻¹(h_(1)) (``_right_translation``).
+    - M1[k·na + j] = (1⊗f_k)(a_j⊗1) = Σ a_[0] ⊗ (f_k ↼ a_[-1]) over δ(a_j),
+      one gather through the M_h.  The product (a_i⊗f_k)(a_j⊗f_l) is
+      (a_i⊗1)·M1[k·na + j]·(1⊗f_l) in A⊗B0, and the two products of the
+      families give it the element index (i·nh + k)·n + j·nh + l.
+    - δ(a⊗f) = δ(a⊗1)·δ(1⊗f), with δ(a⊗1) A's coaction and
+      δ(1⊗f_k) = Σ_m ⟨f_k, T_m'⟩ T_m'' ⊗ (1⊗f_m) for T_m = R21(e_m⊗1)R.
+    - K = Σ_m e_m ⊗ (1⊗f_m).
+
+    Everything is verified: the twisted coalgebra axioms, the
+    comodule-algebra axioms of the crossed product, the crossed-product
+    relation (1⊗f_k)(a_j⊗1) = M1[k·na + j], and the K-matrix axioms.
     """
     f = h.field
     _verified(check_comodule_algebra(a), "base comodule algebra")
-    nh = h.dim
-    na = a.dim
-    hat = _hat_coalgebra(h, r)
-    # B0 = opposite dual of the twisted coalgebra
-    b0_mult: dict = {}
-    for t in range(nh):
-        for (x, y), c in hat.comult_basis(t).items():
-            b0_mult.setdefault((y, x), {})[t] = c
-    b0_unit = tuple(hat.counit)
-    # right translation: coords of f ↼ h_l on the dual basis
-    s_inv = _columns(h.antipode_inv)
-    act = []  # act[l][s] = dict over a: coeff of ⟨f_a⟩ in (f ↼ h_l) at h_s
-    for l in range(nh):
-        sl1 = []
-        for s in range(nh):
-            out = {}
-            for (l1, l2), dc in h.comult_basis(l).items():
-                mid = h.algebra.multiply(h.algebra.multiply({l2: f.one}, {s: f.one}),
-                                         {j: f.mul(dc, x) for j, x in s_inv[l1].items()})
-                for aidx, ca in mid.items():
-                    out[aidx] = f.add(out.get(aidx, f.zero), ca)
-            sl1.append({k: v for k, v in out.items() if not f.is_zero(v)})
-        act.append(sl1)
-
-    def hit(fvec: dict, l: int) -> dict:
-        """f ↼ h_l for a sparse functional {a: coeff}."""
-        out = {}
-        for s in range(nh):
-            val = f.zero
-            for aidx, ca in act[l][s].items():
-                if aidx in fvec:
-                    val = f.add(val, f.mul(fvec[aidx], ca))
-            if not f.is_zero(val):
-                out[s] = val
-        return out
-
-    def b0_multiply(u: dict, v: dict) -> dict:
-        out = {}
-        for i, ci in u.items():
-            for j, cj in v.items():
-                for t, c in b0_mult.get((i, j), {}).items():
-                    val = f.add(out.get(t, f.zero), f.mul(f.mul(ci, cj), c))
-                    if f.is_zero(val):
-                        out.pop(t, None)
-                    else:
-                        out[t] = val
-        return out
-
-    # crossed product on basis a_i ⊗ f_k
+    nh, na = h.dim, a.dim
     n = na * nh
-    sp = BasedSpace(tuple(
-        f"{a.algebra.space.labels[i]}⊗{h.space.labels[k]}*"
-        for i in range(na) for k in range(nh)
-    ))
-
-    def bidx(i, k):
-        return i * nh + k
-
-    mult: dict = {}
-    for i in range(na):
-        for k in range(nh):
-            for i2 in range(na):
-                for k2 in range(nh):
-                    out: dict = {}
-                    for (hh, aa), cv in a.coaction_basis(i2).items():
-                        moved = hit({k: f.one}, hh)
-                        if not moved:
-                            continue
-                        bpart = b0_multiply(moved, {k2: f.one})
-                        if not bpart:
-                            continue
-                        apart = a.algebra.mult_basis(i, aa)
-                        for ai, ca in apart.items():
-                            for bk, cb in bpart.items():
-                                key = bidx(ai, bk)
-                                val = f.mul(cv, f.mul(ca, cb))
-                                out[key] = f.add(out.get(key, f.zero), val)
-                    out = {k3: v for k3, v in out.items() if not f.is_zero(v)}
-                    if out:
-                        mult[(bidx(i, k), bidx(i2, k2))] = out
-    unit_vec = [f.zero] * n
-    for i, ca in a.algebra.unit_dict().items():
-        for k, cb in enumerate(b0_unit):
-            if not f.is_zero(cb):
-                unit_vec[bidx(i, k)] = f.mul(ca, cb)
-    alg = StructAlgebra(f, sp, mult, tuple(unit_vec))
-
-    # coaction: δ(a⊗ε) from the base coaction, δ(1⊗f) from the R-matrix
-    # twist, extended multiplicatively
-    algs2 = [h.algebra, h.algebra]
-    tmats = [  # per k: {(w1, w2): coeff} for R_21 (h_k ⊗ 1) R
-        tensor_mult(r.element.swap(), tensor_mult(
-            TensorElement(f, r.element.factors, {(k, u): c for u, c in h.unit_dict().items()}),
-            r.element, algs2), algs2).coeffs
-        for k in range(nh)
-    ]
-    # δ_ref(f_k) = Σ_m ⟨f_k, first leg of T_m⟩ (second leg) ⊗ f_m
-    dual_coaction = []
-    for k in range(nh):
-        entry: dict = {}
-        for m in range(nh):
-            for (w1, w2), c in tmats[m].items():
-                if w1 == k:
-                    key = (w2, m)
-                    entry[key] = f.add(entry.get(key, f.zero), c)
-        dual_coaction.append(entry)
-
-    coaction: dict = {}
-    eps_b0 = {k: c for k, c in enumerate(b0_unit) if not f.is_zero(c)}
-    for i in range(na):
-        base_part: dict = {}
-        for (hh, aa), cv in a.coaction_basis(i).items():
-            for k, cb in eps_b0.items():
-                base_part[(hh, bidx(aa, k))] = f.mul(cv, cb)
-        for k in range(nh):
-            dual_part = {
-                (hh, bidx(au, m)): f.mul(c, cu)
-                for (hh, m), c in dual_coaction[k].items()
-                for au, cu in a.algebra.unit_dict().items()
-            }
-            hb = (h.space, sp)  # the product in H ⊗ R_H(A)
-            coaction[bidx(i, k)] = tensor_mult(TensorElement(f, hb, base_part),
-                                               TensorElement(f, hb, dual_part),
-                                               [h.algebra, alg]).coeffs
-    comodule = ComoduleAlgebra(h, alg, coaction)
+    mh, rf = h.algebra.mult_op(), _flat(r.element)
+    basis_a, basis_h = (_linear_op(f, np.eye(m, dtype=np.int64)) for m in (na, nh))
+    hat = _hat_coalgebra(h, r)
+    d = hat.comult_op()
+    x, y = np.divmod(d[2], nh)
+    b0_fam = _sparse_op(f, y * nh + x, _members(d), d[3], nh * nh, nh)
+    b0 = StructAlgebra(f, h.space.dual(), _storage(f, b0_fam, (nh, nh), (nh,)), h.coalgebra.counit)
+    # element l·nh + k of ``moved`` is f_k ↼ h_l, read off row k of M_l
+    mats = _right_translation(h)
+    row, col = np.divmod(mats[2], nh)
+    moved = _sparse_op(f, _members(mats) * nh + row, col, mats[3], nh * nh, nh)
+    delta = a.coaction_op()
+    e, k = np.divmod(np.arange(delta[2].size * nh), nh)  # each coaction term with each f_k
+    hh, aa = np.divmod(delta[2][e], na)
+    rep, s, c = _gather(moved, hh * nh + k)
+    m1 = _sparse_op(f, k[rep] * na + _members(delta)[e[rep]], aa[rep] * nh + s,
+                    _mul(f, delta[3][e[rep]], c), n, n)
+    a1 = _embed(f, basis_a, [na], (0,), [None, b0])  # element i: a_i ⊗ 1
+    f1 = _embed(f, basis_h, [nh], (1,), [a.algebra, None])  # element k: 1 ⊗ f_k
+    ops = [a.algebra.mult_op(), b0.mult_op()]
+    prod = _products(f, _products(f, a1, m1, ops, [na, nh]), f1, ops, [na, nh])
+    _, _, key, val = _units(f, [a.algebra, b0])
+    unit = np.zeros(n, dtype=_dtype(f))
+    unit[key] = val
+    sp = a.algebra.space.tensor(b0.space)
+    alg = StructAlgebra(f, sp, _storage(f, prod, (n, n), (n,)), _scalar_rows(f, unit[None])[0])
+    # T_m = R21 (e_m⊗1) R, and δ(1⊗f_k) = Σ_m ⟨f_k, T_m'⟩ T_m'' ⊗ (1⊗f_m)
+    e_1 = _embed(f, basis_h, [nh], (0,), [None, h.algebra])
+    t = _products(f, _flip(f, rf, (nh, nh)), e_1, [mh, mh], [nh, nh])
+    t = _products(f, t, rf, [mh, mh], [nh, nh])
+    w1, w2 = np.divmod(t[2], nh)
+    dual = _sparse_op(f, w1, w2 * nh + _members(t), t[3], nh, nh * nh)
+    dual = _embed(f, dual, [nh, nh], (0, 2), [None, a.algebra, None])
+    base = _embed(f, delta, [nh, na], (0, 1), [None, None, b0])  # δ(a_i ⊗ 1)
+    coaction = _products(f, base, dual, [mh, alg.mult_op()], [nh, n])
+    comodule = ComoduleAlgebra(h, alg, _storage(f, coaction, (n,), (nh, n)))
     _verified(check_comodule_algebra(comodule), "reflective algebra comodule")
-    # crossed-product relation (1⊗f)(a'⊗1) = a'_[0] ⊗ (f ↼ a'_[-1])
-    unit_a = a.algebra.unit_dict()
-    for k in range(nh):
-        left_el = {bidx(i, k): ca for i, ca in unit_a.items()}
-        for i2 in range(na):
-            right_el = {bidx(i2, k2): cb for k2, cb in eps_b0.items()}
-            lhs = alg.multiply(left_el, right_el)
-            rhs: dict = {}
-            for (hh, aa), cv in a.coaction_basis(i2).items():
-                for s, cs in hit({k: f.one}, hh).items():
-                    key = bidx(aa, s)
-                    rhs[key] = f.add(rhs.get(key, f.zero), f.mul(cv, cs))
-            rhs = {k2: v for k2, v in rhs.items() if not f.is_zero(v)}
-            if lhs != rhs:
-                raise HopffactError(
-                    f"crossed-product relation fails at (f_{k}, a_{i2})"
-                )
-    kcoeffs = {}
-    for m in range(nh):
-        for au, cu in a.algebra.unit_dict().items():
-            kcoeffs[(m, bidx(au, m))] = cu
-    element = TensorElement(f, (h.space, sp), kcoeffs)
-    km = KMatrix(comodule, r, element)
+    bad = _differing(f, _products(f, f1, a1, [alg.mult_op()], [n]), m1, n)
+    if bad.size:
+        k, j = divmod(int(bad[0]), na)
+        raise HopffactError(f"crossed-product relation fails at (f_{k}, a_{j})")
+    canonical = _sparse_op(f, np.zeros_like(f1[2]), _members(f1) * n + f1[2], f1[3], 1, nh * n)
+    km = KMatrix(comodule, r, _element(f, (h.space, sp), canonical))
     _verified(check_k_matrix(km), "reflective K-matrix")
     if comodule.dim != a.dim * h.dim:
         raise HopffactError("crossed product dimension mismatch")

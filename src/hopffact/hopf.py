@@ -87,22 +87,13 @@ class HopfAlgebra:
 
     def adjoint_matrices(self) -> tuple:
         """The adjoint action ℓ ↦ h_(1) · ℓ · S(h_(2)) on H of every basis
-        element h, as matrices (computed once).
-
-        Ψ(a⊗c), the map x ↦ e_a e_x e_c, is the family of the products
-        (e_a e_x)·e_c; the adjoint matrix of h is Ψ applied to
-        (id⊗S)Δ(h).
-        """
+        element h, as matrices (computed once): the maps of (id⊗S)Δ(h)
+        (``_sandwich_maps``)."""
         if self._adjoints is None:
             f, n = self.field, self.dim
-            m = self.algebra.mult_op()
-            prods = _products(f, m, _linear_op(f, np.eye(n, dtype=np.int64)), [m], [n])
-            ax, c = np.divmod(_members(prods), n)  # element (a·n + x)·n + c
-            a, x = np.divmod(ax, n)
-            psi = _sparse_op(f, a * n + c, prods[2] * n + x, prods[3], n * n, n * n)
             s_op = _linear_op(f, self.antipode.array)
             twisted = _coapply(f, self.coalgebra.comult_op(), (n, n), 1, s_op, n)
-            ad = _coapply(f, twisted, (n * n,), 0, psi, n * n)
+            ad = _sandwich_maps(self.algebra, twisted)
             stack = np.zeros((n, n * n), dtype=_dtype(f))
             stack[_members(ad), ad[2]] = ad[3]
             mats = tuple(MapMatrix(f, self.space, self.space, s.reshape(n, n)) for s in stack)
@@ -111,6 +102,22 @@ class HopfAlgebra:
 
     def __repr__(self):
         return f"HopfAlgebra(dim={self.dim} over {self.field})"
+
+
+def _sandwich_maps(algebra: StructAlgebra, fam):
+    """For every element Σ c·e_a⊗e_c of a two-leg family on the algebra,
+    the matrix of x ↦ Σ c·e_a·x·e_c, as a family keyed row·n + column.
+
+    Ψ(a⊗c), the map x ↦ e_a e_x e_c, is the family of the products
+    (e_a e_x)·e_c; each element's matrix is Ψ applied to it.
+    """
+    f, n = algebra.field, algebra.dim
+    m = algebra.mult_op()
+    prods = _products(f, m, _linear_op(f, np.eye(n, dtype=np.int64)), [m], [n])
+    ax, c = np.divmod(_members(prods), n)  # element (a·n + x)·n + c
+    a, x = np.divmod(ax, n)
+    psi = _sparse_op(f, a * n + c, prods[2] * n + x, prods[3], n * n, n * n)
+    return _coapply(f, fam, (n * n,), 0, psi, n * n)
 
 
 def solve_antipode(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> MapMatrix:

@@ -363,6 +363,22 @@ def _element(f: Field, factors, fam) -> TensorElement:
     return TensorElement(f, factors, dict(zip(indices, _scalar_rows(f, fam[3][None])[0])))
 
 
+def _storage(f: Field, fam, in_dims, out_dims) -> dict:
+    """A family as the nested dicts that store structure constants,
+    {element: {output: scalar}}; an index over several dims is the tuple of
+    its digits, over one dim the index itself.  Elements without terms are
+    left out."""
+    def digits(key, dims):
+        return key.tolist() if len(dims) == 1 else \
+            list(zip(*(d.tolist() for d in np.unravel_index(key, dims))))
+
+    out: dict = {}
+    for g, k, c in zip(digits(_members(fam), in_dims), digits(fam[2], out_dims),
+                       _scalar_rows(f, fam[3][None])[0]):
+        out.setdefault(g, {})[k] = c
+    return out
+
+
 def _units(f: Field, algebras):
     """The unit 1⊗…⊗1 of a product of algebras as a family of one element."""
     key, val = [0], [f.one]

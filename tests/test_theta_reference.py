@@ -1,24 +1,33 @@
-"""θ, θ_mod and the adjoint matrices against their definitions, written here
-as loops over the sparse elements {index: coeff} rather than taken from the
+"""θ, θ_mod, the adjoint matrices and the right translation of the
+reflective algebras against their definitions, written here as loops over
+the sparse elements {index: coeff} rather than taken from the
 structure-constant tables that the library computes them with."""
 
+import numpy as np
 import pytest
 
 from hopffact.comodule import compute_end_space, theta_comodule, theta_module_category
-from hopffact.constructions import named_example, registry_names
+from hopffact.constructions import _right_translation, named_example, registry_names
 from hopffact.errors import HopffactError
 from hopffact.fields import GF, QQ
+from hopffact.linalg import _dtype, _scalar_rows
+from hopffact.tensors import _members
+
+
+def _image(m, x):
+    """m(x) for a sparse element x, read off the columns of the matrix m."""
+    f = m.field
+    rows = m.rows
+    out = {}
+    for j, cj in x.items():
+        for i in range(len(rows)):
+            out[i] = f.add(out.get(i, f.zero), f.mul(rows[i][j], cj))
+    return {i: c for i, c in out.items() if not f.is_zero(c)}
 
 
 def _antipode_of(h, x):
-    """S(x) for a sparse element x, read off the antipode's columns."""
-    f = h.field
-    s = h.antipode.rows
-    out = {}
-    for j, cj in x.items():
-        for i in range(h.dim):
-            out[i] = f.add(out.get(i, f.zero), f.mul(s[i][j], cj))
-    return {i: c for i, c in out.items() if not f.is_zero(c)}
+    """S(x) for a sparse element x."""
+    return _image(h.antipode, x)
 
 
 def _reference_theta_elements(k, outer_antipode):
@@ -70,16 +79,28 @@ def _maps_of(theta, es):
     return {key: c for key, c in out.items() if not f.is_zero(c)}
 
 
-def _reference_adjoint(h, t):
-    """ad(h_t): x ↦ Σ h_(1) x S(h_(2)), as rows."""
+def _reference_adjoint(h, t, cop=False):
+    """ad(h_t): x ↦ Σ h_(1) x S(h_(2)), as rows; with ``cop`` the adjoint
+    action of H^cop, x ↦ Σ h_(2) x S⁻¹(h_(1)), the right translation of the
+    reflective algebras."""
     f, n, mult = h.field, h.dim, h.algebra.multiply
     rows = [[f.zero] * n for _ in range(n)]
     for (a, c), dc in h.comult_basis(t).items():
-        sc = _antipode_of(h, {c: dc})
+        if cop:
+            a, c = c, a
+        sc = _image(h.antipode_inv if cop else h.antipode, {c: dc})
         for x in range(n):
             for k, v in mult(mult({a: f.one}, {x: f.one}), sc).items():
                 rows[k][x] = f.add(rows[k][x], v)
     return tuple(map(tuple, rows))
+
+
+def _matrix_rows(h, fam):
+    """The matrices of a family keyed row·n + column, as rows."""
+    f, n = h.field, h.dim
+    stack = np.zeros((fam[0].size, n * n), dtype=_dtype(f))
+    stack[_members(fam), fam[2]] = fam[3]
+    return [tuple(map(tuple, _scalar_rows(f, s.reshape(n, n)))) for s in stack]
 
 
 def _bundles(field):
@@ -93,6 +114,8 @@ def _bundles(field):
 def _assert_matches_the_reference(b):
     h = b.hopf
     assert [m.rows for m in h.adjoint_matrices()] == [_reference_adjoint(h, t)
+                                                      for t in range(h.dim)], b.name
+    assert _matrix_rows(h, _right_translation(h)) == [_reference_adjoint(h, t, cop=True)
                                                       for t in range(h.dim)], b.name
     if b.kmatrix is None:
         return
