@@ -4,11 +4,8 @@ R-matrices, Drinfeld doubles of finite groups, coideal subalgebra comodules,
 and reflective algebras (crossed products with the twisted dual).
 
 The group factories write their structure constants out from the group
-table.  The reflective algebras derive theirs from the host's tables: the
-twisted coproduct, the right translation, the crossed product, its
-coaction and its K-matrix are families of the product kernel of
-``tensors`` (``_products``, ``_coapply``, ``_embed``, ``_flip``), stored
-back as dicts only at the end.
+table; the reflective algebras derive theirs from the host's tables as
+families of the product kernel of ``tensors``, stored as dicts at the end.
 
 Every factory verifies its output with the axiom checkers before returning;
 construction failures are hard errors, never silent.
@@ -34,7 +31,7 @@ from .hopf import HopfAlgebra, _sandwich_maps, check_hopf, make_hopf
 from .linalg import BasedSpace, MapMatrix, _dtype, _gather, _mul, _scalar_rows, _sparse_op
 from .rmatrix import RMatrix, check_r_matrix, r_matrix, trivial_r_matrix
 from .tensors import (TensorElement, _coapply, _differing, _element, _embed, _flat, _flip,
-                      _linear_op, _members, _products, _storage, _units)
+                      _linear_op, _members, _products, _storage, _units, tensor_unit)
 from .verdicts import Verdict
 
 
@@ -257,12 +254,7 @@ def subgroup_comodule(g: FiniteGroup, sub_name: str, field: Field = QQ,
 
 def trivial_k_matrix(c: ComoduleAlgebra, r: RMatrix) -> KMatrix:
     """K = 1_H ⊗ 1_B (a K-matrix exactly when the host is triangular)."""
-    f = c.field
-    coeffs = {}
-    for i, ci in c.host.unit_dict().items():
-        for b, cb in c.algebra.unit_dict().items():
-            coeffs[(i, b)] = f.mul(ci, cb)
-    element = TensorElement(f, (c.host.space, c.algebra.space), coeffs)
+    element = tensor_unit(c.field, (c.host.space, c.algebra.space), [c.host.algebra, c.algebra])
     k = KMatrix(c, r, element, element)
     _verified(check_k_matrix(k), "trivial K-matrix")
     return k
@@ -390,8 +382,6 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
     canonical = _sparse_op(f, np.zeros_like(f1[2]), _members(f1) * n + f1[2], f1[3], 1, nh * n)
     km = KMatrix(comodule, r, _element(f, (h.space, sp), canonical))
     _verified(check_k_matrix(km), "reflective K-matrix")
-    if comodule.dim != a.dim * h.dim:
-        raise HopffactError("crossed product dimension mismatch")
     return ReflectiveAlgebraData(a, hat, comodule, km)
 
 

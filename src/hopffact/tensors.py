@@ -365,12 +365,11 @@ def _element(f: Field, factors, fam) -> TensorElement:
 
 def _storage(f: Field, fam, in_dims, out_dims) -> dict:
     """A family as the nested dicts that store structure constants,
-    {element: {output: scalar}}; an index over several dims is the tuple of
-    its digits, over one dim the index itself.  Elements without terms are
-    left out."""
+    {element: {output: scalar}}, an index over several dims as its tuple of
+    digits; elements without terms are left out."""
     def digits(key, dims):
         return key.tolist() if len(dims) == 1 else \
-            list(zip(*(d.tolist() for d in np.unravel_index(key, dims))))
+            map(tuple, np.transpose(np.unravel_index(key, dims)).tolist())
 
     out: dict = {}
     for g, k, c in zip(digits(_members(fam), in_dims), digits(fam[2], out_dims),
