@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import HopffactError
 from .fields import Field
-from .linalg import BasedSpace, MapMatrix, Span, _dtype, _field_array, _mod_matmul, _reduce
-from .tensors import (_coapply, _differing, _first_failure, _linear_op, _ProductOp,
+from .linalg import (_SLICE_CELLS, BasedSpace, MapMatrix, Span, _dtype, _field_array,
+                     _mod_matmul, _reduce)
+from .tensors import (_coapply, _differing, _elements, _first_failure, _linear_op, _ProductOp,
                       _products, _table, _units)
 from .verdicts import Verdict
 
@@ -217,6 +218,12 @@ def check_algebra(a: StructAlgebra) -> Verdict:
 
     Each identity is checked on every basis index at once: 1·e_i and e_i·1
     for all i, then (e_i e_j) e_k and e_i (e_j e_k) for all n³ triples.
+    The triples go in slabs of ascending i, as many i per slab as keep a
+    slab's n² triples each within ``linalg._SLICE_CELLS``: a slab compares
+    m's elements i·n + j (e_i e_j) times every e_k with every e_i times m's
+    elements j·n + k, so nothing of size n³ is formed, and the first slab
+    that fails holds the lexicographically first failing triple.  Up to
+    n = 101 all triples are one slab.
     """
     f, n = a.field, a.dim
     m, e, unit = a.mult_op(), _linear_op(f, np.eye(n, dtype=np.int64)), _units(f, [a])
@@ -226,11 +233,15 @@ def check_algebra(a: StructAlgebra) -> Verdict:
     )
     if bad:
         return Verdict.failed("unitality", bad[:1], ("1·e_i ≠ e_i", "e_i·1 ≠ e_i")[bad[1]])
-    # element i·n² + j·n + k of both sides: m's element i·n + j is e_i e_j
-    bad = _differing(f, _products(f, m, e, [m], [n]), _products(f, e, m, [m], [n]), n)
-    if bad.size:
-        i, jk = divmod(int(bad[0]), n * n)
-        return Verdict.failed("associativity", (i, *divmod(jk, n)))
+    # element (i - lo)·n² + j·n + k of both sides
+    step = max(1, _SLICE_CELLS // (n * n))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        bad = _differing(f, _products(f, _elements(m, lo * n, hi * n), e, [m], [n]),
+                         _products(f, _elements(e, lo, hi), m, [m], [n]), n)
+        if bad.size:
+            i, jk = divmod(int(bad[0]), n * n)
+            return Verdict.failed("associativity", (lo + i, *divmod(jk, n)))
     return Verdict.passed()
 
 

@@ -26,6 +26,7 @@ from .linalg import (
     BasedSpace,
     MapMatrix,
     Span,
+    _SLAB_COLUMNS,
     _SLICE_CELLS,
     _OverBudget,
     _combine,
@@ -288,10 +289,11 @@ def _batch_keys(col, idx, dims):
 
 def _failing_columns(f, lhs, rhs, first, last, dims, limit):
     """The columns first..last-1 of X⊗Y⊗M on which an identity fails:
-    ``lhs`` is the left side on X⊗Y⊗M, ``rhs`` the two-leg steps."""
+    ``lhs`` is the left side on X⊗Y⊗M, as an operator and the column its
+    input 0 stands for, ``rhs`` the two-leg steps."""
     n = dims[0] * dims[1] * dims[2]
     cols = np.arange(first, last, dtype=np.int64)
-    rep, out, val = _gather(lhs, cols, limit)
+    rep, out, val = _gather(lhs[0], cols - lhs[1], limit)
     ones = _sparse_values(f, [f.one]).repeat(cols.size)
     right, d = (cols, list(np.unravel_index(cols, dims)), ones), dims
     for op, legs, order in rhs:
@@ -299,6 +301,14 @@ def _failing_columns(f, lhs, rhs, first, last, dims, limit):
     key, _ = _combine(f, np.concatenate(((rep + first) * n + out, _batch_keys(*right[:2], d))),
                       np.concatenate((val, _neg(f, right[2]))))
     return np.unique(key // n)
+
+
+def _in_columns(f, fam, d: int, lo: int, hi: int):
+    """The entries of a matrix family (``hopf._family``) in columns lo..hi-1,
+    moved to columns 0..hi-lo-1."""
+    col = fam[2] % d
+    keep = (col >= lo) & (col < hi)
+    return _sparse_op(f, _members(fam)[keep], fam[2][keep] - lo, fam[3][keep], fam[0].size, d * d)
 
 
 def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verdict:
@@ -310,13 +320,21 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
     braidings and e are two-leg sparse operators, and the left sides,
     (Δ⊗id)K and (id⊗δ)K, three-leg ones, each a sum of outer products of
     the nonzeros of the action matrices.  Each module's nonzeros are
-    gathered once for its lifetime (``HModule.family``), and each operator
-    is built once per call and shared by both identities (when X is Y,
-    c_{X,Y} is c_{Y,X} and e_{Y,M} is e_{X,M}).  Along a chain of steps,
-    equal keys are summed only after a step that grew the batch; the one
-    sum of lhs − rhs at the end is exact either way.  Every column is
-    checked exactly; dense matrices on X⊗Y⊗M are never formed.  Batches
-    are halved until no expansion exceeds ``linalg._SLICE_CELLS`` entries.
+    gathered once for its lifetime (``HModule.family``), and each two-leg
+    operator is built once per call and shared by both identities (when X
+    is Y, c_{X,Y} is c_{Y,X} and e_{Y,M} is e_{X,M}).  Along a chain of
+    steps, equal keys are summed only after a step that grew the batch; the
+    one sum of lhs − rhs at the end is exact either way.  Every column is
+    checked exactly; dense matrices on X⊗Y⊗M are never formed.
+
+    The columns, row-major (jx, jy, jm), go in slabs of ascending jx: a
+    slab is a run of X columns [lo, hi), that is the columns
+    [lo·dim Y·dim M, hi·dim Y·dim M), with as many X columns as keep it
+    within ``linalg._SLAB_COLUMNS`` columns (at least one).  The left sides
+    of a slab are operators on its columns alone, built from X's action
+    entries in its X columns; when one slab covers every column, X's
+    entries are used as they are.  Within a slab, batches are halved until
+    no expansion exceeds ``linalg._SLICE_CELLS`` entries.
     The witness is the first failing column (jx, jy, jm) in lexicographic
     order, named by identity 1 when it fails there.
 
@@ -351,27 +369,35 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
         (r_yx, (0, 1), swap),
     ]
     # e_{X⊗Y,M}: Δ on the first K-leg; e_{X,Y▷M}: δ on the second
+    terms1 = [(0, a1, a2, b, f.mul(cv, dc)) for (a, b), cv in kt.items()
+              for (a1, a2), dc in h.comult_basis(a).items()]
+    terms2 = [(0, a, hh, bb, f.mul(cv, dc)) for (a, b), cv in kt.items()
+              for (hh, bb), dc in k.comodule.coaction_basis(b).items()]
     legs = (x.family(), y.family(), m.family())
-    lhs1 = _kron_sum(f, [(0, a1, a2, b, f.mul(cv, dc)) for (a, b), cv in kt.items()
-                         for (a1, a2), dc in h.comult_basis(a).items()], legs, dims)
-    lhs2 = _kron_sum(f, [(0, a, hh, bb, f.mul(cv, dc)) for (a, b), cv in kt.items()
-                         for (hh, bb), dc in k.comodule.coaction_basis(b).items()], legs, dims)
-    n = dims[0] * dims[1] * dims[2]
-    first, size = 0, n
-    while first < n:
-        last = min(n, first + size)
-        limit = _SLICE_CELLS if last - first > 1 else None
-        try:
-            bad1 = _failing_columns(f, lhs1, rhs1, first, last, dims, limit)
-            bad2 = _failing_columns(f, lhs2, rhs2, first, last, dims, limit)
-        except _OverBudget:
-            size = (last - first + 1) // 2
-            continue
-        if bad1.size or bad2.size:
-            col = int(min(bad1[:1].tolist() + bad2[:1].tolist()))
-            axiom = "braided-module-1" if col in bad1 else "braided-module-2"
-            return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
-        first = last
+    plane = dims[1] * dims[2]  # the columns of X⊗Y⊗M in one X column
+    step = max(1, _SLAB_COLUMNS // plane)
+    size = step * plane
+    for lo in range(0, dims[0], step):
+        hi = min(dims[0], lo + step)
+        slab = legs if step >= dims[0] else (_in_columns(f, legs[0], dims[0], lo, hi), *legs[1:])
+        base, last = lo * plane, hi * plane
+        lhs1, lhs2 = ((_kron_sum(f, terms, slab, dims, n_in=last - base), base)
+                      for terms in (terms1, terms2))
+        first = base
+        while first < last:
+            stop = min(last, first + size)
+            limit = _SLICE_CELLS if stop - first > 1 else None
+            try:
+                bad1 = _failing_columns(f, lhs1, rhs1, first, stop, dims, limit)
+                bad2 = _failing_columns(f, lhs2, rhs2, first, stop, dims, limit)
+            except _OverBudget:
+                size = (stop - first + 1) // 2
+                continue
+            if bad1.size or bad2.size:
+                col = int(min(bad1[:1].tolist() + bad2[:1].tolist()))
+                axiom = "braided-module-1" if col in bad1 else "braided-module-2"
+                return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
+            first = stop
     # unit law e_{1,M} = id
     nh, nb, d = h.dim, k.comodule.dim, m.dim
     eps_k = _coapply(f, _flat(k.element), (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)

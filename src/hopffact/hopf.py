@@ -381,11 +381,12 @@ def element_terms(t) -> list:
     return [(0, a, b, c) for (a, b), c in t.coeffs.items()]
 
 
-def _kron_sum(f: Field, terms, legs, dims, groups: int = 1):
+def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = None):
     """Σ c·A_a ⊗ B_b ⊗ … over ``terms`` [(g, a, b, …, c)], with A, B, …
     the matrix families (``_family``) in ``legs`` on spaces of dimensions
     ``dims``, as a sparse operator with input g·dim + u, so each of the
-    ``groups`` g is an operator on A⊗B⊗….
+    ``groups`` g is an operator on A⊗B⊗….  It has ``n_in`` inputs,
+    groups·dim unless a caller knows that fewer are reached.
 
     Entries are products of the nonzeros of the matrices, summed in the
     field; input and output indices are row-major over the legs.
@@ -402,7 +403,7 @@ def _kron_sum(f: Field, terms, legs, dims, groups: int = 1):
         src, inp, out = src[rep], inp[rep] * d + col, out[rep] * d + row
         val = _mul(f, val[rep], v)
         n *= d
-    return _sparse_op(f, inp, out, val, groups * n, n)
+    return _sparse_op(f, inp, out, val, groups * n if n_in is None else n_in, n)
 
 
 def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False) -> list:

@@ -527,6 +527,7 @@ def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
 
 
 _SLICE_CELLS = 1 << 20  # array cells per slice of a large product
+_SLAB_COLUMNS = 1 << 13  # columns of X⊗Y⊗M per slab of the braided-module check
 
 
 def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:

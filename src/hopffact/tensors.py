@@ -400,6 +400,14 @@ def _members(fam):
     return np.repeat(np.arange(fam[0].size), fam[0])
 
 
+def _elements(fam, lo: int, hi: int):
+    """The elements lo..hi-1 (lo < hi) of a family, as a family numbered
+    from 0; their entries are one contiguous run."""
+    counts, offsets = fam[0][lo:hi], fam[1][lo:hi]
+    start, stop = offsets[0], offsets[-1] + counts[-1]
+    return counts, offsets - start, fam[2][start:stop], fam[3][start:stop]
+
+
 def _products(f: Field, left, right, ops, dims):
     """The slotwise products left[g]·right[h] for every g and h, as one
     family whose element g·H + h is that product (H the number of right

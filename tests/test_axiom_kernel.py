@@ -581,6 +581,28 @@ def test_toggled_constant_witnesses_match_references(name, field, kind, idx, fai
     assert {check: b[1:3] for check, b, _ in pairs if b[0] is not True} == failures
 
 
+def test_associativity_witnesses_do_not_depend_on_the_slab(monkeypatch):
+    # one i per slab of associativity's triples, so D(S3) sweeps 36 slabs
+    import hopffact.algebras as algebras
+
+    monkeypatch.setattr(algebras, "_SLICE_CELLS", 1)
+    pinned = set()
+    for name, field, kind, idx, failures in TOGGLES:
+        h, _, c, _ = _perturbed(named_example(name, field), kind, idx, field.one)
+        for check, got in (("algebra", _outcome(check_algebra, h.algebra)),
+                           ("comodule", _outcome(check_comodule_algebra, c))):
+            if failures.get(check, ("",))[0] == "associativity":
+                assert got[1:3] == failures[check], (name, kind, check)
+                pinned.add(got[2])
+    assert pinned == {(9, 28, 17), (6, 8, 33), (7, 8, 34), (3, 0, 1), (1, 1, 2), (1, 0, 3)}
+    # e_3·e_1 gains e_2 in D(C2): the first failing triple has i = n - 1,
+    # so only the last slab finds it
+    h = _perturbed(named_example("double:C2", QQ), "hmult", (3, 1, 2), QQ.one)[0]
+    v = check_algebra(h.algebra)
+    assert (v.axiom, v.witness) == ("associativity", (3, 0, 1))
+    assert _outcome(check_algebra, h.algebra) == _outcome(_reference_check_algebra, h.algebra)
+
+
 @pytest.mark.parametrize("kind", ("hmult-fill", "hmult-clear"))
 @pytest.mark.parametrize("name, field", [("double:S3", GF(101)), ("double:S3", GF(P_TOP)),
                                          ("double:C2", QQ)], ids=str)

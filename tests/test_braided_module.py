@@ -18,7 +18,7 @@ from hopffact.comodule import (
 from hopffact.constructions import named_example, registry_names
 from hopffact.fields import GF, QQ
 from hopffact.hopf import HModule, regular_module, trivial_module
-from hopffact.linalg import MapMatrix
+from hopffact.linalg import BasedSpace, MapMatrix
 from hopffact.verdicts import Verdict
 
 
@@ -192,6 +192,16 @@ def _bumped(mod, a, i, j):
     return HModule(mod.space, action)
 
 
+def _direct_sum(x, y):
+    """The module X ⊕ Y, Y's basis after X's."""
+    f = x.action[0].field
+    sp = BasedSpace(x.space.labels + tuple(("⊕", label) for label in y.space.labels))
+    pad_x, pad_y = [f.zero] * y.dim, [f.zero] * x.dim
+    return HModule(sp, [MapMatrix(f, sp, sp, [list(r) + pad_x for r in a.rows]
+                                  + [pad_y + list(r) for r in b.rows])
+                        for a, b in zip(x.action, y.action)])
+
+
 def _modules(b):
     x = regular_module(b.hopf)
     return x, x, regular_bmodule(b.comodule)
@@ -247,10 +257,13 @@ def test_braided_check_pinned_failures(which, a, entry, axiom, witness):
     assert v == _reference_check(b.kmatrix, *mods)
 
 
-@pytest.mark.parametrize("which, a, entry, axiom, witness", [
+PINNED_36 = [
     (2, 3, (3, 2), "braided-module-1", (6, 18, 0)),  # X is Y
     (0, 5, (2, 9), "braided-module-2", (9, 0, 30)),  # X is not Y
-])
+]
+
+
+@pytest.mark.parametrize("which, a, entry, axiom, witness", PINNED_36)
 def test_braided_check_pinned_failures_at_dimension_36(which, a, entry, axiom, witness):
     # D(S3) over GF(101), X = Y regular: 46,656 columns of X⊗Y⊗M; the
     # bumped entry breaks the monomial shape of every step that reads it
@@ -305,6 +318,45 @@ def test_braided_check_in_small_batches(monkeypatch):
     monkeypatch.setattr(comodule, "_SLICE_CELLS", 3)
     assert check_braided_module(b.kmatrix, *mods) == whole
     assert check_braided_module(b.kmatrix, *_modules(b))
+
+
+@pytest.mark.parametrize("which, a, entry, axiom, witness", PINNED_36)
+def test_braided_witness_at_dimension_36_does_not_depend_on_the_slab(
+        monkeypatch, which, a, entry, axiom, witness):
+    # one X column per slab: 36 slabs of 1,296 columns
+    import hopffact.comodule as comodule
+
+    monkeypatch.setattr(comodule, "_SLAB_COLUMNS", 1)
+    b = named_example("double:S3", GF(101))
+    mods = list(_modules(b))
+    mods[which] = _bumped(mods[which], a, *entry)
+    v = check_braided_module(b.kmatrix, *mods)
+    assert (v.axiom, v.witness) == (axiom, witness)
+
+
+def test_braided_verdicts_do_not_depend_on_the_slab(monkeypatch):
+    import hopffact.comodule as comodule
+
+    b = named_example("double:C2")
+    k = b.kmatrix
+    cases = []
+    for which in range(3):
+        for i in range(4):
+            for j in range(4):
+                mods = list(_modules(b))
+                mods[which] = _bumped(mods[which], 3, i, j)
+                cases.append(mods)
+    # X ⊕ L with ρ_L(e_1) = ε(e_1) + 1, L last: every action preserves the
+    # summands, so only columns at L's X index, the last, can fail
+    x, y, m = _modules(b)
+    line = _direct_sum(x, _bumped(trivial_module(b.hopf), 1, 0, 0))
+    whole = [check_braided_module(k, *mods) for mods in cases + [[line, y, m]]]
+    monkeypatch.setattr(comodule, "_SLAB_COLUMNS", 1)
+    for mods, want in zip(cases, whole):
+        assert check_braided_module(k, *mods) == want == _reference_check(k, *mods)
+    v = check_braided_module(k, line, y, m)
+    assert not v and v.witness[0] == line.dim - 1
+    assert v == whole[-1] == _reference_check(k, line, y, m)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)

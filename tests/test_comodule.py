@@ -26,6 +26,7 @@ from hopffact.comodule import (
     costable_closure,
     h_simplicity,
     is_factorizable_comodule,
+    k_matrix,
     module_braiding,
     omega_copairing,
     regular_bmodule,
@@ -102,6 +103,14 @@ def test_k_matrix_trivial_on_triangular_host():
 
 def test_k_matrix_monodromy_on_double(dc2):
     assert check_k_matrix(dc2.kmatrix)
+
+
+def test_checked_k_matrix_constructor(dc2):
+    # accepts the monodromy R21·R; 2·(R21·R) is invertible but fails axiom (i)
+    mono = dc2.rmatrix.monodromy()
+    assert k_matrix(dc2.comodule, dc2.rmatrix, mono).element == mono
+    with pytest.raises(HopffactError, match=r"\(kmatrix-i\)"):
+        k_matrix(dc2.comodule, dc2.rmatrix, mono.scale(QQ.parse(2)))
 
 
 def test_supplied_inverses_are_verified():
