@@ -250,6 +250,19 @@ def test_full_registry_round_trips_via_files(tmp_path):
         assert bundle_io.dumps(loaded) == text
 
 
+REGISTRY_BUNDLE_DIGEST = "19ee42c9580fd0c6557a4f6a6671f0f6083c320ef1cc5c0ad76fb742e02944fc"
+
+
+def test_registry_bundle_digest():
+    # every byte that dumps writes for the registry, over Q then GF(101)
+    digest = hashlib.sha256()
+    for field in (QQ, GF(101)):
+        for name in registry_names():
+            b = named_example(name, field)
+            digest.update(f"{b.name} {b.field}\n{bundle_io.dumps(b)}".encode())
+    assert digest.hexdigest() == REGISTRY_BUNDLE_DIGEST
+
+
 def test_cli_check_all_inverts_r_once(monkeypatch, capsys):
     # the R check and the K check share one RMatrix (two inversions before)
     import hopffact.rmatrix as rmatrix_module
