@@ -17,7 +17,6 @@ from .comodule import (
     costable_closure,
     h_simplicity,
     is_factorizable_comodule,
-    k_matrix,
     module_braiding,
     omega_copairing,
     regular_bmodule,

@@ -1,16 +1,16 @@
 """Structure-constant algebras and coalgebras with axiom checkers.
 
-The structure constants are stored sparsely as dicts: ``mult[(i, j)]`` is
-the dict of basis coefficients of e_i · e_j (absent pairs multiply to zero),
-and ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}.  The dicts are
-storage, bundle I/O and the reference that the tests compute definitions
-with; ``StructAlgebra.multiply``, the dict product, has no caller in the
-library.  Every computation reads the same constants as tables built once
-from them: the sparse families ``mult_op`` and ``comult_op``, which feed
-the product kernel of ``tensors``, and the dense stack of left and right
-multiplications ``mult_stack``.  A construction that derives new constants
-(the reflective algebras of ``constructions``) computes them as families
-and stores them back as dicts (``tensors._storage``).
+The structure constants are stored as sparse tables, the families of
+``tensors``, and in no other form: ``mult_op`` is the family whose element
+i·n + j is e_i · e_j, and ``comult_op`` the family whose element i is
+Δ(e_i) on the flattened H⊗H.  The constructors also accept nested dicts,
+``mult[(i, j)]`` = {k: coeff of e_k in e_i · e_j} (absent pairs multiply
+to zero) and ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}, and
+convert them once (``tensors._table_of``); a construction that derives new
+constants (the duals here, the reflective algebras of ``constructions``)
+passes its families straight in.  The tables feed the product kernel of
+``tensors``, and the dense stack of left and right multiplications
+``mult_stack`` is built from them.
 """
 
 from __future__ import annotations
@@ -20,33 +20,32 @@ import numpy as np
 from .errors import HopffactError
 from .fields import Field
 from .linalg import (_SLICE_CELLS, BasedSpace, MapMatrix, Span, _dtype, _field_array,
-                     _mod_matmul, _reduce)
-from .tensors import (_coapply, _differing, _elements, _first_failure, _linear_op, _ProductOp,
-                      _products, _table, _units)
+                     _mod_matmul, _reduce, _sparse_op)
+from .tensors import (_coapply, _differing, _elements, _first_failure, _linear_op, _members,
+                      _ProductOp, _products, _table_of, _units)
 from .verdicts import Verdict
 
 
 class StructAlgebra:
-    """A finite-dimensional unital algebra given by structure constants."""
+    """A finite-dimensional unital algebra given by structure constants:
+    ``mult`` is its table (a family, see ``tensors``) or nested dicts
+    {(i, j): {k: c}}, converted once."""
 
-    __slots__ = ("field", "space", "mult", "unit", "_op", "_stack", "_gens")
+    __slots__ = ("field", "space", "unit", "_op", "_stack", "_gens")
 
     def __init__(self, field: Field, space: BasedSpace, mult, unit):
-        if space.dim == 0:
+        n = space.dim
+        if n == 0:
             raise HopffactError("zero-dimensional algebra has no unit vector")
         unit = tuple(unit)
-        if len(unit) != space.dim:
+        if len(unit) != n:
             raise HopffactError("unit vector length does not match the space")
-        clean = {}
-        for (i, j), terms in mult.items():
-            entry = {k: c for k, c in terms.items() if not field.is_zero(c)}
-            if entry:
-                clean[(i, j)] = entry
+        if isinstance(mult, dict):
+            mult = _table_of(field, mult, (n, n), (n,))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "mult", clean)
         object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "_op", None)
+        object.__setattr__(self, "_op", _ProductOp(mult))
         object.__setattr__(self, "_stack", None)
         object.__setattr__(self, "_gens", None)
 
@@ -56,11 +55,7 @@ class StructAlgebra:
     def mult_op(self):
         """The structure constants as a family (see ``tensors``): element
         i·n + j is e_i·e_j, with the rows of the table beside it
-        (``tensors._ProductOp``).  Built once."""
-        if self._op is None:
-            n = self.dim
-            rows = [(i, j, k, c) for (i, j), prod in self.mult.items() for k, c in prod.items()]
-            object.__setattr__(self, "_op", _ProductOp(_table(self.field, rows, (n, n), (n,))))
+        (``tensors._ProductOp``)."""
         return self._op
 
     def mult_stack(self) -> np.ndarray:
@@ -82,32 +77,9 @@ class StructAlgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def mult_basis(self, i: int, j: int) -> dict:
-        return self.mult.get((i, j), {})
-
     def unit_dict(self) -> dict:
         f = self.field
         return {i: c for i, c in enumerate(self.unit) if not f.is_zero(c)}
-
-    def multiply(self, x: dict, y: dict) -> dict:
-        """Product of two sparse elements {index: coeff}, on the dicts: the
-        tests' reference for the tables."""
-        f = self.field
-        out = {}
-        for i, ci in x.items():
-            if f.is_zero(ci):
-                continue
-            for j, cj in y.items():
-                if f.is_zero(cj):
-                    continue
-                cij = f.mul(ci, cj)
-                for k, ck in self.mult_basis(i, j).items():
-                    val = f.add(out.get(k, f.zero), f.mul(cij, ck))
-                    if f.is_zero(val):
-                        out.pop(k, None)
-                    else:
-                        out[k] = val
-        return out
 
     def left_mult_matrix(self, x: dict) -> MapMatrix:
         return self._mult_matrix(x, 0)
@@ -163,51 +135,35 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
 
 
 class StructCoalgebra:
-    """A finite-dimensional coalgebra given by structure constants."""
+    """A finite-dimensional coalgebra given by structure constants:
+    ``comult`` is its table (a family, see ``tensors``) or nested dicts
+    {i: {(j, k): c}}, converted once."""
 
-    __slots__ = ("field", "space", "comult", "counit", "_op")
+    __slots__ = ("field", "space", "counit", "_op")
 
     def __init__(self, field: Field, space: BasedSpace, comult, counit):
+        n = space.dim
         counit = tuple(counit)
-        if len(counit) != space.dim:
+        if len(counit) != n:
             raise HopffactError("counit length does not match the space")
-        clean = {}
-        for i, terms in comult.items():
-            entry = {jk: c for jk, c in terms.items() if not field.is_zero(c)}
-            clean[i] = entry
-        for i in range(space.dim):
-            clean.setdefault(i, {})
+        if isinstance(comult, dict):
+            comult = _table_of(field, comult, (n,), (n, n))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "comult", clean)
         object.__setattr__(self, "counit", counit)
-        object.__setattr__(self, "_op", None)
+        object.__setattr__(self, "_op", comult)
 
     def __setattr__(self, *a):
         raise AttributeError("StructCoalgebra is immutable")
 
     def comult_op(self):
         """The structure constants as a family (see ``tensors``): element i
-        is Δ(e_i) on the flattened H⊗H.  Built once."""
-        if self._op is None:
-            n = self.dim
-            rows = [(i, j, k, c) for i, terms in self.comult.items() for (j, k), c in terms.items()]
-            object.__setattr__(self, "_op", _table(self.field, rows, (n,), (n, n)))
+        is Δ(e_i) on the flattened H⊗H."""
         return self._op
 
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    def comult_basis(self, i: int) -> dict:
-        return self.comult.get(i, {})
-
-    def counit_of(self, x: dict):
-        f = self.field
-        s = f.zero
-        for i, ci in x.items():
-            s = f.add(s, f.mul(ci, self.counit[i]))
-        return s
 
     def __repr__(self):
         return f"StructCoalgebra(dim={self.dim} over {self.field})"
@@ -262,18 +218,16 @@ def check_coalgebra(c: StructCoalgebra) -> Verdict:
 
 
 def dual_algebra_of_coalgebra(c: StructCoalgebra, dual_space: BasedSpace) -> StructAlgebra:
-    """The convolution algebra on the dual basis: mult = Δ-transpose."""
-    mult: dict = {}
-    for i, terms in c.comult.items():
-        for (j, k), coeff in terms.items():
-            mult.setdefault((j, k), {})[i] = coeff
+    """The convolution algebra on the dual basis: mult = Δ-transpose, the Δ
+    family re-keyed from (i; j·n + k) to (j·n + k; i)."""
+    d, n = c.comult_op(), c.dim
+    mult = _sparse_op(c.field, d[2], _members(d), d[3], n * n, n)
     return StructAlgebra(c.field, dual_space, mult, c.counit)
 
 
 def dual_coalgebra_of_algebra(a: StructAlgebra, dual_space: BasedSpace) -> StructCoalgebra:
-    """The dual coalgebra on the dual basis: comult = m-transpose."""
-    comult: dict = {}
-    for (i, j), terms in a.mult.items():
-        for k, coeff in terms.items():
-            comult.setdefault(k, {})[(i, j)] = coeff
+    """The dual coalgebra on the dual basis: comult = m-transpose, the m
+    family re-keyed from (i·n + j; k) to (k; i·n + j)."""
+    m, n = a.mult_op(), a.dim
+    comult = _sparse_op(a.field, m[2], _members(m), m[3], n, n * n)
     return StructCoalgebra(a.field, dual_space, comult, a.unit)

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
 
 import jsonschema
+import numpy as np
 
 from .algebras import StructAlgebra, StructCoalgebra
 from .comodule import ComoduleAlgebra
@@ -24,8 +26,8 @@ from .constructions import ExampleBundle
 from .errors import BundleFormatError, HopffactError, NoAntipode
 from .fields import Field, field_from_spec, field_to_spec
 from .hopf import HopfAlgebra, solve_antipode
-from .linalg import BasedSpace, MapMatrix
-from .tensors import TensorElement
+from .linalg import BasedSpace, MapMatrix, _scalar_rows
+from .tensors import TensorElement, _columns, _element, _table
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,29 @@ def _parse_vec(field, raw, dim, where):
     return tuple(_parse_coeff(field, x, where) for x in raw)
 
 
+def _parse_rows(field, rows, dims, where, at=None):
+    """Term rows (indices…, c) with every index below its bound in ``dims``
+    and the coefficient parsed; the first row out of range or with a bad
+    coefficient raises, naming ``at`` or the row's indices as its place."""
+    parsed = []
+    for row in rows:
+        *idx, c = row
+        if min(idx) < 0 or any(map(operator.ge, idx, dims)):
+            raise BundleFormatError(f"{where}: index out of range in {row}")
+        try:
+            parsed.append((*idx, field.parse(c)))
+        except (HopffactError, ValueError, ZeroDivisionError):
+            _parse_coeff(field, c, at or f"{where}{idx}")  # raises, naming the place
+    return parsed
+
+
+def _parse_table(field, rows, dims_in, dims_out, where, at=None):
+    """Term rows as a family (``tensors._table``): duplicates summed, zeros
+    dropped."""
+    return _table(field, _parse_rows(field, rows, (*dims_in, *dims_out), where, at),
+                  dims_in, dims_out)
+
+
 def _parse_algebra(field, doc, where) -> StructAlgebra:
     dim = int(doc["dim"])
     basis = doc["basis"]
@@ -105,14 +130,7 @@ def _parse_algebra(field, doc, where) -> StructAlgebra:
         sp = BasedSpace(tuple(basis))
     except HopffactError as exc:
         raise BundleFormatError(f"{where}: {exc}") from exc
-    mult: dict = {}
-    for row in doc["mult"]:
-        i, j, k, c = row
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise BundleFormatError(f"{where}.mult: index out of range in {row}")
-        coeff = _parse_coeff(field, c, f"{where}.mult{row[:3]}")
-        entry = mult.setdefault((i, j), {})
-        entry[k] = field.add(entry.get(k, field.zero), coeff)
+    mult = _parse_table(field, doc["mult"], (dim, dim), (dim,), f"{where}.mult")
     unit = _parse_vec(field, doc["unit"], dim, f"{where}.unit")
     try:
         return StructAlgebra(field, sp, mult, unit)
@@ -121,15 +139,8 @@ def _parse_algebra(field, doc, where) -> StructAlgebra:
 
 
 def _parse_triples(field, raw, dims, spaces, where) -> TensorElement:
-    coeffs: dict = {}
-    for row in raw:
-        i, j, c = row
-        if not (0 <= i < dims[0] and 0 <= j < dims[1]):
-            raise BundleFormatError(f"{where}: index out of range in {row}")
-        coeff = _parse_coeff(field, c, f"{where}{row[:2]}")
-        key = (i, j)
-        coeffs[key] = field.add(coeffs.get(key, field.zero), coeff)
-    return TensorElement(field, spaces, coeffs)
+    rows = [(0, *row) for row in _parse_rows(field, raw, dims, where)]
+    return _element(field, spaces, _table(field, rows, (1,), dims))
 
 
 def loads(text: str) -> LoadedBundle:
@@ -152,15 +163,7 @@ def loads(text: str) -> LoadedBundle:
     hdoc = doc["hopf"]
     dim = int(hdoc["dim"])
     alg = _parse_algebra(field, hdoc, "hopf")
-    comult: dict = {}
-    for row in hdoc["comult"]:
-        i, j, k, c = row
-        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-            raise BundleFormatError(f"hopf.comult: index out of range in {row}")
-        coeff = _parse_coeff(field, c, f"hopf.comult{row[:3]}")
-        entry = comult.setdefault(i, {})
-        key = (j, k)
-        entry[key] = field.add(entry.get(key, field.zero), coeff)
+    comult = _parse_table(field, hdoc["comult"], (dim,), (dim, dim), "hopf.comult")
     counit = _parse_vec(field, hdoc["counit"], dim, "hopf.counit")
     coalg = StructCoalgebra(field, alg.space, comult, counit)
     if "antipode" in hdoc:
@@ -186,16 +189,8 @@ def loads(text: str) -> LoadedBundle:
     if "comodule" in doc:
         cdoc = doc["comodule"]
         balg = _parse_algebra(field, cdoc, "comodule")
-        bdim = balg.dim
-        coaction: dict = {}
-        for row in cdoc["coaction"]:
-            b, hh, b2, c = row
-            if not (0 <= b < bdim and 0 <= hh < dim and 0 <= b2 < bdim):
-                raise BundleFormatError(f"comodule.coaction: index out of range in {row}")
-            coeff = _parse_coeff(field, c, "comodule.coaction")
-            entry = coaction.setdefault(b, {})
-            key = (hh, b2)
-            entry[key] = field.add(entry.get(key, field.zero), coeff)
+        coaction = _parse_table(field, cdoc["coaction"], (balg.dim,), (dim, balg.dim),
+                                "comodule.coaction", at="comodule.coaction")
         comodule = ComoduleAlgebra(hopf, balg, coaction)
     k_elt = None
     if "kmatrix" in doc:
@@ -231,15 +226,20 @@ def _fmt(field, x):
     return int(s) if "/" not in s else s
 
 
+def _table_doc(field, fam, dims_in, dims_out):
+    """The rows (indices…, c) of a family, element by element and keys
+    ascending within an element, as the family stores them."""
+    g, *out, val = _columns(fam, dims_out)
+    rows = np.stack((*np.unravel_index(g, dims_in), *out), axis=1).tolist()
+    return [row + [_fmt(field, c)] for row, c in zip(rows, _scalar_rows(field, val[None])[0])]
+
+
 def _algebra_doc(field, alg: StructAlgebra):
-    mult = []
-    for (i, j) in sorted(alg.mult):
-        for k in sorted(alg.mult[(i, j)]):
-            mult.append([i, j, k, _fmt(field, alg.mult[(i, j)][k])])
+    n = alg.dim
     return {
-        "dim": alg.dim,
+        "dim": n,
         "basis": list(alg.space.labels),
-        "mult": mult,
+        "mult": _table_doc(field, alg.mult_op(), (n, n), (n,)),
         "unit": [_fmt(field, x) for x in alg.unit],
     }
 
@@ -254,11 +254,8 @@ def dumps(bundle) -> str:
     hopf = bundle.hopf
     doc: dict = {"field": field_to_spec(field)}
     hdoc = _algebra_doc(field, hopf.algebra)
-    comult = []
-    for i in range(hopf.dim):
-        for (j, k) in sorted(hopf.comult_basis(i)):
-            comult.append([i, j, k, _fmt(field, hopf.comult_basis(i)[(j, k)])])
-    hdoc["comult"] = comult
+    n = hopf.dim
+    hdoc["comult"] = _table_doc(field, hopf.coalgebra.comult_op(), (n,), (n, n))
     hdoc["counit"] = [_fmt(field, x) for x in hopf.coalgebra.counit]
     antipode = []
     for i, row in enumerate(hopf.antipode.rows):
@@ -275,13 +272,8 @@ def dumps(bundle) -> str:
     comodule = bundle.comodule
     if comodule is not None:
         cdoc = _algebra_doc(field, comodule.algebra)
-        coaction = []
-        for b in range(comodule.dim):
-            for (hh, b2) in sorted(comodule.coaction_basis(b)):
-                coaction.append(
-                    [b, hh, b2, _fmt(field, comodule.coaction_basis(b)[(hh, b2)])]
-                )
-        cdoc["coaction"] = coaction
+        cdoc["coaction"] = _table_doc(field, comodule.coaction_op(), (comodule.dim,),
+                                      (n, comodule.dim))
         doc["comodule"] = cdoc
     k_elt = getattr(bundle, "kmatrix_element", None)
     if k_elt is None and getattr(bundle, "kmatrix", None) is not None:

@@ -54,6 +54,7 @@ from .rmatrix import RMatrix
 from .tensors import (
     TensorElement,
     _coapply,
+    _columns,
     _linear_op,
     _differing,
     _embed,
@@ -61,7 +62,7 @@ from .tensors import (
     _flat,
     _members,
     _products,
-    _table,
+    _table_of,
     _units,
     tensor_invert,
     verify_inverse,
@@ -72,37 +73,29 @@ BModule = HModule  # same data: one endomorphism per algebra basis element
 
 
 class ComoduleAlgebra:
-    """An algebra B with a coaction δ: B → H⊗B, stored sparsely."""
+    """An algebra B with a coaction δ: B → H⊗B, given as its table (a
+    family, see ``tensors``) or as nested dicts {b: {(h, b'): c}},
+    converted once."""
 
-    __slots__ = ("host", "algebra", "coaction", "_ops", "_op")
+    __slots__ = ("host", "algebra", "_ops", "_op")
 
     def __init__(self, host: HopfAlgebra, algebra: StructAlgebra, coaction):
         if algebra.field != host.field:
             raise SpaceMismatch("comodule algebra must share the host's field")
-        clean = {}
-        f = host.field
-        for b, terms in coaction.items():
-            entry = {hb: c for hb, c in terms.items() if not f.is_zero(c)}
-            clean[b] = entry
-        for b in range(algebra.dim):
-            clean.setdefault(b, {})
+        if isinstance(coaction, dict):
+            dims = (host.dim, algebra.dim)
+            coaction = _table_of(host.field, coaction, dims[1:], dims)
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "coaction", clean)
         object.__setattr__(self, "_ops", None)
-        object.__setattr__(self, "_op", None)
+        object.__setattr__(self, "_op", coaction)
 
     def __setattr__(self, *a):
         raise AttributeError("ComoduleAlgebra is immutable")
 
     def coaction_op(self):
         """The coaction as a family (see ``tensors``): element b is δ(b) on
-        the flattened H⊗B.  Built once."""
-        if self._op is None:
-            dims = (self.host.dim, self.dim)
-            rows = [(b, hh, bb, c) for b, terms in self.coaction.items()
-                    for (hh, bb), c in terms.items()]
-            object.__setattr__(self, "_op", _table(self.field, rows, dims[1:], dims))
+        the flattened H⊗B."""
         return self._op
 
     @property
@@ -112,21 +105,6 @@ class ComoduleAlgebra:
     @property
     def dim(self) -> int:
         return self.algebra.dim
-
-    def coaction_basis(self, b: int) -> dict:
-        return self.coaction.get(b, {})
-
-    def coaction_matrix(self) -> MapMatrix:
-        """δ as a dense MapMatrix B → H⊗B."""
-        f = self.field
-        dom = self.algebra.space
-        cod = self.host.space.tensor(self.algebra.space)
-        nb = self.dim
-        rows = [[f.zero] * nb for _ in range(cod.dim)]
-        for b in range(nb):
-            for (hh, bb), c in self.coaction_basis(b).items():
-                rows[hh * nb + bb][b] = c
-        return MapMatrix(f, dom, cod, rows)
 
     def __repr__(self):
         return f"ComoduleAlgebra(dim B={self.dim}, dim H={self.host.dim})"
@@ -235,16 +213,6 @@ def check_k_matrix(k: KMatrix) -> Verdict:
     return Verdict.passed()
 
 
-def k_matrix(comodule: ComoduleAlgebra, rmatrix: RMatrix,
-             element: TensorElement) -> KMatrix:
-    """Checked constructor: verifies the K-matrix axioms before wrapping."""
-    k = KMatrix(comodule, rmatrix, element)
-    v = check_k_matrix(k)
-    if not v:
-        raise HopffactError(f"not a K-matrix: {v.describe()}")
-    return k
-
-
 def regular_bmodule(c: ComoduleAlgebra) -> BModule:
     f, sp = c.field, c.algebra.space
     return BModule(sp, [MapMatrix(f, sp, sp, m) for m in c.algebra.mult_stack()[:c.dim]])
@@ -342,8 +310,8 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
     coefficients of (ε⊗id)K with M's action matrices.
     """
     h, r = k.host, k.rmatrix
-    f = h.field
-    kt = k.element.coeffs
+    f, nh, nb = h.field, h.dim, k.comodule.dim
+    kf = _flat(k.element)
     dims = [x.dim, y.dim, m.dim]
     swap = (1, 0, 2)
     keep = (0, 1, 2)
@@ -368,11 +336,10 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
         (e_xm, (1, 2), keep),
         (r_yx, (0, 1), swap),
     ]
-    # e_{X⊗Y,M}: Δ on the first K-leg; e_{X,Y▷M}: δ on the second
-    terms1 = [(0, a1, a2, b, f.mul(cv, dc)) for (a, b), cv in kt.items()
-              for (a1, a2), dc in h.comult_basis(a).items()]
-    terms2 = [(0, a, hh, bb, f.mul(cv, dc)) for (a, b), cv in kt.items()
-              for (hh, bb), dc in k.comodule.coaction_basis(b).items()]
+    # e_{X⊗Y,M}: (Δ⊗id)K, Δ on the first K-leg; e_{X,Y▷M}: (id⊗δ)K
+    delta_k = _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh)
+    coact_k = _coapply(f, kf, (nh, nb), 1, k.comodule.coaction_op(), nh * nb)
+    terms1, terms2 = (_columns(t, (nh, nh, nb)) for t in (delta_k, coact_k))
     legs = (x.family(), y.family(), m.family())
     plane = dims[1] * dims[2]  # the columns of X⊗Y⊗M in one X column
     step = max(1, _SLAB_COLUMNS // plane)
@@ -399,8 +366,8 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
                 return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
             first = stop
     # unit law e_{1,M} = id
-    nh, nb, d = h.dim, k.comodule.dim, m.dim
-    eps_k = _coapply(f, _flat(k.element), (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
+    d = m.dim
+    eps_k = _coapply(f, kf, (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
     coeffs = np.zeros((1, nb), dtype=_dtype(f))
     coeffs[0, eps_k[2]] = eps_k[3]
     acts = np.stack([a.array for a in m.action]).reshape(nb, d * d)
@@ -530,15 +497,15 @@ def _constraint_ops(c: ComoduleAlgebra):
     counts, _, out, cv = c.coaction_op()
     hi, bj = np.divmod(out, nb)
     every = np.arange(nb)
-    terms = zip(np.concatenate((np.repeat(every, counts), every)).tolist(),
-                np.concatenate((bj, nb + every)).tolist(),  # ρ(b_j), then λ(b)
-                np.concatenate((hi, np.full(nb, nh))).tolist(),  # λ(h_i)ᵀ, then id
-                cv.tolist() + [f.neg(f.one)] * nb)
+    terms = (np.concatenate((np.repeat(every, counts), every)),
+             np.concatenate((bj, nb + every)),  # ρ(b_j), then λ(b)
+             np.concatenate((hi, np.full(nb, nh))),  # λ(h_i)ᵀ, then id
+             np.concatenate((cv, _sparse_values(f, [f.neg(f.one)] * nb))))
     bsp, hsp = c.algebra.space, h.space
     sb, sh = c.algebra.mult_stack(), h.algebra.mult_stack()
     legs = ([MapMatrix(f, bsp, bsp, m) for m in np.concatenate((sb[nb:], sb[:nb]))],
             [MapMatrix(f, hsp, hsp, m.T) for m in sh[:nh]] + [MapMatrix.identity(f, hsp)])
-    counts, _, out, val = _kron_sum(f, list(terms), [_family(f, mats) for mats in legs],
+    counts, _, out, val = _kron_sum(f, terms, [_family(f, mats) for mats in legs],
                                     (nb, nh), nb)
     b, cols = np.divmod(np.repeat(np.arange(nb * n), counts), n)
     rows = b * n + out
@@ -725,11 +692,9 @@ def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
     if not ne:  # H ⊗ 0 holds only 0
         return
     n = nh * ne
-    counts, _, out, dc = h.coalgebra.comult_op()
-    a, mid = np.divmod(out, nh)
-    terms = zip(np.repeat(np.arange(nh), counts).tolist(), a.tolist(), mid.tolist(), dc.tolist())
+    terms = _columns(h.coalgebra.comult_op(), (nh, nh))  # (t, a, mid, c) of Δ(h_t)
     legs = (_family(f, h.adjoint_matrices()), _family(f, es.h_action))
-    op = _kron_sum(f, list(terms), legs, (nh, ne), nh)
+    op = _kron_sum(f, terms, legs, (nh, ne), nh)
     _, _, key, val = _flat(omega)
     t, term = np.repeat(np.arange(nh), key.size), np.tile(np.arange(key.size), nh)
     rep, out, v = _gather(op, t * n + key[term])

@@ -4,8 +4,10 @@ R-matrices, Drinfeld doubles of finite groups, coideal subalgebra comodules,
 and reflective algebras (crossed products with the twisted dual).
 
 The group factories write their structure constants out from the group
-table; the reflective algebras derive theirs from the host's tables as
-families of the product kernel of ``tensors``, stored as dicts at the end.
+table as nested dicts, which the constructors convert once into tables;
+the reflective algebras derive theirs from the host's tables as families
+of the product kernel of ``tensors`` and pass them in as they are, since
+the tables are the storage.
 
 Every factory verifies its output with the axiom checkers before returning;
 construction failures are hard errors, never silent.
@@ -31,7 +33,7 @@ from .hopf import HopfAlgebra, _sandwich_maps, check_hopf, make_hopf
 from .linalg import BasedSpace, MapMatrix, _dtype, _gather, _mul, _scalar_rows, _sparse_op
 from .rmatrix import RMatrix, check_r_matrix, r_matrix, trivial_r_matrix
 from .tensors import (TensorElement, _coapply, _differing, _element, _embed, _flat, _flip,
-                      _linear_op, _members, _products, _storage, _units, tensor_unit)
+                      _linear_op, _members, _products, _units, tensor_unit)
 from .verdicts import Verdict
 
 
@@ -211,8 +213,7 @@ def drinfeld_double_group(g: FiniteGroup, field: Field = QQ) -> tuple[HopfAlgebr
 
 def regular_comodule(h: HopfAlgebra) -> ComoduleAlgebra:
     """B = H with δ = Δ."""
-    coaction = {i: dict(h.comult_basis(i)) for i in range(h.dim)}
-    c = ComoduleAlgebra(h, h.algebra, coaction)
+    c = ComoduleAlgebra(h, h.algebra, h.coalgebra.comult_op())
     _verified(check_comodule_algebra(c), "regular comodule algebra")
     return c
 
@@ -297,7 +298,7 @@ def _hat_coalgebra(h: HopfAlgebra, r: RMatrix) -> StructCoalgebra:
     r_tilde = _coapply(f, r21, (n, n), 1, _linear_op(f, h.antipode_inv.array), n)
     inner = _products(f, h.coalgebra.comult_op(), r21, [m, m], [n, n])
     hat_fam = _products(f, r_tilde, inner, [m, m_op], [n, n])
-    hat = StructCoalgebra(f, h.space, _storage(f, hat_fam, (n,), (n, n)), h.coalgebra.counit)
+    hat = StructCoalgebra(f, h.space, hat_fam, h.coalgebra.counit)
     _verified(check_coalgebra(hat), "twisted coalgebra")
     return hat
 
@@ -344,7 +345,7 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
     d = hat.comult_op()
     x, y = np.divmod(d[2], nh)
     b0_fam = _sparse_op(f, y * nh + x, _members(d), d[3], nh * nh, nh)
-    b0 = StructAlgebra(f, h.space.dual(), _storage(f, b0_fam, (nh, nh), (nh,)), h.coalgebra.counit)
+    b0 = StructAlgebra(f, h.space.dual(), b0_fam, h.coalgebra.counit)
     # element l·nh + k of ``moved`` is f_k ↼ h_l, read off row k of M_l
     mats = _right_translation(h)
     row, col = np.divmod(mats[2], nh)
@@ -363,7 +364,7 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
     unit = np.zeros(n, dtype=_dtype(f))
     unit[key] = val
     sp = a.algebra.space.tensor(b0.space)
-    alg = StructAlgebra(f, sp, _storage(f, prod, (n, n), (n,)), _scalar_rows(f, unit[None])[0])
+    alg = StructAlgebra(f, sp, prod, _scalar_rows(f, unit[None])[0])
     # T_m = R21 (e_m⊗1) R, and δ(1⊗f_k) = Σ_m ⟨f_k, T_m'⟩ T_m'' ⊗ (1⊗f_m)
     e_1 = _embed(f, basis_h, [nh], (0,), [None, h.algebra])
     t = _products(f, _flip(f, rf, (nh, nh)), e_1, [mh, mh], [nh, nh])
@@ -373,7 +374,7 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
     dual = _embed(f, dual, [nh, nh], (0, 2), [None, a.algebra, None])
     base = _embed(f, delta, [nh, na], (0, 1), [None, None, b0])  # δ(a_i ⊗ 1)
     coaction = _products(f, base, dual, [mh, alg.mult_op()], [nh, n])
-    comodule = ComoduleAlgebra(h, alg, _storage(f, coaction, (n,), (nh, n)))
+    comodule = ComoduleAlgebra(h, alg, coaction)
     _verified(check_comodule_algebra(comodule), "reflective algebra comodule")
     bad = _differing(f, _products(f, f1, a1, [alg.mult_op()], [n]), m1, n)
     if bad.size:

@@ -3,6 +3,8 @@ and their finite-dimensional modules."""
 
 from __future__ import annotations
 
+import functools
+
 from .algebras import (
     StructAlgebra,
     StructCoalgebra,
@@ -29,8 +31,10 @@ from .linalg import (
 )
 from .tensors import (
     _coapply,
+    _columns,
     _differing,
     _first_failure,
+    _flat,
     _flip,
     _linear_op,
     _members,
@@ -81,9 +85,6 @@ class HopfAlgebra:
 
     def unit_dict(self) -> dict:
         return self.algebra.unit_dict()
-
-    def comult_basis(self, i: int) -> dict:
-        return self.coalgebra.comult_basis(i)
 
     def adjoint_matrices(self) -> tuple:
         """The adjoint action ℓ ↦ h_(1) · ℓ · S(h_(2)) on H of every basis
@@ -213,7 +214,7 @@ def check_bialgebra(algebra: StructAlgebra, coalgebra: StructCoalgebra) -> Verdi
     if _differing(f, _coapply(f, _units(f, [algebra]), (n,), 0, d, n * n),
                   _units(f, [algebra, algebra]), n * n).size:
         return Verdict.failed("bialgebra", None, "Δ(1) ≠ 1⊗1")
-    if coalgebra.counit_of(algebra.unit_dict()) != f.one:
+    if functools.reduce(f.add, map(f.mul, algebra.unit, coalgebra.counit)) != f.one:
         return Verdict.failed("bialgebra", None, "ε(1) ≠ 1")
     eps = _sparse_values(f, coalgebra.counit)
     i, j = np.divmod(np.arange(n * n), n)
@@ -376,29 +377,29 @@ def _family(f: Field, mats):
     return _sparse_op(f, which, row * d + col, _sparse_values(f, stack[which, row, col]), n, d * d)
 
 
-def element_terms(t) -> list:
-    """The terms (0, a, b, c) of c·e_a⊗e_b in a two-leg tensor element."""
-    return [(0, a, b, c) for (a, b), c in t.coeffs.items()]
+def element_terms(t):
+    """The terms c·e_a⊗e_b of a two-leg tensor element as the columns
+    (0, a, b, c) that ``_kron_sum`` takes."""
+    return _columns(_flat(t), [sp.dim for sp in t.factors])
 
 
 def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = None):
-    """Σ c·A_a ⊗ B_b ⊗ … over ``terms`` [(g, a, b, …, c)], with A, B, …
-    the matrix families (``_family``) in ``legs`` on spaces of dimensions
-    ``dims``, as a sparse operator with input g·dim + u, so each of the
-    ``groups`` g is an operator on A⊗B⊗….  It has ``n_in`` inputs,
-    groups·dim unless a caller knows that fewer are reached.
+    """Σ c·A_a ⊗ B_b ⊗ … over ``terms``, the columns (g, a, b, …, c) as
+    arrays (``tensors._columns`` of a family), with A, B, … the matrix
+    families (``_family``) in ``legs`` on spaces of dimensions ``dims``, as
+    a sparse operator with input g·dim + u, so each of the ``groups`` g is
+    an operator on A⊗B⊗….  It has ``n_in`` inputs, groups·dim unless a
+    caller knows that fewer are reached.
 
     Entries are products of the nonzeros of the matrices, summed in the
     field; input and output indices are row-major over the legs.
     """
-    parts = list(zip(*terms)) or [()] * (len(legs) + 2)
-    src = np.arange(len(terms))
-    inp = np.array(parts[0], dtype=np.int64)
+    inp, *which, val = terms
+    src = np.arange(inp.size)
     out = np.zeros_like(inp)
-    val = _sparse_values(f, parts[-1])
     n = 1
-    for fam, d, which in zip(legs, dims, parts[1:-1]):
-        rep, pos, v = _gather(fam, np.array(which, dtype=np.int64)[src])
+    for fam, d, idx in zip(legs, dims, which):
+        rep, pos, v = _gather(fam, idx[src])
         row, col = np.divmod(pos, d)
         src, inp, out = src[rep], inp[rep] * d + col, out[rep] * d + row
         val = _mul(f, val[rep], v)
@@ -407,8 +408,9 @@ def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = N
 
 
 def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False) -> list:
-    """Σ c·ρ_X(a) ⊗ ρ_Y(b) for each group g < ``groups`` of ``terms``
-    [(g, a, b, c)], as dense maps on X⊗Y; with ``swap`` they land in Y⊗X."""
+    """Σ c·ρ_X(a) ⊗ ρ_Y(b) for each group g < ``groups`` of ``terms``, the
+    columns (g, a, b, c), as dense maps on X⊗Y; with ``swap`` they land in
+    Y⊗X."""
     f = x.action[0].field
     dom = x.space.tensor(y.space)
     cod = y.space.tensor(x.space) if swap else dom
@@ -429,7 +431,7 @@ def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False
 
 def module_tensor(h: HopfAlgebra, x: HModule, y: HModule) -> HModule:
     """X ⊗ Y with action through the comultiplication."""
-    terms = [(i, a, b, c) for i in range(h.dim) for (a, b), c in h.comult_basis(i).items()]
+    terms = _columns(h.coalgebra.comult_op(), (h.dim, h.dim))
     return HModule(x.space.tensor(y.space), kron_sums(terms, x, y, h.dim))
 
 

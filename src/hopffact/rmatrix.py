@@ -135,8 +135,8 @@ def braiding_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
 
 def braiding_inverse_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
     """c_{X,Y}^{-1}: Y⊗X → X⊗Y via the inverse element acting componentwise."""
-    terms = [(0, b, a, c) for (a, b), c in r.inverse.coeffs.items()]
-    return kron_sums(terms, y, x, swap=True)[0]
+    g, a, b, c = element_terms(r.inverse)
+    return kron_sums((g, b, a, c), y, x, swap=True)[0]
 
 
 def check_hexagon(r: RMatrix, x: HModule, y: HModule, z: HModule) -> Verdict:

@@ -5,17 +5,19 @@ Slotwise products, leg embeddings (placing an element into chosen slots of a
 larger product with algebra units elsewhere), leg permutations, functional
 contractions, and inversion in a product algebra all live here, and so does
 the product kernel that the axiom checks share.  The kernel works on
-families of elements (see "The product kernel" below); the structure
-constants are families too, built once per algebra, coalgebra and coaction
-(``StructAlgebra.mult_op``, ``StructCoalgebra.comult_op``,
-``ComoduleAlgebra.coaction_op``), and so are the action matrices of a
-module, built once per module (``HModule.family``), so every product,
-coproduct, axiom check and braiding operator is a few gathers through
-them.  One call of ``_products`` multiplies every element of one family
-by every element of another, and expands only the term pairs whose first
-slots multiply to something, read off the rows of the first slot's table
-(``_ProductOp``); a leg embedding is one step of key arithmetic on a
-family (``_embed``).
+families of elements (see "The product kernel" below).  The structure
+constants are stored as families and in no other form: an algebra,
+coalgebra or coaction holds its table (``StructAlgebra.mult_op``,
+``StructCoalgebra.comult_op``, ``ComoduleAlgebra.coaction_op``), a table
+given as nested dicts is converted once (``_table_of``), and the bundle
+reader parses term rows straight into ``_table``.  The action matrices of a
+module are a family too, built once per module (``HModule.family``), so
+every product, coproduct, axiom check and braiding operator is a few
+gathers through them.  One call of ``_products`` multiplies every element
+of one family by every element of another, and expands only the term pairs
+whose first slots multiply to something, read off the rows of the first
+slot's table (``_ProductOp``); a leg embedding is one step of key
+arithmetic on a family (``_embed``).
 
 Inversion reads t⁻¹ off an annihilating polynomial of t instead of solving
 a dense N×N system (N the dimension of the product); ``tensor_invert`` says
@@ -304,6 +306,17 @@ def _table(f: Field, rows, dims_in, dims_out):
                       math.prod(dims_out))
 
 
+def _table_of(f: Field, terms: dict, dims_in, dims_out):
+    """Nested dicts {input: {output: c}} as a family (``_table``), an index
+    over several dims given as its tuple of digits: the one conversion of
+    structure constants given as dicts."""
+    def digits(i):
+        return i if isinstance(i, tuple) else (i,)
+
+    return _table(f, [(*digits(g), *digits(k), c) for g, out in terms.items()
+                      for k, c in out.items()], dims_in, dims_out)
+
+
 class _ProductOp(tuple):
     """A slot's product operator: the family (``_table``) whose element
     a·d + b is e_a·e_b, built once per algebra (``StructAlgebra.mult_op``).
@@ -325,8 +338,8 @@ class _ProductOp(tuple):
 def _flat(t: TensorElement):
     """``t`` as a family of one element (built once)."""
     if t._fam is None:
-        rows = [(0,) + idx + (c,) for idx, c in t.coeffs.items()]
-        object.__setattr__(t, "_fam", _table(t.field, rows, (1,), [sp.dim for sp in t.factors]))
+        object.__setattr__(t, "_fam", _table_of(t.field, {0: t.coeffs}, (1,),
+                                                [sp.dim for sp in t.factors]))
     return t._fam
 
 
@@ -363,21 +376,6 @@ def _element(f: Field, factors, fam) -> TensorElement:
     return TensorElement(f, factors, dict(zip(indices, _scalar_rows(f, fam[3][None])[0])))
 
 
-def _storage(f: Field, fam, in_dims, out_dims) -> dict:
-    """A family as the nested dicts that store structure constants,
-    {element: {output: scalar}}, an index over several dims as its tuple of
-    digits; elements without terms are left out."""
-    def digits(key, dims):
-        return key.tolist() if len(dims) == 1 else \
-            map(tuple, np.transpose(np.unravel_index(key, dims)).tolist())
-
-    out: dict = {}
-    for g, k, c in zip(digits(_members(fam), in_dims), digits(fam[2], out_dims),
-                       _scalar_rows(f, fam[3][None])[0]):
-        out.setdefault(g, {})[k] = c
-    return out
-
-
 def _units(f: Field, algebras):
     """The unit 1⊗…⊗1 of a product of algebras as a family of one element."""
     key, val = [0], [f.one]
@@ -398,6 +396,12 @@ def _mult_ops(t: TensorElement, algebras) -> list:
 def _members(fam):
     """The element index of every entry of a family."""
     return np.repeat(np.arange(fam[0].size), fam[0])
+
+
+def _columns(fam, dims):
+    """The entries of a family on the product of ``dims`` as columns: the
+    element, the index in every factor, the value."""
+    return (_members(fam), *np.unravel_index(fam[2], dims), fam[3])
 
 
 def _elements(fam, lo: int, hi: int):

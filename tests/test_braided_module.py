@@ -20,6 +20,7 @@ from hopffact.fields import GF, QQ
 from hopffact.hopf import HModule, regular_module, trivial_module
 from hopffact.linalg import BasedSpace, MapMatrix
 from hopffact.verdicts import Verdict
+from reference_tables import coaction_dict, comult_dict
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +103,15 @@ def _reference_check(k, x, y, m):
     rinv = dict(r.inverse.coeffs)
     # Δ applied to the first K-leg (for e_{X⊗Y,M}), grouped by the leg that
     # acts on X so columns only visit terms that can survive
+    comult, coaction = comult_dict(h.coalgebra), coaction_dict(c)
     k_split_by_a1: dict = {}
     for (a, b), cv in kt.items():
-        for (a1, a2), dc in h.comult_basis(a).items():
+        for (a1, a2), dc in comult.get(a, {}).items():
             k_split_by_a1.setdefault(a1, []).append((a2, b, f.mul(cv, dc)))
     # δ applied to the second K-leg (for e_{X, Y▷M}), grouped likewise
     k_coact_by_a: dict = {}
     for (a, b), cv in kt.items():
-        for (hh, bb), dc in c.coaction_basis(b).items():
+        for (hh, bb), dc in coaction.get(b, {}).items():
             k_coact_by_a.setdefault(a, []).append((hh, bb, f.mul(cv, dc)))
     x_nz = _nonzero_index(xa)
 

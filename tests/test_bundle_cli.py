@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import itertools
 import json
 import random
 from pathlib import Path
@@ -23,17 +24,18 @@ from hopffact.constructions import (
 from hopffact.errors import BundleFormatError
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group
+from reference_tables import coaction_dict, comult_dict, mult_dict
 
 
 def test_dumps_loads_round_trip():
     b = named_example("double:C2")
     text = bundle_io.dumps(b)
     loaded = bundle_io.loads(text)
-    assert loaded.hopf.algebra.mult == b.hopf.algebra.mult
-    assert loaded.hopf.coalgebra.comult == b.hopf.coalgebra.comult
+    assert mult_dict(loaded.hopf.algebra) == mult_dict(b.hopf.algebra)
+    assert comult_dict(loaded.hopf.coalgebra) == comult_dict(b.hopf.coalgebra)
     assert loaded.hopf.antipode.rows == b.hopf.antipode.rows
     assert loaded.rmatrix_element == b.rmatrix.element
-    assert loaded.comodule.coaction == b.comodule.coaction
+    assert coaction_dict(loaded.comodule) == coaction_dict(b.comodule)
     assert loaded.kmatrix_element == b.kmatrix.element
 
 
@@ -344,13 +346,26 @@ def _set_row(key, index, row, section="hopf"):
      "schema violation at /kmatrix/0: 5 is not of type 'array'"),
     (lambda doc: doc["hopf"]["mult"].append([0, 0, 99, 1]),
      "hopf.mult: index out of range in [0, 0, 99, 1]"),
+    (lambda doc: doc["hopf"]["comult"].append([0, 4, 0, 1]),
+     "hopf.comult: index out of range in [0, 4, 0, 1]"),
+    (lambda doc: doc["comodule"]["coaction"].append([0, 0, 4, 1]),
+     "comodule.coaction: index out of range in [0, 0, 4, 1]"),
+    (lambda doc: doc["rmatrix"].append([0, 4, 1]),
+     "rmatrix: index out of range in [0, 4, 1]"),
+    (_set_row("coaction", 0, [0, 0, 0, "1/0"], section="comodule"),
+     "bad coefficient '1/0' at comodule.coaction: inverse of 0 in Q"),
+    # the first bad row wins: a bad coefficient before a row out of range
+    (lambda doc: (doc["hopf"]["mult"].__setitem__(1, [0, 1, 1, "1/0"]),
+                  doc["hopf"]["mult"].append([0, 0, 99, 1])),
+     "bad coefficient '1/0' at hopf.mult[0, 1, 1]: inverse of 0 in Q"),
     # the schema error in kmatrix wins over the earlier range error in hopf.mult
     (lambda doc: (doc["hopf"]["mult"].append([0, 0, 99, 1]),
                   doc["kmatrix"].__setitem__(0, [0, 0])),
      "schema violation at /kmatrix/0: [0, 0] is too short"),
 ], ids=["top-key", "hopf-key", "missing-key", "field", "coeff-plus", "coeff-true",
         "coeff-float", "coeff-zero-division", "negative-index", "short-row", "non-list-row",
-        "index-range", "precedence"])
+        "index-range", "comult-index-range", "coaction-index-range", "rmatrix-index-range",
+        "coaction-coeff", "first-bad-row", "precedence"])
 def test_malformed_document_messages(edit, message):
     with pytest.raises(BundleFormatError) as err:
         bundle_io.loads(_edited(edit))
@@ -361,6 +376,40 @@ def _same_bundle(a, b):
     # dumps covers every serialized part and writes each index as it is stored
     return (bundle_io.dumps(a) == bundle_io.dumps(b)
             and a.hopf.antipode_inv.rows == b.hopf.antipode_inv.rows)
+
+
+def _absent(rows):
+    """The first index tuple, row-major, that no row of a term array holds."""
+    held = {tuple(row[:-1]) for row in rows}
+    return next(list(idx) for idx in itertools.product(range(4), repeat=3) if idx not in held)
+
+
+@pytest.mark.parametrize("edit", ["split", "cancel", "zero", "shuffle"])
+@pytest.mark.parametrize("section, key", [("hopf", "mult"), ("hopf", "comult"),
+                                          ("comodule", "coaction")])
+def test_term_rows_load_normalised(section, key, edit):
+    # a GF(7) document with one term array edited: a coefficient split over
+    # two rows, a pair of rows cancelling, an explicit zero, the rows
+    # shuffled; duplicates are summed and zeros dropped on load
+    text = bundle_io.dumps(named_example("double:C2", GF(7)))
+    doc = json.loads(text)
+    rows = doc[section][key]
+    if edit == "split":
+        *idx, c = rows[0]
+        rows[0] = idx + [3]
+        rows.append(idx + [c - 3])
+    elif edit == "cancel":
+        free = _absent(rows)
+        rows.extend([free + [2], free + [-2]])
+    elif edit == "zero":
+        rows.append(_absent(rows) + [0])
+    else:
+        order = rows[:]
+        random.Random(7).shuffle(rows)
+        assert rows != order
+    loaded = bundle_io.loads(json.dumps(doc))
+    assert _same_bundle(loaded, bundle_io.loads(text))
+    assert bundle_io.dumps(loaded) == text
 
 
 def _floats(row):

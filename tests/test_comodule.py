@@ -26,7 +26,6 @@ from hopffact.comodule import (
     costable_closure,
     h_simplicity,
     is_factorizable_comodule,
-    k_matrix,
     module_braiding,
     omega_copairing,
     regular_bmodule,
@@ -53,6 +52,7 @@ from hopffact.hopf import regular_module, trivial_module
 from hopffact.linalg import BasedSpace, MapMatrix, Span, echelonize, kernel_basis
 from hopffact.rmatrix import RMatrix
 from hopffact.rmatrix import drinfeld_map
+from reference_tables import coaction_dict, comult_dict, mult_dict, multiply
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +70,8 @@ def test_regular_comodule_passes():
     h, _ = group_algebra(cyclic_group(2))
     c = regular_comodule(h)
     assert check_comodule_algebra(c)
-    # the dense MapMatrix view of the coaction: B → H⊗B, here b ↦ Δ(b)
-    delta = c.coaction_matrix()
-    assert delta.codomain.dim == h.dim * h.dim
-    vec_g = (QQ.zero, QQ.one)
-    out = delta.apply(vec_g)
-    assert out[1 * h.dim + 1] == QQ.one  # Δ(g) = g⊗g
-    assert sum(1 for x in out if x != QQ.zero) == 1
+    # the coaction table read as dicts: here b ↦ Δ(b), so δ(g) = g⊗g alone
+    assert coaction_dict(c) == {0: {(0, 0): QQ.one}, 1: {(1, 1): QQ.one}}
 
 
 def test_subgroup_comodule_passes():
@@ -89,7 +84,7 @@ def test_subgroup_comodule_passes():
 def test_perturbed_coaction_fails():
     h, _ = group_algebra(cyclic_group(2))
     c = regular_comodule(h)
-    coaction = {b: dict(v) for b, v in c.coaction.items()}
+    coaction = coaction_dict(c)
     coaction[1] = {(1, 0): QQ.one}  # δ(g) := g⊗e is not coassociative/counital
     bad = ComoduleAlgebra(h, h.algebra, coaction)
     v = check_comodule_algebra(bad)
@@ -105,12 +100,12 @@ def test_k_matrix_monodromy_on_double(dc2):
     assert check_k_matrix(dc2.kmatrix)
 
 
-def test_checked_k_matrix_constructor(dc2):
+def test_monodromy_passes_and_its_double_fails_kmatrix_i(dc2):
     # accepts the monodromy R21·R; 2·(R21·R) is invertible but fails axiom (i)
     mono = dc2.rmatrix.monodromy()
-    assert k_matrix(dc2.comodule, dc2.rmatrix, mono).element == mono
-    with pytest.raises(HopffactError, match=r"\(kmatrix-i\)"):
-        k_matrix(dc2.comodule, dc2.rmatrix, mono.scale(QQ.parse(2)))
+    assert check_k_matrix(KMatrix(dc2.comodule, dc2.rmatrix, mono))
+    v = check_k_matrix(KMatrix(dc2.comodule, dc2.rmatrix, mono.scale(QQ.parse(2))))
+    assert (v.ok, v.axiom) == (False, "kmatrix-i")
 
 
 def test_supplied_inverses_are_verified():
@@ -183,22 +178,23 @@ def test_end_space_basis_maps_satisfy_intertwiner_identity(dc2):
         f = c.field
         es = compute_end_space(c)
         assert es.dim == h.dim
+        mult_h, mult_b, coaction = mult_dict(h.algebra), mult_dict(c.algebra), coaction_dict(c)
         for xi in es.basis_maps:
             for b in range(c.dim):
                 for s in range(h.dim):
                     lhs = {}
-                    for (hh, bb), cv in c.coaction_basis(b).items():
-                        prod_h = h.algebra.mult_basis(hh, s)
+                    for (hh, bb), cv in coaction.get(b, {}).items():
+                        prod_h = mult_h.get((hh, s), {})
                         for t, ct in prod_h.items():
                             xi_t = {r: xi.rows[r][t] for r in range(c.dim)
                                     if xi.rows[r][t] != f.zero}
-                            piece = c.algebra.multiply(xi_t, {bb: f.one})
+                            piece = multiply(f, mult_b, xi_t, {bb: f.one})
                             for r, cr in piece.items():
                                 term = f.mul(f.mul(cv, ct), cr)
                                 lhs[r] = f.add(lhs.get(r, f.zero), term)
                     xi_s = {r: xi.rows[r][s] for r in range(c.dim)
                             if xi.rows[r][s] != f.zero}
-                    rhs = c.algebra.multiply({b: f.one}, xi_s)
+                    rhs = multiply(f, mult_b, {b: f.one}, xi_s)
                     lhs = {k: v for k, v in lhs.items() if v != f.zero}
                     assert lhs == rhs
 
@@ -210,21 +206,22 @@ def _all_basis_end_space(c):
     f = c.field
     nb, nh = c.dim, c.host.dim
     n = nb * nh
+    mult_h, mult_b, coaction = mult_dict(c.host.algebra), mult_dict(c.algebra), coaction_dict(c)
     rows = []
     for b in range(nb):
         block = [[f.zero] * n for _ in range(n)]
         # ξ(b_[-1] h_s') b_[0], with δ(b) = Σ cv·h_i⊗b_j ...
-        for (i, j), cv in c.coaction_basis(b).items():
+        for (i, j), cv in coaction.get(b, {}).items():
             for s2 in range(nh):
-                for t, ct in c.host.algebra.mult_basis(i, s2).items():
+                for t, ct in mult_h.get((i, s2), {}).items():
                     for r in range(nb):
-                        for r2, cr in c.algebra.mult_basis(r, j).items():
+                        for r2, cr in mult_b.get((r, j), {}).items():
                             e = block[r2 * nh + s2]
                             e[r * nh + t] = f.add(e[r * nh + t], f.mul(cv, f.mul(ct, cr)))
         # ... minus b ξ(h_s')
         for s2 in range(nh):
             for r in range(nb):
-                for r2, cr in c.algebra.mult_basis(b, r).items():
+                for r2, cr in mult_b.get((b, r), {}).items():
                     e = block[r2 * nh + s2]
                     e[r * nh + s2] = f.sub(e[r * nh + s2], cr)
         rows.extend(tuple(row) for row in block if any(x != f.zero for x in row))
@@ -254,7 +251,7 @@ def test_generator_kernel_equals_all_basis_kernel(field):
 def _words_span_dim(alg, gens):
     """Dimension of the span of all words in ``gens``, grown by left
     multiplication from 1."""
-    f = alg.field
+    f, mult = alg.field, mult_dict(alg)
     span = Span(f, alg.dim)
     frontier = [alg.unit_dict()]
     span.add(alg.unit)
@@ -262,7 +259,7 @@ def _words_span_dim(alg, gens):
         nxt = []
         for x in frontier:
             for g in gens:
-                y = alg.multiply({g: f.one}, x)
+                y = multiply(f, mult, {g: f.one}, x)
                 if span.add(tuple(y.get(i, f.zero) for i in range(alg.dim))):
                     nxt.append(y)
         frontier = nxt
@@ -292,12 +289,12 @@ def test_end_space_rescaled_sweedler_over_large_prime():
     d = (f.one, f.one, f.scalar(123457), f.scalar(123457))  # b'_i = d_i b_i
     mult = {
         (i, j): {k: f.div(f.mul(f.mul(d[i], d[j]), ck), d[k]) for k, ck in terms.items()}
-        for (i, j), terms in h.algebra.mult.items()
+        for (i, j), terms in mult_dict(h.algebra).items()
     }
     alg = StructAlgebra(f, BasedSpace(("1", "g", "c·x", "c·gx")), mult, h.algebra.unit)
     coaction = {
-        i: {(a, k): f.div(f.mul(d[i], cv), d[k]) for (a, k), cv in h.comult_basis(i).items()}
-        for i in range(h.dim)
+        i: {(a, k): f.div(f.mul(d[i], cv), d[k]) for (a, k), cv in terms.items()}
+        for i, terms in comult_dict(h.coalgebra).items()
     }
     c = ComoduleAlgebra(h, alg, coaction)
     assert check_comodule_algebra(c)
@@ -465,10 +462,10 @@ def test_costable_closure_exact_near_the_prime_limit():
     def new_coords(old):
         return back.apply(tuple(old.get(j, f.zero) for j in range(n)))
 
-    mult = {}
+    mult, old = {}, mult_dict(h.algebra)
     for i in range(n):
         for j in range(n):
-            prod = new_coords(h.algebra.multiply(cols[i], cols[j]))
+            prod = new_coords(multiply(f, old, cols[i], cols[j]))
             mult[(i, j)] = dict(enumerate(prod))
     labels = tuple(f"b{i}'" for i in range(n))
     alg = StructAlgebra(f, BasedSpace(labels), mult, new_coords(h.algebra.unit_dict()))
@@ -709,7 +706,8 @@ def _rebase(c, entries):
     def new_coords(old):
         return back.apply(tuple(old.get(j, f.zero) for j in range(n)))
 
-    mult = {(i, j): dict(enumerate(new_coords(c.algebra.multiply(cols[i], cols[j]))))
+    old, old_coaction = mult_dict(c.algebra), coaction_dict(c)
+    mult = {(i, j): dict(enumerate(new_coords(multiply(f, old, cols[i], cols[j]))))
             for i in range(n) for j in range(n)}
     alg = StructAlgebra(f, BasedSpace(tuple(f"b{i}'" for i in range(n))), mult,
                         new_coords(c.algebra.unit_dict()))
@@ -717,7 +715,7 @@ def _rebase(c, entries):
     for i in range(n):
         terms = {}  # h-index → the B-leg in the old basis
         for j, pj in cols[i].items():
-            for (hh, k), ck in c.coaction_basis(j).items():
+            for (hh, k), ck in old_coaction.get(j, {}).items():
                 leg = terms.setdefault(hh, {})
                 leg[k] = f.add(leg.get(k, f.zero), f.mul(pj, ck))
         coaction[i] = {(hh, l): x for hh, leg in terms.items()
@@ -898,7 +896,7 @@ def test_end_space_refuses_a_coaction_that_is_not_an_algebra_map():
     # element
     c = named_example("regular:C3").comodule
     assert algebra_generators(c.algebra) == [1]
-    coaction = dict(c.coaction)
+    coaction = coaction_dict(c)
     assert coaction[2] == {(2, 2): QQ.one}
     coaction[2] = {(2, 1): QQ.one}
     bad = ComoduleAlgebra(c.host, c.algebra, coaction)
@@ -1034,7 +1032,7 @@ def _dense_h_action(c, es):
     kernel, free = _kernel_and_free(es)
     k = es.dim
     rights = np.zeros((nh, nh * nh), dtype=object)  # [h_s h_i]_t at (t, i·nh + s)
-    for (s, i), prod in c.host.algebra.mult.items():
+    for (s, i), prod in mult_dict(c.host.algebra).items():
         for t, ct in prod.items():
             rights[t, i * nh + s] = ct
     by_row = kernel.reshape(nb, nh, k).transpose(0, 2, 1).reshape(nb * k, nh)
@@ -1135,8 +1133,7 @@ def test_end_space_refuses_a_coaction_bumped_off_the_generators(name, field, bas
     # basis element names it
     c = named_example(name, field).comodule
     assert basis not in algebra_generators(c.algebra)
-    coaction = dict(c.coaction)
-    coaction[basis] = dict(coaction[basis])
+    coaction = coaction_dict(c)
     coaction[basis][(basis + 1, basis)] = field.one
     with pytest.raises(HopffactError, match=f"^the generators' kernel fails the constraint of "
                        f"basis element {basis}: the coaction is not an algebra map$"):
