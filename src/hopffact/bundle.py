@@ -99,19 +99,23 @@ def _parse_vec(field, raw, dim, where):
 
 
 def _parse_rows(field, rows, dims, where, at=None):
-    """Term rows (indices…, c) with every index below its bound in ``dims``
-    and the coefficient parsed; the first row out of range or with a bad
-    coefficient raises, naming ``at`` or the row's indices as its place."""
-    parsed = []
-    for row in rows:
-        *idx, c = row
-        if min(idx) < 0 or any(map(operator.ge, idx, dims)):
-            raise BundleFormatError(f"{where}: index out of range in {row}")
-        try:
-            parsed.append((*idx, field.parse(c)))
-        except (HopffactError, ValueError, ZeroDivisionError):
-            _parse_coeff(field, c, at or f"{where}{idx}")  # raises, naming the place
-    return parsed
+    """The columns of term rows (indices…, c) with the coefficients parsed,
+    as ``tensors._table`` takes them.  The first row with an index out of
+    range or a bad coefficient raises, naming ``at`` or the row's indices
+    as its place."""
+    *idx, raw = zip(*rows) if rows else [()] * (len(dims) + 1)
+    stop = len(rows)
+    if not all(min(col) >= 0 and max(col) < d for col, d in zip(idx, dims) if col):
+        stop = next(p for p, row in enumerate(rows)
+                    if min(row[:-1]) < 0 or any(map(operator.ge, row[:-1], dims)))
+    try:
+        coeffs = list(map(field.parse, raw[:stop]))
+    except (HopffactError, ValueError, ZeroDivisionError):
+        for row in rows:  # raises at the first bad coefficient, naming its place
+            _parse_coeff(field, row[-1], at or f"{where}{row[:-1]}")
+    if stop < len(rows):
+        raise BundleFormatError(f"{where}: index out of range in {rows[stop]}")
+    return [*idx, coeffs]
 
 
 def _parse_table(field, rows, dims_in, dims_out, where, at=None):
@@ -139,8 +143,8 @@ def _parse_algebra(field, doc, where) -> StructAlgebra:
 
 
 def _parse_triples(field, raw, dims, spaces, where) -> TensorElement:
-    rows = [(0, *row) for row in _parse_rows(field, raw, dims, where)]
-    return _element(field, spaces, _table(field, rows, (1,), dims))
+    cols = [(0,) * len(raw), *_parse_rows(field, raw, dims, where)]
+    return _element(field, spaces, _table(field, cols, (1,), dims))
 
 
 def loads(text: str) -> LoadedBundle:

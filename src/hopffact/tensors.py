@@ -290,11 +290,12 @@ def _left_mult_op(t: TensorElement, algebras):
 # ---------------------------------------------------------------------------
 
 
-def _table(f: Field, rows, dims_in, dims_out):
-    """Rows (indices…, c) as a family: the first len(dims_in) indices,
-    row-major, give the input and the others the output; duplicates are
-    summed and zeros dropped."""
-    cols = list(zip(*rows)) or [()] * (len(dims_in) + len(dims_out) + 1)
+def _table(f: Field, cols, dims_in, dims_out):
+    """Columns (index columns…, coefficients) of rows (indices…, c) as a
+    family: the first len(dims_in) indices, row-major, give the input and
+    the others the output; duplicates are summed and zeros dropped.  No
+    columns at all is the empty table."""
+    cols = cols or [()] * (len(dims_in) + len(dims_out) + 1)
     idx = np.array(cols[:-1], dtype=np.int64).reshape(len(cols) - 1, -1)
     a = len(dims_in)
     try:
@@ -313,8 +314,8 @@ def _table_of(f: Field, terms: dict, dims_in, dims_out):
     def digits(i):
         return i if isinstance(i, tuple) else (i,)
 
-    return _table(f, [(*digits(g), *digits(k), c) for g, out in terms.items()
-                      for k, c in out.items()], dims_in, dims_out)
+    return _table(f, list(zip(*((*digits(g), *digits(k), c) for g, out in terms.items()
+                                for k, c in out.items()))), dims_in, dims_out)
 
 
 class _ProductOp(tuple):
