@@ -314,8 +314,8 @@ def _table_of(f: Field, terms: dict, dims_in, dims_out):
     def digits(i):
         return i if isinstance(i, tuple) else (i,)
 
-    return _table(f, list(zip(*((*digits(g), *digits(k), c) for g, out in terms.items()
-                                for k, c in out.items()))), dims_in, dims_out)
+    rows = [(*digits(g), *digits(k), c) for g, out in terms.items() for k, c in out.items()]
+    return _table(f, list(zip(*rows)), dims_in, dims_out)
 
 
 class _ProductOp(tuple):
