@@ -9,8 +9,8 @@ to zero) and ``comult[i]`` = {(j, k): coeff of e_j ⊗ e_k in Δ(e_i)}, and
 convert them once (``tensors._table_of``); a construction that derives new
 constants (the duals here, the reflective algebras of ``constructions``)
 passes its families straight in.  The tables feed the product kernel of
-``tensors``, and the dense stack of left and right multiplications
-``mult_stack`` is built from them.
+``tensors`` and the operator families read off them by key arithmetic;
+``mult_stack``, the dense left and right multiplications, is built from them.
 """
 
 from __future__ import annotations

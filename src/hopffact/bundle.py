@@ -26,8 +26,8 @@ from .constructions import ExampleBundle
 from .errors import BundleFormatError, HopffactError, NoAntipode
 from .fields import Field, field_from_spec, field_to_spec
 from .hopf import HopfAlgebra, solve_antipode
-from .linalg import BasedSpace, MapMatrix, _scalar_rows
-from .tensors import TensorElement, _columns, _element, _table
+from .linalg import BasedSpace, MapMatrix, _dtype, _scalar_rows
+from .tensors import TensorElement, _columns, _element, _linear_op, _members, _table
 
 
 @dataclass(frozen=True)
@@ -171,12 +171,10 @@ def loads(text: str) -> LoadedBundle:
     counit = _parse_vec(field, hdoc["counit"], dim, "hopf.counit")
     coalg = StructCoalgebra(field, alg.space, comult, counit)
     if "antipode" in hdoc:
-        rows = [[field.zero] * dim for _ in range(dim)]
-        for row in hdoc["antipode"]:
-            i, j, c = row
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise BundleFormatError(f"hopf.antipode: index out of range in {row}")
-            rows[i][j] = field.add(rows[i][j], _parse_coeff(field, c, "hopf.antipode"))
+        s = _parse_table(field, hdoc["antipode"], (dim,), (dim,), "hopf.antipode",
+                         at="hopf.antipode")
+        rows = np.zeros((dim, dim), dtype=_dtype(field))
+        rows[_members(s), s[2]] = s[3]
         antipode = MapMatrix(field, alg.space, alg.space, rows)
     else:
         try:
@@ -261,12 +259,7 @@ def dumps(bundle) -> str:
     n = hopf.dim
     hdoc["comult"] = _table_doc(field, hopf.coalgebra.comult_op(), (n,), (n, n))
     hdoc["counit"] = [_fmt(field, x) for x in hopf.coalgebra.counit]
-    antipode = []
-    for i, row in enumerate(hopf.antipode.rows):
-        for j, c in enumerate(row):
-            if not field.is_zero(c):
-                antipode.append([i, j, _fmt(field, c)])
-    hdoc["antipode"] = antipode
+    hdoc["antipode"] = _table_doc(field, _linear_op(field, hopf.antipode.array.T), (n,), (n,))
     doc["hopf"] = hdoc
     r_elt = getattr(bundle, "rmatrix_element", None)
     if r_elt is None and getattr(bundle, "rmatrix", None) is not None:

@@ -17,8 +17,8 @@ from .hopf import (
     HModule,
     HopfAlgebra,
     _check_representation,
-    _family,
     _kron_sum,
+    _regular,
     element_terms,
     kron_sums,
 )
@@ -214,13 +214,13 @@ def check_k_matrix(k: KMatrix) -> Verdict:
 
 
 def regular_bmodule(c: ComoduleAlgebra) -> BModule:
-    f, sp = c.field, c.algebra.space
-    return BModule(sp, [MapMatrix(f, sp, sp, m) for m in c.algebra.mult_stack()[:c.dim]])
+    return _regular(c.algebra)
 
 
 def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
     """e_{X,M}: X⊗M → X⊗M, x⊗m ↦ (first leg · x) ⊗ (second leg ∗ m)."""
-    return kron_sums(element_terms(k.element), x, m)[0]
+    sp = x.space.tensor(m.space)
+    return MapMatrix(k.host.field, sp, sp, kron_sums(element_terms(k.element), x, m)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def _failing_columns(f, lhs, rhs, first, last, dims, limit):
 
 
 def _in_columns(f, fam, d: int, lo: int, hi: int):
-    """The entries of a matrix family (``hopf._family``) in columns lo..hi-1,
+    """The entries of a matrix family (``HModule.family``) in columns lo..hi-1,
     moved to columns 0..hi-lo-1."""
     col = fam[2] % d
     keep = (col >= lo) & (col < hi)
@@ -370,7 +370,7 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
     eps_k = _coapply(f, kf, (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
     coeffs = np.zeros((1, nb), dtype=_dtype(f))
     coeffs[0, eps_k[2]] = eps_k[3]
-    acts = np.stack([a.array for a in m.action]).reshape(nb, d * d)
+    acts = m.stack.reshape(nb, d * d)
     if not np.array_equal(_mod_matmul(f, coeffs, acts)[0], np.eye(d, dtype=acts.dtype).ravel()):
         return Verdict.failed("braided-module-unit", None, "e_{1,M} ≠ id")
     return Verdict.passed()
@@ -391,7 +391,7 @@ def z2_membership(k: KMatrix, x: HModule) -> bool:
     a, b = np.divmod(kf[2], nb)
     coeffs = np.zeros((nb, nh), dtype=_dtype(f))
     coeffs[b, a] = kf[3]
-    acts = np.stack([m.array for m in x.action]).reshape(nh, d * d)
+    acts = x.stack.reshape(nh, d * d)
     want = np.zeros((nb, d * d), dtype=_dtype(f))
     want[:, ::d + 1] = _field_array(f, k.comodule.algebra.unit)[:, None]
     return np.array_equal(_mod_matmul(f, coeffs, acts), want)
@@ -402,26 +402,33 @@ def z2_membership(k: KMatrix, x: HModule) -> bool:
 # ---------------------------------------------------------------------------
 
 class EndSpace:
-    """Span of the intertwiners ξ: H → B, with the induced H-action.
+    """Span of the intertwiners ξ: H → B, with the induced H-action ``module``.
 
     The basis, flattened, is the columns of ``_kernel``, which are the
     identity on the rows ``_free`` (ascending); ``_columns`` holds their
     nonzeros as a sparse operator from column to row.
     """
 
-    __slots__ = ("comodule", "space", "basis_maps", "h_action", "_kernel", "_free", "_columns")
+    __slots__ = ("comodule", "module", "basis_maps", "_kernel", "_free", "_columns")
 
-    def __init__(self, comodule, space, basis_maps, h_action, kernel, free, columns):
+    def __init__(self, comodule, module, basis_maps, kernel, free, columns):
         object.__setattr__(self, "comodule", comodule)
-        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "module", module)
         object.__setattr__(self, "basis_maps", tuple(basis_maps))
-        object.__setattr__(self, "h_action", tuple(h_action))
         object.__setattr__(self, "_kernel", kernel)
         object.__setattr__(self, "_free", free)
         object.__setattr__(self, "_columns", columns)
 
     def __setattr__(self, *a):
         raise AttributeError("EndSpace is immutable")
+
+    @property
+    def space(self) -> BasedSpace:
+        return self.module.space
+
+    @property
+    def h_action(self) -> tuple:
+        return self.module.action
 
     @property
     def dim(self) -> int:
@@ -487,9 +494,10 @@ def _constraint_ops(c: ComoduleAlgebra):
     constraint of b is Σ_{c·h_i⊗b_j in δ(b)} c·ρ(b_j) ⊗ λ(h_i)ᵀ − λ(b) ⊗ id,
     so row (r', s') and column (r, s) carry
     Σ c·[b_r b_j]_{r'}·[h_i h_s']_s − [b b_r]_{r'}·[s = s'].
-    All of them are one ``_kron_sum`` of the multiplication stacks, one
-    group per b, so entries are summed in the field and no entry is ever
-    larger than a field element.
+    All of them are one ``_kron_sum``, one group per b, of two legs of matrix
+    families read off the structure constants: ρ(b_j), then λ(b_i), on B,
+    and λ(h_i)ᵀ, then id, on H.  Entries are summed in the field, so none
+    is ever larger than a field element.
     """
     f, h = c.field, c.host
     nb, nh = c.dim, h.dim
@@ -501,12 +509,18 @@ def _constraint_ops(c: ComoduleAlgebra):
              np.concatenate((bj, nb + every)),  # ρ(b_j), then λ(b)
              np.concatenate((hi, np.full(nb, nh))),  # λ(h_i)ᵀ, then id
              np.concatenate((cv, _sparse_values(f, [f.neg(f.one)] * nb))))
-    bsp, hsp = c.algebra.space, h.space
-    sb, sh = c.algebra.mult_stack(), h.algebra.mult_stack()
-    legs = ([MapMatrix(f, bsp, bsp, m) for m in np.concatenate((sb[nb:], sb[:nb]))],
-            [MapMatrix(f, hsp, hsp, m.T) for m in sh[:nh]] + [MapMatrix.identity(f, hsp)])
-    counts, _, out, val = _kron_sum(f, terms, [_family(f, mats) for mats in legs],
-                                    (nb, nh), nb)
+    # element i·d + j of a table holds [e_i e_j]_k at k: that is entry
+    # k·d + i of ρ(e_j), k·d + j of λ(e_i) and j·d + k of λ(e_i)ᵀ
+    mb, mh = c.algebra.mult_op(), h.algebra.mult_op()
+    i, j = np.divmod(_members(mb), nb)
+    b_leg = _sparse_op(f, np.concatenate((j, nb + i)),
+                       np.concatenate((mb[2] * nb + i, mb[2] * nb + j)),
+                       np.concatenate((mb[3], mb[3])), 2 * nb, nb * nb)
+    i, j = np.divmod(_members(mh), nh)
+    h_leg = _sparse_op(f, np.concatenate((i, np.full(nh, nh))),
+                       np.concatenate((j * nh + mh[2], np.arange(nh) * (nh + 1))),
+                       np.concatenate((mh[3], _sparse_values(f, [f.one] * nh))), nh + 1, nh * nh)
+    counts, _, out, val = _kron_sum(f, terms, (b_leg, h_leg), (nb, nh), nb)
     b, cols = np.divmod(np.repeat(np.arange(nb * n), counts), n)
     rows = b * n + out
     order = np.argsort(rows * n + cols)
@@ -530,8 +544,8 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     satisfy this form a subalgebra, because δ is an algebra map, so only the
     constraints of the algebra generators that ``algebra_generators`` picks
     are imposed.  Each basis element's constraint is a sparse operator on
-    Hom(H,B); ``_constraint_ops`` assembles all of them at once from the
-    multiplication stacks.  The generators' operators form one sparse
+    Hom(H,B); ``_constraint_ops`` assembles all of them at once straight
+    from the structure tables.  The generators' operators form one sparse
     system, whose columns fall into many small connected components (two
     columns are joined when a constraint row holds both); ``_sparse_kernel``
     eliminates each component on its own.  That gives the reduced basis (the identity
@@ -574,7 +588,6 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     free = n - 1 - np.argmax((kernel != 0)[::-1], axis=0)
     if not np.array_equal(kernel[free], np.eye(k, dtype=_dtype(f))):
         raise HopffactError("end-space basis is not reduced (bug)")
-    sp = BasedSpace(tuple(f"ξ{i}" for i in range(k)))
     basis_maps = [MapMatrix(f, h.space, c.algebra.space, kernel[:, i].reshape(nb, nh))
                   for i in range(k)]
     # (ξ_j·h_i)(h_s) = Σ_t [h_s h_i]_t ξ_j(h_t): the structure constants,
@@ -591,14 +604,14 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
         coords = _coords(f, columns, free, key, val, m)
     except ImageEscapesEndSpace as exc:
         raise HopffactError("end space is not action-stable (bug)") from exc
-    h_action = [MapMatrix(f, sp, sp, coords[:, i * k:(i + 1) * k]) for i in range(nh)]
-    es = EndSpace(c, sp, basis_maps, h_action, kernel, free, columns)
-    if es.dim:
-        gens = algebra_generators(h.algebra)
-        v = _check_representation(h.algebra, HModule(sp, h_action), gens)
+    # coords[:, i·k:(i + 1)·k] is the action of h_i
+    module = HModule(BasedSpace(tuple(f"ξ{i}" for i in range(k))),
+                     np.ascontiguousarray(coords.reshape(k, nh, k).transpose(1, 0, 2)), f)
+    if k:
+        v = _check_representation(h.algebra, module, algebra_generators(h.algebra))
         if not v:
             raise HopffactError(f"end-space action is not a module: {v.describe()}")
-    return es
+    return EndSpace(c, module, basis_maps, kernel, free, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +706,7 @@ def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
         return
     n = nh * ne
     terms = _columns(h.coalgebra.comult_op(), (nh, nh))  # (t, a, mid, c) of Δ(h_t)
-    legs = (_family(f, h.adjoint_matrices()), _family(f, es.h_action))
+    legs = (h.adjoint_module().family(), es.module.family())
     op = _kron_sum(f, terms, legs, (nh, ne), nh)
     _, _, key, val = _flat(omega)
     t, term = np.repeat(np.arange(nh), key.size), np.tile(np.arange(key.size), nh)
@@ -726,9 +739,9 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     omega = omega_copairing(k, es)
     counit, gens = h.coalgebra.counit, algebra_generators(h.algebra)
     # source: f with f(h_(1) h' S(h_(2))) = ε(h) f(h'), i.e. ad(h)ᵀ f = ε(h) f
-    source = _invariants(f, [adj.transpose() for adj in h.adjoint_matrices()], counit, gens)
+    source = _invariants(f, h.adjoint_module().stack.transpose(0, 2, 1), counit, gens)
     ne = es.dim
-    target = _invariants(f, es.h_action, counit, gens) if ne else np.zeros((0, 0))
+    target = _invariants(f, es.module.stack, counit, gens) if ne else np.zeros((0, 0))
     # Ω on the source basis
     w = np.zeros((h.dim, ne), dtype=_dtype(f))
     for (i, j), c in omega.coeffs.items():
@@ -744,14 +757,14 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     return WeakFactorizability(len(source), len(target), rank, bij)
 
 
-def _invariants(f: Field, mats, counit, gens) -> np.ndarray:
-    """The vectors v with A_t v = ε(h_t) v for every matrix A_t of ``mats``,
-    as the rows of a basis read off the RREF.  The h with A_h v = ε(h) v
-    form a subalgebra (h ↦ A_h is multiplicative or antimultiplicative), so
-    only H's generators ``gens`` are imposed, and the basis is then checked
-    against every A_t."""
-    d = mats[0].domain.dim
-    rows = np.stack([m.array for m in mats])
+def _invariants(f: Field, stack: np.ndarray, counit, gens) -> np.ndarray:
+    """The vectors v with A_t v = ε(h_t) v for every matrix A_t of the
+    (dim H, d, d) ``stack``, as the rows of a basis read off the RREF.  The
+    h with A_h v = ε(h) v form a subalgebra (h ↦ A_h is multiplicative or
+    antimultiplicative), so only H's generators ``gens`` are imposed, and
+    the basis is then checked against every A_t."""
+    d = stack.shape[1]
+    rows = stack.copy()
     diag = np.arange(d)
     rows[:, diag, diag] = _reduce(f, rows[:, diag, diag] - _field_array(f, counit)[:, None])
     basis = _kernel(f, rows[gens].reshape(-1, d), d)

@@ -86,10 +86,9 @@ class HopfAlgebra:
     def unit_dict(self) -> dict:
         return self.algebra.unit_dict()
 
-    def adjoint_matrices(self) -> tuple:
-        """The adjoint action ℓ ↦ h_(1) · ℓ · S(h_(2)) on H of every basis
-        element h, as matrices (computed once): the maps of (id⊗S)Δ(h)
-        (``_sandwich_maps``)."""
+    def adjoint_module(self) -> HModule:
+        """H under the adjoint action ℓ ↦ h_(1) · ℓ · S(h_(2)), built once
+        from the family of (id⊗S)Δ(h) (``_sandwich_maps``)."""
         if self._adjoints is None:
             f, n = self.field, self.dim
             s_op = _linear_op(f, self.antipode.array)
@@ -97,8 +96,7 @@ class HopfAlgebra:
             ad = _sandwich_maps(self.algebra, twisted)
             stack = np.zeros((n, n * n), dtype=_dtype(f))
             stack[_members(ad), ad[2]] = ad[3]
-            mats = tuple(MapMatrix(f, self.space, self.space, s.reshape(n, n)) for s in stack)
-            object.__setattr__(self, "_adjoints", mats)
+            object.__setattr__(self, "_adjoints", HModule(self.space, stack.reshape(n, n, n), f))
         return self._adjoints
 
     def __repr__(self):
@@ -270,21 +268,32 @@ def dual_hopf(h: HopfAlgebra) -> HopfAlgebra:
 # ---------------------------------------------------------------------------
 
 class HModule:
-    """A finite-dimensional module: one action matrix per Hopf basis element.
+    """A finite-dimensional module: the matrices of the Hopf basis elements,
+    stored once as one read-only (n, d, d) field array ``stack``.  The
+    constructor takes such a stack over ``field`` as is, or a sequence of n
+    MapMatrix endomorphisms of ``space``, and stacks it once.
 
-    The nonzeros of the action matrices, as one sparse family, are built on
-    first use and kept for the life of the module.
+    ``action`` is the matrices as MapMatrix views and ``family()`` their
+    nonzeros as one sparse family, each built on first use and kept.
     """
 
-    __slots__ = ("space", "action", "_fam")
+    __slots__ = ("space", "field", "stack", "_action", "_fam")
 
-    def __init__(self, space: BasedSpace, action):
-        action = tuple(action)
-        for m in action:
-            if m.domain.labels != space.labels or m.codomain.labels != space.labels:
-                raise SpaceMismatch("action matrices must be endomorphisms of the carrier")
+    def __init__(self, space: BasedSpace, action, field: Field | None = None):
+        if not isinstance(action, np.ndarray):
+            action = tuple(action)
+            for m in action:
+                if m.domain.labels != space.labels or m.codomain.labels != space.labels:
+                    raise SpaceMismatch("action matrices must be endomorphisms of the carrier")
+            field = action[0].field
+            action = np.stack([m.array for m in action])
+        if action.ndim != 3 or action.shape[1:] != (space.dim, space.dim):
+            raise SpaceMismatch("action matrices must be endomorphisms of the carrier")
+        action.flags.writeable = False
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "stack", action)
+        object.__setattr__(self, "_action", None)
         object.__setattr__(self, "_fam", None)
 
     def __setattr__(self, *a):
@@ -294,27 +303,43 @@ class HModule:
     def dim(self) -> int:
         return self.space.dim
 
+    @property
+    def action(self) -> tuple:
+        if self._action is None:
+            mats = tuple(MapMatrix(self.field, self.space, self.space, m) for m in self.stack)
+            object.__setattr__(self, "_action", mats)
+        return self._action
+
     def family(self):
         """The action matrices as one sparse family (see ``_family``)."""
         if self._fam is None:
-            object.__setattr__(self, "_fam", _family(self.action[0].field, self.action))
+            object.__setattr__(self, "_fam", _family(self.field, self.stack))
         return self._fam
 
     def __repr__(self):
         return f"HModule(dim={self.dim})"
 
 
+def _family(f: Field, stack: np.ndarray):
+    """The nonzeros of a (n, d, d) stack of matrices as a sparse family:
+    input a (the member), output row·d + column."""
+    which, row, col = np.nonzero(stack)
+    n, d = stack.shape[:2]
+    return _sparse_op(f, which, row * d + col, _sparse_values(f, stack[which, row, col]), n, d * d)
+
+
+def _regular(algebra: StructAlgebra) -> HModule:
+    """An algebra acting on itself by left multiplication."""
+    return HModule(algebra.space, algebra.mult_stack()[:algebra.dim], algebra.field)
+
+
 def regular_module(h: HopfAlgebra) -> HModule:
-    f, sp = h.field, h.space
-    return HModule(sp, [MapMatrix(f, sp, sp, m) for m in h.algebra.mult_stack()[:h.dim]])
+    return _regular(h.algebra)
 
 
 def trivial_module(h: HopfAlgebra) -> HModule:
-    f = h.field
-    sp = BasedSpace(("1",))
-    return HModule(
-        sp, [MapMatrix(f, sp, sp, [[h.coalgebra.counit[i]]]) for i in range(h.dim)]
-    )
+    counit = _field_array(h.field, h.coalgebra.counit).reshape(h.dim, 1, 1)
+    return HModule(BasedSpace(("1",)), counit, h.field)
 
 
 def check_module(h: HopfAlgebra, x: HModule) -> Verdict:
@@ -338,14 +363,14 @@ def _check_representation(algebra, x: HModule, lefts) -> Verdict:
     product of two action matrices is formed, so the cost follows the
     nonzeros, not the size of the prime."""
     f, n, d = algebra.field, algebra.dim, x.dim
-    if len(x.action) != n:
+    stack = x.stack
+    if len(stack) != n:
         return Verdict.failed("module-shape", None, "one matrix per basis element required")
-    flat = np.stack([m.array for m in x.action]).reshape(n, d * d)
+    flat = stack.reshape(n, d * d)
     _, _, k, c = _units(f, [algebra])
     if not np.array_equal(_apply(f, (np.zeros_like(k), k, c), flat)[0],
                           np.eye(d, dtype=flat.dtype).ravel()):
         return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
-    stack = flat.reshape(n, d, d)
     side = stack.transpose(1, 0, 2).reshape(d, n * d)  # [ρ(e_0) … ρ(e_{n-1})]
     for i in lefts:
         r, s = np.nonzero(stack[i])  # ρ(e_i)'s nonzeros, by row
@@ -368,15 +393,6 @@ def kron_matrix(a: MapMatrix, b: MapMatrix) -> MapMatrix:
                      _reduce(f, np.kron(a.array, b.array)))
 
 
-def _family(f: Field, mats):
-    """The nonzeros of a family of square matrices as a sparse operator:
-    input a (the member), output row·d + column."""
-    stack = np.stack([m.array for m in mats])
-    which, row, col = np.nonzero(stack)
-    n, d = len(mats), stack.shape[1]
-    return _sparse_op(f, which, row * d + col, _sparse_values(f, stack[which, row, col]), n, d * d)
-
-
 def element_terms(t):
     """The terms c·e_a⊗e_b of a two-leg tensor element as the columns
     (0, a, b, c) that ``_kron_sum`` takes."""
@@ -386,7 +402,7 @@ def element_terms(t):
 def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = None):
     """Σ c·A_a ⊗ B_b ⊗ … over ``terms``, the columns (g, a, b, …, c) as
     arrays (``tensors._columns`` of a family), with A, B, … the matrix
-    families (``_family``) in ``legs`` on spaces of dimensions ``dims``, as
+    families (``HModule.family``) in ``legs`` on spaces of dimensions ``dims``, as
     a sparse operator with input g·dim + u, so each of the ``groups`` g is
     an operator on A⊗B⊗….  It has ``n_in`` inputs, groups·dim unless a
     caller knows that fewer are reached.
@@ -407,60 +423,41 @@ def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = N
     return _sparse_op(f, inp, out, val, groups * n if n_in is None else n_in, n)
 
 
-def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False) -> list:
+def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False) -> np.ndarray:
     """Σ c·ρ_X(a) ⊗ ρ_Y(b) for each group g < ``groups`` of ``terms``, the
-    columns (g, a, b, c), as dense maps on X⊗Y; with ``swap`` they land in
-    Y⊗X."""
-    f = x.action[0].field
-    dom = x.space.tensor(y.space)
-    cod = y.space.tensor(x.space) if swap else dom
-    n = dom.dim
+    columns (g, a, b, c), as one (groups, n, n) field array of dense maps
+    on X⊗Y; with ``swap`` they land in Y⊗X."""
+    f, n = x.field, x.dim * y.dim
     counts, _, out, val = _kron_sum(f, terms, (x.family(), y.family()), (x.dim, y.dim), groups)
     if swap:
         out = out % y.dim * x.dim + out // y.dim
-    inp = np.repeat(np.arange(groups * n), counts)
-    bounds = np.searchsorted(inp, np.arange(groups + 1) * n)
-    mats = []
-    for g in range(groups):
-        sel = slice(bounds[g], bounds[g + 1])
-        dense = np.zeros((n, n), dtype=_dtype(f))
-        dense[out[sel], inp[sel] - g * n] = val[sel]
-        mats.append(MapMatrix(f, dom, cod, dense))
-    return mats
+    g, col = np.divmod(np.repeat(np.arange(groups * n), counts), n)
+    dense = np.zeros((groups, n, n), dtype=_dtype(f))
+    dense[g, out, col] = val
+    return dense
 
 
 def module_tensor(h: HopfAlgebra, x: HModule, y: HModule) -> HModule:
     """X ⊗ Y with action through the comultiplication."""
     terms = _columns(h.coalgebra.comult_op(), (h.dim, h.dim))
-    return HModule(x.space.tensor(y.space), kron_sums(terms, x, y, h.dim))
+    return HModule(x.space.tensor(y.space), kron_sums(terms, x, y, h.dim), h.field)
 
 
 def module_dual(h: HopfAlgebra, x: HModule) -> HModule:
     """Left dual X*: the action of h is the transpose of the action of S(h)."""
     f, d = h.field, x.dim
-    sp = x.space.dual()
-    acts = np.stack([m.array for m in x.action]).reshape(h.dim, d * d)
+    acts = x.stack.reshape(h.dim, d * d)
     twisted = _mod_matmul(f, h.antipode.array.T, acts).reshape(h.dim, d, d)
-    return HModule(sp, [MapMatrix(f, sp, sp, m.T) for m in twisted])
+    return HModule(x.space.dual(), np.ascontiguousarray(twisted.transpose(0, 2, 1)), f)
 
 
 def module_evaluation(h: HopfAlgebra, x: HModule) -> MapMatrix:
     """ev: X* ⊗ X → k, the pairing row vector."""
-    f = h.field
-    dom = x.space.dual().tensor(x.space)
-    cod = BasedSpace(("1",))
-    n = x.dim
-    row = tuple(
-        f.one if (a == b) else f.zero for a in range(n) for b in range(n)
-    )
-    return MapMatrix(f, dom, cod, [row])
+    eye = np.eye(x.dim, dtype=_dtype(h.field)).reshape(1, -1)
+    return MapMatrix(h.field, x.space.dual().tensor(x.space), BasedSpace(("1",)), eye)
 
 
 def module_coevaluation(h: HopfAlgebra, x: HModule) -> MapMatrix:
     """coev: k → X ⊗ X*, 1 ↦ Σ x_i ⊗ x^i."""
-    f = h.field
-    dom = BasedSpace(("1",))
-    cod = x.space.tensor(x.space.dual())
-    n = x.dim
-    col = [(f.one if (a == b) else f.zero,) for a in range(n) for b in range(n)]
-    return MapMatrix(f, dom, cod, col)
+    eye = np.eye(x.dim, dtype=_dtype(h.field)).reshape(-1, 1)
+    return MapMatrix(h.field, BasedSpace(("1",)), x.space.tensor(x.space.dual()), eye)

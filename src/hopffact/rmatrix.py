@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import HopffactError, NotInvertible, SpaceMismatch
-from .hopf import HModule, HopfAlgebra, element_terms, kron_matrix, kron_sums
+from .hopf import HModule, HopfAlgebra, element_terms, kron_matrix, kron_sums, module_tensor
 from .linalg import MapMatrix
 from .tensors import (
     TensorElement,
@@ -130,13 +130,15 @@ def r_matrix(host: HopfAlgebra, element: TensorElement) -> RMatrix:
 
 def braiding_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
     """c_{X,Y}: X⊗Y → Y⊗X, x⊗y ↦ (second leg · y) ⊗ (first leg · x)."""
-    return kron_sums(element_terms(r.element), x, y, swap=True)[0]
+    return MapMatrix(r.host.field, x.space.tensor(y.space), y.space.tensor(x.space),
+                     kron_sums(element_terms(r.element), x, y, swap=True)[0])
 
 
 def braiding_inverse_matrix(r: RMatrix, x: HModule, y: HModule) -> MapMatrix:
     """c_{X,Y}^{-1}: Y⊗X → X⊗Y via the inverse element acting componentwise."""
     g, a, b, c = element_terms(r.inverse)
-    return kron_sums((g, b, a, c), y, x, swap=True)[0]
+    return MapMatrix(r.host.field, y.space.tensor(x.space), x.space.tensor(y.space),
+                     kron_sums((g, b, a, c), y, x, swap=True)[0])
 
 
 def check_hexagon(r: RMatrix, x: HModule, y: HModule, z: HModule) -> Verdict:
@@ -145,8 +147,8 @@ def check_hexagon(r: RMatrix, x: HModule, y: HModule, z: HModule) -> Verdict:
     idx = MapMatrix.identity(f, x.space)
     idy = MapMatrix.identity(f, y.space)
     idz = MapMatrix.identity(f, z.space)
-    xy = _tensor_of(r.host, x, y)
-    yz = _tensor_of(r.host, y, z)
+    xy = module_tensor(r.host, x, y)
+    yz = module_tensor(r.host, y, z)
     lhs1 = braiding_matrix(r, xy, z)
     rhs1 = kron_matrix(braiding_matrix(r, x, z), idy) @ kron_matrix(
         idx, braiding_matrix(r, y, z)
@@ -160,12 +162,6 @@ def check_hexagon(r: RMatrix, x: HModule, y: HModule, z: HModule) -> Verdict:
     if not np.array_equal(lhs2.array, rhs2.array):
         return Verdict.failed("hexagon-2", None, "c_{X,Y⊗Z} ≠ (id⊗c_XZ)(c_XY⊗id)")
     return Verdict.passed()
-
-
-def _tensor_of(host, x, y):
-    from .hopf import module_tensor
-
-    return module_tensor(host, x, y)
 
 
 class DrinfeldMap:

@@ -354,6 +354,10 @@ def _set_row(key, index, row, section="hopf"):
      "rmatrix: index out of range in [0, 4, 1]"),
     (_set_row("coaction", 0, [0, 0, 0, "1/0"], section="comodule"),
      "bad coefficient '1/0' at comodule.coaction: inverse of 0 in Q"),
+    (lambda doc: doc["hopf"]["antipode"].append([0, 99, 1]),
+     "hopf.antipode: index out of range in [0, 99, 1]"),
+    (_set_row("antipode", 0, [0, 0, "1/0"]),
+     "bad coefficient '1/0' at hopf.antipode: inverse of 0 in Q"),
     # the first bad row wins: a bad coefficient before a row out of range
     (lambda doc: (doc["hopf"]["mult"].__setitem__(1, [0, 1, 1, "1/0"]),
                   doc["hopf"]["mult"].append([0, 0, 99, 1])),
@@ -365,7 +369,8 @@ def _set_row(key, index, row, section="hopf"):
 ], ids=["top-key", "hopf-key", "missing-key", "field", "coeff-plus", "coeff-true",
         "coeff-float", "coeff-zero-division", "negative-index", "short-row", "non-list-row",
         "index-range", "comult-index-range", "coaction-index-range", "rmatrix-index-range",
-        "coaction-coeff", "first-bad-row", "precedence"])
+        "coaction-coeff", "antipode-index-range", "antipode-coeff", "first-bad-row",
+        "precedence"])
 def test_malformed_document_messages(edit, message):
     with pytest.raises(BundleFormatError) as err:
         bundle_io.loads(_edited(edit))

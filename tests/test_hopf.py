@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from hopffact.constructions import (
@@ -10,7 +11,7 @@ from hopffact.constructions import (
     group_algebra,
     sweedler_h4,
 )
-from hopffact.errors import NoAntipode
+from hopffact.errors import NoAntipode, SpaceMismatch
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import (
@@ -180,6 +181,16 @@ def test_module_check_exact_near_the_prime_limit():
     wrong = list(moved.action)
     wrong[1], wrong[2] = wrong[2], wrong[1]
     assert not check_module(h, HModule(reg.space, wrong))
+    # the same modules from one stacked array: the same matrices, family and verdicts
+    for mats in (moved.action, wrong):
+        listed = HModule(reg.space, mats)
+        stacked = HModule(reg.space, np.stack([m.array for m in mats]), f)
+        assert [m.rows for m in stacked.action] == [m.rows for m in listed.action]
+        assert all(map(np.array_equal, stacked.family(), listed.family()))
+        assert check_module(h, stacked) == check_module(h, listed)
+    for shape in ((9, 9, 8), (9, 81)):
+        with pytest.raises(SpaceMismatch):
+            HModule(reg.space, np.zeros(shape), f)
 
 
 def test_trivial_tensor_module_is_identity_twist():

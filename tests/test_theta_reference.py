@@ -118,8 +118,8 @@ def _bundles(field):
 
 def _assert_matches_the_reference(b):
     h = b.hopf
-    assert [m.rows for m in h.adjoint_matrices()] == [_reference_adjoint(h, t)
-                                                      for t in range(h.dim)], b.name
+    assert [m.rows for m in h.adjoint_module().action] == [_reference_adjoint(h, t)
+                                                           for t in range(h.dim)], b.name
     assert _matrix_rows(h, _right_translation(h)) == [_reference_adjoint(h, t, cop=True)
                                                       for t in range(h.dim)], b.name
     if b.kmatrix is None:
