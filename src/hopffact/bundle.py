@@ -3,9 +3,12 @@
 A bundle holds the structure constants of a Hopf algebra and, optionally, an
 R-matrix, a comodule algebra, and a K-matrix, over Q or GF(p).  The format
 is specified by the JSON Schema shipped as ``bundle_schema.json``.  Loading
-checks a valid document per term (the validator sees only its skeleton) and
-validates a refused one whole, to report the validator's message and
-position; it also range-checks all indices and parses coefficients exactly.
+checks a valid document in one walk by hand (``_fast_valid``: the keys of
+each object, the field, and every term array by column), and jsonschema is
+imported only to explain a refusal: a document the walk refuses is validated
+whole, to report the validator's message and position.  Loading also
+range-checks all indices and parses coefficients exactly, from the columns
+the walk made.
 """
 
 from __future__ import annotations
@@ -17,14 +20,13 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .algebras import StructAlgebra, StructCoalgebra
 from .comodule import ComoduleAlgebra
 from .constructions import ExampleBundle
 from .errors import BundleFormatError, HopffactError, NoAntipode
-from .fields import Field, field_from_spec, field_to_spec
+from .fields import Field, PrimeField, field_from_spec, field_to_spec
 from .hopf import HopfAlgebra, solve_antipode
 from .linalg import BasedSpace, MapMatrix, _dtype, _scalar_rows
 from .tensors import TensorElement, _columns, _element, _linear_op, _members, _table
@@ -42,13 +44,24 @@ class LoadedBundle:
 
 
 @functools.cache
+def _schema() -> dict:
+    return json.loads(resources.files("hopffact").joinpath("bundle_schema.json").read_text())
+
+
+@functools.cache
 def _validator():
     """The bundle schema's validator, built once after one check_schema."""
-    text = resources.files("hopffact").joinpath("bundle_schema.json").read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(_schema())
+    cls.check_schema(_schema())
+    return cls(_schema())
+
+
+@functools.cache
+def _coeff_search():
+    """re.search with the schema's coefficient pattern, as jsonschema matches it."""
+    return re.compile(_schema()["$defs"]["coeff"]["oneOf"][1]["pattern"]).search
 
 
 # Row length of each term array, by section (None: the top level; 0: a coefficient vector)
@@ -60,29 +73,98 @@ _TERMS = {
 
 
 def _term_arrays(doc):
+    """(place, section, key, row length) of every term array in doc; the
+    place names the array in messages, as "hopf.mult" or "rmatrix"."""
     for name, keys in _TERMS.items():
         section = doc if name is None else doc.get(name)
         if isinstance(section, dict):
-            yield from ((section, k, n) for k, n in keys.items() if isinstance(section.get(k), list))
+            yield from ((f"{name}.{k}" if name else k, section, k, n)
+                        for k, n in keys.items() if k in section)
 
 
-def _fast_valid(doc) -> bool:
-    """True only if the schema accepts doc.  The validator checks a copy with
-    the term arrays emptied; a loop checks each row and coefficient by the
-    schema's rules, matching the coefficient pattern by re.search as jsonschema does."""
-    skeleton = {k: dict(v) if isinstance(v, dict) else v for k, v in doc.items()}
-    terms = []
-    for section, key, n in _term_arrays(skeleton):
-        terms.append((section[key], n))
-        section[key] = []
-    search = re.compile(_validator().schema["$defs"]["coeff"]["oneOf"][1]["pattern"]).search
-    def is_coeff(c):
-        return type(c) is int or type(c) is str and search(c) is not None
-    return _validator().is_valid(skeleton) and all(
-        all(map(is_coeff, rows)) if n == 0 else all(
-            type(row) is list and len(row) == n and is_coeff(row[-1])
-            and all(type(i) is int and i >= 0 for i in row[:-1]) for row in rows)
-        for rows, n in terms)
+def _term_columns(rows, n: int):
+    """The columns of term rows of n entries each."""
+    return list(zip(*rows)) or [()] * n
+
+
+def _keys_valid(obj, schema) -> bool:
+    return (type(obj) is dict
+            and set(schema["required"]) <= obj.keys() <= schema["properties"].keys())
+
+
+def _field_valid(spec) -> bool:
+    if type(spec) is str:
+        return spec == "Q"
+    return (type(spec) is dict and spec.keys() == {"GFp"}
+            and type(spec["GFp"]) is int and spec["GFp"] >= 2)
+
+
+def _algebra_valid(section, schema) -> bool:
+    """The keys of a hopf or comodule section, its dim and its basis."""
+    return (_keys_valid(section, schema) and type(section["dim"]) is int and section["dim"] >= 1
+            and type(section["basis"]) is list and set(map(type, section["basis"])) <= {str})
+
+
+def _coeffs_valid(col) -> bool:
+    types = set(map(type, col))
+    return types <= {int} or types <= {int, str} and all(
+        map(_coeff_search(), (c for c in col if type(c) is str)))
+
+
+def _fast_valid(doc):
+    """(rows, columns) of every term array of rows (not the coefficient
+    vectors), by place (``_term_arrays``), if a walk by hand finds that the
+    schema accepts doc; else None, and the schema may still accept doc (it
+    counts 1.0 as an integer).
+
+    The walk checks the schema's rules, and is stricter where JSON Schema is
+    lenient: the keys of each object against its required and allowed ones,
+    the field, each dim (an int ≥ 1) and basis (strings), and each term
+    array by column with ``set(map(type, …))`` and ``min``: rows are lists
+    of their length, indices ints ≥ 0, and coefficients ints or strings
+    that the schema's pattern matches.
+    """
+    schema = _schema()
+    if not (_keys_valid(doc, schema) and _field_valid(doc["field"])):
+        return None
+    if not all(_algebra_valid(doc[name], schema["properties"][name])
+               for name in ("hopf", "comodule") if name in doc):
+        return None
+    terms = {}
+    for place, section, key, n in _term_arrays(doc):
+        rows = section[key]
+        if type(rows) is not list:
+            return None
+        if not n:
+            if not _coeffs_valid(rows):
+                return None
+            continue
+        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n}):
+            return None
+        *idx, coeffs = cols = _term_columns(rows, n)
+        if not (all(set(map(type, c)) <= {int} and min(c, default=0) >= 0 for c in idx)
+                and _coeffs_valid(coeffs)):
+            return None
+        terms[place] = rows, cols
+    return terms
+
+
+def _refused(doc) -> dict:
+    """``_fast_valid``'s (rows, columns) for a document it refused; raises
+    BundleFormatError with the validator's message if the schema refuses
+    the document too."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path)
+        raise BundleFormatError(f"schema violation at /{path}: {error.message}") from error
+    terms = {}
+    for place, section, key, n in _term_arrays(doc):
+        if n:  # JSON Schema's integers include 1.0
+            rows = [[int(i) for i in row[:-1]] + row[-1:] for row in section[key]]
+            terms[place] = rows, _term_columns(rows, n)
+    return terms
 
 
 def _parse_coeff(field, raw, where):
@@ -98,18 +180,32 @@ def _parse_vec(field, raw, dim, where):
     return tuple(_parse_coeff(field, x, where) for x in raw)
 
 
-def _parse_rows(field, rows, dims, where, at=None):
-    """The columns of term rows (indices…, c) with the coefficients parsed,
-    as ``tensors._table`` takes them.  The first row with an index out of
-    range or a bad coefficient raises, naming ``at`` or the row's indices
-    as its place."""
-    *idx, raw = zip(*rows) if rows else [()] * (len(dims) + 1)
+def _coefficients(field, raw):
+    """A column of coefficients as field values.  An all-int column is kept
+    as it is over Q, whose field arrays hold integral values as ints, and
+    becomes residues in one numpy step over GF(p); any other column is
+    parsed entry by entry."""
+    if set(map(type, raw)) <= {int}:
+        if not isinstance(field, PrimeField):
+            return raw
+        try:
+            return np.array(raw, dtype=np.int64) % field.p
+        except OverflowError:  # an int beyond int64
+            pass
+    return list(map(field.parse, raw))
+
+
+def _parse_rows(field, rows, cols, dims, where, at=None):
+    """The columns ``cols`` of term rows (indices ≥ 0…, c) with the
+    coefficients parsed (``_coefficients``), as ``tensors._table`` takes
+    them.  The first row with an index out of range or a bad coefficient
+    raises, naming ``at`` or the row's indices as its place."""
+    *idx, raw = cols
     stop = len(rows)
-    if not all(min(col) >= 0 and max(col) < d for col, d in zip(idx, dims) if col):
-        stop = next(p for p, row in enumerate(rows)
-                    if min(row[:-1]) < 0 or any(map(operator.ge, row[:-1], dims)))
+    if not all(max(col) < d for col, d in zip(idx, dims) if col):
+        stop = next(p for p, row in enumerate(rows) if any(map(operator.ge, row[:-1], dims)))
     try:
-        coeffs = list(map(field.parse, raw[:stop]))
+        coeffs = _coefficients(field, raw[:stop])
     except (HopffactError, ValueError, ZeroDivisionError):
         for row in rows:  # raises at the first bad coefficient, naming its place
             _parse_coeff(field, row[-1], at or f"{where}{row[:-1]}")
@@ -118,14 +214,14 @@ def _parse_rows(field, rows, dims, where, at=None):
     return [*idx, coeffs]
 
 
-def _parse_table(field, rows, dims_in, dims_out, where, at=None):
+def _parse_table(field, terms, dims_in, dims_out, where, at=None):
     """Term rows as a family (``tensors._table``): duplicates summed, zeros
     dropped."""
-    return _table(field, _parse_rows(field, rows, (*dims_in, *dims_out), where, at),
+    return _table(field, _parse_rows(field, *terms[where], (*dims_in, *dims_out), where, at),
                   dims_in, dims_out)
 
 
-def _parse_algebra(field, doc, where) -> StructAlgebra:
+def _parse_algebra(field, doc, terms, where) -> StructAlgebra:
     dim = int(doc["dim"])
     basis = doc["basis"]
     if len(basis) != dim:
@@ -134,7 +230,7 @@ def _parse_algebra(field, doc, where) -> StructAlgebra:
         sp = BasedSpace(tuple(basis))
     except HopffactError as exc:
         raise BundleFormatError(f"{where}: {exc}") from exc
-    mult = _parse_table(field, doc["mult"], (dim, dim), (dim,), f"{where}.mult")
+    mult = _parse_table(field, terms, (dim, dim), (dim,), f"{where}.mult")
     unit = _parse_vec(field, doc["unit"], dim, f"{where}.unit")
     try:
         return StructAlgebra(field, sp, mult, unit)
@@ -142,9 +238,11 @@ def _parse_algebra(field, doc, where) -> StructAlgebra:
         raise BundleFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_triples(field, raw, dims, spaces, where) -> TensorElement:
-    cols = [(0,) * len(raw), *_parse_rows(field, raw, dims, where)]
-    return _element(field, spaces, _table(field, cols, (1,), dims))
+def _parse_triples(field, terms, dims, spaces, where) -> TensorElement:
+    """An R- or K-matrix, keeping its table as the element's family."""
+    rows, cols = terms[where]
+    cols = [(0,) * len(rows), *_parse_rows(field, rows, cols, dims, where)]
+    return _element(field, spaces, _table(field, cols, (1,), dims), keep=True)
 
 
 def loads(text: str) -> LoadedBundle:
@@ -152,27 +250,19 @@ def loads(text: str) -> LoadedBundle:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BundleFormatError(f"not valid JSON: line {exc.lineno} column {exc.colno}") from exc
-    if not (isinstance(doc, dict) and _fast_valid(doc)):
-        error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-        if error is not None:
-            path = "/".join(str(p) for p in error.absolute_path)
-            raise BundleFormatError(f"schema violation at /{path}: {error.message}") from error
-        for section, key, n in _term_arrays(doc):
-            if n:  # JSON Schema's integers include 1.0
-                section[key] = [[int(i) for i in row[:-1]] + row[-1:] for row in section[key]]
+    terms = _fast_valid(doc) or _refused(doc)
     try:
         field = field_from_spec(doc["field"])
     except HopffactError as exc:
         raise BundleFormatError(f"field: {exc}") from exc
     hdoc = doc["hopf"]
     dim = int(hdoc["dim"])
-    alg = _parse_algebra(field, hdoc, "hopf")
-    comult = _parse_table(field, hdoc["comult"], (dim,), (dim, dim), "hopf.comult")
+    alg = _parse_algebra(field, hdoc, terms, "hopf")
+    comult = _parse_table(field, terms, (dim,), (dim, dim), "hopf.comult")
     counit = _parse_vec(field, hdoc["counit"], dim, "hopf.counit")
     coalg = StructCoalgebra(field, alg.space, comult, counit)
     if "antipode" in hdoc:
-        s = _parse_table(field, hdoc["antipode"], (dim,), (dim,), "hopf.antipode",
-                         at="hopf.antipode")
+        s = _parse_table(field, terms, (dim,), (dim,), "hopf.antipode", at="hopf.antipode")
         rows = np.zeros((dim, dim), dtype=_dtype(field))
         rows[_members(s), s[2]] = s[3]
         antipode = MapMatrix(field, alg.space, alg.space, rows)
@@ -184,27 +274,19 @@ def loads(text: str) -> LoadedBundle:
     hopf = HopfAlgebra(alg, coalg, antipode)  # S⁻¹ is computed on first use
     r_elt = None
     if "rmatrix" in doc:
-        r_elt = _parse_triples(
-            field, doc["rmatrix"], (dim, dim), (alg.space, alg.space), "rmatrix"
-        )
+        r_elt = _parse_triples(field, terms, (dim, dim), (alg.space, alg.space), "rmatrix")
     comodule = None
     if "comodule" in doc:
-        cdoc = doc["comodule"]
-        balg = _parse_algebra(field, cdoc, "comodule")
-        coaction = _parse_table(field, cdoc["coaction"], (balg.dim,), (dim, balg.dim),
+        balg = _parse_algebra(field, doc["comodule"], terms, "comodule")
+        coaction = _parse_table(field, terms, (balg.dim,), (dim, balg.dim),
                                 "comodule.coaction", at="comodule.coaction")
         comodule = ComoduleAlgebra(hopf, balg, coaction)
     k_elt = None
     if "kmatrix" in doc:
         if comodule is None:
             raise BundleFormatError("kmatrix requires a comodule section")
-        k_elt = _parse_triples(
-            field,
-            doc["kmatrix"],
-            (dim, comodule.dim),
-            (alg.space, comodule.algebra.space),
-            "kmatrix",
-        )
+        k_elt = _parse_triples(field, terms, (dim, comodule.dim),
+                               (alg.space, comodule.algebra.space), "kmatrix")
     if r_elt is None and k_elt is not None:
         raise BundleFormatError("kmatrix requires an rmatrix section")
     return LoadedBundle(field, hopf, r_elt, comodule, k_elt)

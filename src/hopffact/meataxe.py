@@ -2,6 +2,12 @@
 for a module GF(p)ⁿ given by a stack of operator matrices, with the GF(p)
 polynomial arithmetic it needs; the spin (smallest invariant subspace) is
 ``linalg.spin``.
+
+Polynomials are int64 arrays of residues.  A product is one ``np.convolve``
+and its reduction modulo a monic μ one product with a table of x^(D+k) mod μ
+built once per modulus (``_Quotient``); both cut their sums into blocks of
+``_block(p)`` products of two residues, so every exact int64 partial sum
+stays below 2⁶³.  Division and gcd go one row step per quotient coefficient.
 """
 
 from __future__ import annotations
@@ -63,8 +69,7 @@ def norton(f: PrimeField, ops: np.ndarray):
         if not v.any():
             continue
         _, ann = _krylov(f, lambda col: _mod_matmul(f, a, col), v, n + 1)
-        mu = [int(x) for x in ann[:, 0]]
-        g = _lowest_factor(mu[:_degree(mu) + 1], p, 1 if proof else n, rng)
+        g = _lowest_factor(_trim(ann[:, 0].astype(np.int64)), p, 1 if proof else n, rng)
         if g is None:
             continue
         ga = _poly_at(f, g, a)
@@ -90,65 +95,101 @@ def norton(f: PrimeField, ops: np.ndarray):
     return ("simple", proof, None) if proof else None
 
 
-# Polynomials over GF(p) are lists of ints, lowest degree first.
+# Polynomials over GF(p) are int64 arrays of residues, lowest degree first.
 
-def _degree(a) -> int:
-    return max((i for i, x in enumerate(a) if x), default=-1)
+def _block(p: int) -> int:
+    """The most products of two residues whose sum, plus one residue, stays
+    below 2**63 (1,024 at the largest supported prime): every sum of
+    products below reduces mod p after at most that many."""
+    return ((1 << 63) - p) // (p - 1) ** 2
 
 
-def _poly_divmod(a, b, p: int):
+def _trim(a: np.ndarray) -> np.ndarray:
+    """a without its zero leading coefficients (the zero polynomial is empty)."""
+    nz = np.flatnonzero(a)
+    return a[:nz[-1] + 1] if nz.size else a[:0]
+
+
+class _Quotient:
+    """GF(p)[x]/(m) for a monic m of degree D ≥ 1: its elements are arrays
+    of D residues.  A product of two has degree below 2D − 1, and is reduced
+    by one precomputed table, the rows x^(D+k) mod m for k < D − 1, as one
+    blocked product (``_dot``)."""
+
+    def __init__(self, m: np.ndarray, p: int):
+        d = m.size - 1
+        self.d, self.p, self.block = d, p, _block(p)
+        # x^(D+k) is x times x^(D+k−1), whose term at degree D is row 0 again
+        table = np.zeros((max(d - 1, 0), d), dtype=np.int64)
+        table[:1] = -m[:d] % p
+        for k in range(1, d - 1):
+            table[k, 1:] = table[k - 1, :-1]
+            table[k] = (table[k] + table[k - 1, -1] * table[0]) % p
+        self.table = table
+
+    def _dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """x @ y mod p, the inner dimension cut into blocks of ``_block(p)``."""
+        p, k = self.p, self.block
+        out = x[..., :k] @ y[:k] % p
+        for s in range(k, x.shape[-1], k):
+            out = (out + x[..., s:s + k] @ y[s:s + k]) % p
+        return out
+
+    def _convolve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The product a·b mod p, b cut into blocks of ``_block(p)``
+        coefficients."""
+        p, k = self.p, self.block
+        if b.size <= k:
+            return np.convolve(a, b) % p
+        out = np.zeros(a.size + b.size - 1, dtype=np.int64)
+        for s in range(0, b.size, k):
+            part = b[s:s + k]
+            out[s:s + a.size + part.size - 1] += np.convolve(a, part) % p
+        return out % p
+
+    def element(self, a) -> np.ndarray:
+        """A polynomial of degree below D as an element."""
+        out = np.zeros(self.d, dtype=np.int64)
+        out[:len(a)] = a
+        return out
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        c, d = self._convolve(a, b), self.d
+        return (c[:d] + self._dot(c[d:], self.table)) % self.p
+
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e for e ≥ 1, by squaring from the top bit of e down."""
+        out = a
+        for bit in bin(e)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
+        return out
+
+
+def _divmod(a: np.ndarray, b: np.ndarray, p: int):
     """Quotient and remainder of a by b (b with a nonzero leading
-    coefficient), both trimmed."""
-    r = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    for i in range(len(a) - 1 - db, -1, -1):
-        coef = r[i + db] * inv % p
-        q[i] = coef
-        if coef:
-            for j, bj in enumerate(b):
-                r[i + j] = (r[i + j] - coef * bj) % p
-    return q[:_degree(q) + 1], r[:_degree(r[:db]) + 1]
+    coefficient), both trimmed; each quotient coefficient is one row step."""
+    db = b.size - 1
+    r = a.copy()
+    inv = pow(int(b[-1]), p - 2, p)
+    q = np.zeros(max(0, a.size - db), dtype=np.int64)
+    for i in range(a.size - 1 - db, -1, -1):
+        c = int(r[i + db]) * inv % p
+        if c:
+            q[i] = c
+            r[i:i + db + 1] = (r[i:i + db + 1] - c * b) % p
+    return _trim(q), _trim(r[:db])
 
 
-def _poly_mulmod(a, b, m, p: int):
-    prod = [0] * max(0, len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
-    return _poly_divmod([x % p for x in prod], m, p)[1]
-
-
-def _poly_gcd(a, b, p: int):
+def _gcd(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Monic gcd of a and b (a nonzero)."""
-    while b:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    inv = pow(a[-1], p - 2, p)
-    return [x * inv % p for x in a]
+    while b.size:
+        a, b = b, _divmod(a, b, p)[1]
+    return a * pow(int(a[-1]), p - 2, p) % p
 
 
-def _poly_powmod(a, e: int, m, p: int):
-    out = [1]
-    while e:
-        if e & 1:
-            out = _poly_mulmod(out, a, m, p)
-        a = _poly_mulmod(a, a, m, p)
-        e >>= 1
-    return out
-
-
-def _poly_sub(a, b, p: int):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] - x) % p
-    return out[:_degree(out) + 1]
-
-
-def _lowest_factor(mu, p: int, max_deg: int, rng):
+def _lowest_factor(mu: np.ndarray, p: int, max_deg: int, rng):
     """An irreducible factor of least degree d of the monic ``mu``, or None
     when d > ``max_deg``.
 
@@ -158,32 +199,39 @@ def _lowest_factor(mu, p: int, max_deg: int, rng):
     itself is irreducible.  Cantor–Zassenhaus splitting then cuts the part
     down to one factor: for a random r, gcd(r^((p^d − 1)/2) − 1, part)
     (for p = 2, gcd(Σ_{i<d} r^(2^i), part)) is a proper factor about half
-    the time.
+    the time (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).
+    The powers are taken in GF(p)[x]/(μ), then in GF(p)[x]/(part)
+    (``_Quotient``).
     """
-    deg = len(mu) - 1
-    h = [0, 1]  # x^(p^d) mod μ
+    deg = mu.size - 1
+    if deg < 2:
+        return mu if deg <= max_deg else None
+    ring = _Quotient(mu, p)
+    x = ring.element([0, 1])
+    h = x  # x^(p^d) mod μ
     for d in range(1, max_deg + 1):
         if 2 * d > deg:
             return mu if deg <= max_deg else None
-        h = _poly_powmod(h, p, mu, p)
-        part = _poly_gcd(mu, _poly_sub(h, [0, 1], p), p)
-        if len(part) > 1:
+        h = ring.pow(h, p)
+        part = _gcd(mu, _trim((h - x) % p), p)
+        if part.size > 1:
             break
     else:
         return None
-    while len(part) - 1 > d:
-        r = [rng.randrange(p) for _ in range(len(part) - 1)]
-        r = r[:_degree(r) + 1]
+    ring = _Quotient(part, p)
+    while part.size - 1 > d:
+        r = ring.element([rng.randrange(p) for _ in range(part.size - 1)])
         if p == 2:
             t = s = r
             for _ in range(d - 1):
-                s = _poly_mulmod(s, s, part, p)
-                t = _poly_sub(t, s, p)  # minus is plus mod 2
+                s = ring.mul(s, s)
+                t = (t + s) % 2
         else:
-            t = _poly_sub(_poly_powmod(r, (p ** d - 1) // 2, part, p), [1], p)
-        g = _poly_gcd(part, t, p)
-        if 1 < len(g) < len(part):
-            part = min(g, _poly_divmod(part, g, p)[0], key=len)
+            t = (ring.pow(r, (p ** d - 1) // 2) - ring.element([1])) % p
+        g = _gcd(part, _trim(t), p)
+        if 1 < g.size < part.size:
+            part = min(g, _divmod(part, g, p)[0], key=len)
+            ring = _Quotient(part, p)
     return part
 
 

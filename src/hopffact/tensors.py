@@ -371,10 +371,15 @@ def _embed(f: Field, fam, dims, slots, algebras):
     return _sparse_op(f, _members(fam)[src], key, val, fam[0].size, n)
 
 
-def _element(f: Field, factors, fam) -> TensorElement:
-    """A family of one element on the product of ``factors`` as a TensorElement."""
+def _element(f: Field, factors, fam, keep: bool = False) -> TensorElement:
+    """A family of one element on the product of ``factors`` as a TensorElement.
+    With ``keep``, ``fam`` is a table (``_table``), the family ``_flat``
+    would build, and the element keeps it."""
     indices = zip(*(i.tolist() for i in np.unravel_index(fam[2], [sp.dim for sp in factors])))
-    return TensorElement(f, factors, dict(zip(indices, _scalar_rows(f, fam[3][None])[0])))
+    t = TensorElement(f, factors, dict(zip(indices, _scalar_rows(f, fam[3][None])[0])))
+    if keep:
+        object.__setattr__(t, "_fam", fam)
+    return t
 
 
 def _units(f: Field, algebras):

@@ -4,10 +4,14 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +28,7 @@ from hopffact.constructions import (
 from hopffact.errors import BundleFormatError
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group
+from hopffact.tensors import _flat, _table_of
 from reference_tables import coaction_dict, comult_dict, mult_dict
 
 
@@ -389,13 +394,14 @@ def _absent(rows):
     return next(list(idx) for idx in itertools.product(range(4), repeat=3) if idx not in held)
 
 
-@pytest.mark.parametrize("edit", ["split", "cancel", "zero", "shuffle"])
+@pytest.mark.parametrize("edit", ["split", "cancel", "zero", "shuffle", "beyond-int64"])
 @pytest.mark.parametrize("section, key", [("hopf", "mult"), ("hopf", "comult"),
                                           ("comodule", "coaction")])
 def test_term_rows_load_normalised(section, key, edit):
     # a GF(7) document with one term array edited: a coefficient split over
     # two rows, a pair of rows cancelling, an explicit zero, the rows
-    # shuffled; duplicates are summed and zeros dropped on load
+    # shuffled, a coefficient moved by 7³⁰; duplicates are summed and zeros
+    # dropped on load
     text = bundle_io.dumps(named_example("double:C2", GF(7)))
     doc = json.loads(text)
     rows = doc[section][key]
@@ -408,6 +414,8 @@ def test_term_rows_load_normalised(section, key, edit):
         rows.extend([free + [2], free + [-2]])
     elif edit == "zero":
         rows.append(_absent(rows) + [0])
+    elif edit == "beyond-int64":
+        rows[0][-1] += 7 ** 30
     else:
         order = rows[:]
         random.Random(7).shuffle(rows)
@@ -524,14 +532,124 @@ def _slot_values(draw):
     shaped = st.builds(
         lambda idx, c, extra: idx + [c] + extra, st.lists(_INDEX, min_size=n - 2, max_size=n),
         _COEFF, st.lists(_COEFF, max_size=1)) if n else _COEFF
-    return section, key, draw(shaped | _JSON)
+    return "row", section, key, draw(shaped | _JSON)
+
+
+_DROP = "<the key removed>"
+_FIELDS = ["Q", "q", {"GFp": 1}, {"GFp": 2}, {"GFp": 2, "x": 1}, {"GFp": 101}, {"GFp": 2.0},
+           {"GFp": True}, {"GFp": "2"}, {}, None]
+_DIMS = [0, 1, 2, -1, True, 1.0, "1", None]
+_LABELS = st.sampled_from([1, None, True, ["a"], "e0"]) | st.text(max_size=2)
+
+
+@st.composite
+def _skeleton_edits(draw):
+    # an edit outside the term arrays: a key of a section removed, added or
+    # replaced, a dim, the basis labels, or the field
+    section = draw(st.sampled_from([None, "hopf", "comodule"]))
+    keys = sorted(_C2_DOC if section is None else _C2_DOC[section])
+    algebra = st.sampled_from(["hopf", "comodule"])
+    return draw(st.one_of(
+        st.tuples(st.just("key"), st.just(section), st.sampled_from(keys), st.just(_DROP)),
+        st.tuples(st.just("key"), st.just(section), st.text(max_size=3) | st.sampled_from(keys),
+                  _JSON),
+        st.tuples(st.just("key"), algebra, st.just("dim"), st.sampled_from(_DIMS)),
+        st.tuples(st.just("key"), algebra, st.just("basis"), st.lists(_LABELS, max_size=4)),
+        st.tuples(st.just("key"), st.none(), st.just("field"), st.sampled_from(_FIELDS))))
+
+
+_C2_DOC = json.loads(bundle_io.dumps(named_example("double:C2")))
+
+
+def _apply(edit):
+    doc = json.loads(json.dumps(_C2_DOC))
+    kind, section, key, value = edit
+    target = doc if section is None else doc[section]
+    if kind == "row":
+        target[key][0] = value
+    elif value == _DROP:
+        del target[key]
+    else:
+        target[key] = value
+    return doc
 
 
 @settings(max_examples=300, deadline=None)
-@given(slot=_slot_values())
-def test_fast_check_accepts_only_what_the_schema_accepts(slot):
-    doc = json.loads(bundle_io.dumps(named_example("double:C2")))
-    section, key, value = slot
-    (doc if section is None else doc[section])[key][0] = value
+@given(edit=_slot_values() | _skeleton_edits())
+def test_fast_check_accepts_only_what_the_schema_accepts(edit):
+    doc = _apply(edit)
     if bundle_io._fast_valid(doc):
         assert bundle_io._validator().is_valid(doc)
+
+
+@pytest.mark.parametrize("edit, fast, schema", [
+    (("key", None, "hopf", _DROP), False, False),
+    (("key", "comodule", "coaction", _DROP), False, False),
+    (("key", "hopf", "antipode", _DROP), True, True),
+    (("key", None, "rmatrix", _DROP), True, True),
+    (("key", None, "extra", 1), False, False),
+    (("key", "hopf", "extra", []), False, False),
+    (("key", "hopf", "dim", 0), False, False),
+    (("key", "hopf", "dim", True), False, False),
+    (("key", "comodule", "dim", 1.0), False, True),
+    (("key", "hopf", "dim", "1"), False, False),
+    (("key", "hopf", "basis", ["e0", 1, "e2", "e3"]), False, False),
+    (("key", "comodule", "basis", [None, "b1"]), False, False),
+    (("key", None, "field", "q"), False, False),
+    (("key", None, "field", {"GFp": 1}), False, False),
+    (("key", None, "field", {"GFp": 2, "x": 1}), False, False),
+    (("key", None, "field", {"GFp": 2}), True, True),
+    (("key", None, "field", {"GFp": 2.0}), False, True),
+    (("key", None, "comodule", None), False, False),
+])
+def test_fast_check_on_skeleton_edits(edit, fast, schema):
+    # the walk refuses a document whenever the schema does, and also some
+    # it accepts, with an integral float where the walk wants an int
+    doc = _apply(edit)
+    assert (bool(bundle_io._fast_valid(doc)), bundle_io._validator().is_valid(doc)) == (fast, schema)
+
+
+def test_valid_bundles_load_without_jsonschema():
+    # a fresh interpreter loads every registry bundle without importing
+    # jsonschema, and imports it to explain a refusal
+    code = """if True:
+        import sys
+        from hopffact import bundle
+        from hopffact.constructions import named_example, registry_names
+        from hopffact.errors import BundleFormatError
+        from hopffact.fields import GF, QQ
+        texts = [bundle.dumps(named_example(name, field))
+                 for field in (QQ, GF(101)) for name in registry_names()]
+        for text in texts:
+            bundle.loads(text)
+        print("jsonschema" in sys.modules)
+        try:
+            bundle.loads(texts[0].replace('"field"', '"surprise": 1, "field"', 1))
+        except BundleFormatError as exc:
+            print(exc)
+        print("jsonschema" in sys.modules)
+    """
+    src = str(Path(bundle_io.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True).stdout
+    assert out.splitlines() == [
+        "False",
+        "schema violation at /: Additional properties are not allowed ('surprise' was unexpected)",
+        "True"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(94906249)], ids=str)
+def test_loaded_r_and_k_keep_their_table(field):
+    # the family parsed from the rows is the one _flat would rebuild from
+    # the element's dict, array for array
+    for name in registry_names():
+        loaded = bundle_io.loads(bundle_io.dumps(named_example(name, field)))
+        for elt in (loaded.rmatrix_element, loaded.kmatrix_element):
+            if elt is None:
+                continue
+            want = _table_of(field, {0: elt.coeffs}, (1,), [sp.dim for sp in elt.factors])
+            assert _flat(elt) is elt._fam
+            for got, ref in zip(elt._fam, want):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+                assert list(map(type, got.tolist())) == list(map(type, ref.tolist())), name
