@@ -6,7 +6,10 @@ on B-mod.  Membership in the symmetric center is decided against the
 regular B-module.
 """
 
+from fractions import Fraction
+
 from hopffact import (
+    HModule,
     check_braided_module,
     check_k_matrix,
     module_braiding,
@@ -47,3 +50,18 @@ print("1 in Z2:", z2_membership(d.kmatrix, t))
 print("regular in Z2:", z2_membership(d.kmatrix, x))
 print("with K = 1⊗1 everything is central:",
       z2_membership(b.kmatrix, regular_module(b.hopf)))
+
+# Sweedler's H4 over Q, whose R-matrix has coefficients ±1/2: the check runs
+# on integer numerators over one denominator, so these verdicts are exact.
+s = named_example("sweedler:1")
+x, t = regular_module(s.hopf), trivial_module(s.hopf)
+m = regular_bmodule(s.comodule)
+for left, llabel in ((t, "1"), (x, "reg")):
+    for right, rlabel in ((t, "1"), (x, "reg")):
+        v = check_braided_module(s.kmatrix, left, right, m)
+        print(f"H4 braided-module axioms on ({llabel},{rlabel}):", v.describe())
+# a module family with a denominator: ρ(e_3) of X with 1/2 added at (0, 2)
+stack = x.stack.copy()
+stack[3, 0, 2] += Fraction(1, 2)
+v = check_braided_module(s.kmatrix, HModule(x.space, stack, x.field), x, m)
+print("H4 with ρ_X(e_3)[0, 2] + 1/2:", v.axiom, "at", v.witness)

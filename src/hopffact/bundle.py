@@ -181,17 +181,18 @@ def _parse_vec(field, raw, dim, where):
 
 
 def _coefficients(field, raw):
-    """A column of coefficients as field values.  An all-int column is kept
-    as it is over Q, whose field arrays hold integral values as ints, and
-    becomes residues in one numpy step over GF(p); any other column is
+    """A column of coefficients as field values.  An all-int column becomes
+    one int64 array, taken as it is over Q (``linalg._field_array`` turns
+    an integer array into Python ints in one step) and reduced to residues
+    over GF(p); any other column, or one with an int beyond int64, is
     parsed entry by entry."""
     if set(map(type, raw)) <= {int}:
-        if not isinstance(field, PrimeField):
-            return raw
         try:
-            return np.array(raw, dtype=np.int64) % field.p
+            ints = np.array(raw, dtype=np.int64)
         except OverflowError:  # an int beyond int64
             pass
+        else:
+            return ints % field.p if isinstance(field, PrimeField) else ints
     return list(map(field.parse, raw))
 
 

@@ -40,6 +40,7 @@ from .linalg import (
     _mod_matmul,
     _mul,
     _neg,
+    _over,
     _reduce,
     _scalar_rows,
     _sparse_kernel,
@@ -149,7 +150,7 @@ class KMatrix:
     two-sided, and NotInvertible is raised when it fails.
     """
 
-    __slots__ = ("comodule", "rmatrix", "element", "inverse", "_theta")
+    __slots__ = ("comodule", "rmatrix", "element", "inverse", "_theta", "_braided")
 
     def __init__(self, comodule: ComoduleAlgebra, rmatrix: RMatrix,
                  element: TensorElement, inverse: TensorElement | None = None):
@@ -169,6 +170,7 @@ class KMatrix:
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "inverse", inverse)
         object.__setattr__(self, "_theta", None)
+        object.__setattr__(self, "_braided", None)
 
     def __setattr__(self, *a):
         raise AttributeError("KMatrix is immutable")
@@ -228,16 +230,17 @@ def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
 # operators of ``linalg``
 # ---------------------------------------------------------------------------
 
-def _act(f, batch, dims, op, legs, order, limit):
-    """Apply a two-leg operator to ``legs`` (la, lb) of a batch of columns,
-    then reorder the legs by ``order``; the batch is (column, [three leg
-    indices], values).
+def _act(f, batch, dims, step, legs, order, limit):
+    """Apply a two-leg operator, ``_kron_sum``'s (operator, d), to ``legs``
+    (la, lb) of a batch of columns, then reorder the legs by ``order``; the
+    batch is (column, [three leg indices], integer numerators, their one
+    denominator), and the result's denominator is the batch's times d.
 
     Equal entries are summed only when the step grew the batch: a step with
     at most one entry per input passes its entries on unsorted, and the sum
     at the end of the chain adds what is left."""
-    col, idx, val = batch
-    la, lb = legs
+    col, idx, val, den = batch
+    (op, d), (la, lb) = step, legs
     rep, out, tv = _gather(op, idx[la] * dims[lb] + idx[lb], limit)
     idx = [i[rep] for i in idx]
     idx[la], idx[lb] = np.divmod(out, dims[lb])
@@ -247,7 +250,7 @@ def _act(f, batch, dims, op, legs, order, limit):
         key, val = _combine(f, _batch_keys(col, idx, dims), val)
         col, flat = np.divmod(key, dims[0] * dims[1] * dims[2])
         idx = list(np.unravel_index(flat, dims))
-    return (col, idx, val), dims
+    return (col, idx, val, den * d), dims
 
 
 def _batch_keys(col, idx, dims):
@@ -257,17 +260,22 @@ def _batch_keys(col, idx, dims):
 
 def _failing_columns(f, lhs, rhs, first, last, dims, limit):
     """The columns first..last-1 of X⊗Y⊗M on which an identity fails:
-    ``lhs`` is the left side on X⊗Y⊗M, as an operator and the column its
-    input 0 stands for, ``rhs`` the two-leg steps."""
+    ``lhs`` is the left side on X⊗Y⊗M, as ``_kron_sum``'s operator and
+    denominator and the column its input 0 stands for, ``rhs`` the two-leg
+    steps.  Both sides are integer numerators over one denominator each,
+    d_lhs and d_rhs, so lhs − rhs is formed exactly as
+    d_rhs·lhs − d_lhs·rhs."""
     n = dims[0] * dims[1] * dims[2]
+    op, d_lhs, base = lhs
     cols = np.arange(first, last, dtype=np.int64)
-    rep, out, val = _gather(lhs[0], cols - lhs[1], limit)
+    rep, out, val = _gather(op, cols - base, limit)
     ones = _sparse_values(f, [f.one]).repeat(cols.size)
-    right, d = (cols, list(np.unravel_index(cols, dims)), ones), dims
-    for op, legs, order in rhs:
-        right, d = _act(f, right, d, op, legs, order, limit)
-    key, _ = _combine(f, np.concatenate(((rep + first) * n + out, _batch_keys(*right[:2], d))),
-                      np.concatenate((val, _neg(f, right[2]))))
+    right, d = (cols, list(np.unravel_index(cols, dims)), ones, 1), dims
+    for step, legs, order in rhs:
+        right, d = _act(f, right, d, step, legs, order, limit)
+    col, idx, rval, d_rhs = right
+    key, _ = _combine(f, np.concatenate(((rep + first) * n + out, _batch_keys(col, idx, d))),
+                      np.concatenate((val * d_rhs, _neg(f, rval * d_lhs))))
     return np.unique(key // n)
 
 
@@ -279,6 +287,29 @@ def _in_columns(f, fam, d: int, lo: int, hi: int):
     return _sparse_op(f, _members(fam)[keep], fam[2][keep] - lo, fam[3][keep], fam[0].size, d * d)
 
 
+def _braided_share(k: KMatrix):
+    """The part of ``check_braided_module`` that depends on K alone, built
+    on first use and kept on k for its lifetime: the columns of (Δ⊗id)K
+    and of (id⊗δ)K on H⊗H⊗B, the coefficient row of (ε⊗id)K on B, the
+    terms of K and of R (``element_terms``), and those of R and R⁻¹ as
+    groups 0 and 1 of one set."""
+    if k._braided is None:
+        h, r = k.host, k.rmatrix
+        f, nh, nb = h.field, h.dim, k.comodule.dim
+        kf = _flat(k.element)
+        delta_k = _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh)
+        coact_k = _coapply(f, kf, (nh, nb), 1, k.comodule.coaction_op(), nh * nb)
+        eps_k = _coapply(f, kf, (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
+        eps_row = np.zeros((1, nb), dtype=_dtype(f))
+        eps_row[0, eps_k[2]] = eps_k[3]
+        r_terms, r_inv = element_terms(r.element), element_terms(r.inverse)
+        r_pair = tuple(map(np.concatenate, zip(r_terms, (r_inv[0] + 1, *r_inv[1:]))))
+        object.__setattr__(k, "_braided", (
+            *(_columns(t, (nh, nh, nb)) for t in (delta_k, coact_k)), eps_row,
+            element_terms(k.element), r_terms, r_pair))
+    return k._braided
+
+
 def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verdict:
     """Both braided-module identities on a concrete (X, Y, M), and the unit law.
 
@@ -288,12 +319,19 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
     braidings and e are two-leg sparse operators, and the left sides,
     (Δ⊗id)K and (id⊗δ)K, three-leg ones, each a sum of outer products of
     the nonzeros of the action matrices.  Each module's nonzeros are
-    gathered once for its lifetime (``HModule.family``), and each two-leg
-    operator is built once per call and shared by both identities (when X
-    is Y, c_{X,Y} is c_{Y,X} and e_{Y,M} is e_{X,M}).  Along a chain of
-    steps, equal keys are summed only after a step that grew the batch; the
-    one sum of lhs − rhs at the end is exact either way.  Every column is
-    checked exactly; dense matrices on X⊗Y⊗M are never formed.
+    gathered once for its lifetime (``HModule.family``), the K-matrix's
+    share (the terms of K, R, R⁻¹ and of the left sides, and the
+    coefficients of (ε⊗id)K) once for the KMatrix's (``_braided_share``),
+    and each two-leg operator is built once per call and shared by both
+    identities (when X is Y, c_{X,Y} is c_{Y,X} and e_{Y,M} is e_{X,M});
+    R and R⁻¹ on (Y, X) are one operator with two groups of inputs.
+    Every operator and batch holds integer numerators over one
+    denominator (``_kron_sum``), which a step multiplies by its operator's,
+    so no Fraction is formed along the chain; over GF(p) every
+    denominator is 1.  Along a chain of steps, equal keys are summed only
+    after a step that grew the batch; the one sum of d_rhs·lhs − d_lhs·rhs
+    at the end is exact either way.  Every column is checked exactly;
+    dense matrices on X⊗Y⊗M are never formed.
 
     The columns, row-major (jx, jy, jm), go in slabs of ascending jx: a
     slab is a run of X columns [lo, hi), that is the columns
@@ -309,37 +347,37 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
     The unit law e_{1,M} = id is ρ_M((ε⊗id)K) = id: one product of the
     coefficients of (ε⊗id)K with M's action matrices.
     """
-    h, r = k.host, k.rmatrix
-    f, nh, nb = h.field, h.dim, k.comodule.dim
-    kf = _flat(k.element)
+    f = k.host.field
+    terms1, terms2, eps_row, k_terms, r_terms, r_pair = _braided_share(k)
     dims = [x.dim, y.dim, m.dim]
     swap = (1, 0, 2)
     keep = (0, 1, 2)
 
-    def two_leg(t, a, b):
-        return _kron_sum(f, element_terms(t), (a.family(), b.family()), (a.dim, b.dim))
+    def two_leg(terms, a, b, groups=1):
+        return _kron_sum(f, terms, (a.family(), b.family()), (a.dim, b.dim), groups)
 
-    r_yx = two_leg(r.element, y, x)
-    e_xm = two_leg(k.element, x, m)
+    # R and R⁻¹ on (Y, X) as one operator whose second group of inputs,
+    # from dim Y·dim X on, is R⁻¹'s: its counts and offsets start there
+    rr, d_r = two_leg(r_pair, y, x, 2)
+    half = y.dim * x.dim
+    r_yx, r_inv_yx = (rr, d_r), ((rr[0][half:], rr[1][half:], *rr[2:]), d_r)
+    e_xm = two_leg(k_terms, x, m)
     same = x is y
     # input legs (x, y, m): c_{Y,X}⁻¹ puts the first leg of R⁻¹ on Y and the
     # second on X, giving (y, x, m); c_{Y,X} puts the first R-leg on Y and
     # returns to (x, y, m); c_{X,Y} puts it on X and gives (y, x, m)
     rhs1 = [
-        (two_leg(r.inverse, y, x), (1, 0), swap),
+        (r_inv_yx, (1, 0), swap),
         (e_xm, (1, 2), keep),
         (r_yx, (0, 1), swap),
-        (e_xm if same else two_leg(k.element, y, m), (1, 2), keep),
+        (e_xm if same else two_leg(k_terms, y, m), (1, 2), keep),
     ]
     rhs2 = [
-        (r_yx if same else two_leg(r.element, x, y), (0, 1), swap),
+        (r_yx if same else two_leg(r_terms, x, y), (0, 1), swap),
         (e_xm, (1, 2), keep),
         (r_yx, (0, 1), swap),
     ]
     # e_{X⊗Y,M}: (Δ⊗id)K, Δ on the first K-leg; e_{X,Y▷M}: (id⊗δ)K
-    delta_k = _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh)
-    coact_k = _coapply(f, kf, (nh, nb), 1, k.comodule.coaction_op(), nh * nb)
-    terms1, terms2 = (_columns(t, (nh, nh, nb)) for t in (delta_k, coact_k))
     legs = (x.family(), y.family(), m.family())
     plane = dims[1] * dims[2]  # the columns of X⊗Y⊗M in one X column
     step = max(1, _SLAB_COLUMNS // plane)
@@ -348,7 +386,7 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
         hi = min(dims[0], lo + step)
         slab = legs if step >= dims[0] else (_in_columns(f, legs[0], dims[0], lo, hi), *legs[1:])
         base, last = lo * plane, hi * plane
-        lhs1, lhs2 = ((_kron_sum(f, terms, slab, dims, n_in=last - base), base)
+        lhs1, lhs2 = ((*_kron_sum(f, terms, slab, dims, n_in=last - base), base)
                       for terms in (terms1, terms2))
         first = base
         while first < last:
@@ -367,11 +405,8 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
             first = stop
     # unit law e_{1,M} = id
     d = m.dim
-    eps_k = _coapply(f, kf, (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
-    coeffs = np.zeros((1, nb), dtype=_dtype(f))
-    coeffs[0, eps_k[2]] = eps_k[3]
-    acts = m.stack.reshape(nb, d * d)
-    if not np.array_equal(_mod_matmul(f, coeffs, acts)[0], np.eye(d, dtype=acts.dtype).ravel()):
+    acts = m.stack.reshape(eps_row.shape[1], d * d)
+    if not np.array_equal(_mod_matmul(f, eps_row, acts)[0], np.eye(d, dtype=acts.dtype).ravel()):
         return Verdict.failed("braided-module-unit", None, "e_{1,M} ≠ id")
     return Verdict.passed()
 
@@ -496,8 +531,10 @@ def _constraint_ops(c: ComoduleAlgebra):
     Σ c·[b_r b_j]_{r'}·[h_i h_s']_s − [b b_r]_{r'}·[s = s'].
     All of them are one ``_kron_sum``, one group per b, of two legs of matrix
     families read off the structure constants: ρ(b_j), then λ(b_i), on B,
-    and λ(h_i)ᵀ, then id, on H.  Entries are summed in the field, so none
-    is ever larger than a field element.
+    and λ(h_i)ᵀ, then id, on H.  Entries are summed exactly, over GF(p) as
+    residues, so none is ever larger than a field element; over Q as
+    integer numerators, divided once by their one denominator.  The values
+    are a sparse operator's (int64 residues over GF(p)).
     """
     f, h = c.field, c.host
     nb, nh = c.dim, h.dim
@@ -520,11 +557,11 @@ def _constraint_ops(c: ComoduleAlgebra):
     h_leg = _sparse_op(f, np.concatenate((i, np.full(nh, nh))),
                        np.concatenate((j * nh + mh[2], np.arange(nh) * (nh + 1))),
                        np.concatenate((mh[3], _sparse_values(f, [f.one] * nh))), nh + 1, nh * nh)
-    counts, _, out, val = _kron_sum(f, terms, (b_leg, h_leg), (nb, nh), nb)
+    (counts, _, out, val), d = _kron_sum(f, terms, (b_leg, h_leg), (nb, nh), nb)
     b, cols = np.divmod(np.repeat(np.arange(nb * n), counts), n)
     rows = b * n + out
     order = np.argsort(rows * n + cols)
-    return rows[order], cols[order], _field_array(f, val[order])
+    return rows[order], cols[order], _over(val[order], d)
 
 
 def _constraint_op(c: ComoduleAlgebra, b: int):
@@ -577,7 +614,7 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     columns = _sparse_op(f, j, r, kval, k, n)
     # every basis element's constraint entries against every kernel entry
     rows, cols, vals = ops
-    rep, out, w = _gather(_sparse_op(f, cols, rows, _sparse_values(f, vals), n, nb * n), r)
+    rep, out, w = _gather(_sparse_op(f, cols, rows, vals, n, nb * n), r)
     bad, _ = _combine(f, out * k + j[rep], _mul(f, w, kval[rep]))
     if bad.size:
         raise HopffactError(
@@ -707,7 +744,8 @@ def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
     n = nh * ne
     terms = _columns(h.coalgebra.comult_op(), (nh, nh))  # (t, a, mid, c) of Δ(h_t)
     legs = (h.adjoint_module().family(), es.module.family())
-    op = _kron_sum(f, terms, legs, (nh, ne), nh)
+    (counts, offsets, out, v), d = _kron_sum(f, terms, legs, (nh, ne), nh)
+    op = counts, offsets, out, _over(v, d)
     _, _, key, val = _flat(omega)
     t, term = np.repeat(np.arange(nh), key.size), np.tile(np.arange(key.size), nh)
     rep, out, v = _gather(op, t * n + key[term])

@@ -22,8 +22,10 @@ from .linalg import (
     _dtype,
     _field_array,
     _gather,
+    _integers,
     _mod_matmul,
     _mul,
+    _over,
     _reduce,
     _sparse_op,
     _sparse_values,
@@ -407,20 +409,29 @@ def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = N
     an operator on A⊗B⊗….  It has ``n_in`` inputs, groups·dim unless a
     caller knows that fewer are reached.
 
-    Entries are products of the nonzeros of the matrices, summed in the
-    field; input and output indices are row-major over the legs.
+    Entries are products of the nonzeros of the matrices, summed exactly;
+    input and output indices are row-major over the legs.  The values of
+    the terms and of each leg family are cleared of denominators once
+    (``linalg._integers``), so every product is one of integers: the
+    result is (operator, d), the operator's values the integer numerators
+    of its entries over the one denominator d, the product of the terms'
+    and the legs' denominators.  Over GF(p) d is 1 and the values are
+    residues; ``linalg._over`` gives the field values.
     """
     inp, *which, val = terms
+    val, den = _integers(f, val)
     src = np.arange(inp.size)
     out = np.zeros_like(inp)
     n = 1
     for fam, d, idx in zip(legs, dims, which):
-        rep, pos, v = _gather(fam, idx[src])
+        ints, d_fam = _integers(f, fam[3])
+        rep, pos, v = _gather((*fam[:3], ints), idx[src])
         row, col = np.divmod(pos, d)
         src, inp, out = src[rep], inp[rep] * d + col, out[rep] * d + row
         val = _mul(f, val[rep], v)
+        den *= d_fam
         n *= d
-    return _sparse_op(f, inp, out, val, groups * n if n_in is None else n_in, n)
+    return _sparse_op(f, inp, out, val, groups * n if n_in is None else n_in, n), den
 
 
 def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False) -> np.ndarray:
@@ -428,12 +439,13 @@ def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False
     columns (g, a, b, c), as one (groups, n, n) field array of dense maps
     on X⊗Y; with ``swap`` they land in Y⊗X."""
     f, n = x.field, x.dim * y.dim
-    counts, _, out, val = _kron_sum(f, terms, (x.family(), y.family()), (x.dim, y.dim), groups)
+    (counts, _, out, val), d = _kron_sum(f, terms, (x.family(), y.family()),
+                                         (x.dim, y.dim), groups)
     if swap:
         out = out % y.dim * x.dim + out // y.dim
     g, col = np.divmod(np.repeat(np.arange(groups * n), counts), n)
     dense = np.zeros((groups, n, n), dtype=_dtype(f))
-    dense[g, out, col] = val
+    dense[g, out, col] = _over(val, d)
     return dense
 
 

@@ -421,15 +421,26 @@ _integral = np.frompyfunc(lambda x: x.numerator if x.denominator == 1 else x, 1,
 _ratio = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 1)
 
 
+def _over(x: np.ndarray, d: int) -> np.ndarray:
+    """The field values x / d of integer numerators x over one denominator
+    d (``_integers``): x itself when d is 1, as it always is over GF(p)."""
+    return x if d == 1 else _ratio(x, d)
+
+
 def _dtype(f: Field):
     """Array dtype of field scalars: float64 over GF(p), objects over Q."""
     return np.float64 if isinstance(f, PrimeField) else object
 
 
 def _field_array(f: Field, rows) -> np.ndarray:
-    """``rows`` as a field array; a float64 array over GF(p) is not copied."""
-    arr = np.asarray(rows, dtype=_dtype(f))
-    return arr if isinstance(f, PrimeField) else _integral(arr)
+    """``rows`` as a field array; a float64 array over GF(p) is not copied.
+    Over Q an array of an integer dtype becomes Python ints in one step;
+    anything else is read entry by entry, integral Fractions as ints."""
+    if isinstance(f, PrimeField):
+        return np.asarray(rows, dtype=np.float64)
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
+        return rows.astype(object)
+    return _integral(np.asarray(rows, dtype=object))
 
 
 def _reduce(f: Field, a: np.ndarray) -> np.ndarray:
@@ -512,7 +523,7 @@ def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
     """
     if not isinstance(f, PrimeField):
         (ia, da), (ib, db) = _integers(f, a), _integers(f, b)
-        out = ia @ ib if da * db == 1 else _ratio(ia @ ib, da * db)
+        out = _over(ia @ ib, da * db)
         return out if c is None else c + out
     p = f.p
     block = (_FLOAT_EXACT_LIMIT - 2 * p) // (p - 1) ** 2

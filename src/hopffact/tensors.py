@@ -38,7 +38,7 @@ import numpy as np
 from .errors import HopffactError, NotInvertible, SpaceMismatch
 from .fields import Field, require_same_field
 from .linalg import (_SLICE_CELLS, _OverBudget, _apply, _combine, _dtype, _field_array, _gather,
-                     _integers, _krylov, _mod_matmul, _mul, _neg, _ratio, _scalar_rows,
+                     _integers, _krylov, _mod_matmul, _mul, _neg, _over, _scalar_rows,
                      _sparse_op, _sparse_values)
 
 
@@ -474,8 +474,7 @@ def _products(f: Field, left, right, ops, dims):
     key, val = np.concatenate(keys), np.concatenate(vals)
     if len(keys) > 2:  # batches can share keys
         key, val = _combine(f, key, val)
-    if da * db != 1:
-        val = _ratio(val, da * db)
+    val = _over(val, da * db)
     counts = np.bincount(key // n, minlength=left[0].size * n_right)
     return counts, np.cumsum(counts) - counts, key % n, val
 

@@ -183,12 +183,12 @@ def _reference_check(k, x, y, m):
 # Inputs
 # ---------------------------------------------------------------------------
 
-def _bumped(mod, a, i, j):
-    """``mod`` with 1 added to entry (i, j) of action matrix a."""
+def _bumped(mod, a, i, j, by=1):
+    """``mod`` with ``by`` added to entry (i, j) of action matrix a."""
     mat = mod.action[a]
     f = mat.field
     rows = [list(row) for row in mat.rows]
-    rows[i][j] = f.add(rows[i][j], f.one)
+    rows[i][j] = f.add(rows[i][j], f.scalar(by))
     action = list(mod.action)
     action[a] = MapMatrix(f, mat.domain, mat.codomain, rows)
     return HModule(mod.space, action)
@@ -209,6 +209,21 @@ def _modules(b):
     return x, x, regular_bmodule(b.comodule)
 
 
+def _check_bumped_against_reference(b, data, by):
+    """One entry of one of b's modules moved by a value drawn from ``by``:
+    the check's axiom and witness are the reference's."""
+    mods = list(_modules(b))
+    which = data.draw(st.integers(0, 2))
+    mod = mods[which]
+    a = data.draw(st.integers(0, len(mod.action) - 1))
+    i = data.draw(st.integers(0, mod.dim - 1))
+    j = data.draw(st.integers(0, mod.dim - 1))
+    mods[which] = _bumped(mod, a, i, j, data.draw(by))
+    got = check_braided_module(b.kmatrix, *mods)
+    want = _reference_check(b.kmatrix, *mods)
+    assert (got.axiom, got.witness) == (want.axiom, want.witness)
+
+
 ORACLE_FIELDS = [QQ, GF(101), GF(94906249)]
 ORACLE_CASES = [(name, field) for name in ("double:C2", "sweedler:1", "subgroup:S3:C2")
                 for field in ORACLE_FIELDS]
@@ -220,17 +235,18 @@ ORACLE_CASES = [(name, field) for name in ("double:C2", "sweedler:1", "subgroup:
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_braided_check_matches_columnwise_reference(name, field, data):
-    b = named_example(name, field)
-    mods = list(_modules(b))
-    which = data.draw(st.integers(0, 2))
-    mod = mods[which]
-    a = data.draw(st.integers(0, len(mod.action) - 1))
-    i = data.draw(st.integers(0, mod.dim - 1))
-    j = data.draw(st.integers(0, mod.dim - 1))
-    mods[which] = _bumped(mod, a, i, j)
-    got = check_braided_module(b.kmatrix, *mods)
-    want = _reference_check(b.kmatrix, *mods)
-    assert (got.axiom, got.witness) == (want.axiom, want.witness)
+    _check_bumped_against_reference(named_example(name, field), data, st.just(1))
+
+
+@pytest.mark.parametrize("name", ["sweedler:1", "double:C2"])
+@settings(max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_braided_check_matches_columnwise_reference_on_fractions(name, data):
+    # a bump by a non-integral rational gives a module family with a
+    # denominator, which the integer route clears like those of R and K
+    _check_bumped_against_reference(
+        named_example(name, QQ), data,
+        st.fractions(-3, 3, max_denominator=7).filter(lambda q: q.denominator > 1))
 
 
 @pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
@@ -295,6 +311,44 @@ def test_braided_checks_build_each_module_family_once(monkeypatch):
         for y in mods:
             assert check_braided_module(b.kmatrix, x, y, m)
     assert len(calls) == 3
+
+
+def test_braided_checks_over_q_multiply_integers_and_build_the_k_share_once(monkeypatch):
+    # Sweedler's R and R⁻¹ have coefficients ±1/2; every operand of the
+    # chain's products is an int all the same, and (Δ⊗id)K, (id⊗δ)K and
+    # (ε⊗id)K are formed once per KMatrix
+    import hopffact.comodule as comodule
+    import hopffact.hopf as hopf
+
+    b = named_example("sweedler:1", QQ)
+    assert {x.denominator for x in b.rmatrix.element.coeffs.values()} == {2}
+    k = comodule.KMatrix(b.comodule, b.rmatrix, b.kmatrix.element, b.kmatrix.inverse)
+    operands, coapplied = [], []
+
+    def ints_only(mul):
+        def wrapped(f, x, y):
+            operands.append(all(type(v) is int for v in (*x.flat, *y.flat)))
+            return mul(f, x, y)
+        return wrapped
+
+    coapply = comodule._coapply
+
+    def counting(*args):
+        coapplied.append(args[3])
+        return coapply(*args)
+
+    monkeypatch.setattr(comodule, "_mul", ints_only(comodule._mul))
+    monkeypatch.setattr(hopf, "_mul", ints_only(hopf._mul))
+    monkeypatch.setattr(comodule, "_coapply", counting)
+    m = regular_bmodule(b.comodule)
+    mods = (trivial_module(b.hopf), regular_module(b.hopf))
+    calls = []
+    for x in mods:
+        for y in mods:
+            assert check_braided_module(k, x, y, m)
+            calls.append(len(coapplied))
+    assert operands and all(operands)
+    assert calls == [3, 3, 3, 3]
 
 
 def test_braided_check_unit_law_failure():
