@@ -19,6 +19,7 @@ from .hopf import (
     _check_representation,
     _kron_sum,
     _regular,
+    check_representation,
     element_terms,
     kron_sums,
 )
@@ -186,6 +187,24 @@ class KMatrix:
 def check_k_matrix(k: KMatrix) -> Verdict:
     """The three K-matrix axioms, entrywise in H⊗H⊗B and H⊗B; axiom (iii)
     on every basis element b at once."""
+    v = _coproduct_axioms(k)[0]
+    if not v:
+        return v
+    c, h = k.comodule, k.host
+    f, nh, nb = h.field, h.dim, c.dim
+    ops, dims = [h.algebra.mult_op(), c.algebra.mult_op()], [nh, nb]
+    kf, delta = _flat(k.element), c.coaction_op()
+    bad = _differing(f, _products(f, kf, delta, ops, dims),  # element b of each side
+                     _products(f, delta, kf, ops, dims), nh * nb)
+    if bad.size:
+        return Verdict.failed("kmatrix-iii", (int(bad[0]),), "Kδ(b) ≠ δ(b)K")
+    return Verdict.passed()
+
+
+def _coproduct_axioms(k: KMatrix):
+    """K-axioms (i), (Δ⊗id)K = K23 R21 K13 R21⁻¹, and (ii),
+    (id⊗δ)K = R21 K13 R12, entrywise in H⊗H⊗B, (i) first: the verdict,
+    then the left sides (Δ⊗id)K and (id⊗δ)K as families of one element."""
     c, h = k.comodule, k.host
     f, nh, nb = h.field, h.dim, c.dim
     halg, balg = h.algebra, c.algebra
@@ -201,18 +220,16 @@ def check_k_matrix(k: KMatrix) -> Verdict:
     r = k.rmatrix
     r21, r21_inv = leg(r.element, (1, 0)), leg(r.inverse, (1, 0))
     r12, k13, k23 = leg(r.element, (0, 1)), leg(k.element, (0, 2)), leg(k.element, (1, 2))
-    kf, delta = _flat(k.element), c.coaction_op()
-    if _differing(f, _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh),
-                  product(k23, r21, k13, r21_inv), nh * nh * nb).size:
-        return Verdict.failed("kmatrix-i", None, "(Δ⊗id)K ≠ K23 R21 K13 R21⁻¹")
-    if _differing(f, _coapply(f, kf, (nh, nb), 1, delta, nh * nb),
-                  product(r21, k13, r12), nh * nh * nb).size:
-        return Verdict.failed("kmatrix-ii", None, "(id⊗δ)K ≠ R21 K13 R12")
-    bad = _differing(f, _products(f, kf, delta, ops3[1:], dims3[1:]),  # element b of each side
-                     _products(f, delta, kf, ops3[1:], dims3[1:]), nh * nb)
-    if bad.size:
-        return Verdict.failed("kmatrix-iii", (int(bad[0]),), "Kδ(b) ≠ δ(b)K")
-    return Verdict.passed()
+    kf = _flat(k.element)
+    delta_k = _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh)
+    coact_k = _coapply(f, kf, (nh, nb), 1, c.coaction_op(), nh * nb)
+    if _differing(f, delta_k, product(k23, r21, k13, r21_inv), nh * nh * nb).size:
+        v = Verdict.failed("kmatrix-i", None, "(Δ⊗id)K ≠ K23 R21 K13 R21⁻¹")
+    elif _differing(f, coact_k, product(r21, k13, r12), nh * nh * nb).size:
+        v = Verdict.failed("kmatrix-ii", None, "(id⊗δ)K ≠ R21 K13 R12")
+    else:
+        v = Verdict.passed()
+    return v, delta_k, coact_k
 
 
 def regular_bmodule(c: ComoduleAlgebra) -> BModule:
@@ -289,23 +306,22 @@ def _in_columns(f, fam, d: int, lo: int, hi: int):
 
 def _braided_share(k: KMatrix):
     """The part of ``check_braided_module`` that depends on K alone, built
-    on first use and kept on k for its lifetime: the columns of (Δ⊗id)K
-    and of (id⊗δ)K on H⊗H⊗B, the coefficient row of (ε⊗id)K on B, the
-    terms of K and of R (``element_terms``), and those of R and R⁻¹ as
-    groups 0 and 1 of one set."""
+    on first use and kept on k for its lifetime: the verdict of K-axioms
+    (i) and (ii) (``_coproduct_axioms``), the columns of the families it
+    compares, (Δ⊗id)K and (id⊗δ)K on H⊗H⊗B, the coefficient row of
+    (ε⊗id)K on B, the terms of K and of R (``element_terms``), and those
+    of R and R⁻¹ as groups 0 and 1 of one set."""
     if k._braided is None:
         h, r = k.host, k.rmatrix
         f, nh, nb = h.field, h.dim, k.comodule.dim
-        kf = _flat(k.element)
-        delta_k = _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh)
-        coact_k = _coapply(f, kf, (nh, nb), 1, k.comodule.coaction_op(), nh * nb)
-        eps_k = _coapply(f, kf, (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
+        axioms, delta_k, coact_k = _coproduct_axioms(k)
+        eps_k = _coapply(f, _flat(k.element), (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
         eps_row = np.zeros((1, nb), dtype=_dtype(f))
         eps_row[0, eps_k[2]] = eps_k[3]
         r_terms, r_inv = element_terms(r.element), element_terms(r.inverse)
         r_pair = tuple(map(np.concatenate, zip(r_terms, (r_inv[0] + 1, *r_inv[1:]))))
         object.__setattr__(k, "_braided", (
-            *(_columns(t, (nh, nh, nb)) for t in (delta_k, coact_k)), eps_row,
+            axioms, *(_columns(t, (nh, nh, nb)) for t in (delta_k, coact_k)), eps_row,
             element_terms(k.element), r_terms, r_pair))
     return k._braided
 
@@ -315,6 +331,37 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
 
     Identity 1 is e_{X⊗Y,M} = (id_X ▷ e_{Y,M}) c_{Y,X} (id_Y ▷ e_{X,M}) c_{Y,X}⁻¹
     and identity 2 is e_{X,Y▷M} = c_{Y,X} (id_Y ▷ e_{X,M}) c_{X,Y} (Kolb 2020).
+
+    On representations both follow from K-axioms (i) and (ii), as in
+    Kolb's proof that a quasitriangular comodule algebra makes Rep(B) a
+    braided module category over Rep(H).  Every step of either side acts
+    on X⊗Y⊗M as ρ_X⊗ρ_Y⊗ρ_M of an element of H⊗H⊗B, the flips of the
+    braidings cancelling along each chain: the left sides as (Δ⊗id)K and
+    (id⊗δ)K, the right sides as the factors of K23 R21 K13 R21⁻¹ and of
+    R21 K13 R12.  When ρ_X and ρ_Y are representations of H and ρ_M one of
+    B, so is ρ_X⊗ρ_Y⊗ρ_M of H⊗H⊗B, each chain is the action of its one
+    product element, and the axioms make the two sides equal on every
+    column.  So when K passes axioms (i) and (ii), whose verdict
+    ``_braided_share`` keeps on the KMatrix, and ``check_representation``
+    (whose verdict each module keeps) passes for X, Y and M, only the unit
+    law runs.  In every other case every column is scanned
+    (``_braided_scan``), and the witness is the first failing column.
+
+    The unit law e_{1,M} = id is ρ_M((ε⊗id)K) = id: one product of the
+    coefficients of (ε⊗id)K with M's action matrices.
+    """
+    axioms, _, _, eps_row, *_ = _braided_share(k)
+    h, b = k.host.algebra, k.comodule.algebra
+    if axioms and all(check_representation(alg, mod) for alg, mod in ((h, x), (h, y), (b, m))):
+        return _unit_law(k.host.field, eps_row, m)
+    return _braided_scan(k, x, y, m)
+
+
+def _braided_scan(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verdict:
+    """Both braided-module identities column by column of X⊗Y⊗M, then the
+    unit law: the verdict of ``check_braided_module`` with no appeal to
+    K's axioms or the modules' laws.
+
     Each side is applied to a batch of basis columns of X⊗Y⊗M at once: the
     braidings and e are two-leg sparse operators, and the left sides,
     (Δ⊗id)K and (id⊗δ)K, three-leg ones, each a sum of outer products of
@@ -343,12 +390,9 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
     no expansion exceeds ``linalg._SLICE_CELLS`` entries.
     The witness is the first failing column (jx, jy, jm) in lexicographic
     order, named by identity 1 when it fails there.
-
-    The unit law e_{1,M} = id is ρ_M((ε⊗id)K) = id: one product of the
-    coefficients of (ε⊗id)K with M's action matrices.
     """
     f = k.host.field
-    terms1, terms2, eps_row, k_terms, r_terms, r_pair = _braided_share(k)
+    _, terms1, terms2, eps_row, k_terms, r_terms, r_pair = _braided_share(k)
     dims = [x.dim, y.dim, m.dim]
     swap = (1, 0, 2)
     keep = (0, 1, 2)
@@ -403,7 +447,12 @@ def check_braided_module(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verd
                 axiom = "braided-module-1" if col in bad1 else "braided-module-2"
                 return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
             first = stop
-    # unit law e_{1,M} = id
+    return _unit_law(f, eps_row, m)
+
+
+def _unit_law(f: Field, eps_row: np.ndarray, m: BModule) -> Verdict:
+    """e_{1,M} = id, that is ρ_M((ε⊗id)K) = id for the coefficient row
+    ``eps_row`` of (ε⊗id)K."""
     d = m.dim
     acts = m.stack.reshape(eps_row.shape[1], d * d)
     if not np.array_equal(_mod_matmul(f, eps_row, acts)[0], np.eye(d, dtype=acts.dtype).ravel()):

@@ -16,9 +16,11 @@ from .algebras import (
 from .errors import InconsistentSystem, NoAntipode, NotInvertible, SpaceMismatch
 from .fields import Field
 from .linalg import (
+    _SLICE_CELLS,
     BasedSpace,
     MapMatrix,
-    _apply,
+    _OverBudget,
+    _combine,
     _dtype,
     _field_array,
     _gather,
@@ -276,10 +278,11 @@ class HModule:
     MapMatrix endomorphisms of ``space``, and stacks it once.
 
     ``action`` is the matrices as MapMatrix views and ``family()`` their
-    nonzeros as one sparse family, each built on first use and kept.
+    nonzeros as one sparse family, each built on first use and kept; the
+    verdict of ``check_representation`` is kept with its algebra.
     """
 
-    __slots__ = ("space", "field", "stack", "_action", "_fam")
+    __slots__ = ("space", "field", "stack", "_action", "_fam", "_laws")
 
     def __init__(self, space: BasedSpace, action, field: Field | None = None):
         if not isinstance(action, np.ndarray):
@@ -297,6 +300,7 @@ class HModule:
         object.__setattr__(self, "stack", action)
         object.__setattr__(self, "_action", None)
         object.__setattr__(self, "_fam", None)
+        object.__setattr__(self, "_laws", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HModule is immutable")
@@ -352,40 +356,70 @@ def check_module(h: HopfAlgebra, x: HModule) -> Verdict:
 def check_representation(algebra, x: HModule) -> Verdict:
     """Representation laws of a structure-constant algebra on a module:
     ρ(1) = id, then ρ(e_i)ρ(e_j) = ρ(e_i e_j) for every pair; the witness
-    is the first failing pair."""
-    return _check_representation(algebra, x, range(algebra.dim))
+    is the first failing pair.  The module keeps the verdict for the last
+    algebra it was checked against, so a second call is a lookup."""
+    if x._laws is None or x._laws[0] is not algebra:
+        v = _check_representation(algebra, x, range(algebra.dim))
+        object.__setattr__(x, "_laws", (algebra, v))
+    return x._laws[1]
 
 
 def _check_representation(algebra, x: HModule, lefts) -> Verdict:
     """ρ(1) = id, then ρ(e_i)ρ(e_j) = ρ(e_i e_j) for every i in ``lefts``
-    and every j, all j at once, through the nonzeros of ρ(e_i) and of the
-    structure constants: ρ(1) is the unit's terms applied to the stacked
-    ρ(e_k), ρ(e_i) is applied by its nonzeros to all the ρ(e_j) side by
-    side, and the products e_i·e_j to the stacked ρ(e_k).  No dense
-    product of two action matrices is formed, so the cost follows the
-    nonzeros, not the size of the prime."""
+    and every j, as sparse joins over the action's nonzeros
+    (``HModule.family``).  ρ(1) is Σ u_k·ρ(e_k) over the unit's terms,
+    summed from the family's entries.  Every product ρ(e_i)ρ(e_j) is one join: a left entry
+    ρ(e_i)[r, t] meets the entries of row t of every ρ(e_j), the right
+    entries regrouped once by row.  It is compared with ρ(e_i e_j), the
+    structure constants of the pairs applied through the family.  The
+    pairs go in batches of ``lefts``, halved until no join exceeds
+    ``linalg._SLICE_CELLS`` entries, so the cost follows the nonzeros;
+    no dense product is formed.  The witness is the first failing (i, j),
+    i in the order of ``lefts``."""
     f, n, d = algebra.field, algebra.dim, x.dim
-    stack = x.stack
-    if len(stack) != n:
+    if len(x.stack) != n:
         return Verdict.failed("module-shape", None, "one matrix per basis element required")
-    flat = stack.reshape(n, d * d)
+    fam = x.family()
     _, _, k, c = _units(f, [algebra])
-    if not np.array_equal(_apply(f, (np.zeros_like(k), k, c), flat)[0],
-                          np.eye(d, dtype=flat.dtype).ravel()):
+    rep, out, v = _gather(fam, k)
+    out, v = _combine(f, out, _mul(f, v, c[rep]))
+    if not (np.array_equal(out, np.arange(d) * (d + 1)) and np.all(v == 1)):
         return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
-    side = stack.transpose(1, 0, 2).reshape(d, n * d)  # [ρ(e_0) … ρ(e_{n-1})]
-    for i in lefts:
-        r, s = np.nonzero(stack[i])  # ρ(e_i)'s nonzeros, by row
-        lhs = np.zeros((d, n * d), dtype=flat.dtype)
-        lhs[np.unique(r)] = _apply(f, (r, s, stack[i, r, s]), side)
-        lhs = lhs.reshape(d, n, d).transpose(1, 0, 2).reshape(n, d * d)
-        j, k, c = _gather(algebra.mult_op(), i * n + np.arange(n))
-        rhs = np.zeros_like(lhs)
-        rhs[np.unique(j)] = _apply(f, (j, k, c), flat)
-        bad = np.flatnonzero((lhs != rhs).any(axis=1))
+    t, s = np.divmod(fam[2], d)
+    by_row = _sparse_op(f, t, _members(fam) * d + s, fam[3], d, n * d)  # input t: j·d + s
+    lefts = np.asarray(lefts, dtype=np.int64)
+    start, size = 0, lefts.size
+    while start < lefts.size:
+        stop = min(lefts.size, start + size)
+        try:
+            bad = _failing_pairs(algebra, fam, by_row, lefts[start:stop],
+                                 _SLICE_CELLS if stop - start > 1 else None)
+        except _OverBudget:
+            size = (stop - start + 1) // 2
+            continue
         if bad.size:
-            return Verdict.failed("module-mult", (i, int(bad[0])))
+            g, j = divmod(int(bad[0]), n)
+            return Verdict.failed("module-mult", (int(lefts[start + g]), j))
+        start = stop
     return Verdict.passed()
+
+
+def _failing_pairs(algebra, fam, by_row, lefts, limit):
+    """The pairs g·n + j, ascending, with ρ(e_i)ρ(e_j) ≠ ρ(e_i e_j) for
+    i = lefts[g]; ``by_row`` is the family's entries keyed by row."""
+    f, n = algebra.field, algebra.dim
+    d = by_row[0].size
+    g, rt, v = _gather(fam, lefts)
+    r, t = np.divmod(rt, d)
+    rep, js, w = _gather(by_row, t, limit)
+    j, s = np.divmod(js, d)
+    lhs = _sparse_op(f, g[rep] * n + j, r[rep] * d + s, _mul(f, v[rep], w), lefts.size * n, d * d)
+    m = algebra.mult_op()
+    pairs = (lefts[:, None] * n + np.arange(n)).ravel()
+    _, k, c = _gather(m, pairs)  # the products e_i·e_j, as a family of the pairs
+    counts = m[0][pairs]
+    rhs = _coapply(f, (counts, np.cumsum(counts) - counts, k, c), (n,), 0, fam, d * d)
+    return _differing(f, lhs, rhs, d * d)
 
 
 def kron_matrix(a: MapMatrix, b: MapMatrix) -> MapMatrix:

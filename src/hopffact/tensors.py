@@ -383,14 +383,21 @@ def _element(f: Field, factors, fam, keep: bool = False) -> TensorElement:
 
 
 def _units(f: Field, algebras):
-    """The unit 1⊗…⊗1 of a product of algebras as a family of one element."""
-    key, val = [0], [f.one]
+    """The unit 1⊗…⊗1 of a product of algebras as a family of one element:
+    every choice of one unit term per slot, keyed row-major, the keys and
+    values of all choices formed at once per slot."""
+    key = val = None
     for alg in algebras:
-        terms = [(j, c) for j, c in enumerate(alg.unit) if c]
-        key = [k * alg.dim + j for k in key for j, _ in terms]
-        val = [f.mul(v, c) for v in val for _, c in terms]
-    key = np.array(key, dtype=np.int64)
-    return np.array([key.size]), np.zeros(1, dtype=np.int64), key, _sparse_values(f, val)
+        j = np.array([i for i, c in enumerate(alg.unit) if c], dtype=np.int64)
+        c = _sparse_values(f, [alg.unit[i] for i in j])
+        if val is None:
+            key, val = j, c
+        else:
+            key = (key[:, None] * alg.dim + j).ravel()
+            val = _sparse_values(f, _mul(f, val[:, None], c).ravel())
+    if val is None:
+        key, val = np.zeros(1, dtype=np.int64), _sparse_values(f, [f.one])
+    return np.array([key.size]), np.zeros(1, dtype=np.int64), key, val
 
 
 def _mult_ops(t: TensorElement, algebras) -> list:

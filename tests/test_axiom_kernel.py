@@ -31,8 +31,10 @@ from hopffact.comodule import (
     KMatrix,
     check_comodule_algebra,
     check_k_matrix,
+    compute_end_space,
+    regular_bmodule,
 )
-from hopffact.constructions import dual_group_algebra, group_algebra, named_example
+from hopffact.constructions import dual_group_algebra, group_algebra, named_example, registry_names
 from hopffact.errors import HopffactError, NotInvertible
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
@@ -44,8 +46,9 @@ from hopffact.hopf import (
     check_hopf,
     check_representation,
     regular_module,
+    trivial_module,
 )
-from hopffact import tensors
+from hopffact import hopf, tensors
 from hopffact.linalg import BasedSpace, MapMatrix
 from hopffact.rmatrix import RMatrix, _check_axioms
 from hopffact.tensors import (TensorElement, _element, _embed, _flat, _linear_op, _products,
@@ -683,7 +686,7 @@ def test_generators_decide_the_representation_laws(name, which, row, col, value)
     assert bool(by_generators) == bool(check_representation(h.algebra, x))
 
 
-def _reference_check_representation(algebra, x):
+def _reference_check_representation(algebra, x, lefts=None):
     f, n, d = algebra.field, algebra.dim, x.dim
     mats = [m.rows for m in x.action]
     mult = mult_dict(algebra)
@@ -703,7 +706,7 @@ def _reference_check_representation(algebra, x):
     ident = [[f.one if r == t else f.zero for t in range(d)] for r in range(d)]
     if combo(enumerate(algebra.unit)) != ident:
         return Verdict.failed("module-unit", None, "ρ(1) ≠ id")
-    for i in range(n):
+    for i in range(n) if lefts is None else lefts:
         for j in range(n):
             if matmul(mats[i], mats[j]) != combo(mult.get((i, j), {}).items()):
                 return Verdict.failed("module-mult", (i, j))
@@ -720,6 +723,123 @@ def test_sparse_representation_check_matches_reference(name, field, which, row, 
     x = _bumped_module(h, which % n, row % n, col % n, field.scalar(value))
     assert (_outcome(check_representation, h.algebra, x)
             == _outcome(_reference_check_representation, h.algebra, x))
+
+
+def _bumps(x, count, seed):
+    """``count`` copies of the module ``x``, each with one entry of one
+    action matrix moved by a nonzero value drawn from random.Random(seed)."""
+    f, rng = x.field, random.Random(seed)
+    out = []
+    for _ in range(count):
+        stack = x.stack.copy()
+        a, i, j = rng.randrange(len(stack)), rng.randrange(x.dim), rng.randrange(x.dim)
+        stack[a, i, j] = stack[a, i, j] + f.scalar(rng.choice((-2, -1, 1, 2)))
+        if f != QQ:
+            stack[a, i, j] %= f.p
+        out.append(HModule(x.space, stack, f))
+    return out
+
+
+def _join_matches_reference(algebra, x, lefts=None):
+    """The join's verdict, axiom, witness and message are the reference's,
+    on every pair or on the pairs (i, j) with i in ``lefts``."""
+    if lefts is None:
+        got = _outcome(check_representation, algebra, x)
+    else:
+        got = _outcome(_check_representation, algebra, x, lefts)
+    assert got == _outcome(_reference_check_representation, algebra, x, lefts)
+    return got
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_representation_join_on_the_registry(field):
+    failed = 0
+    for name in registry_names():
+        b = named_example(name, field)
+        h = b.hopf
+        mods = [regular_module(h), trivial_module(h), h.adjoint_module()]
+        for x in mods + _bumps(mods[0], 3, len(name)):
+            failed += not _join_matches_reference(h.algebra, x)[0]
+        if b.comodule is not None:
+            m = regular_bmodule(b.comodule)
+            _join_matches_reference(b.comodule.algebra, m)
+            for x in _bumps(m, 2, len(name)):
+                failed += not _join_matches_reference(b.comodule.algebra, x)[0]
+    assert failed > 10
+
+
+def _rebased(algebra, entries):
+    """``algebra`` on the basis b'_i = Σ_j P_ji e_j, P the n×n matrix of
+    ``entries`` (row-major); None when P is singular."""
+    f, n, sp = algebra.field, algebra.dim, algebra.space
+    change = MapMatrix(f, sp, sp, [[f.scalar(x) for x in entries[i * n:(i + 1) * n]]
+                                   for i in range(n)])
+    try:
+        back = change.inverse()
+    except NotInvertible:
+        return None
+    cols = [{j: row[i] for j, row in enumerate(change.rows)} for i in range(n)]
+
+    def new_coords(old):
+        return back.apply(tuple(old.get(j, f.zero) for j in range(n)))
+
+    old = mult_dict(algebra)
+    mult = {(i, j): dict(enumerate(new_coords(multiply(f, old, cols[i], cols[j]))))
+            for i in range(n) for j in range(n)}
+    return StructAlgebra(f, BasedSpace(tuple(f"e{i}'" for i in range(n))), mult,
+                         new_coords(algebra.unit_dict()))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_representation_join_on_a_dense_rebasing(field):
+    # regular:S3 on a random integer basis: every structure constant and
+    # every entry of the regular action can be nonzero
+    rng = random.Random(7)
+    alg = None
+    while alg is None:
+        alg = _rebased(named_example("regular:S3", field).hopf.algebra,
+                       [rng.randint(-9, 9) for _ in range(36)])
+    x = hopf._regular(alg)
+    assert np.count_nonzero(x.stack) > x.stack.size // 2
+    assert _join_matches_reference(alg, x)[0]
+    gens = algebra_generators(alg)
+    for y in _bumps(x, 6, 3):
+        assert not _join_matches_reference(alg, y)[0]
+        _join_matches_reference(alg, y, gens)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_representation_join_restricted_to_generators(field):
+    # the call compute_end_space makes: the end space's H-action, checked
+    # from the generators of H, intact and with one entry moved
+    for name in ("double:C2", "double:C3", "sweedler:1", "subgroup:S3:C2", "regular:S3"):
+        b = named_example(name, field)
+        alg, es = b.hopf.algebra, compute_end_space(b.comodule)
+        gens = algebra_generators(alg)
+        assert _join_matches_reference(alg, es.module, gens)[0]
+        for y in _bumps(es.module, 4, len(name)):
+            _join_matches_reference(alg, y, gens)
+
+
+def test_representation_join_in_small_batches(monkeypatch):
+    # a budget below one pair's join makes every batch one left element
+    batches = []
+    failing_pairs = hopf._failing_pairs
+
+    def counting(algebra, fam, by_row, lefts, limit):
+        bad = failing_pairs(algebra, fam, by_row, lefts, limit)
+        batches.append(lefts.size)  # a batch over budget raises first
+        return bad
+
+    monkeypatch.setattr(hopf, "_SLICE_CELLS", 5)
+    monkeypatch.setattr(hopf, "_failing_pairs", counting)
+    for name in ("double:C2", "regular:S3", "double:C3"):
+        h = named_example(name, GF(101)).hopf
+        x = regular_module(h)
+        for y in [x] + _bumps(x, 4, 1):
+            batches.clear()
+            ok = _join_matches_reference(h.algebra, y)[0]
+            assert set(batches) <= {1} and (len(batches) == h.dim or not ok)
 
 
 # ---------------------------------------------------------------------------

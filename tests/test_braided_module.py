@@ -2,7 +2,10 @@
 
 ``_reference_check`` is the earlier implementation, which pushes one basis
 column of X⊗Y⊗M at a time through every step as a dict; the batched check
-must return the same verdict name and witness on every input.
+must return the same verdict name and witness on every input.  Where K
+passes axioms (i) and (ii) and the modules are representations, the check
+answers from that certificate; ``_braided_scan`` is the column scan it
+otherwise runs, and the two must agree wherever both apply.
 """
 
 import pytest
@@ -10,15 +13,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hopffact.comodule import (
+    KMatrix,
+    _braided_scan,
     check_braided_module,
+    check_k_matrix,
     module_braiding,
     regular_bmodule,
     z2_membership,
 )
 from hopffact.constructions import named_example, registry_names
+from hopffact.errors import HopffactError
 from hopffact.fields import GF, QQ
 from hopffact.hopf import HModule, regular_module, trivial_module
 from hopffact.linalg import BasedSpace, MapMatrix
+from hopffact.tensors import tensor_unit
 from hopffact.verdicts import Verdict
 from reference_tables import coaction_dict, comult_dict
 
@@ -315,8 +323,8 @@ def test_braided_checks_build_each_module_family_once(monkeypatch):
 
 def test_braided_checks_over_q_multiply_integers_and_build_the_k_share_once(monkeypatch):
     # Sweedler's R and R⁻¹ have coefficients ±1/2; every operand of the
-    # chain's products is an int all the same, and (Δ⊗id)K, (id⊗δ)K and
-    # (ε⊗id)K are formed once per KMatrix
+    # column scan's products is an int all the same, and (Δ⊗id)K, (id⊗δ)K
+    # and (ε⊗id)K are formed once per KMatrix
     import hopffact.comodule as comodule
     import hopffact.hopf as hopf
 
@@ -345,7 +353,7 @@ def test_braided_checks_over_q_multiply_integers_and_build_the_k_share_once(monk
     calls = []
     for x in mods:
         for y in mods:
-            assert check_braided_module(k, x, y, m)
+            assert comodule._braided_scan(k, x, y, m)
             calls.append(len(coapplied))
     assert operands and all(operands)
     assert calls == [3, 3, 3, 3]
@@ -373,7 +381,7 @@ def test_braided_check_in_small_batches(monkeypatch):
     whole = check_braided_module(b.kmatrix, *mods)
     monkeypatch.setattr(comodule, "_SLICE_CELLS", 3)
     assert check_braided_module(b.kmatrix, *mods) == whole
-    assert check_braided_module(b.kmatrix, *_modules(b))
+    assert comodule._braided_scan(b.kmatrix, *_modules(b))
 
 
 @pytest.mark.parametrize("which, a, entry, axiom, witness", PINNED_36)
@@ -413,6 +421,67 @@ def test_braided_verdicts_do_not_depend_on_the_slab(monkeypatch):
     v = check_braided_module(k, line, y, m)
     assert not v and v.witness[0] == line.dim - 1
     assert v == whole[-1] == _reference_check(k, line, y, m)
+
+
+def _registry_ks(field):
+    """(name, bundle) for every registry instance with a K-matrix that
+    builds over ``field`` (Sweedler's algebras need characteristic ≠ 2)."""
+    for name in registry_names():
+        try:
+            b = named_example(name, field)
+        except HopffactError:
+            continue
+        if b.kmatrix is not None:
+            yield name, b
+
+
+def _pairs(b):
+    """The four (X, Y) of {trivial, regular}²."""
+    mods = (trivial_module(b.hopf), regular_module(b.hopf))
+    return [(x, y) for x in mods for y in mods]
+
+
+CERTIFICATE_CASES = [(field, None) for field in (QQ, GF(101), GF(2))] + [(GF(101), "double:S3")]
+
+
+@pytest.mark.parametrize("field, name", CERTIFICATE_CASES,
+                         ids=[f"{f}-{n or 'registry'}" for f, n in CERTIFICATE_CASES])
+def test_certificate_agrees_with_the_scan(field, name):
+    cases = list(_registry_ks(field)) if name is None else [(name, named_example(name, field))]
+    assert cases
+    for name, b in cases:
+        m = regular_bmodule(b.comodule)
+        for x, y in _pairs(b):
+            assert check_braided_module(b.kmatrix, x, y, m) == _braided_scan(b.kmatrix, x, y, m), name
+
+
+def test_certificate_decides_the_registry_without_the_scan(monkeypatch):
+    # K passes axioms (i) and (ii) and every module is a representation
+    import hopffact.comodule as comodule
+
+    def no_scan(*args):
+        raise AssertionError("the column scan ran")
+
+    monkeypatch.setattr(comodule, "_braided_scan", no_scan)
+    for _, b in _registry_ks(QQ):
+        m = regular_bmodule(b.comodule)
+        for x, y in _pairs(b):
+            assert check_braided_module(b.kmatrix, x, y, m)
+
+
+def test_unit_k_fails_axiom_ii_and_is_scanned():
+    # K = 1⊗1 passes axiom (i) but not (ii), as R21 R12 ≠ 1 in D(C2), so
+    # the certificate does not apply and the scan finds the failing column
+    b = named_example("double:C2")
+    h, c = b.hopf, b.comodule
+    k = KMatrix(c, b.rmatrix, tensor_unit(h.field, (h.space, c.algebra.space),
+                                          [h.algebra, c.algebra]))
+    assert check_k_matrix(k).axiom == "kmatrix-ii"
+    m = regular_bmodule(c)
+    got = [check_braided_module(k, x, y, m) for x, y in _pairs(b)]
+    assert got == [_reference_check(k, x, y, m) for x, y in _pairs(b)]
+    assert [v.ok for v in got] == [True, True, True, False]
+    assert (got[3].axiom, got[3].witness) == ("braided-module-2", (0, 2, 0))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)

@@ -2,7 +2,9 @@
 
 import itertools
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -17,9 +19,10 @@ from hopffact.constructions import (
 from hopffact.errors import HopffactError, NotInvertible, SpaceMismatch
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group
-from hopffact.linalg import rank_of, solve_columns
+from hopffact.linalg import _sparse_values, rank_of, solve_columns
 from hopffact.tensors import (
     TensorElement,
+    _units,
     leg_embed,
     tensor_invert,
     tensor_mult,
@@ -64,6 +67,51 @@ def test_leg_embed_multi_term_unit():
     t = TensorElement(hd.field, (hd.space,), {(0,): one})
     out = leg_embed(t, (0,), (hd.space, hd.space), [hd.algebra, hd.algebra])
     assert out.coeffs == {(0, 0): one, (0, 1): one}
+
+
+def _reference_units(f, algebras):
+    """The unit family of a product of algebras by per-term loops over
+    every choice of one unit term per slot."""
+    key, val = [0], [f.one]
+    for alg in algebras:
+        terms = [(j, c) for j, c in enumerate(alg.unit) if c]
+        key = [k * alg.dim + j for k in key for j, _ in terms]
+        val = [f.mul(v, c) for v in val for _, c in terms]
+    key = np.array(key, dtype=np.int64)
+    return np.array([key.size]), np.zeros(1, dtype=np.int64), key, _sparse_values(f, val)
+
+
+class _UnitOnly:
+    """An algebra as far as ``_units`` reads it: a unit vector."""
+
+    def __init__(self, unit):
+        self.unit, self.dim = tuple(unit), len(unit)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2)], ids=str)
+def test_unit_family_matches_the_term_loops(field):
+    # the same arrays, dtypes and scalar types, for up to three slots
+    algebras = []
+    for name in registry_names():
+        try:
+            b = named_example(name, field)
+        except HopffactError:
+            continue  # Sweedler's algebras need characteristic ≠ 2
+        algebras += [b.hopf.algebra] + ([b.comodule.algebra] if b.comodule else [])
+    rng = random.Random(1)
+    choices = [[]] + [[a] for a in algebras] + [rng.choices(algebras, k=rng.randint(2, 3))
+                                                for _ in range(60)]
+    # a zero unit vector, as a perturbed table gives, and over Q units
+    # whose term products can be integral Fractions
+    odd = [_UnitOnly([0, 0])]
+    if field == QQ:
+        odd += [_UnitOnly([Fraction(1, 2), 0, 2]), _UnitOnly([Fraction(-1, 3), 3])]
+    choices += [list(p) for k in (1, 2, 3) for p in itertools.product(odd + algebras[:1], repeat=k)]
+    for algs in choices:
+        got, want = _units(field, algs), _reference_units(field, algs)
+        for x, y in zip(got, want):
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert list(map(type, x.tolist())) == list(map(type, y.tolist()))
 
 
 def test_leg_embed_errors(kc2):
