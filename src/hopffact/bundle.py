@@ -243,7 +243,7 @@ def _parse_triples(field, terms, dims, spaces, where) -> TensorElement:
     """An R- or K-matrix, keeping its table as the element's family."""
     rows, cols = terms[where]
     cols = [(0,) * len(rows), *_parse_rows(field, rows, cols, dims, where)]
-    return _element(field, spaces, _table(field, cols, (1,), dims), keep=True)
+    return _element(field, spaces, _table(field, cols, (1,), dims))
 
 
 def loads(text: str) -> LoadedBundle:

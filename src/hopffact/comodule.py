@@ -57,14 +57,16 @@ from .tensors import (
     TensorElement,
     _coapply,
     _columns,
+    _dense,
     _linear_op,
     _differing,
+    _element,
     _embed,
     _first_failure,
-    _flat,
     _members,
     _products,
     _table_of,
+    _terms,
     _units,
     tensor_invert,
     verify_inverse,
@@ -193,7 +195,7 @@ def check_k_matrix(k: KMatrix) -> Verdict:
     c, h = k.comodule, k.host
     f, nh, nb = h.field, h.dim, c.dim
     ops, dims = [h.algebra.mult_op(), c.algebra.mult_op()], [nh, nb]
-    kf, delta = _flat(k.element), c.coaction_op()
+    kf, delta = k.element._fam, c.coaction_op()
     bad = _differing(f, _products(f, kf, delta, ops, dims),  # element b of each side
                      _products(f, delta, kf, ops, dims), nh * nb)
     if bad.size:
@@ -212,7 +214,7 @@ def _coproduct_axioms(k: KMatrix):
     ops3, dims3 = [halg.mult_op(), halg.mult_op(), balg.mult_op()], [nh, nh, nb]
 
     def leg(t, slots):
-        return _embed(f, _flat(t), [sp.dim for sp in t.factors], slots, algs3)
+        return _embed(f, t._fam, [sp.dim for sp in t.factors], slots, algs3)
 
     def product(*factors):
         return functools.reduce(lambda a, b: _products(f, a, b, ops3, dims3), factors)
@@ -220,7 +222,7 @@ def _coproduct_axioms(k: KMatrix):
     r = k.rmatrix
     r21, r21_inv = leg(r.element, (1, 0)), leg(r.inverse, (1, 0))
     r12, k13, k23 = leg(r.element, (0, 1)), leg(k.element, (0, 2)), leg(k.element, (1, 2))
-    kf = _flat(k.element)
+    kf = k.element._fam
     delta_k = _coapply(f, kf, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh)
     coact_k = _coapply(f, kf, (nh, nb), 1, c.coaction_op(), nh * nb)
     if _differing(f, delta_k, product(k23, r21, k13, r21_inv), nh * nh * nb).size:
@@ -315,9 +317,8 @@ def _braided_share(k: KMatrix):
         h, r = k.host, k.rmatrix
         f, nh, nb = h.field, h.dim, k.comodule.dim
         axioms, delta_k, coact_k = _coproduct_axioms(k)
-        eps_k = _coapply(f, _flat(k.element), (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
-        eps_row = np.zeros((1, nb), dtype=_dtype(f))
-        eps_row[0, eps_k[2]] = eps_k[3]
+        eps_k = _coapply(f, k.element._fam, (nh, nb), 0, _linear_op(f, [h.coalgebra.counit]), 1)
+        eps_row = _dense(_element(f, k.element.factors[1:], eps_k))[None]
         r_terms, r_inv = element_terms(r.element), element_terms(r.inverse)
         r_pair = tuple(map(np.concatenate, zip(r_terms, (r_inv[0] + 1, *r_inv[1:]))))
         object.__setattr__(k, "_braided", (
@@ -471,14 +472,10 @@ def z2_membership(k: KMatrix, x: HModule) -> bool:
     K's coefficient matrix with X's stacked action matrices.
     """
     f, nh, nb, d = k.host.field, k.host.dim, k.comodule.dim, x.dim
-    kf = _flat(k.element)
-    a, b = np.divmod(kf[2], nb)
-    coeffs = np.zeros((nb, nh), dtype=_dtype(f))
-    coeffs[b, a] = kf[3]
     acts = x.stack.reshape(nh, d * d)
     want = np.zeros((nb, d * d), dtype=_dtype(f))
     want[:, ::d + 1] = _field_array(f, k.comodule.algebra.unit)[:, None]
-    return np.array_equal(_mod_matmul(f, coeffs, acts), want)
+    return np.array_equal(_mod_matmul(f, _dense(k.element).T, acts), want)
 
 
 # ---------------------------------------------------------------------------
@@ -720,7 +717,7 @@ def _theta_elements(k: KMatrix, double_antipode: bool):
         _, _, key, val = _units(f, [c.algebra])
         a = np.repeat(np.arange(nh), key.size)
         e_1 = _sparse_op(f, a, a * nb + np.tile(key, nh), np.tile(val, nh), nh, nh * nb)
-        left = _products(f, e_1, _flat(k.element), ops, dims)  # element a: (e_a ⊗ 1)·K
+        left = _products(f, e_1, k.element._fam, ops, dims)  # element a: (e_a ⊗ 1)·K
         phi = _products(f, left, e_1, ops, dims)  # element a·nh + c: Φ(a⊗c)
         twisted = _coapply(f, h.coalgebra.comult_op(), (nh, nh), 0, s_op, nh)
         object.__setattr__(k, "_theta", _coapply(f, twisted, (nh * nh,), 0, phi, nh * nb))
@@ -767,13 +764,11 @@ def omega_copairing(k: KMatrix, es: EndSpace | None = None) -> TensorElement:
     must land in the end space and the whole element must be H-invariant
     (adjoint action on the first leg, right-translation action on the span).
     """
-    h = k.host
-    f = h.field
+    h, f = k.host, k.host.field
     es = es if es is not None else compute_end_space(k.comodule)
-    w = theta_module_category(k, es).array.T
-    i, j = np.nonzero(w)
-    coeffs = dict(zip(zip(i.tolist(), j.tolist()), _scalar_rows(f, w[i, j][None])[0]))
-    omega = TensorElement(f, (h.space, es.space), coeffs)
+    w = theta_module_category(k, es).array.T.ravel()  # row-major on H ⊗ E
+    key = np.flatnonzero(w)
+    omega = _terms(f, (h.space, es.space), key, _sparse_values(f, w[key]))
     _verify_omega_invariance(k, es, omega)
     return omega
 
@@ -795,7 +790,7 @@ def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
     legs = (h.adjoint_module().family(), es.module.family())
     (counts, offsets, out, v), d = _kron_sum(f, terms, legs, (nh, ne), nh)
     op = counts, offsets, out, _over(v, d)
-    _, _, key, val = _flat(omega)
+    _, _, key, val = omega._fam
     t, term = np.repeat(np.arange(nh), key.size), np.tile(np.arange(key.size), nh)
     rep, out, v = _gather(op, t * n + key[term])
     moved = _sparse_op(f, t[rep], out, _mul(f, v, val[term[rep]]), nh, n)
@@ -830,10 +825,7 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     ne = es.dim
     target = _invariants(f, es.module.stack, counit, gens) if ne else np.zeros((0, 0))
     # Ω on the source basis
-    w = np.zeros((h.dim, ne), dtype=_dtype(f))
-    for (i, j), c in omega.coeffs.items():
-        w[i, j] = c
-    images = _mod_matmul(f, source, w)
+    images = _mod_matmul(f, source, _dense(omega))
     if images.size:
         span = Span(f, ne)
         span.add_batch(target)
@@ -962,7 +954,7 @@ def h_simplicity(c: ComoduleAlgebra) -> SimplicityVerdict:
         status, cert, rows = found
         if status == "simple":
             return SimplicityVerdict(status, cert, None, tag)
-        witness = costable_closure(c, rows)
+        witness = costable_closure(c, _scalar_rows(f, rows))
         if not 0 < len(witness) == len(rows) < n:
             raise HopffactError("Norton witness is not a proper costable ideal (bug)")
         return SimplicityVerdict(status, cert, tuple(witness), tag)

@@ -32,7 +32,7 @@ from .groups import FiniteGroup, group_by_name, subgroup_elements
 from .hopf import HopfAlgebra, _sandwich_maps, check_hopf, make_hopf
 from .linalg import BasedSpace, MapMatrix, _dtype, _gather, _mul, _scalar_rows, _sparse_op
 from .rmatrix import RMatrix, check_r_matrix, r_matrix, trivial_r_matrix
-from .tensors import (TensorElement, _coapply, _differing, _element, _embed, _flat, _flip,
+from .tensors import (TensorElement, _coapply, _differing, _element, _embed, _flip,
                       _linear_op, _members, _products, _units, tensor_unit)
 from .verdicts import Verdict
 
@@ -294,7 +294,7 @@ def _hat_coalgebra(h: HopfAlgebra, r: RMatrix) -> StructCoalgebra:
     m = h.algebra.mult_op()
     i, j = np.divmod(_members(m), n)
     m_op = _sparse_op(f, j * n + i, m[2], m[3], n * n, n)
-    r21 = _flip(f, _flat(r.element), (n, n))
+    r21 = _flip(f, r.element._fam, (n, n))
     r_tilde = _coapply(f, r21, (n, n), 1, _linear_op(f, h.antipode_inv.array), n)
     inner = _products(f, h.coalgebra.comult_op(), r21, [m, m], [n, n])
     hat_fam = _products(f, r_tilde, inner, [m, m_op], [n, n])
@@ -339,7 +339,7 @@ def reflective_algebra(h: HopfAlgebra, r: RMatrix, a: ComoduleAlgebra) -> Reflec
     _verified(check_comodule_algebra(a), "base comodule algebra")
     nh, na = h.dim, a.dim
     n = na * nh
-    mh, rf = h.algebra.mult_op(), _flat(r.element)
+    mh, rf = h.algebra.mult_op(), r.element._fam
     basis_a, basis_h = (_linear_op(f, np.eye(m, dtype=np.int64)) for m in (na, nh))
     hat = _hat_coalgebra(h, r)
     d = hat.comult_op()

@@ -38,7 +38,6 @@ from .tensors import (
     _columns,
     _differing,
     _first_failure,
-    _flat,
     _flip,
     _linear_op,
     _members,
@@ -432,7 +431,7 @@ def kron_matrix(a: MapMatrix, b: MapMatrix) -> MapMatrix:
 def element_terms(t):
     """The terms c·e_a⊗e_b of a two-leg tensor element as the columns
     (0, a, b, c) that ``_kron_sum`` takes."""
-    return _columns(_flat(t), [sp.dim for sp in t.factors])
+    return _columns(t._fam, [sp.dim for sp in t.factors])
 
 
 def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = None):

@@ -284,14 +284,10 @@ class MapMatrix:
     def __init__(self, field: Field, domain: BasedSpace, codomain: BasedSpace, rows):
         """``rows`` is a field array, taken as is, or rows of field scalars."""
         if not (isinstance(rows, np.ndarray) and rows.dtype == _dtype(field)):
-            try:
-                rows = _field_array(field, rows)
-            except (ValueError, AttributeError):  # ragged rows
-                rows = None
-            else:
-                if rows.ndim == 1 and not rows.size:  # no rows at all
-                    rows = rows.reshape(0, domain.dim)
-        if rows is None or rows.shape != (codomain.dim, domain.dim):
+            rows = _field_array(field, rows)  # refuses the lists of ragged rows
+            if rows.ndim == 1 and not rows.size:  # no rows at all
+                rows = rows.reshape(0, domain.dim)
+        if rows.shape != (codomain.dim, domain.dim):
             raise HopffactError("matrix shape does not match its spaces")
         rows.flags.writeable = False
         object.__setattr__(self, "field", field)
@@ -343,7 +339,7 @@ class MapMatrix:
 
     def scale(self, scalar) -> "MapMatrix":
         return MapMatrix(self.field, self.domain, self.codomain,
-                         _reduce(self.field, self.array * scalar))
+                         _reduce(self.field, self.array * _field_array(self.field, [scalar])))
 
     def _require_same_shape(self, other):
         require_same_field(self.field, other.field)
@@ -414,9 +410,6 @@ class MapMatrix:
 # Field arrays: float64 residues over GF(p), Python objects over Q
 # ---------------------------------------------------------------------------
 
-# Over Q the arrays hold objects, with integral Fractions stored as ints:
-# the same values, with far cheaper arithmetic.
-_integral = np.frompyfunc(lambda x: x.numerator if x.denominator == 1 else x, 1, 1)
 # x / d for an integer array x and an integer d, in the same format
 _ratio = np.frompyfunc(lambda x, d: x // d if x % d == 0 else Fraction(x, d), 2, 1)
 
@@ -434,13 +427,33 @@ def _dtype(f: Field):
 
 def _field_array(f: Field, rows) -> np.ndarray:
     """``rows`` as a field array; a float64 array over GF(p) is not copied.
-    Over Q an array of an integer dtype becomes Python ints in one step;
-    anything else is read entry by entry, integral Fractions as ints."""
+    Over Q an array of an integer dtype becomes Python ints in one step.
+    Anything else is read entry by entry (``_entry``), Python ints at once."""
+    if isinstance(rows, np.ndarray) and (isinstance(f, PrimeField) or rows.dtype.kind in "iu"):
+        return rows.astype(_dtype(f), copy=False)
+    rows = np.asarray(rows, dtype=object)
+    if not set(map(type, rows.flat)) <= {int}:
+        rows = _entries(f, rows)
+    elif isinstance(f, PrimeField):
+        rows = rows % f.p
+    return rows.astype(_dtype(f))
+
+
+def _entry(f: Field, x):
+    """``x`` as a field scalar: an int, numpy integer or Fraction, reduced
+    into [0, p) over GF(p), and over Q an int where integral (the same
+    value, with far cheaper arithmetic).  Anything else, and a Fraction
+    whose denominator p divides, is refused by name."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer, Fraction)):
+        raise HopffactError(f"not a field scalar: {x!r}")
     if isinstance(f, PrimeField):
-        return np.asarray(rows, dtype=np.float64)
-    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu":
-        return rows.astype(object)
-    return _integral(np.asarray(rows, dtype=object))
+        if not x.denominator % f.p:
+            raise HopffactError(f"{x} has no residue mod {f.p}")
+        return f.scalar(x)
+    return int(x) if x.denominator == 1 else x
+
+
+_entries = np.frompyfunc(_entry, 2, 1)
 
 
 def _reduce(f: Field, a: np.ndarray) -> np.ndarray:

@@ -12,10 +12,10 @@ from .linalg import MapMatrix
 from .tensors import (
     TensorElement,
     _coapply,
+    _dense,
     _differing,
     _element,
     _embed,
-    _flat,
     _flip,
     _linear_op,
     _products,
@@ -57,7 +57,7 @@ class RMatrix:
         return tensor_mult(self.element.swap(), self.element, algs)
 
     def __repr__(self):
-        return f"RMatrix(dim H = {self.host.dim}, {len(self.element.coeffs)} terms)"
+        return f"RMatrix(dim H = {self.host.dim}, {self.element._fam[2].size} terms)"
 
 
 def trivial_r_matrix(host: HopfAlgebra) -> RMatrix:
@@ -79,7 +79,7 @@ def _r_inverse(host: HopfAlgebra, element: TensorElement) -> TensorElement:
     f, n = host.field, host.dim
     algs = [host.algebra, host.algebra]
     s_op = _linear_op(f, host.antipode.array)
-    candidate = _element(f, element.factors, _coapply(f, _flat(element), (n, n), 0, s_op, n))
+    candidate = _element(f, element.factors, _coapply(f, element._fam, (n, n), 0, s_op, n))
     try:
         verify_inverse(element, candidate, algs)
     except NotInvertible:
@@ -102,7 +102,7 @@ def _check_axioms(host: HopfAlgebra, element: TensorElement) -> Verdict:
     f, n = host.field, host.dim
     m, d = host.algebra.mult_op(), host.coalgebra.comult_op()
     algs3 = [host.algebra] * 3
-    r = _flat(element)
+    r = element._fam
     r13, r23, r12 = (_embed(f, r, (n, n), slots, algs3) for slots in ((0, 2), (1, 2), (0, 1)))
     if _differing(f, _coapply(f, r, (n, n), 0, d, n * n),
                   _products(f, r13, r23, [m] * 3, [n] * 3), n ** 3).size:
@@ -182,14 +182,8 @@ class DrinfeldMap:
 
 def drinfeld_map(r: RMatrix) -> DrinfeldMap:
     """Contract functionals against the first leg of the monodromy."""
-    host = r.host
-    f = host.field
-    mono = r.monodromy()
-    n = host.dim
-    rows = [[f.zero] * n for _ in range(n)]
-    for (a, b), c in mono.coeffs.items():
-        rows[b][a] = f.add(rows[b][a], c)
-    matrix = MapMatrix(f, host.space.dual(), host.space, rows)
+    host, mono = r.host, r.monodromy()
+    matrix = MapMatrix(host.field, host.space.dual(), host.space, _dense(mono).T)
     return DrinfeldMap(matrix, mono)
 
 

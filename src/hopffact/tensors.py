@@ -1,15 +1,15 @@
 """Sparse elements of tensor products of based spaces.
 
-A ``TensorElement`` stores a map from multi-indices to nonzero scalars.
 Slotwise products, leg embeddings (placing an element into chosen slots of a
 larger product with algebra units elsewhere), leg permutations, functional
 contractions, and inversion in a product algebra all live here, and so does
 the product kernel that the axiom checks share.  The kernel works on
-families of elements (see "The product kernel" below).  The structure
-constants are stored as families and in no other form: an algebra,
-coalgebra or coaction holds its table (``StructAlgebra.mult_op``,
-``StructCoalgebra.comult_op``, ``ComoduleAlgebra.coaction_op``), a table
-given as nested dicts is converted once (``_table_of``), and the bundle
+families of elements (see "The product kernel" below), and every structure
+is stored as a family and in no other form: a ``TensorElement`` (R, K, the
+copairing ω) holds its terms as a family of one element, and an algebra,
+coalgebra or coaction its table (``StructAlgebra.mult_op``,
+``StructCoalgebra.comult_op``, ``ComoduleAlgebra.coaction_op``).  Dicts
+given to a constructor are converted once (``_table_of``), and the bundle
 reader parses term rows straight into ``_table``.  The action matrices of a
 module are a family too, built once per module (``HModule.family``), so
 every product, coproduct, axiom check and braiding operator is a few
@@ -43,26 +43,22 @@ from .linalg import (_SLICE_CELLS, _OverBudget, _apply, _combine, _dtype, _field
 
 
 class TensorElement:
-    """Element of factors[0] ⊗ ... ⊗ factors[k-1], sparsely stored."""
+    """Element of factors[0] ⊗ ... ⊗ factors[k-1], stored as a family of one
+    element (``_fam``): its nonzero terms keyed by the row-major flat
+    multi-index, ascending.  A dict {multi-index: scalar} given to the
+    constructor is converted once (``_table_of``); every operation is a step
+    on the family."""
 
-    __slots__ = ("field", "factors", "coeffs", "_fam")
+    __slots__ = ("field", "factors", "_fam")
 
     def __init__(self, field: Field, factors, coeffs):
         factors = tuple(factors)
-        clean = {}
-        for idx, c in coeffs.items():
-            idx = tuple(idx)
+        for idx in coeffs:
             if len(idx) != len(factors):
                 raise HopffactError("multi-index arity does not match factors")
-            for i, sp in zip(idx, factors):
-                if not 0 <= i < sp.dim:
-                    raise HopffactError(f"index {idx} outside factor dimensions")
-            if not field.is_zero(c):
-                clean[idx] = c
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "_fam", None)
+            if not all(0 <= i < sp.dim for i, sp in zip(idx, factors)):
+                raise HopffactError(f"index {idx} outside factor dimensions")
+        _fill(self, field, factors, _table_of(field, {0: coeffs}, (1,), _dims(factors)))
 
     def __setattr__(self, *a):
         raise AttributeError("TensorElement is immutable")
@@ -71,53 +67,54 @@ class TensorElement:
     def arity(self) -> int:
         return len(self.factors)
 
+    def _labels(self):
+        return tuple(f.labels for f in self.factors)
+
     def __eq__(self, other):
         return (
             isinstance(other, TensorElement)
             and self.field == other.field
-            and tuple(f.labels for f in self.factors)
-            == tuple(f.labels for f in other.factors)
-            and self.coeffs == other.coeffs
+            and self._labels() == other._labels()
+            and all(map(np.array_equal, self._fam[2:], other._fam[2:]))
         )
 
     def __hash__(self):
-        return hash(
-            (self.field, tuple(f.labels for f in self.factors), frozenset(self.coeffs.items()))
-        )
+        _, _, key, val = self._fam
+        return hash((self.field, self._labels(), tuple(key.tolist()), tuple(val.tolist())))
 
     def __repr__(self):
         dims = "⊗".join(str(f.dim) for f in self.factors)
-        return f"TensorElement({dims}, {len(self.coeffs)} terms)"
+        return f"TensorElement({dims}, {self._fam[2].size} terms)"
 
     def items(self):
-        return sorted(self.coeffs.items())
+        """(multi-index, scalar) for every term, ascending."""
+        _, _, key, val = self._fam
+        idx = np.empty((key.size, self.arity), dtype=np.int64)
+        for leg in reversed(range(self.arity)):  # no legs: the index ()
+            key, idx[:, leg] = np.divmod(key, self.factors[leg].dim)
+        return list(zip(map(tuple, idx.tolist()), _scalar_rows(self.field, val[None])[0]))
 
     # -- linear structure ----------------------------------------------------
     def __add__(self, other):
         self._check_compatible(other)
-        f = self.field
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            out[idx] = f.add(out.get(idx, f.zero), c)
-        return TensorElement(f, self.factors, out)
+        a, b = self._fam, other._fam
+        return _terms(self.field, self.factors, np.concatenate((a[2], b[2])),
+                      np.concatenate((a[3], b[3])))
 
     def __sub__(self, other):
         return self + other.scale(self.field.neg(self.field.one))
 
     def scale(self, scalar):
         f = self.field
-        return TensorElement(
-            f, self.factors, {i: f.mul(scalar, c) for i, c in self.coeffs.items()}
-        )
+        _, _, key, val = self._fam
+        return _terms(f, self.factors, key, _mul(f, val, _sparse_values(f, [scalar])))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._fam[2].size
 
     def _check_compatible(self, other):
         require_same_field(self.field, other.field)
-        if tuple(f.labels for f in self.factors) != tuple(
-            f.labels for f in other.factors
-        ):
+        if self._labels() != other._labels():
             raise SpaceMismatch("tensor factors differ")
 
     # -- structural operations ------------------------------------------------
@@ -126,9 +123,13 @@ class TensorElement:
         perm = tuple(perm)
         if sorted(perm) != list(range(self.arity)):
             raise HopffactError("not a permutation of the legs")
-        factors = tuple(self.factors[p] for p in perm)
-        coeffs = {tuple(idx[p] for p in perm): c for idx, c in self.coeffs.items()}
-        return TensorElement(self.field, factors, coeffs)
+        if not perm:  # no legs to reorder, and no digits to read
+            return self
+        dims = _dims(self.factors)
+        _, _, key, val = self._fam
+        digits = np.unravel_index(key, dims)
+        key = np.ravel_multi_index([digits[p] for p in perm], [dims[p] for p in perm])
+        return _terms(self.field, [self.factors[p] for p in perm], key, val)
 
     def swap(self) -> "TensorElement":
         """The two-leg flip (e.g. R -> R_21)."""
@@ -143,15 +144,8 @@ class TensorElement:
         if len(covector) != self.factors[leg].dim:
             raise SpaceMismatch("covector length does not match the leg")
         f = self.field
-        factors = self.factors[:leg] + self.factors[leg + 1 :]
-        out = {}
-        for idx, c in self.coeffs.items():
-            w = covector[idx[leg]]
-            if f.is_zero(w):
-                continue
-            rest = idx[:leg] + idx[leg + 1 :]
-            out[rest] = f.add(out.get(rest, f.zero), f.mul(w, c))
-        return TensorElement(f, factors, out)
+        fam = _coapply(f, self._fam, _dims(self.factors), leg, _linear_op(f, [covector]), 1)
+        return _element(f, self.factors[:leg] + self.factors[leg + 1:], fam)
 
 
 def leg_embed(t: TensorElement, slots, ambient_factors, ambient_algebras) -> TensorElement:
@@ -176,16 +170,15 @@ def leg_embed(t: TensorElement, slots, ambient_factors, ambient_algebras) -> Ten
     for i, alg in enumerate(algebras):
         if i not in slots and alg is None:
             raise HopffactError(f"slot {i} needs an algebra to supply a unit")
-    fam = _embed(t.field, _flat(t), [sp.dim for sp in t.factors], slots, algebras)
+    fam = _embed(t.field, t._fam, _dims(t.factors), slots, algebras)
     return _element(t.field, tuple(ambient_factors), fam)
 
 
 def tensor_mult(a: TensorElement, b: TensorElement, algebras) -> TensorElement:
     """Slotwise product: (x1⊗...⊗xk)(y1⊗...⊗yk) = x1y1 ⊗ ... ⊗ xkyk."""
     a._check_compatible(b)
-    dims = [sp.dim for sp in a.factors]
-    return _element(a.field, a.factors, _products(a.field, _flat(a), _flat(b),
-                                                  _mult_ops(a, algebras), dims))
+    return _element(a.field, a.factors, _products(a.field, a._fam, b._fam,
+                                                  _mult_ops(a, algebras), _dims(a.factors)))
 
 
 def tensor_unit(field: Field, factors, algebras) -> TensorElement:
@@ -214,7 +207,7 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     not wider integers inside the elimination.
     """
     f = t.field
-    n = math.prod(sp.dim for sp in t.factors)
+    n = math.prod(_dims(t.factors))
     op = _left_mult_op(t, algebras)
     hit = np.unique(op[0])  # the rows where left multiplication can land
 
@@ -223,9 +216,7 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
         nxt[hit] = _apply(f, op, col)
         return nxt
 
-    _, _, key, val = _units(f, algebras)
-    unit = np.zeros(n, dtype=_dtype(f))
-    unit[key] = val
+    unit = _dense(tensor_unit(f, t.factors, algebras)).ravel()
     powers, ann = _krylov(f, step, unit, n + 1)
     m = powers.shape[1]
     with_c0 = np.nonzero(ann[0] != 0)[0]
@@ -236,7 +227,7 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     coeffs = _field_array(f, [f.mul(scale, ck) for ck in c[1:]]).reshape(m - 1, 1)
     vec = _mod_matmul(f, powers[:, :m - 1], coeffs)[:, 0]
     key = np.flatnonzero(vec)
-    inv = _element(f, t.factors, (None, None, key, vec[key]))
+    inv = _terms(f, t.factors, key, _sparse_values(f, vec[key]))
     verify_inverse(t, inv, algebras)
     return inv
 
@@ -246,10 +237,9 @@ def verify_inverse(t: TensorElement, inv: TensorElement, algebras) -> None:
     both products are formed sparsely."""
     t._check_compatible(inv)
     f = t.field
-    dims, ops, unit = [sp.dim for sp in t.factors], _mult_ops(t, algebras), _units(f, algebras)
-    fi, ft = _flat(inv), _flat(t)
+    dims, ops, unit = _dims(t.factors), _mult_ops(t, algebras), _units(f, algebras)
     if any(_differing(f, _products(f, a, b, ops, dims), unit, math.prod(dims)).size
-           for a, b in ((fi, ft), (ft, fi))):  # inv·t, then t·inv
+           for a, b in ((inv._fam, t._fam), (t._fam, inv._fam))):  # inv·t, then t·inv
         raise NotInvertible("candidate inverse is not two-sided")
 
 
@@ -263,10 +253,10 @@ def _left_mult_op(t: TensorElement, algebras):
     field.
     """
     f = t.field
-    n = stride = math.prod(sp.dim for sp in t.factors)
-    _, _, key, val = _flat(t)
+    n = stride = math.prod(_dims(t.factors))
+    _, _, key, val = t._fam
     rows = cols = np.zeros(key.size, dtype=np.int64)
-    for op, d in zip(_mult_ops(t, algebras), [sp.dim for sp in t.factors]):
+    for op, d in zip(_mult_ops(t, algebras), _dims(t.factors)):
         stride //= d
         rep, k, c = _gather(op, ((key // stride % d * d)[:, None] + np.arange(d)).ravel())
         term, j = np.divmod(rep, d)
@@ -310,7 +300,7 @@ def _table(f: Field, cols, dims_in, dims_out):
 def _table_of(f: Field, terms: dict, dims_in, dims_out):
     """Nested dicts {input: {output: c}} as a family (``_table``), an index
     over several dims given as its tuple of digits: the one conversion of
-    structure constants given as dicts."""
+    structure constants and tensor elements given as dicts."""
     def digits(i):
         return i if isinstance(i, tuple) else (i,)
 
@@ -334,14 +324,6 @@ class _ProductOp(tuple):
         row_len = np.bincount(nz // d, minlength=d)
         self.rows = (row_len, np.cumsum(row_len) - row_len, nz % d, nz)
         return self
-
-
-def _flat(t: TensorElement):
-    """``t`` as a family of one element (built once)."""
-    if t._fam is None:
-        object.__setattr__(t, "_fam", _table_of(t.field, {0: t.coeffs}, (1,),
-                                                [sp.dim for sp in t.factors]))
-    return t._fam
 
 
 def _embed(f: Field, fam, dims, slots, algebras):
@@ -371,15 +353,34 @@ def _embed(f: Field, fam, dims, slots, algebras):
     return _sparse_op(f, _members(fam)[src], key, val, fam[0].size, n)
 
 
-def _element(f: Field, factors, fam, keep: bool = False) -> TensorElement:
-    """A family of one element on the product of ``factors`` as a TensorElement.
-    With ``keep``, ``fam`` is a table (``_table``), the family ``_flat``
-    would build, and the element keeps it."""
-    indices = zip(*(i.tolist() for i in np.unravel_index(fam[2], [sp.dim for sp in factors])))
-    t = TensorElement(f, factors, dict(zip(indices, _scalar_rows(f, fam[3][None])[0])))
-    if keep:
-        object.__setattr__(t, "_fam", fam)
+def _element(f: Field, factors, fam) -> TensorElement:
+    """A family of one element on the product of ``factors`` as a
+    TensorElement, which stores it as it is."""
+    return _fill(object.__new__(TensorElement), f, tuple(factors), fam)
+
+
+def _fill(t: TensorElement, field: Field, factors: tuple, fam) -> TensorElement:
+    for name, value in zip(TensorElement.__slots__, (field, factors, fam)):
+        object.__setattr__(t, name, value)
     return t
+
+
+def _terms(f: Field, factors, key, val) -> TensorElement:
+    """The element with the terms (key, val) on the product of ``factors``,
+    keys row-major: duplicates summed, zeros dropped, keys sorted."""
+    n = math.prod(_dims(factors))
+    return _element(f, factors, _sparse_op(f, np.zeros_like(key), key, val, 1, n))
+
+
+def _dense(t: TensorElement) -> np.ndarray:
+    """The coefficients of ``t`` as a field array of shape its factors' dims."""
+    out = np.zeros(_dims(t.factors), dtype=_dtype(t.field))
+    out.flat[t._fam[2]] = t._fam[3]
+    return out
+
+
+def _dims(factors) -> list:
+    return [sp.dim for sp in factors]
 
 
 def _units(f: Field, algebras):

@@ -1,9 +1,11 @@
-"""Dict views of the structure tables, the tests' reference for them.
+"""Dict views of the structure tables and tensor elements, the tests'
+reference for them.
 
-The library stores structure constants only as families (see
-``hopffact.tensors``).  ``table_dict`` reads the raw COO arrays of a family
-in plain Python, through no library kernel, so the references that loop
-over these dicts stay independent of the code they are compared with.
+The library stores structure constants and tensor elements only as
+families (see ``hopffact.tensors``).  ``table_dict`` and ``element_dict``
+read the raw COO arrays of a family in plain Python, through no library
+kernel, so the references that loop over these dicts stay independent of
+the code they are compared with.
 """
 
 
@@ -18,8 +20,10 @@ def table_dict(field, fam, dims_in, dims_out) -> dict:
 
 
 def _digits(i, dims):
-    if len(dims) == 1:
-        return i
+    return i if len(dims) == 1 else _multi_index(i, dims)
+
+
+def _multi_index(i, dims) -> tuple:
     out = []
     for d in reversed(dims):
         i, r = divmod(i, d)
@@ -70,3 +74,44 @@ def counit_of(coalgebra, x: dict):
     for i, ci in x.items():
         s = f.add(s, f.mul(ci, coalgebra.counit[i]))
     return s
+
+
+# -- tensor elements as plain dicts {multi-index: c}, nonzero c only -----------
+
+def element_dict(t) -> dict:
+    """{multi-index: c} of a TensorElement, read off its raw family arrays."""
+    dims = [sp.dim for sp in t.factors]
+    _, _, keys, vals = (a.tolist() for a in t._fam)
+    return {_multi_index(k, dims): t.field.scalar(v) for k, v in zip(keys, vals)}
+
+
+def terms_of(field, coeffs: dict) -> dict:
+    """Given coefficients as field scalars, the zeros left out."""
+    out = {tuple(i): field.scalar(c) for i, c in coeffs.items()}
+    return {i: c for i, c in out.items() if not field.is_zero(c)}
+
+
+def add_terms(field, x: dict, y: dict) -> dict:
+    out = dict(x)
+    for i, c in y.items():
+        out[i] = field.add(out.get(i, field.zero), c)
+    return {i: c for i, c in out.items() if not field.is_zero(c)}
+
+
+def scale_terms(field, x: dict, s) -> dict:
+    return terms_of(field, {i: field.mul(field.scalar(s), c) for i, c in x.items()})
+
+
+def permute_terms(x: dict, perm) -> dict:
+    """``perm[i]`` is the old position of the new leg i."""
+    return {tuple(i[p] for p in perm): c for i, c in x.items()}
+
+
+def contract_terms(field, x: dict, leg: int, covector) -> dict:
+    """Σ covector[i_leg]·c over the terms, the leg dropped from the index."""
+    out = {}
+    for i, c in x.items():
+        rest = i[:leg] + i[leg + 1:]
+        w = field.mul(field.scalar(covector[i[leg]]), c)
+        out[rest] = field.add(out.get(rest, field.zero), w)
+    return {i: c for i, c in out.items() if not field.is_zero(c)}

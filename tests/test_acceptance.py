@@ -285,7 +285,7 @@ def _reflective_checks(gname, field):
                 expected[(h_leg, b_leg)] = f.one
             assert got == expected, (gname, x, y)
     expect_k = {(widx(a, c), widx(a, c)): f.one for a in range(n) for c in range(n)}
-    assert dict(b.kmatrix.element.coeffs) == expect_k, gname
+    assert dict(b.kmatrix.element.items()) == expect_k, gname
     assert h_simplicity(B).is_simple, gname
     es = end_space_of(b)
     assert is_factorizable_comodule(b.kmatrix, es), gname

@@ -51,7 +51,7 @@ from hopffact.hopf import (
 from hopffact import hopf, tensors
 from hopffact.linalg import BasedSpace, MapMatrix
 from hopffact.rmatrix import RMatrix, _check_axioms
-from hopffact.tensors import (TensorElement, _element, _embed, _flat, _linear_op, _products,
+from hopffact.tensors import (TensorElement, _element, _embed, _linear_op, _products,
                               leg_embed, tensor_mult, tensor_unit)
 from hopffact.verdicts import Verdict
 from reference_tables import coaction_dict, comult_dict, counit_of, mult_dict, multiply
@@ -95,8 +95,8 @@ def _reference_tensor_mult(a, b, algebras):
     f = a.field
     mults = [mult_dict(alg) for alg in algebras]
     out = {}
-    for ia, ca in a.coeffs.items():
-        for ib, cb in b.coeffs.items():
+    for ia, ca in a.items():
+        for ib, cb in b.items():
             partial = [((), f.mul(ca, cb))]
             for slot in range(a.arity):
                 prod = mults[slot].get((ia[slot], ib[slot]), {})
@@ -118,7 +118,7 @@ def _coapply_leg(t, leg, comult):
     sp = t.factors[leg]
     factors = t.factors[:leg] + (sp, sp) + t.factors[leg + 1:]
     out = {}
-    for idx, c in t.coeffs.items():
+    for idx, c in t.items():
         for (j, k), dc in comult.get(idx[leg], {}).items():
             key = idx[:leg] + (j, k) + idx[leg + 1:]
             out[key] = f.add(out.get(key, f.zero), f.mul(c, dc))
@@ -130,7 +130,7 @@ def _coapply_coaction(t, c):
     factors = (t.factors[0], c.host.space, c.algebra.space)
     coaction = coaction_dict(c)
     out = {}
-    for (i, b), cv in t.coeffs.items():
+    for (i, b), cv in t.items():
         for (hh, bb), dc in coaction.get(b, {}).items():
             key = (i, hh, bb)
             out[key] = f.add(out.get(key, f.zero), f.mul(cv, dc))
@@ -414,9 +414,11 @@ def _perturbed(ex, kind, idx, value):
         h = HopfAlgebra(alg, coalg, h.antipode, h.antipode_inv)
         c = ComoduleAlgebra(h, c.algebra, c.coaction_op())
     elif kind == "r":
-        r_elt = TensorElement(f, r_elt.factors, _bumped({0: r_elt.coeffs}, 0, (i, j), value, f)[0])
+        terms = _bumped({0: dict(r_elt.items())}, 0, (i, j), value, f)[0]
+        r_elt = TensorElement(f, r_elt.factors, terms)
     elif kind == "k":
-        k_elt = TensorElement(f, k_elt.factors, _bumped({0: k_elt.coeffs}, 0, (i, bj), value, f)[0])
+        terms = _bumped({0: dict(k_elt.items())}, 0, (i, bj), value, f)[0]
+        k_elt = TensorElement(f, k_elt.factors, terms)
     elif kind == "bmult":
         balg = StructAlgebra(f, c.algebra.space,
                              _bumped(mult_dict(c.algebra), (bi, bj), bk, value, f), c.algebra.unit)
@@ -852,7 +854,7 @@ def _reference_leg_embed(t, slots, ambient_factors, ambient_algebras):
     units = [(i, [(j, c) for j, c in enumerate(ambient_algebras[i].unit) if not f.is_zero(c)])
              for i in range(m) if i not in slots]
     coeffs = {}
-    for idx, c in t.coeffs.items():
+    for idx, c in t.items():
         partial = [(list(zip(slots, idx)), c)]
         for i, unit in units:
             partial = [(assign + [(i, j)], f.mul(cc, uc)) for assign, cc in partial for j, uc in unit]
@@ -890,11 +892,11 @@ def test_family_embedding_matches_dict_embedding(name, field):
     for what, (t, slots), (ref_t, ref_slots) in legs:
         ref = _reference_leg_embed(ref_t, ref_slots, spaces3, algs3)
         assert leg_embed(ref_t, ref_slots, spaces3, algs3) == ref, what
-        fam = _embed(f, _flat(t), [sp.dim for sp in t.factors], slots, algs3)
+        fam = _embed(f, t._fam, [sp.dim for sp in t.factors], slots, algs3)
         assert _element(f, spaces3, fam) == ref, what
     hspaces3, halgs3 = (h.space,) * 3, [h.algebra] * 3
     for slots in ((0, 2), (1, 2), (0, 1)):  # the R-axiom check's embeddings
-        got = _element(f, hspaces3, _embed(f, _flat(r.element), [h.dim] * 2, slots, halgs3))
+        got = _element(f, hspaces3, _embed(f, r.element._fam, [h.dim] * 2, slots, halgs3))
         assert got == _reference_leg_embed(r.element, slots, hspaces3, halgs3), slots
 
 
@@ -910,13 +912,13 @@ def test_family_embedding_scales_by_a_unit_other_than_a_basis_element(field):
     spaces3, algs3 = (host.space, sp, host.space), [host.algebra, scaled, host.algebra]
     ref = _reference_leg_embed(t, (0, 2), spaces3, algs3)
     assert leg_embed(t, (0, 2), spaces3, algs3) == ref
-    got = _element(field, spaces3, _embed(field, _flat(t.swap()), [4, 4], (2, 0), algs3))
+    got = _element(field, spaces3, _embed(field, t.swap()._fam, [4, 4], (2, 0), algs3))
     assert got == ref
 
 
 def _family(elements):
     """Elements of one product as one family, element g the g-th."""
-    fams = [_flat(t) for t in elements]
+    fams = [t._fam for t in elements]
     counts = np.concatenate([fam[0] for fam in fams])
     return (counts, np.cumsum(counts) - counts, np.concatenate([fam[2] for fam in fams]),
             np.concatenate([fam[3] for fam in fams]))
@@ -924,7 +926,8 @@ def _family(elements):
 
 def _members_of(f, factors, fam):
     """Every element of a family as a TensorElement."""
-    return [_element(f, factors, (None, None, fam[2][lo:lo + c], fam[3][lo:lo + c]))
+    return [_element(f, factors, (np.array([c]), np.zeros(1, dtype=np.int64),
+                                  fam[2][lo:lo + c], fam[3][lo:lo + c]))
             for lo, c in zip(fam[1].tolist(), fam[0].tolist())]
 
 

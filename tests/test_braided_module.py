@@ -106,9 +106,9 @@ def _reference_check(k, x, y, m):
     xa = _sparse_cols(x.action)
     ya = _sparse_cols(y.action)
     ma = _sparse_cols(m.action)
-    kt = dict(k.element.coeffs)
-    rt = dict(r.element.coeffs)
-    rinv = dict(r.inverse.coeffs)
+    kt = dict(k.element.items())
+    rt = dict(r.element.items())
+    rinv = dict(r.inverse.items())
     # Δ applied to the first K-leg (for e_{X⊗Y,M}), grouped by the leg that
     # acts on X so columns only visit terms that can survive
     comult, coaction = comult_dict(h.coalgebra), coaction_dict(c)
@@ -329,7 +329,7 @@ def test_braided_checks_over_q_multiply_integers_and_build_the_k_share_once(monk
     import hopffact.hopf as hopf
 
     b = named_example("sweedler:1", QQ)
-    assert {x.denominator for x in b.rmatrix.element.coeffs.values()} == {2}
+    assert {x.denominator for _, x in b.rmatrix.element.items()} == {2}
     k = comodule.KMatrix(b.comodule, b.rmatrix, b.kmatrix.element, b.kmatrix.inverse)
     operands, coapplied = [], []
 
@@ -496,7 +496,7 @@ def test_module_braiding_and_z2_on_the_registry(field):
         x, _, m = _modules(b)
         e = module_braiding(b.kmatrix, x, m)
         acc = MapMatrix.zero(field, e.domain, e.codomain)
-        for (a, c), cv in b.kmatrix.element.coeffs.items():
+        for (a, c), cv in b.kmatrix.element.items():
             acc = acc + kron_matrix(x.action[a], m.action[c]).scale(cv)
         assert e == acc, name
         assert z2_membership(b.kmatrix, x) == acc.is_identity(), name

@@ -28,7 +28,7 @@ from hopffact.constructions import (
 from hopffact.errors import BundleFormatError
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group
-from hopffact.tensors import _flat, _table_of
+from hopffact.tensors import TensorElement, _table_of
 from reference_tables import coaction_dict, comult_dict, mult_dict
 
 
@@ -293,6 +293,35 @@ def test_cli_check_all_inverts_r_once(monkeypatch, capsys):
     assert "PASS" in capsys.readouterr().out
     assert len(calls) == 1
     assert not general
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_loaded_bundles_convert_no_dicts(field, tmp_path, monkeypatch, capsys):
+    # R and K are read into families, and nothing from the load through
+    # check --all and factorizable --level weak converts a dict to one
+    import hopffact.algebras as algebras
+    import hopffact.comodule as comodule
+    import hopffact.tensors as tensors
+
+    paths = []
+    for name in registry_names():
+        b = named_example(name, field)
+        if b.kmatrix is not None:
+            paths.append(tmp_path / f"{name.replace(':', '_')}.json")
+            paths[-1].write_text(bundle_io.dumps(b))
+    calls, table_of = [], tensors._table_of
+
+    def counting(*args):
+        calls.append(args)
+        return table_of(*args)
+
+    for module in (tensors, algebras, comodule):
+        monkeypatch.setattr(module, "_table_of", counting)
+    for path in paths:
+        assert main(["check", str(path), "--all"]) == 0
+        assert main(["factorizable", str(path), "--level", "weak"]) in (0, 1)
+    capsys.readouterr()
+    assert len(paths) > 5 and not calls
 
 
 @pytest.mark.parametrize("flags, lines", [
@@ -641,15 +670,16 @@ def test_valid_bundles_load_without_jsonschema():
 
 @pytest.mark.parametrize("field", [QQ, GF(101), GF(94906249)], ids=str)
 def test_loaded_r_and_k_keep_their_table(field):
-    # the family parsed from the rows is the one _flat would rebuild from
-    # the element's dict, array for array
+    # the family parsed from the rows, the element's only storage, is the
+    # one the constructor would build from the element's terms, array for
+    # array
     for name in registry_names():
         loaded = bundle_io.loads(bundle_io.dumps(named_example(name, field)))
         for elt in (loaded.rmatrix_element, loaded.kmatrix_element):
             if elt is None:
                 continue
-            want = _table_of(field, {0: elt.coeffs}, (1,), [sp.dim for sp in elt.factors])
-            assert _flat(elt) is elt._fam
+            want = _table_of(field, {0: dict(elt.items())}, (1,), [sp.dim for sp in elt.factors])
+            assert TensorElement.__slots__ == ("field", "factors", "_fam")
             for got, ref in zip(elt._fam, want):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref), name
                 assert list(map(type, got.tolist())) == list(map(type, ref.tolist())), name

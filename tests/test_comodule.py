@@ -150,7 +150,7 @@ def test_module_braiding_is_monodromy_action(dc2):
     assert e.domain.dim == 16
     mono = dc2.rmatrix.monodromy()
     acc = MapMatrix.zero(QQ, e.domain, e.codomain)
-    for (a, b), cv in mono.coeffs.items():
+    for (a, b), cv in mono.items():
         acc = acc + kron_matrix(x.action[a], m.action[b]).scale(cv)
     assert e == acc
     assert check_braided_module(dc2.kmatrix, x, x, m)
@@ -394,7 +394,7 @@ def test_omega_trivial_k_is_unit_tensor_counit():
     unit = h.unit_dict()
     for s in range(h.dim):
         out = [QQ.zero] * h.dim
-        for (i, j), cv in om.coeffs.items():
+        for (i, j), cv in om.items():
             val = es.basis_maps[j].rows[0][s]
             out[i] += cv * val
         expect = [eps[s] * unit.get(i, QQ.zero) for i in range(h.dim)]
@@ -772,7 +772,7 @@ def test_omega_invariance_refusal():
     es = compute_end_space(b.comodule)
     omega = omega_copairing(b.kmatrix, es)
     for key, t in OMEGA_REFUSALS.items():
-        coeffs = dict(omega.coeffs)
+        coeffs = dict(omega.items())
         coeffs[key] = coeffs.get(key, QQ.zero) + 1
         bumped = TensorElement(QQ, omega.factors, coeffs)
         if t is None:
@@ -792,7 +792,7 @@ def test_omega_invariance_holds_for_every_copairing_on_double_c2(dc2):
     es = compute_end_space(dc2.comodule)
     omega = omega_copairing(dc2.kmatrix, es)
     for key in [(i, j) for i in range(dc2.hopf.dim) for j in range(es.dim)]:
-        coeffs = dict(omega.coeffs)
+        coeffs = dict(omega.items())
         coeffs[key] = coeffs.get(key, QQ.zero) + 1
         _verify_omega_invariance(dc2.kmatrix, es, TensorElement(QQ, omega.factors, coeffs))
 

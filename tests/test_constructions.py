@@ -101,7 +101,7 @@ def _reflective_regression(gname, field):
                 expected[(h_leg, b_leg)] = f.one
             assert got == expected
     expect_k = {(widx(a, c), widx(a, c)): f.one for a in range(n) for c in range(n)}
-    assert dict(b.kmatrix.element.coeffs) == expect_k
+    assert dict(b.kmatrix.element.items()) == expect_k
 
 
 def test_reflective_regression_c2():

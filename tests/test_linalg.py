@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hopffact import linalg
+from hopffact.algebras import StructAlgebra
 from hopffact.errors import HopffactError, NotInvertible, SpaceMismatch
 from hopffact.fields import GF, QQ
 from hopffact.linalg import (
@@ -21,6 +22,7 @@ from hopffact.linalg import (
     solve_columns,
     space,
 )
+from hopffact.tensors import TensorElement
 
 
 def mat(field, rows, dom=None, cod=None):
@@ -492,3 +494,24 @@ def test_mod_matmul_exact_with_largest_entries_at_the_block_size(p):
             assert got.astype(np.int64).tolist() == [[dot % p] * 2] * 3
             got = linalg._mod_matmul(f, a, b, c)
             assert got.astype(np.int64).tolist() == [[(dot + p - 1) % p] * 2] * 3
+
+
+def test_python_scalars_are_normalized_at_the_boundary():
+    # ints and Fractions given as Python scalars become residues in [0, p)
+    # over GF(p); floats and bools are refused by name over either field
+    f, sp = GF(101), space("x", 2)
+    alg = StructAlgebra(f, sp, {(0, 0): {0: Fr(1, 2)}}, (1, 0))
+    assert alg.mult_op()[3].tolist() == [51]
+    m = MapMatrix(f, sp, sp, [[Fr(1, 2), 0], [0, 102]])
+    assert m.array.tolist() == [[51, 0], [0, 1]] and m.rows == ((51, 0), (0, 1))
+    assert m.scale(Fr(1, 2)).rows == ((76, 0), (0, 51)) and m.scale(-1).rows == ((50, 0), (0, 100))
+    t = TensorElement(f, (sp, sp), {(0, 1): 102})
+    assert t == TensorElement(f, (sp, sp), {(0, 1): 1}) and t.items() == [((0, 1), 1)]
+    with pytest.raises(HopffactError, match="0.5"):
+        MapMatrix(QQ, sp, sp, [[0.5, 0], [0, 1]])
+    with pytest.raises(HopffactError, match="0.5"):
+        MapMatrix(QQ, sp, sp, [[1, 0], [0, 1]]).scale(0.5)
+    with pytest.raises(HopffactError, match="True"):
+        MapMatrix(f, sp, sp, [[True, 0], [0, 1]])
+    with pytest.raises(HopffactError, match="1/101"):
+        MapMatrix(f, sp, sp, [[Fr(1, 101), 0], [0, 1]])

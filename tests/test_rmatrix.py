@@ -65,7 +65,7 @@ def test_r_matrix_counit_consequence():
         unit = h.unit_dict()
         for leg in (0, 1):
             contracted = r.element.contract_leg(leg, eps)
-            got = {i: c for (i,), c in contracted.coeffs.items()}
+            got = {i: c for (i,), c in contracted.items()}
             assert got == unit
 
 
@@ -129,7 +129,7 @@ def test_double_braiding_is_monodromy_action():
     comp = c_yx @ c_xy
     mono = r.monodromy()
     acc = MapMatrix.zero(QQ, comp.domain, comp.codomain)
-    for (a, b), cv in mono.coeffs.items():
+    for (a, b), cv in mono.items():
         acc = acc + kron_matrix(x.action[a], y.action[b]).scale(cv)
     assert comp == acc
 
@@ -231,7 +231,7 @@ def test_r_matrix_inverts_once(monkeypatch):
 def _antipode_on_first_leg(h, t):
     """(S⊗id)t, term by term from the antipode matrix."""
     f, coeffs = h.field, {}
-    for (a, b), c in t.coeffs.items():
+    for (a, b), c in t.items():
         for i in range(h.dim):
             s_ia = h.antipode.rows[i][a]
             if not f.is_zero(s_ia):

@@ -1,5 +1,6 @@
 """Sparse tensor elements: embeddings, slotwise products, inversion."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hopffact import bundle
 from hopffact.constructions import (
     drinfeld_double_group,
     group_algebra,
@@ -28,6 +30,8 @@ from hopffact.tensors import (
     tensor_mult,
     tensor_unit,
 )
+from reference_tables import (add_terms, contract_terms, element_dict, permute_terms,
+                              scale_terms, terms_of)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +51,7 @@ def test_leg_embed_r13(kc2):
     r = elt(h, {(0, 1): one})  # e ⊗ g
     algs = [h.algebra] * 3
     r13 = leg_embed(r, (0, 2), (h.space,) * 3, algs)
-    assert r13.coeffs == {(0, 0, 1): one}
+    assert dict(r13.items()) == {(0, 0, 1): one}
 
 
 def test_leg_embed_unit_is_unit(kc2):
@@ -66,7 +70,7 @@ def test_leg_embed_multi_term_unit():
     one = hd.field.one
     t = TensorElement(hd.field, (hd.space,), {(0,): one})
     out = leg_embed(t, (0,), (hd.space, hd.space), [hd.algebra, hd.algebra])
-    assert out.coeffs == {(0, 0): one, (0, 1): one}
+    assert dict(out.items()) == {(0, 0): one, (0, 1): one}
 
 
 def _reference_units(f, algebras):
@@ -138,7 +142,7 @@ def test_tensor_mult_group_relation(kc2):
     algs = [h.algebra, h.algebra]
     t = elt(h, {(0, 1): h.field.one})
     sq = tensor_mult(t, t, algs)
-    assert sq.coeffs == {(0, 0): h.field.one}
+    assert dict(sq.items()) == {(0, 0): h.field.one}
 
 
 def test_tensor_invert_self_inverse(kc2):
@@ -198,17 +202,19 @@ def test_permute_and_contract(kc2):
     h = kc2
     one = h.field.one
     t = elt(h, {(0, 1): one})
-    assert t.swap().coeffs == {(1, 0): one}
+    assert dict(t.swap().items()) == {(1, 0): one}
     f_e = (one, h.field.zero)  # the functional dual to basis 0
     c = t.contract_leg(0, f_e)
-    assert c.coeffs == {(1,): one}
+    assert dict(c.items()) == {(1,): one}
     assert t.contract_leg(1, f_e).is_zero()
+    scalar = c.contract_leg(0, (h.field.zero, one))
+    assert scalar.items() == [((), one)] and scalar.permute_legs(()) == scalar
 
 
 def test_no_zero_coefficients_stored(kc2):
     h = kc2
     t = elt(h, {(0, 0): h.field.zero, (0, 1): h.field.one})
-    assert (0, 0) not in t.coeffs
+    assert (0, 0) not in dict(t.items())
     s = t - t
     assert s.is_zero()
 
@@ -225,12 +231,12 @@ def dense_inverse(t, algebras):
     rows = [[f.zero] * n for _ in range(n)]
     for idx in indices:
         col = tensor_mult(t, TensorElement(f, t.factors, {idx: f.one}), algebras)
-        for out, c in col.coeffs.items():
+        for out, c in col.items():
             rows[pos[out]][pos[idx]] = c
     if rank_of(rows, n, f) < n:
         return None
-    unit = tensor_unit(f, t.factors, algebras)
-    target = tuple(unit.coeffs.get(idx, f.zero) for idx in indices)
+    unit = dict(tensor_unit(f, t.factors, algebras).items())
+    target = tuple(unit.get(idx, f.zero) for idx in indices)
     x = solve_columns(rows, [target], n, f)[0]
     return TensorElement(f, t.factors, {idx: x[pos[idx]] for idx in indices})
 
@@ -312,7 +318,7 @@ def _dense_double_c3_square(field):
     algs = [h.algebra, h.algebra]
     rng = random.Random(0)
     coeffs = {(i, j): rng.randint(-9, 9) for i in range(h.dim) for j in range(h.dim)}
-    for idx, c in tensor_unit(field, (h.space, h.space), algs).coeffs.items():
+    for idx, c in tensor_unit(field, (h.space, h.space), algs).items():
         coeffs[idx] += int(c)
     return TensorElement(field, (h.space, h.space),
                          {idx: field.scalar(c) for idx, c in coeffs.items()}), algs
@@ -325,9 +331,112 @@ def test_tensor_invert_dense_element_over_q_agrees_mod_p():
     inv = tensor_invert(t, algs)
     unit = tensor_unit(QQ, t.factors, algs)
     assert tensor_mult(t, inv, algs) == unit == tensor_mult(inv, t, algs)
-    assert max(c.denominator for c in inv.coeffs.values()) > 10**10
+    assert max(c.denominator for _, c in inv.items()) > 10**10
     f = GF(101)
     t_p, algs_p = _dense_double_c3_square(f)
     reduced = {idx: f.scalar(c.numerator * pow(c.denominator, -1, f.p))
-               for idx, c in inv.coeffs.items()}
+               for idx, c in inv.items()}
     assert tensor_invert(t_p, algs_p) == TensorElement(f, t_p.factors, reduced)
+
+
+def test_constructor_refuses_bad_multi_indices(kc2):
+    with pytest.raises(HopffactError, match="multi-index arity does not match factors"):
+        elt(kc2, {(0, 1): 1, (1,): 1})
+    with pytest.raises(HopffactError, match=r"index \(0, 2\) outside factor dimensions"):
+        elt(kc2, {(0, 1): 1, (0, 2): 1})
+    with pytest.raises(HopffactError, match=r"index \(-1, 0\) outside factor dimensions"):
+        elt(kc2, {(-1, 0): 1})
+
+
+_ORACLE_FIELDS = (QQ, GF(101), GF(94906249))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_hosts(field):
+    """Hopf algebras of dimensions 2, 3 and 4: kC2, kC3 and Sweedler's H4."""
+    return (group_algebra(cyclic_group(2), field)[0], group_algebra(cyclic_group(3), field)[0],
+            sweedler_h4(field))
+
+
+_SCALARS = st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12),
+                     st.fractions(max_denominator=6))
+
+
+@st.composite
+def _oracle_cases(draw):
+    """Two elements given as dicts of Python scalars (zeros, negatives,
+    ints beyond p and Fractions among them) on two or three legs, and the
+    arguments of one call of every method."""
+    field = draw(st.sampled_from(_ORACLE_FIELDS))
+    hosts = [_oracle_hosts(field)[i] for i in draw(st.lists(st.integers(0, 2), min_size=2,
+                                                              max_size=3))]
+    index = st.tuples(*(st.integers(0, h.dim - 1) for h in hosts))
+    a = draw(st.dictionaries(index, _SCALARS, max_size=12))
+    b = draw(st.dictionaries(index, _SCALARS, max_size=12))
+    if draw(st.booleans()):  # b cancels some of a's terms in a + b
+        b.update({i: -c for i, c in a.items() if draw(st.booleans())})
+    perm = draw(st.permutations(range(len(hosts))))
+    leg = draw(st.integers(0, len(hosts) - 1))
+    covector = draw(st.lists(st.integers(-1, 1) | _SCALARS, min_size=hosts[leg].dim,
+                             max_size=hosts[leg].dim))
+    return field, hosts, a, b, draw(st.just(0) | _SCALARS), perm, leg, covector
+
+
+def _agrees(t, ref):
+    """Every read of ``t`` against the reference dict ``ref``; an element
+    built from ``ref`` by the dict constructor is equal and hashes equal."""
+    f = t.field
+    assert t.items() == sorted(ref.items())
+    assert element_dict(t) == ref
+    assert all(type(c) is Fraction if f == QQ else type(c) is int and 0 <= c < f.p
+               for _, c in t.items())
+    assert t.is_zero() == (not ref)
+    assert repr(t).endswith(f", {len(ref)} terms)")
+    same = TensorElement(f, t.factors, ref)
+    assert t == same and hash(t) == hash(same)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_oracle_cases())
+def test_tensor_element_methods_match_the_dict_reference(case):
+    field, hosts, a, b, s, perm, leg, covector = case
+    factors, algs = [h.space for h in hosts], [h.algebra for h in hosts]
+    x, y = TensorElement(field, factors, a), TensorElement(field, factors, b)
+    rx, ry = terms_of(field, a), terms_of(field, b)
+    _agrees(x, rx)
+    _agrees(y, ry)
+    _agrees(x + y, add_terms(field, rx, ry))
+    _agrees(x - y, add_terms(field, rx, scale_terms(field, ry, -1)))
+    _agrees(x - x, {})
+    _agrees(x.scale(s), scale_terms(field, rx, s))
+    _agrees(x.scale(0), {})
+    _agrees(x.permute_legs(perm), permute_terms(rx, perm))
+    if len(hosts) == 2:
+        _agrees(x.swap(), permute_terms(rx, (1, 0)))
+    _agrees(x.contract_leg(leg, covector), contract_terms(field, rx, leg, covector))
+    _agrees(tensor_mult(x, tensor_unit(field, factors, algs), algs), rx)
+    assert (x == y) == (rx == ry)
+
+
+@pytest.mark.parametrize("field", _ORACLE_FIELDS, ids=str)
+def test_equal_elements_built_by_different_routes_hash_equal(field):
+    # the construction's R and K, their loaded copies, the dict constructor
+    # on their terms, and their products with the unit
+    for name in ("double:C2", "sweedler:1", "regular:S3", "subgroup:S3:C2"):
+        b = named_example(name, field)
+        loaded = bundle.loads(bundle.dumps(b))
+        h = b.hopf.algebra
+        for built, read, algs in ((b.rmatrix.element, loaded.rmatrix_element, [h, h]),
+                                  (b.kmatrix.element, loaded.kmatrix_element,
+                                   [h, b.comodule.algebra])):
+            routes = [built, read, TensorElement(field, built.factors, dict(built.items())),
+                      tensor_mult(read, tensor_unit(field, built.factors, algs), algs)]
+            assert all(t == built for t in routes), name
+            assert len({hash(t) for t in routes}) == 1, name
+    if field == QQ:
+        sp = _oracle_hosts(QQ)[0].space
+        routes = [TensorElement(QQ, (sp, sp), {(0, 1): Fraction(4, 2)}),
+                  TensorElement(QQ, (sp, sp), {(0, 1): 2}),
+                  TensorElement(QQ, (sp, sp), {(0, 1): Fraction(1, 2)}).scale(4)]
+        assert all(t == routes[0] for t in routes)
+        assert len({hash(t) for t in routes}) == 1

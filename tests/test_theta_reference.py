@@ -44,7 +44,7 @@ def _reference_theta_elements(k, outer_antipode):
         acc = {}
         for (a1, a2), dc in comult.get(t, {}).items():
             s1 = _antipode_of(h, {a1: dc})
-            for (u, v), cv in k.element.coeffs.items():
+            for (u, v), cv in k.element.items():
                 left = mult(mult(s1, {u: f.one}), {a2: f.one})
                 if outer_antipode:
                     left = _antipode_of(h, left)
