@@ -107,20 +107,26 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
     multiplication by them.  That span is spun with the right multiplications
     of ``mult_stack``, on the frontier only: when a generator is chosen, the
     rows found so far are multiplied by it, then every new row by every
-    generator.  Raises unless the span ends as all of ``a``.  Chosen once
+    generator.  Membership is read off the span's RREF: e_j lies in it iff
+    j is a pivot whose row is e_j itself (the coefficient of row k in e_j
+    is its entry at pivot k), so the next generator is found by one test of
+    every row.  Raises unless the span ends as all of ``a``.  Chosen once
     per algebra and kept.
     """
     if a._gens is not None:
         return list(a._gens)
     f, n = a.field, a.dim
     by = a.mult_stack()[n:].transpose(0, 2, 1)  # v @ by[g] is v·e_g
-    eye = np.eye(n, dtype=_dtype(f))
     span = Span(f, n)
     span.add(a.unit)
     gens: list[int] = []
-    for i in range(n):
-        if span.contains(eye[i]):
-            continue
+    i = 0
+    while True:
+        inside = np.zeros(n + 1, dtype=bool)  # e_n stands for "none": never inside
+        inside[np.array(span.piv, dtype=np.int64)[(span.rows != 0).sum(axis=1) == 1]] = True
+        i += int(np.argmin(inside[i:]))
+        if i == n:
+            break
         gens.append(i)
         start = span.dim
         span.add_batch(_mod_matmul(f, span.rows, by[i]))
@@ -128,6 +134,7 @@ def algebra_generators(a: StructAlgebra) -> list[int]:
             frontier = span.rows[start:]
             start = span.dim
             span.add_batch(_mod_matmul(f, frontier, by[gens]).reshape(-1, n))
+        i += 1
     if span.dim != n:
         raise HopffactError("the chosen generators do not span the algebra")
     object.__setattr__(a, "_gens", tuple(gens))

@@ -150,7 +150,8 @@ class KMatrix:
     """An invertible element of H⊗B with its verified inverse and host data.
 
     The inverse is computed when not supplied; a supplied one is verified
-    two-sided, and NotInvertible is raised when it fails.
+    (``verify_inverse``: inv·t = 1 suffices in a finite-dimensional
+    algebra), and NotInvertible is raised when it fails.
     """
 
     __slots__ = ("comodule", "rmatrix", "element", "inverse", "_theta", "_braided")
@@ -631,15 +632,17 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     from the structure tables.  The generators' operators form one sparse
     system, whose columns fall into many small connected components (two
     columns are joined when a constraint row holds both); ``_sparse_kernel``
-    eliminates each component on its own.  That gives the reduced basis (the identity
-    on its free coordinates) of one elimination of the whole system,
-    because a block-diagonal system has the pivots and the reduced kernel
-    of its blocks.  The basis is then checked against the constraint of
-    every basis element of B, so exactness does not rest on the generator
-    argument alone.  That check and the H-action are sparse joins with the
-    basis's nonzeros (of the constraints keyed by column, and of the
-    structure constants of H keyed by output), summed in the field; no
-    dense array on Hom(H,B) is formed past the kernel.
+    eliminates the components of each width as one stack (the 36 of
+    width 6 of the dimension-36 double are one elimination).  That gives
+    the reduced basis (the identity on its free coordinates) of one
+    elimination of the whole system, because a block-diagonal system has
+    the pivots and the reduced kernel of its blocks.  The basis is then
+    checked against the constraint of every basis element of B, so
+    exactness does not rest on the generator argument alone.  That check
+    and the H-action are sparse joins with the basis's nonzeros (of the
+    constraints keyed by column, and of the structure constants of H
+    keyed by output), summed in the field; no dense array on Hom(H,B) is
+    formed past the kernel.
 
     The H-action on E is re-checked from the algebra generators g of H:
     ρ(1) = id and ρ(g)ρ(b) = ρ(gb) for every basis element b.  That covers

@@ -7,18 +7,20 @@ otherwise), so one algorithm serves both fields.  ``MapMatrix`` holds one,
 below (``_field_array``, ``_mod_matmul``, ``_apply``, ``_kernel``) work on
 them.
 
-One elimination kernel sits behind ``echelonize``: a vectorized mod-p
-elimination to the RREF.  Over GF(p) it runs on the matrix itself; over Q
-on images of the denominator-cleared integer matrix modulo primes below
-2**20, whose RREFs are combined by the CRT, rationally reconstructed and
-accepted only after an exact check over Q.  The float path is exact for
-every prime ``GF`` accepts: every intermediate integer is kept within the
-bound of ``_mod_p``, which reduces every full array (pivot rows and factor
-columns are reduced mod p before each update, so entries grow by at most
-(p-1)**2 per pivot step, and the matrix is reduced again before they could
-leave that bound).  Every other GF(p) float product goes through
-``_mod_matmul``.  Callers never see a float: ``MapMatrix.rows`` and the
-vector-returning functions give field scalars.
+One elimination kernel sits behind ``echelonize``: a mod-p elimination to
+the RREF of a stack of matrices at once (``_gf_echelon``; a matrix is a
+stack of one), so many small blocks cost one pass.  Over GF(p) it runs on
+the matrices themselves; over Q on images of the denominator-cleared
+integer matrices modulo primes below 2**20, whose RREFs are combined by the
+CRT, rationally reconstructed and accepted only after an exact check over
+Q.  The float path is exact for every prime ``GF`` accepts: every
+intermediate integer is kept within the bound of ``_mod_p``, which reduces
+every full array (pivot rows and factor columns are reduced mod p before
+each update, so entries grow by at most (p-1)**2 per pivot step, and the
+stack is reduced again before they could leave that bound).  Every other
+GF(p) float product goes through ``_mod_matmul``.  Callers never see a
+float: ``MapMatrix.rows`` and the vector-returning functions give field
+scalars.
 """
 
 from __future__ import annotations
@@ -80,76 +82,141 @@ def space(prefix: str, dim: int) -> BasedSpace:
 # ---------------------------------------------------------------------------
 
 def _gf_echelon(a: np.ndarray, p: int):
-    """In-place mod-p elimination to RREF on a float64 matrix of residues.
+    """Mod-p elimination to RREF of every matrix of a (B, r, c) stack of
+    float64 residues at once; a 2-D matrix is a stack of one.
 
-    Returns (matrix, pivot_cols); the result is fully reduced mod p.  An update
-    moves an entry by at most (p-1)**2, so the whole matrix is reduced
-    whenever the next update could leave the exact range of ``_mod_p``: for
-    small p that never happens, for p near the top of the supported range
-    it happens every pivot step.  ``a`` must be C-contiguous.
+    Returns (stack, pivots), fully reduced mod p: block b holds its RREF in
+    its first rows, in pivot order, and zeros below, and pivots[b] is the
+    list of its pivot columns.  A 2-D ``a`` gives (RREF rows, pivot list).
+
+    Column by column, every block with a nonzero entry in a row that is not
+    yet a pivot row takes the first such row as its pivot row, scales it to
+    a leading 1 and clears the column from its other rows, so a step is a
+    few array operations on all the blocks that pivot there, and only the
+    rows with a nonzero in the column are updated.  The pivot rows are put
+    in pivot order at the end; the result is the RREF, which the row space
+    determines, whatever rows the pivots were taken from.  A column that is
+    zero in every block is skipped: row operations keep it zero.
+
+    Reduction is lazy: an update moves an entry by at most (p-1)**2, so the
+    whole stack is reduced whenever the next update could leave the exact
+    range of ``_mod_p``: for small p that never happens, for p near the top
+    of the supported range it happens every pivot step.  ``a`` must be
+    C-contiguous; it is overwritten.
     """
-    nrows, ncols = a.shape
+    stack = a if a.ndim == 3 else a[None]
+    nb, nrows, ncols = stack.shape
     growth = (p - 1) ** 2
     bound = p - 1  # no entry exceeds this in absolute value
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        a[r:, c] %= p
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        a[r] %= p
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
+    blocks = np.arange(nb)
+    taken = np.zeros((nb, nrows), dtype=bool)  # the pivot rows so far
+    steps = []  # (blocks, their pivot rows, column) of each step
+    left = nb * nrows  # rows not taken, over all blocks
+    nonzero = np.logical_or.reduce(stack.reshape(nb * nrows, ncols), axis=0)
+    for c in nonzero.nonzero()[0].tolist():
+        col = stack[:, :, c]
+        np.remainder(col, p, out=col)
+        cand = col != 0
+        np.greater(cand, taken, out=cand)
+        # the pivoting blocks b, their pivot rows i and the inverses of the
+        # pivots; in a stack of one, a slice, a row index and a scalar
+        if nb == 1:
+            b, i = slice(None), int(cand.argmax())
+            if not cand[0, i]:
+                continue
+            inv = pow(int(col[0, i]), p - 2, p)
+        else:
+            i = cand.argmax(axis=1)
+            hit = cand[blocks, i]
+            if not hit.any():
+                continue
+            b = blocks
+            if not hit.all():
+                b = np.flatnonzero(hit)
+                i = i[b]
+            inv = np.array([pow(int(x), p - 2, p) for x in col[b, i].tolist()])[:, None]
+        row = stack[b, i]
+        if bound * (p - 1) > _FLOAT_EXACT_LIMIT:  # else row·inv is exact as it is
+            row = row % p
+        row = row * inv
+        np.remainder(row, p, out=row)
         if bound + growth > _FLOAT_EXACT_LIMIT - 2 * p:
-            _mod_p(a, p)
+            _mod_p(stack, p)
             bound = p - 1
         bound += growth
-        factors = a[:, c] % p
-        factors[r] = 0
-        nzf = np.nonzero(factors)[0]
-        if nzf.size:
-            a[nzf] -= np.outer(factors[nzf], a[r])
-            a[nzf, c] = 0
-        piv_cols.append(c)
-        r += 1
-    _mod_p(a, p)
-    return a[:r], piv_cols
+        # only the rows with a nonzero in column c in some pivoting block
+        # change; when every row of every block does, in place
+        factors = col[b]
+        touched = (factors[0] if nb == 1 else np.logical_or.reduce(factors, axis=0)).nonzero()[0]
+        if touched.size < nrows:
+            at = b if nb == 1 else b[:, None]
+            stack[at, touched] -= factors[:, touched, None] * row[:, None, :]
+        elif nb == 1 or b is blocks:
+            stack -= col[:, :, None] * row[:, None, :]
+        else:
+            stack[b] -= factors[:, :, None] * row[:, None, :]
+        stack[b, i] = row  # column c is now 0 off the pivot rows
+        taken[b, i] = True
+        steps.append((b, i, c))
+        left -= 1 if nb == 1 else len(b)
+        if not left:
+            break
+    _mod_p(stack, p)
+    if nb == 1:
+        rows, piv = [i for _, i, _ in steps], [c for _, _, c in steps]
+        if rows != list(range(len(rows))):
+            stack[0, :len(rows)] = stack[0, rows]
+            stack[0, len(rows):] = 0
+        return (stack[0, :len(rows)], piv) if a.ndim == 2 else (stack, [piv])
+    lead = np.zeros((nb, nrows), dtype=np.int64)  # c − ncols on the pivot row of c
+    pivots = [[] for _ in range(nb)]
+    for b, i, c in steps:
+        lead[b, i] = c - ncols
+        for j in b.tolist():
+            pivots[j].append(c)
+    return stack[blocks[:, None], np.argsort(lead, axis=1, kind="stable")], pivots
 
 
-def rational_lift(residues, primes):
-    """The rational matrix whose images mod each of ``primes`` are the
-    arrays ``residues``, if it has small enough entries; else None.
+def _rational_entries(residues, primes) -> list:
+    """The rational numbers whose images mod each of ``primes`` are the
+    entries of ``residues`` (per prime, a list of arrays), in row-major
+    order, with None for an entry that has no small enough preimage.
 
     The residues are combined by the Chinese remainder theorem into one
     array mod M = ∏ primes, and each entry u is reconstructed as the r/s
     with r ≡ s·u mod M and |r|, |s| ≤ ⌊√(M/2)⌋ (Wang 1981), which is
     unique when it exists.  Integral entries are ints, as in a Q field
-    array.  The result is only a candidate: the caller verifies it over Q.
+    array.
     """
-    m, acc = primes[0], residues[0].astype(np.int64).astype(object)
-    for res, p in zip(residues[1:], primes[1:]):
+    flat = [np.concatenate([a.ravel() for a in res]) for res in residues]
+    m, acc = primes[0], flat[0].astype(np.int64).astype(object)
+    for res, p in zip(flat[1:], primes[1:]):
         acc += m * ((res.astype(np.int64).astype(object) - acc) * pow(m, -1, p) % p)
         m *= p
     bound = isqrt(m // 2)
-    rows = []
-    for row in acc.tolist():
-        out = []
-        for u in row:
-            r0, s0, r1, s1 = m, 0, u, 1
-            while r1 > bound:
-                q = r0 // r1
-                r0, s0, r1, s1 = r1, s1, r0 - q * r1, s0 - q * s1
-            if abs(s1) > bound or gcd(r1, s1) != 1:
-                return None
+    out = []
+    for u in acc.tolist():
+        r0, s0, r1, s1 = m, 0, u, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, s0, r1, s1 = r1, s1, r0 - q * r1, s0 - q * s1
+        if abs(s1) > bound or gcd(r1, s1) != 1:
+            out.append(None)
+        else:
             out.append(r1 // s1 if abs(s1) == 1 else Fraction(r1, s1))
-        rows.append(tuple(out))
-    return rows
+    return out
+
+
+def rational_lift(residues, primes):
+    """The rational matrix whose images mod each of ``primes`` are the
+    arrays ``residues``, if it has small enough entries
+    (``_rational_entries``); else None.  The result is only a candidate:
+    the caller verifies it over Q."""
+    vals = _rational_entries([[res] for res in residues], primes)
+    if any(v is None for v in vals):
+        return None
+    ncols = residues[0].shape[1]
+    return [tuple(vals[s:s + ncols]) for s in range(0, len(vals), ncols)]
 
 
 _LIFT_PRIMES = []  # the primes below 2**20, largest first, found on demand
@@ -182,8 +249,8 @@ def _mod_image(val: np.ndarray, p: int):
 
 
 def _as_gf_array(rows, ncols: int) -> np.ndarray:
-    """A C-contiguous float64 copy of ``rows``."""
-    if not len(rows):
+    """A C-contiguous float64 copy of ``rows`` (a matrix or a stack)."""
+    if not (isinstance(rows, np.ndarray) or len(rows)):
         return np.zeros((0, ncols), dtype=np.float64)
     return np.array(rows, dtype=np.float64, order="C")
 
@@ -193,46 +260,102 @@ def echelonize(rows, ncols: int, field: Field):
 
     Each pivot is 1 and the only nonzero entry of its column, and the row
     space is preserved exactly.  Over GF(p) the rows are a float64 array
-    of ints in [0, p).  Over Q they are tuples of ints and Fractions, lifted
-    from RREFs mod primes (``_lift_prime``) of the denominator-cleared
-    integer matrix x: the primes that give the best pivot list so far (more
-    pivots, then the lexicographically earliest) are CRT-combined and
-    rationally reconstructed (``rational_lift``), one prime more until the
-    candidate E passes x == x[:, piv]·E exactly.  That certificate is
-    complete: reduction mod p never raises rank, so rank x ≥ |piv|; the
-    identity puts the row space of x inside that of E, of dimension |piv|,
-    so the two are equal, and the RREF of a row space is unique.  An
-    unlucky prime costs one more prime, never a wrong answer.
+    of ints in [0, p); over Q they are tuples of ints and Fractions
+    (``_q_echelon``).  ``rows`` may also be a (B, r, ncols) field array, a
+    stack of matrices eliminated together by one ``_gf_echelon`` per
+    prime; the result is then (stack, pivots) as ``_gf_echelon`` gives it
+    for a stack, over either field.
     """
     LINALG_STATS["eliminations"] += 1
+    stacked = isinstance(rows, np.ndarray) and rows.ndim == 3
     if isinstance(field, PrimeField):
-        a = _as_gf_array(rows, ncols)
-        return _gf_echelon(a, field.p)
+        return _gf_echelon(_as_gf_array(rows, ncols), field.p)
+    if stacked:
+        return _q_echelon(_integers(field, rows)[0])
     if not len(rows):
         return [], []
-    x, _ = _integers(field, np.asarray(rows, dtype=object).reshape(len(rows), ncols))
-    # the best (−rank, pivots) so far, (1, []) before any, and its (p, RREF mod p)
-    best, kept = (1, []), []
+    x, _ = _integers(field, np.asarray(rows, dtype=object).reshape(1, len(rows), ncols))
+    ech, (piv,) = _q_echelon(x)
+    return list(map(tuple, ech[0, :len(piv)].tolist())), list(piv)
+
+
+def _q_echelon(x: np.ndarray):
+    """The RREFs over Q of a (B, r, c) stack of integer matrices, as
+    (stack, pivots) in the format of ``_gf_echelon``: entries are ints and
+    Fractions.
+
+    Each block is lifted from RREFs mod primes (``_lift_prime``): the
+    primes that give the block's best pivot list so far (more pivots, then
+    the lexicographically earliest) are CRT-combined and rationally
+    reconstructed, one prime more until the candidate E passes
+    x == x[:, piv]·E exactly (``_lift_blocks``).  That certificate is
+    complete: reduction mod p never raises rank, so rank x ≥ |piv|; the
+    identity puts the row space of x inside that of E, of dimension |piv|,
+    so the two are equal, and the RREF of a row space is unique.  Each
+    prime costs one mod-p image and one stacked elimination of the blocks
+    not yet certified.  An unlucky prime costs only its own blocks one more
+    prime, never a wrong answer.
+    """
+    nb, nrows, ncols = x.shape
+    ech = np.zeros(x.shape, dtype=object)
+    pivots = [None] * nb
+    best = [(1, ())] * nb  # each block's best (−rank, pivots), (1, ()) before any
+    primes = [()] * nb  # and the primes that gave it
+    kept = [[] for _ in range(nb)]  # with their RREFs mod p
+    todo = list(range(nb))
     for i in count():
+        if not todo:
+            return ech, pivots
         p = _lift_prime(i)
-        ech, piv = _gf_echelon(_mod_image(x, p), p)
-        key = (-len(piv), piv)
-        if key > best:
-            continue  # p lost rank or moved a pivot
-        if key < best:
-            best, kept = key, []
-        kept.append((p, ech))
-        free = sorted(set(range(ncols)) - set(piv))
-        lifted = rational_lift([e[:, free] for _, e in kept], [q for q, _ in kept])
-        if lifted is None:
+        images, found = _gf_echelon(_mod_image(x if len(todo) == nb else x[todo], p), p)
+        groups = {}  # the blocks that keep p, by the primes they keep
+        for j, e, piv in zip(todo, images, found):
+            key = (-len(piv), piv)
+            if key > best[j]:
+                continue  # p lost rank or moved a pivot
+            if key < best[j]:
+                best[j], primes[j], kept[j] = key, (), []
+            primes[j] += (p,)
+            kept[j].append(e)
+            groups.setdefault(primes[j], []).append(j)
+        for group in groups.values():
+            for j in _lift_blocks(x, group, [best[j][1] for j in group],
+                                  [kept[j] for j in group], primes[group[0]], ech):
+                pivots[j] = best[j][1]
+                todo.remove(j)
+
+
+def _lift_blocks(x: np.ndarray, blocks, pivot_lists, residues, primes, ech: np.ndarray):
+    """The blocks of the integer stack x whose RREF over Q is lifted from
+    their RREFs mod ``primes`` (``residues``, per block a list with one per
+    prime); each such RREF is written into ``ech``.
+
+    One ``_rational_entries`` reconstructs the free entries of every
+    block (those off the pivot columns, in the rows down to the rank).  A
+    block whose entries all reconstruct is accepted when its candidate E
+    passes x == x[:, piv]·E exactly; E is the identity on the pivot
+    columns, so only the others are compared, as x[:, piv]·(d·E) == d·x
+    in integers, d the common denominator of E.
+    """
+    ncols = x.shape[2]
+    frees = [sorted(set(range(ncols)) - set(piv)) for piv in pivot_lists]
+    vals = _rational_entries(
+        [[res[t][:len(piv), free] for res, piv, free in zip(residues, pivot_lists, frees)]
+         for t in range(len(primes))], primes)
+    done, s = [], 0
+    for j, piv, free in zip(blocks, pivot_lists, frees):
+        k = len(piv)
+        lifted, s = vals[s:s + k * len(free)], s + k * len(free)
+        if None in lifted:
             continue
-        lifted = np.array(lifted, dtype=object).reshape(len(piv), len(free))
-        # E is the identity on the pivot columns, so only the others can fail
-        if np.array_equal(_mod_matmul(field, x[:, piv], lifted), x[:, free]):
-            e = np.zeros((len(piv), ncols), dtype=object)
-            e[np.arange(len(piv)), piv] = 1
-            e[:, free] = lifted
-            return list(map(tuple, e.tolist())), piv
+        lifted = np.array(lifted, dtype=object).reshape(k, len(free))
+        ints, d = _integers(QQ, lifted)
+        if (x[j][:, piv] @ ints == x[j][:, free] * d).all():
+            e = ech[j]
+            e[np.arange(k), piv] = 1
+            e[:k, free] = lifted
+            done.append(j)
+    return done
 
 
 def rank_of(rows, ncols: int, field: Field) -> int:
@@ -426,11 +549,16 @@ def _dtype(f: Field):
 
 
 def _field_array(f: Field, rows) -> np.ndarray:
-    """``rows`` as a field array; a float64 array over GF(p) is not copied.
-    Over Q an array of an integer dtype becomes Python ints in one step.
-    Anything else is read entry by entry (``_entry``), Python ints at once."""
-    if isinstance(rows, np.ndarray) and (isinstance(f, PrimeField) or rows.dtype.kind in "iu"):
-        return rows.astype(_dtype(f), copy=False)
+    """``rows`` as a field array; a float64 array over GF(p) is taken as
+    holding residues and is not copied.  An array of an integer dtype
+    becomes Python ints over Q and is reduced into [0, p) over GF(p), in one
+    step.  Anything else, an object array too, is read entry by entry
+    (``_entry``), Python ints at once."""
+    if isinstance(rows, np.ndarray):
+        if isinstance(f, PrimeField) and rows.dtype == np.float64:
+            return rows
+        if rows.dtype.kind in "iu":
+            return (rows % f.p if isinstance(f, PrimeField) else rows).astype(_dtype(f))
     rows = np.asarray(rows, dtype=object)
     if not set(map(type, rows.flat)) <= {int}:
         rows = _entries(f, rows)
@@ -643,21 +771,38 @@ def _gather(op, inp: np.ndarray, limit=None):
 
 
 def _kernel(f: Field, rows, ncols: int) -> np.ndarray:
-    """Right kernel as an (ncols × nullity) field array, read off the RREF:
-    the vector of a free column is 1 there, 0 on the other free columns,
-    and minus that column of the RREF on the pivots.
+    """Right kernel as an (ncols × nullity) field array: the kernel
+    vectors of ``_kernels`` on a stack of one, in the order of their free
+    columns."""
+    a = _field_array(f, rows)
+    return _kernels(f, a.reshape(1, a.shape[0] if a.ndim == 2 else 0, ncols))[2].T
 
-    Asserts rank + nullity = ncols before returning.
+
+def _kernels(f: Field, stack: np.ndarray):
+    """Right kernels of every matrix of a (B, r, w) stack, read off their
+    RREFs (one stacked ``echelonize``): (b, j, vecs), one kernel vector
+    vecs[k] for each free column j[k] of each block b[k], ordered by block,
+    then column.  The vector of a free column is 1 there, 0 on the other
+    free columns, and minus that column of the RREF on the pivots.
+
+    Asserts rank + nullity = w for every block before returning.
     """
-    ech, piv = echelonize(rows, ncols, f)
-    free = sorted(set(range(ncols)) - set(piv))
-    out = np.zeros((ncols, len(free)), dtype=_dtype(f))
-    out[free, np.arange(len(free))] = 1
-    if piv and free:
-        out[piv, :] = _reduce(f, -_field_array(f, ech).reshape(len(piv), ncols)[:, free])
+    nb, _, w = stack.shape
+    ech, pivots = echelonize(stack, w, f)
+    top = max(map(len, pivots), default=0)
+    # each RREF row's pivot coordinate, and w, a column dropped below, past the rank
+    coord = np.array([piv + [w] * (top - len(piv)) for piv in pivots],
+                     dtype=np.int64).reshape(nb, top)
+    free = np.ones((nb, w + 1), dtype=bool)
+    free[np.arange(nb)[:, None], coord] = False
+    b, j = np.nonzero(free[:, :w])
+    k = np.arange(b.size)
+    vecs = np.zeros((b.size, w + 1), dtype=_dtype(f))
+    vecs[k, j] = 1
+    vecs[k[:, None], coord[b]] = _reduce(f, -ech[b, :top, j])
     LINALG_STATS["rank_nullity_checks"] += 1
-    assert len(piv) + len(free) == ncols, "rank-nullity violated"
-    return out
+    assert b.size + sum(map(len, pivots)) == nb * w, "rank-nullity violated"
+    return b, j, vecs[:, :w]
 
 
 def _components(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
@@ -692,46 +837,56 @@ def _components(rows: np.ndarray, cols: np.ndarray, ncols: int) -> np.ndarray:
 
 def _sparse_kernel(f: Field, rows, cols, vals, ncols: int) -> np.ndarray:
     """``_kernel`` of the COO matrix (rows, cols, vals), sorted by row with
-    at most one entry per position, eliminated one connected component of
-    its columns (``_components``) at a time.
+    at most one entry per position, computed on the connected components
+    of its columns (``_components``).
 
     A column with no entry is a free unit vector, a component of one column
     is forced to 0, and every other component is one small dense block.
-    The kernel columns are ordered by free coordinate, and the result is
-    the one ``_kernel`` gives on the whole matrix: the system is block
-    diagonal, so a column depends on the earlier columns exactly when it
-    depends on the earlier columns of its own block, and the pivots, the
-    free columns and the reduced kernel vectors are those of one
-    elimination of everything.
+    The blocks of one width are padded with zero rows to the tallest and
+    eliminated as one stack (``_kernels``), so the elimination costs one
+    call per width, not per component.  The kernel columns are ordered by
+    free coordinate, and the result is the one ``_kernel`` gives on the
+    whole matrix: the system is block diagonal, so a column depends on the
+    earlier columns exactly when it depends on the earlier columns of its
+    own block, and the pivots, the free columns and the reduced kernel
+    vectors are those of one elimination of everything.
     """
     keep = vals != 0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     label = _components(rows, cols, ncols)
     used = np.zeros(ncols, dtype=bool)
     used[cols] = True
-    size = np.bincount(label[used], minlength=ncols)
-    blocks = []  # (columns, their kernel) of each component of 2+ columns
-    multi = size[label[cols]] > 1
-    order = np.lexsort((rows[multi], label[cols[multi]]))
-    rows, cols, vals = rows[multi][order], cols[multi][order], vals[multi][order]
-    starts = np.flatnonzero(np.diff(label[cols], prepend=-1))
-    for s, e in zip(starts, np.append(starts[1:], cols.size)):
-        _, r = np.unique(rows[s:e], return_inverse=True)
-        block_cols, c = np.unique(cols[s:e], return_inverse=True)
-        block = np.zeros((r.max() + 1, block_cols.size), dtype=_dtype(f))
-        block[r, c] = vals[s:e]
-        blocks.append((block_cols, _kernel(f, block, block_cols.size)))
+    width = np.bincount(label[used], minlength=ncols)[label[cols]]  # of each entry's component
+    multi = width > 1
+    rows, cols, vals, width = rows[multi], cols[multi], vals[multi], width[multi]
+    height = int(rows.max(initial=0)) + 1
     unit = np.flatnonzero(~used)
-    out = np.zeros((ncols, unit.size + sum(ker.shape[1] for _, ker in blocks)),
-                   dtype=_dtype(f))
-    out[unit, np.arange(unit.size)] = 1
-    j = unit.size
-    for block_cols, ker in blocks:
-        out[block_cols, j:j + ker.shape[1]] = ker
-        j += ker.shape[1]
-    # a reduced kernel vector's free coordinate is its last nonzero entry
-    free = ncols - 1 - np.argmax((out != 0)[::-1], axis=0)
-    return out[:, np.argsort(free)]
+    coords, parts = [unit], []  # free coordinates; (support, values) of each width's vectors
+    for w in np.unique(width).tolist():
+        at = width == w
+        r, c = rows[at], cols[at]
+        _, blk = np.unique(label[c], return_inverse=True)
+        # a block's columns and rows in order: ranks among its distinct keys
+        col_keys, lcol = np.unique(blk * ncols + c, return_inverse=True)
+        row_keys, lrow = np.unique(blk * height + r, return_inverse=True)
+        per_block = np.bincount(row_keys // height)
+        lrow -= (np.cumsum(per_block) - per_block)[blk]
+        stack = np.zeros((per_block.size, int(per_block.max()), w), dtype=_dtype(f))
+        stack[blk, lrow, lcol - blk * w] = vals[at]
+        b, j, vecs = _kernels(f, stack)
+        support = (col_keys % ncols).reshape(-1, w)
+        coords.append(support[b, j])  # a vector's free coordinate is its last nonzero
+        parts.append((support[b], vecs))
+    coords = np.concatenate(coords)
+    at = np.empty(coords.size, dtype=np.int64)
+    at[np.argsort(coords)] = np.arange(coords.size)  # each vector's place in the result
+    out = np.zeros((ncols, coords.size), dtype=_dtype(f))
+    out[unit, at[:unit.size]] = 1
+    s = unit.size
+    for support, v in parts:
+        out[support, at[s:s + len(v), None]] = v
+        s += len(v)
+    return out
 
 
 def _krylov(f: Field, step, v: np.ndarray, cap: int):
@@ -786,9 +941,9 @@ class Span:
 
     def _residue(self, batch) -> np.ndarray:
         """The rows of ``batch`` (or the one vector) minus their components
-        along the span."""
+        along the span; a field array is taken as reduced already."""
         f = self.field
-        b = _reduce(f, _field_array(f, batch).reshape(-1, self.n))
+        b = _field_array(f, batch).reshape(-1, self.n)
         if self.piv:
             b = _mod_matmul(f, -b[:, self.piv], self.rows, b)
         return b

@@ -31,7 +31,8 @@ class RMatrix:
     """An invertible element of H⊗H together with its verified inverse.
 
     The inverse is computed when not supplied (``_r_inverse``); a supplied
-    one is verified two-sided, and NotInvertible is raised when it fails.
+    one is verified (``verify_inverse``: inv·t = 1 suffices in a
+    finite-dimensional algebra), and NotInvertible is raised when it fails.
     """
 
     __slots__ = ("host", "element", "inverse")
@@ -72,9 +73,9 @@ def _r_inverse(host: HopfAlgebra, element: TensorElement) -> TensorElement:
 
     For an R-matrix R⁻¹ = (S⊗id)R (Kassel, *Quantum Groups*, VIII.2), one
     application of the antipode to the first leg; the candidate is
-    certified two-sided by ``verify_inverse``.  An element it does not
-    invert (one that is not an R-matrix) is inverted by ``tensor_invert``,
-    which raises NotInvertible on a zero divisor.
+    certified by ``verify_inverse``.  An element it does not invert (one
+    that is not an R-matrix) is inverted by ``tensor_invert``, which raises
+    NotInvertible on a zero divisor.
     """
     f, n = host.field, host.dim
     algs = [host.algebra, host.algebra]

@@ -26,7 +26,8 @@ degree of t's minimal polynomial.  An R-matrix is inverted in closed form
 instead, as (S⊗id)R (``rmatrix._r_inverse``, one ``_coapply`` of the
 antipode), and reaches ``tensor_invert`` only when that candidate fails.
 Every inverse, computed or supplied to ``RMatrix`` or ``KMatrix``, is
-verified two-sided by ``verify_inverse``.
+verified by ``verify_inverse``, from the one product inv·t: in a
+finite-dimensional algebra a left inverse is two-sided.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     then μ(0) = 0, so μ = x·q with q(t) ≠ 0 and t·q(t) = 0: ``t`` is a
     zero divisor and NotInvertible is raised.
     The verdict is therefore exact, and the returned inverse is still
-    verified two-sided by ``verify_inverse``.
+    verified by ``verify_inverse``.
 
     The work grows with deg μ (at most N).  Over Q the powers' entries grow
     with the degree too, but the kernel is eliminated mod word-size primes
@@ -233,14 +234,19 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
 
 
 def verify_inverse(t: TensorElement, inv: TensorElement, algebras) -> None:
-    """Raise NotInvertible unless ``inv`` is a two-sided inverse of ``t``;
-    both products are formed sparsely."""
+    """Raise NotInvertible unless ``inv`` is the inverse of ``t``, from the
+    one product inv·t, formed sparsely.
+
+    In a finite-dimensional associative algebra a left inverse is two-sided:
+    inv·t = 1 makes left multiplication by t injective, hence bijective, so
+    t·s = 1 for some s, and s = (inv·t)·s = inv·(t·s) = inv.
+    """
     t._check_compatible(inv)
     f = t.field
-    dims, ops, unit = _dims(t.factors), _mult_ops(t, algebras), _units(f, algebras)
-    if any(_differing(f, _products(f, a, b, ops, dims), unit, math.prod(dims)).size
-           for a, b in ((inv._fam, t._fam), (t._fam, inv._fam))):  # inv·t, then t·inv
-        raise NotInvertible("candidate inverse is not two-sided")
+    dims = _dims(t.factors)
+    prod = _products(f, inv._fam, t._fam, _mult_ops(t, algebras), dims)
+    if _differing(f, prod, _units(f, algebras), math.prod(dims)).size:
+        raise NotInvertible("candidate is not an inverse: inv·t ≠ 1")
 
 
 def _left_mult_op(t: TensorElement, algebras):

@@ -5,7 +5,10 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_elimination as reference
 from hopffact import linalg
 from hopffact.algebras import StructAlgebra
 from hopffact.errors import HopffactError, NotInvertible, SpaceMismatch
@@ -515,3 +518,82 @@ def test_python_scalars_are_normalized_at_the_boundary():
         MapMatrix(f, sp, sp, [[True, 0], [0, 1]])
     with pytest.raises(HopffactError, match="1/101"):
         MapMatrix(f, sp, sp, [[Fr(1, 101), 0], [0, 1]])
+
+
+def test_integer_and_object_arrays_are_normalized_at_the_boundary():
+    # over GF(p) an integer array is reduced into [0, p) and an object array
+    # is read entry by entry; a float64 array is taken as residues, uncopied
+    f, sp = GF(101), space("x", 2)
+    m = MapMatrix(f, sp, sp, np.array([[1, 0], [0, 102]]))
+    assert m.array.tolist() == [[1, 0], [0, 1]] and m.rows == ((1, 0), (0, 1))
+    m = MapMatrix(f, sp, sp, np.array([[Fr(1, 2), 0], [0, -1]], dtype=object))
+    assert m.array.tolist() == [[51, 0], [0, 100]] and m.rows == ((51, 0), (0, 100))
+    with pytest.raises(HopffactError, match="0.5"):
+        MapMatrix(f, sp, sp, np.array([[0.5, 0], [0, 1]], dtype=object))
+    residues = np.array([[3.0, 0.0], [0.0, 1.0]])
+    assert linalg._field_array(f, residues) is residues
+    m = MapMatrix(QQ, sp, sp, np.array([[1, 0], [0, 102]]))
+    assert m.rows == ((1, 0), (0, 102)) and {type(x) for x in m.array.flat} == {int}
+
+
+ECHELON_PRIMES = [2, 101, linalg._lift_prime(0), linalg._lift_prime(5), P_TOP]
+
+
+def _low_rank(rng, p, nrows, ncols, rank):
+    """An nrows × ncols matrix of residues mod p of rank at most ``rank``."""
+    if not rank:
+        return np.zeros((nrows, ncols))
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+    return np.array([[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)]
+                     for row in left], dtype=np.float64).reshape(nrows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(ECHELON_PRIMES), st.integers(0, 7), st.integers(1, 5),
+       st.randoms(use_true_random=False))
+def test_stacked_echelon_matches_the_per_matrix_reference(p, ncols, nb, rng):
+    # blocks of unequal heights, padded with zero rows; zero blocks, columns
+    # zero in every block and columns zero in some
+    heights = [rng.randint(0, 6) for _ in range(nb)]
+    dead = [c for c in range(ncols) if rng.random() < 0.25]
+    blocks = []
+    for h in heights:
+        rank = 0 if rng.random() < 0.15 else rng.randint(0, min(h, ncols))
+        block = _low_rank(rng, p, h, ncols, rank)
+        block[:, dead + [c for c in range(ncols) if rng.random() < 0.15]] = 0
+        blocks.append(block)
+    stack = np.zeros((nb, max(heights), ncols))
+    for b, block in enumerate(blocks):
+        stack[b, :len(block)] = block
+    ech, pivots = linalg._gf_echelon(stack.copy(), p)
+    for b, block in enumerate(blocks):
+        ref, ref_piv = reference.gf_echelon(block.copy(), p)
+        assert pivots[b] == ref_piv
+        assert np.array_equal(ech[b, :len(ref_piv)], ref)
+        assert not ech[b, len(ref_piv):].any()
+        one, one_piv = linalg._gf_echelon(block.copy(), p)  # a stack of one
+        assert one_piv == ref_piv and np.array_equal(one, ref)
+
+
+def test_q_stack_lifts_each_block_on_its_own_primes(monkeypatch):
+    # block 0 loses rank mod the first lift prime; the others certify on it,
+    # so the second prime eliminates block 0 alone
+    p1, p2 = linalg._lift_prime(0), linalg._lift_prime(1)
+    blocks = [[[1, 1], [1, 1 + p1]], [[1, 2], [3, 4]], [[2, 4], [1, 2]], [[0, 0], [0, 0]],
+              [[Fr(1, 3), 2], [Fr(5, 7), Fr(-1, 2)]]]
+    calls = []
+    eliminate = linalg._gf_echelon
+
+    def counted(a, p):
+        calls.append((a.shape[0], p))
+        return eliminate(a, p)
+
+    monkeypatch.setattr(linalg, "_gf_echelon", counted)
+    ech, pivots = echelonize(np.array(blocks, dtype=object), 2, QQ)
+    assert calls == [(5, p1), (1, p2)]
+    for b, rows in enumerate(blocks):
+        ref, ref_piv = reference.fraction_echelon(rows, 2)
+        assert pivots[b] == ref_piv
+        assert ech[b, :len(ref_piv)].tolist() == ref
+        assert not ech[b, len(ref_piv):].any()

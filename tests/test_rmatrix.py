@@ -279,3 +279,25 @@ def test_r_inverse_refuses_a_zero_divisor():
         RMatrix(h, t)
     with pytest.raises(NotInvertible):
         check_r_matrix(h, t)
+
+
+def test_a_supplied_inverse_is_verified_by_one_product(monkeypatch):
+    # inv·t = 1 is the whole check: in a finite-dimensional algebra a left
+    # inverse is two-sided.  A wrong candidate is still refused.
+    import hopffact.tensors as tensors
+
+    b = named_example("double:C3")
+    h, r = b.hopf, b.rmatrix
+    products = []
+    form = tensors._products
+
+    def counted(*args):
+        products.append(args)
+        return form(*args)
+
+    monkeypatch.setattr(tensors, "_products", counted)
+    assert RMatrix(h, r.element, r.inverse).inverse == r.inverse
+    assert len(products) == 1
+    for wrong in (r.inverse.scale(QQ.parse(2)), r.element):
+        with pytest.raises(NotInvertible, match="not an inverse"):
+            RMatrix(h, r.element, wrong)
