@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import HopffactError
 from .fields import Field
-from .linalg import (_SLICE_CELLS, BasedSpace, MapMatrix, Span, _dtype, _field_array,
-                     _mod_matmul, _reduce, _sparse_op)
+from .linalg import (BasedSpace, MapMatrix, Span, _batches, _dtype, _field_array, _mod_matmul,
+                     _OverBudget, _reduce, _sparse_op)
 from .tensors import (_coapply, _differing, _elements, _first_failure, _linear_op, _members,
                       _ProductOp, _products, _table_of, _units)
 from .verdicts import Verdict
@@ -31,7 +31,7 @@ class StructAlgebra:
     ``mult`` is its table (a family, see ``tensors``) or nested dicts
     {(i, j): {k: c}}, converted once."""
 
-    __slots__ = ("field", "space", "unit", "_op", "_stack", "_gens")
+    __slots__ = ("field", "space", "unit", "_op", "_left", "_stack", "_gens")
 
     def __init__(self, field: Field, space: BasedSpace, mult, unit):
         n = space.dim
@@ -46,6 +46,7 @@ class StructAlgebra:
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "_op", _ProductOp(mult))
+        object.__setattr__(self, "_left", None)
         object.__setattr__(self, "_stack", None)
         object.__setattr__(self, "_gens", None)
 
@@ -57,6 +58,15 @@ class StructAlgebra:
         i·n + j is e_i·e_j, with the rows of the table beside it
         (``tensors._ProductOp``)."""
         return self._op
+
+    def left_op(self):
+        """Element i is λ(e_i), [e_i e_j]_k at row k, column j: a matrix
+        family (``hopf.HModule.family``) read off the table, built once."""
+        if self._left is None:
+            n, m = self.dim, self.mult_op()
+            i, j = np.divmod(_members(m), n)
+            object.__setattr__(self, "_left", _sparse_op(self.field, i, m[2] * n + j, m[3], n, n * n))
+        return self._left
 
     def mult_stack(self) -> np.ndarray:
         """Left, then right, multiplication by every basis element, as one
@@ -181,12 +191,12 @@ def check_algebra(a: StructAlgebra) -> Verdict:
 
     Each identity is checked on every basis index at once: 1·e_i and e_i·1
     for all i, then (e_i e_j) e_k and e_i (e_j e_k) for all n³ triples.
-    The triples go in slabs of ascending i, as many i per slab as keep a
-    slab's n² triples each within ``linalg._SLICE_CELLS``: a slab compares
-    m's elements i·n + j (e_i e_j) times every e_k with every e_i times m's
-    elements j·n + k, so nothing of size n³ is formed, and the first slab
-    that fails holds the lexicographically first failing triple.  Up to
-    n = 101 all triples are one slab.
+    The triples go in runs of ascending i (``linalg._batches``), as many i
+    per run as keep its n² triples each within the cell budget: a run
+    compares m's elements i·n + j (e_i e_j) times every e_k with every e_i
+    times m's elements j·n + k, so nothing of size n³ is formed, and the
+    first run that fails holds the lexicographically first failing triple.
+    Up to n = 101 all triples are one run.
     """
     f, n = a.field, a.dim
     m, e, unit = a.mult_op(), _linear_op(f, np.eye(n, dtype=np.int64)), _units(f, [a])
@@ -196,15 +206,17 @@ def check_algebra(a: StructAlgebra) -> Verdict:
     )
     if bad:
         return Verdict.failed("unitality", bad[:1], ("1·e_i ≠ e_i", "e_i·1 ≠ e_i")[bad[1]])
-    # element (i - lo)·n² + j·n + k of both sides
-    step = max(1, _SLICE_CELLS // (n * n))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        bad = _differing(f, _products(f, _elements(m, lo * n, hi * n), e, [m], [n]),
-                         _products(f, _elements(e, lo, hi), m, [m], [n]), n)
+    def run(lo, hi, limit):
+        if limit is not None and (hi - lo) * n * n > limit:
+            raise _OverBudget
+        # element (i − lo)·n² + j·n + k of both sides is the triple (i, j, k)
+        return lo * n * n + _differing(f, _products(f, _elements(m, lo * n, hi * n), e, [m], [n]),
+                                       _products(f, _elements(e, lo, hi), m, [m], [n]), n)
+
+    for bad in _batches(run, n):
         if bad.size:
             i, jk = divmod(int(bad[0]), n * n)
-            return Verdict.failed("associativity", (lo + i, *divmod(jk, n)))
+            return Verdict.failed("associativity", (i, *divmod(jk, n)))
     return Verdict.passed()
 
 

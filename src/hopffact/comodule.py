@@ -17,7 +17,6 @@ from .hopf import (
     HModule,
     HopfAlgebra,
     _check_representation,
-    _kron_sum,
     _regular,
     check_representation,
     element_terms,
@@ -27,9 +26,8 @@ from .linalg import (
     BasedSpace,
     MapMatrix,
     Span,
-    _SLAB_COLUMNS,
-    _SLICE_CELLS,
     _OverBudget,
+    _batches,
     _combine,
     _dtype,
     _field_array,
@@ -41,6 +39,7 @@ from .linalg import (
     _mod_matmul,
     _mul,
     _neg,
+    _operator,
     _over,
     _reduce,
     _scalar_rows,
@@ -63,6 +62,7 @@ from .tensors import (
     _element,
     _embed,
     _first_failure,
+    _kron_sum,
     _members,
     _products,
     _table_of,
@@ -250,11 +250,15 @@ def module_braiding(k: KMatrix, x: HModule, m: BModule) -> MapMatrix:
 # operators of ``linalg``
 # ---------------------------------------------------------------------------
 
+_SLAB_COLUMNS = 1 << 13  # columns of X⊗Y⊗M per run of the braided-module scan
+
+
 def _act(f, batch, dims, step, legs, order, limit):
-    """Apply a two-leg operator, ``_kron_sum``'s (operator, d), to ``legs``
-    (la, lb) of a batch of columns, then reorder the legs by ``order``; the
-    batch is (column, [three leg indices], integer numerators, their one
-    denominator), and the result's denominator is the batch's times d.
+    """Apply a two-leg operator, (operator, d) of a ``_kron_sum``, to
+    ``legs`` (la, lb) of a batch of columns, then reorder the legs by
+    ``order``; the batch is (column, [three leg indices], integer
+    numerators, their one denominator), and the result's denominator is the
+    batch's times d.
 
     Equal entries are summed only when the step grew the batch: a step with
     at most one entry per input passes its entries on unsorted, and the sum
@@ -278,33 +282,30 @@ def _batch_keys(col, idx, dims):
     return col * (dims[0] * dims[1] * dims[2]) + (idx[0] * dims[1] + idx[1]) * dims[2] + idx[2]
 
 
-def _failing_columns(f, lhs, rhs, first, last, dims, limit):
-    """The columns first..last-1 of X⊗Y⊗M on which an identity fails:
-    ``lhs`` is the left side on X⊗Y⊗M, as ``_kron_sum``'s operator and
-    denominator and the column its input 0 stands for, ``rhs`` the two-leg
-    steps.  Both sides are integer numerators over one denominator each,
-    d_lhs and d_rhs, so lhs − rhs is formed exactly as
-    d_rhs·lhs − d_lhs·rhs."""
+def _failing_columns(f, terms, fams, rhs, cols: range, dims, limit):
+    """The columns ``cols`` of X⊗Y⊗M on which an identity fails: the left
+    side is the ``_kron_sum`` of ``terms`` on the module families ``fams``,
+    formed on those columns only, and ``rhs`` the two-leg steps.  Both
+    sides are integer numerators over one denominator each, d_lhs and
+    d_rhs, so lhs − rhs is formed exactly as d_rhs·lhs − d_lhs·rhs."""
     n = dims[0] * dims[1] * dims[2]
-    op, d_lhs, base = lhs
-    cols = np.arange(first, last, dtype=np.int64)
-    rep, out, val = _gather(op, cols - base, limit)
-    ones = _sparse_values(f, [f.one]).repeat(cols.size)
-    right, d = (cols, list(np.unravel_index(cols, dims)), ones, 1), dims
+    (inp, out, val), d_lhs = _kron_sum(f, terms, fams, dims, cols, limit)
+    col = np.arange(cols.start, cols.stop, dtype=np.int64)
+    ones = _sparse_values(f, [f.one]).repeat(col.size)
+    right, d = (col, list(np.unravel_index(col, dims)), ones, 1), dims
     for step, legs, order in rhs:
         right, d = _act(f, right, d, step, legs, order, limit)
     col, idx, rval, d_rhs = right
-    key, _ = _combine(f, np.concatenate(((rep + first) * n + out, _batch_keys(col, idx, d))),
+    key, _ = _combine(f, np.concatenate((inp * n + out, _batch_keys(col, idx, d))),
                       np.concatenate((val * d_rhs, _neg(f, rval * d_lhs))))
     return np.unique(key // n)
 
 
-def _in_columns(f, fam, d: int, lo: int, hi: int):
-    """The entries of a matrix family (``HModule.family``) in columns lo..hi-1,
-    moved to columns 0..hi-lo-1."""
+def _in_columns(fam, d: int, lo: int, hi: int):
+    """The entries of a matrix family (``HModule.family``) in columns lo..hi-1."""
     col = fam[2] % d
     keep = (col >= lo) & (col < hi)
-    return _sparse_op(f, _members(fam)[keep], fam[2][keep] - lo, fam[3][keep], fam[0].size, d * d)
+    return _operator(_members(fam)[keep], fam[2][keep], fam[3][keep], fam[0].size)
 
 
 def _braided_share(k: KMatrix):
@@ -382,14 +383,13 @@ def _braided_scan(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verdict:
     at the end is exact either way.  Every column is checked exactly;
     dense matrices on X⊗Y⊗M are never formed.
 
-    The columns, row-major (jx, jy, jm), go in slabs of ascending jx: a
-    slab is a run of X columns [lo, hi), that is the columns
-    [lo·dim Y·dim M, hi·dim Y·dim M), with as many X columns as keep it
-    within ``linalg._SLAB_COLUMNS`` columns (at least one).  The left sides
-    of a slab are operators on its columns alone, built from X's action
-    entries in its X columns; when one slab covers every column, X's
-    entries are used as they are.  Within a slab, batches are halved until
-    no expansion exceeds ``linalg._SLICE_CELLS`` entries.
+    The columns, row-major (jx, jy, jm), go in ascending runs
+    (``linalg._batches``), each within the cell budget and of at most
+    ``_SLAB_COLUMNS`` columns, so a witness among the first columns is
+    found without checking a large run past it.  A run forms the
+    left sides on its own columns only: from X's entries in the X columns
+    it touches (``_in_columns``), dropping the entries of X⊗Y, then of
+    X⊗Y⊗M, whose columns fall outside it (``_kron_sum``'s ``inputs``).
     The witness is the first failing column (jx, jy, jm) in lexicographic
     order, named by identity 1 when it fails there.
     """
@@ -400,7 +400,8 @@ def _braided_scan(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verdict:
     keep = (0, 1, 2)
 
     def two_leg(terms, a, b, groups=1):
-        return _kron_sum(f, terms, (a.family(), b.family()), (a.dim, b.dim), groups)
+        (inp, out, val), d = _kron_sum(f, terms, (a.family(), b.family()), (a.dim, b.dim))
+        return _operator(inp, out, val, groups * a.dim * b.dim), d
 
     # R and R⁻¹ on (Y, X) as one operator whose second group of inputs,
     # from dim Y·dim X on, is R⁻¹'s: its counts and offsets start there
@@ -424,31 +425,21 @@ def _braided_scan(k: KMatrix, x: HModule, y: HModule, m: BModule) -> Verdict:
         (r_yx, (0, 1), swap),
     ]
     # e_{X⊗Y,M}: (Δ⊗id)K, Δ on the first K-leg; e_{X,Y▷M}: (id⊗δ)K
-    legs = (x.family(), y.family(), m.family())
     plane = dims[1] * dims[2]  # the columns of X⊗Y⊗M in one X column
-    step = max(1, _SLAB_COLUMNS // plane)
-    size = step * plane
-    for lo in range(0, dims[0], step):
-        hi = min(dims[0], lo + step)
-        slab = legs if step >= dims[0] else (_in_columns(f, legs[0], dims[0], lo, hi), *legs[1:])
-        base, last = lo * plane, hi * plane
-        lhs1, lhs2 = ((*_kron_sum(f, terms, slab, dims, n_in=last - base), base)
-                      for terms in (terms1, terms2))
-        first = base
-        while first < last:
-            stop = min(last, first + size)
-            limit = _SLICE_CELLS if stop - first > 1 else None
-            try:
-                bad1 = _failing_columns(f, lhs1, rhs1, first, stop, dims, limit)
-                bad2 = _failing_columns(f, lhs2, rhs2, first, stop, dims, limit)
-            except _OverBudget:
-                size = (stop - first + 1) // 2
-                continue
-            if bad1.size or bad2.size:
-                col = int(min(bad1[:1].tolist() + bad2[:1].tolist()))
-                axiom = "braided-module-1" if col in bad1 else "braided-module-2"
-                return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
-            first = stop
+
+    def run(lo, hi, limit):
+        if hi - lo > _SLAB_COLUMNS:
+            raise _OverBudget
+        fams = (_in_columns(x.family(), dims[0], lo // plane, (hi - 1) // plane + 1),
+                y.family(), m.family())
+        return [_failing_columns(f, terms, fams, rhs, range(lo, hi), dims, limit)
+                for terms, rhs in ((terms1, rhs1), (terms2, rhs2))]
+
+    for bad1, bad2 in _batches(run, dims[0] * dims[1] * dims[2]):
+        if bad1.size or bad2.size:
+            col = int(min(bad1[:1].tolist() + bad2[:1].tolist()))
+            axiom = "braided-module-1" if col in bad1 else "braided-module-2"
+            return Verdict.failed(axiom, tuple(int(i) for i in np.unravel_index(col, dims)))
     return _unit_law(f, eps_row, m)
 
 
@@ -576,39 +567,37 @@ def _constraint_ops(c: ComoduleAlgebra):
     constraint of b is Σ_{c·h_i⊗b_j in δ(b)} c·ρ(b_j) ⊗ λ(h_i)ᵀ − λ(b) ⊗ id,
     so row (r', s') and column (r, s) carry
     Σ c·[b_r b_j]_{r'}·[h_i h_s']_s − [b b_r]_{r'}·[s = s'].
-    All of them are one ``_kron_sum``, one group per b, of two legs of matrix
-    families read off the structure constants: ρ(b_j), then λ(b_i), on B,
-    and λ(h_i)ᵀ, then id, on H.  Entries are summed exactly, over GF(p) as
+    All of them are one ``_kron_sum``, one group per b, of two legs of the
+    transposed matrix families read off the structure constants: ρ(b_j)ᵀ,
+    then λ(b_i)ᵀ, on B, and λ(h_i), then id, on H.  So its input is the
+    row and its output the column of the constraint, and its entries come
+    sorted by row, then column.  Entries are summed exactly, over GF(p) as
     residues, so none is ever larger than a field element; over Q as
     integer numerators, divided once by their one denominator.  The values
     are a sparse operator's (int64 residues over GF(p)).
     """
     f, h = c.field, c.host
     nb, nh = c.dim, h.dim
-    n = nb * nh
     counts, _, out, cv = c.coaction_op()
     hi, bj = np.divmod(out, nb)
     every = np.arange(nb)
     terms = (np.concatenate((np.repeat(every, counts), every)),
-             np.concatenate((bj, nb + every)),  # ρ(b_j), then λ(b)
-             np.concatenate((hi, np.full(nb, nh))),  # λ(h_i)ᵀ, then id
+             np.concatenate((bj, nb + every)),  # ρ(b_j)ᵀ, then λ(b)ᵀ
+             np.concatenate((hi, np.full(nb, nh))),  # λ(h_i), then id
              np.concatenate((cv, _sparse_values(f, [f.neg(f.one)] * nb))))
     # element i·d + j of a table holds [e_i e_j]_k at k: that is entry
-    # k·d + i of ρ(e_j), k·d + j of λ(e_i) and j·d + k of λ(e_i)ᵀ
+    # i·d + k of ρ(e_j)ᵀ, j·d + k of λ(e_i)ᵀ and k·d + j of λ(e_i)
     mb, mh = c.algebra.mult_op(), h.algebra.mult_op()
     i, j = np.divmod(_members(mb), nb)
     b_leg = _sparse_op(f, np.concatenate((j, nb + i)),
-                       np.concatenate((mb[2] * nb + i, mb[2] * nb + j)),
+                       np.concatenate((i * nb + mb[2], j * nb + mb[2])),
                        np.concatenate((mb[3], mb[3])), 2 * nb, nb * nb)
     i, j = np.divmod(_members(mh), nh)
     h_leg = _sparse_op(f, np.concatenate((i, np.full(nh, nh))),
-                       np.concatenate((j * nh + mh[2], np.arange(nh) * (nh + 1))),
+                       np.concatenate((mh[2] * nh + j, np.arange(nh) * (nh + 1))),
                        np.concatenate((mh[3], _sparse_values(f, [f.one] * nh))), nh + 1, nh * nh)
-    (counts, _, out, val), d = _kron_sum(f, terms, (b_leg, h_leg), (nb, nh), nb)
-    b, cols = np.divmod(np.repeat(np.arange(nb * n), counts), n)
-    rows = b * n + out
-    order = np.argsort(rows * n + cols)
-    return rows[order], cols[order], _over(val[order], d)
+    (rows, cols, val), d = _kron_sum(f, terms, (b_leg, h_leg), (nb, nh))
+    return rows, cols, _over(val, d)
 
 
 def _constraint_op(c: ComoduleAlgebra, b: int):
@@ -791,8 +780,8 @@ def _verify_omega_invariance(k: KMatrix, es: EndSpace, omega: TensorElement):
     n = nh * ne
     terms = _columns(h.coalgebra.comult_op(), (nh, nh))  # (t, a, mid, c) of Δ(h_t)
     legs = (h.adjoint_module().family(), es.module.family())
-    (counts, offsets, out, v), d = _kron_sum(f, terms, legs, (nh, ne), nh)
-    op = counts, offsets, out, _over(v, d)
+    (inp, out, v), d = _kron_sum(f, terms, legs, (nh, ne))
+    op = _operator(inp, out, _over(v, d), nh * n)
     _, _, key, val = omega._fam
     t, term = np.repeat(np.arange(nh), key.size), np.tile(np.arange(key.size), nh)
     rep, out, v = _gather(op, t * n + key[term])

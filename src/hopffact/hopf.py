@@ -16,17 +16,16 @@ from .algebras import (
 from .errors import InconsistentSystem, NoAntipode, NotInvertible, SpaceMismatch
 from .fields import Field
 from .linalg import (
-    _SLICE_CELLS,
     BasedSpace,
     MapMatrix,
-    _OverBudget,
+    _batches,
     _combine,
     _dtype,
     _field_array,
     _gather,
-    _integers,
     _mod_matmul,
     _mul,
+    _operator,
     _over,
     _reduce,
     _sparse_op,
@@ -39,6 +38,7 @@ from .tensors import (
     _differing,
     _first_failure,
     _flip,
+    _kron_sum,
     _linear_op,
     _members,
     _products,
@@ -371,9 +371,9 @@ def _check_representation(algebra, x: HModule, lefts) -> Verdict:
     ρ(e_i)[r, t] meets the entries of row t of every ρ(e_j), the right
     entries regrouped once by row.  It is compared with ρ(e_i e_j), the
     structure constants of the pairs applied through the family.  The
-    pairs go in batches of ``lefts``, halved until no join exceeds
-    ``linalg._SLICE_CELLS`` entries, so the cost follows the nonzeros;
-    no dense product is formed.  The witness is the first failing (i, j),
+    pairs go in runs of ``lefts`` (``linalg._batches``), so no join
+    exceeds the cell budget and the cost follows the nonzeros; no dense
+    product is formed.  The witness is the first failing (i, j),
     i in the order of ``lefts``."""
     f, n, d = algebra.field, algebra.dim, x.dim
     if len(x.stack) != n:
@@ -387,19 +387,14 @@ def _check_representation(algebra, x: HModule, lefts) -> Verdict:
     t, s = np.divmod(fam[2], d)
     by_row = _sparse_op(f, t, _members(fam) * d + s, fam[3], d, n * d)  # input t: j·d + s
     lefts = np.asarray(lefts, dtype=np.int64)
-    start, size = 0, lefts.size
-    while start < lefts.size:
-        stop = min(lefts.size, start + size)
-        try:
-            bad = _failing_pairs(algebra, fam, by_row, lefts[start:stop],
-                                 _SLICE_CELLS if stop - start > 1 else None)
-        except _OverBudget:
-            size = (stop - start + 1) // 2
-            continue
+
+    def run(lo, hi, limit):
+        return _failing_pairs(algebra, fam, by_row, lefts[lo:hi], limit) + lo * n
+
+    for bad in _batches(run, lefts.size):
         if bad.size:
             g, j = divmod(int(bad[0]), n)
-            return Verdict.failed("module-mult", (int(lefts[start + g]), j))
-        start = stop
+            return Verdict.failed("module-mult", (int(lefts[g]), j))
     return Verdict.passed()
 
 
@@ -415,9 +410,8 @@ def _failing_pairs(algebra, fam, by_row, lefts, limit):
     lhs = _sparse_op(f, g[rep] * n + j, r[rep] * d + s, _mul(f, v[rep], w), lefts.size * n, d * d)
     m = algebra.mult_op()
     pairs = (lefts[:, None] * n + np.arange(n)).ravel()
-    _, k, c = _gather(m, pairs)  # the products e_i·e_j, as a family of the pairs
-    counts = m[0][pairs]
-    rhs = _coapply(f, (counts, np.cumsum(counts) - counts, k, c), (n,), 0, fam, d * d)
+    rep, k, c = _gather(m, pairs)  # the products e_i·e_j, as a family of the pairs
+    rhs = _coapply(f, _operator(rep, k, c, pairs.size), (n,), 0, fam, d * d)
     return _differing(f, lhs, rhs, d * d)
 
 
@@ -434,49 +428,15 @@ def element_terms(t):
     return _columns(t._fam, [sp.dim for sp in t.factors])
 
 
-def _kron_sum(f: Field, terms, legs, dims, groups: int = 1, n_in: int | None = None):
-    """Σ c·A_a ⊗ B_b ⊗ … over ``terms``, the columns (g, a, b, …, c) as
-    arrays (``tensors._columns`` of a family), with A, B, … the matrix
-    families (``HModule.family``) in ``legs`` on spaces of dimensions ``dims``, as
-    a sparse operator with input g·dim + u, so each of the ``groups`` g is
-    an operator on A⊗B⊗….  It has ``n_in`` inputs, groups·dim unless a
-    caller knows that fewer are reached.
-
-    Entries are products of the nonzeros of the matrices, summed exactly;
-    input and output indices are row-major over the legs.  The values of
-    the terms and of each leg family are cleared of denominators once
-    (``linalg._integers``), so every product is one of integers: the
-    result is (operator, d), the operator's values the integer numerators
-    of its entries over the one denominator d, the product of the terms'
-    and the legs' denominators.  Over GF(p) d is 1 and the values are
-    residues; ``linalg._over`` gives the field values.
-    """
-    inp, *which, val = terms
-    val, den = _integers(f, val)
-    src = np.arange(inp.size)
-    out = np.zeros_like(inp)
-    n = 1
-    for fam, d, idx in zip(legs, dims, which):
-        ints, d_fam = _integers(f, fam[3])
-        rep, pos, v = _gather((*fam[:3], ints), idx[src])
-        row, col = np.divmod(pos, d)
-        src, inp, out = src[rep], inp[rep] * d + col, out[rep] * d + row
-        val = _mul(f, val[rep], v)
-        den *= d_fam
-        n *= d
-    return _sparse_op(f, inp, out, val, groups * n if n_in is None else n_in, n), den
-
-
 def kron_sums(terms, x: HModule, y: HModule, groups: int = 1, swap: bool = False) -> np.ndarray:
     """Σ c·ρ_X(a) ⊗ ρ_Y(b) for each group g < ``groups`` of ``terms``, the
     columns (g, a, b, c), as one (groups, n, n) field array of dense maps
     on X⊗Y; with ``swap`` they land in Y⊗X."""
     f, n = x.field, x.dim * y.dim
-    (counts, _, out, val), d = _kron_sum(f, terms, (x.family(), y.family()),
-                                         (x.dim, y.dim), groups)
+    (inp, out, val), d = _kron_sum(f, terms, (x.family(), y.family()), (x.dim, y.dim))
     if swap:
         out = out % y.dim * x.dim + out // y.dim
-    g, col = np.divmod(np.repeat(np.arange(groups * n), counts), n)
+    g, col = np.divmod(inp, n)
     dense = np.zeros((groups, n, n), dtype=_dtype(f))
     dense[g, out, col] = _over(val, d)
     return dense

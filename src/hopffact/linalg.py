@@ -678,19 +678,17 @@ def _mod_matmul(f: Field, a: np.ndarray, b: np.ndarray, c=None) -> np.ndarray:
     return out
 
 
-_SLICE_CELLS = 1 << 20  # array cells per slice of a large product
-_SLAB_COLUMNS = 1 << 13  # columns of X⊗Y⊗M per slab of the braided-module check
+def _apply(f: Field, op, n: int):
+    """The map mat ↦ op @ mat for a COO operator (rows, cols, vals) with n
+    rows, as a function of mat (a step of ``_krylov``).
 
-
-def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
-    """op @ mat for a COO operator (rows, cols, vals) sorted by row, one
-    output row per nonzero operator row.
-
-    Each operator row is padded to the widest row's entry count, so a slice
-    of rows is one stacked product of their values against the gathered
-    rows of ``mat``.
+    The entries are sorted by row once, and each nonzero operator row is
+    padded to the widest row's entry count, so a run of rows is one stacked
+    product of their values against the gathered rows of mat
+    (``_batches``).
     """
-    rows, cols, vals = op
+    order = np.argsort(op[0], kind="stable")
+    rows, cols, vals = (a[order] for a in op)
     ids, starts, counts = np.unique(rows, return_index=True, return_counts=True)
     width = int(counts.max(initial=0))
     line = np.repeat(np.arange(ids.size), counts)
@@ -699,13 +697,20 @@ def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
     pad_vals = np.zeros((ids.size, 1, width), dtype=_dtype(f))
     pad_cols[line, slot] = cols
     pad_vals[line, 0, slot] = vals
-    k = mat.shape[1]
-    step = max(1, _SLICE_CELLS // max(1, width * k))
-    parts = [
-        _mod_matmul(f, pad_vals[s:s + step], mat[pad_cols[s:s + step]])[:, 0, :]
-        for s in range(0, ids.size, step)
-    ]
-    return np.concatenate(parts) if parts else np.zeros((0, k), dtype=_dtype(f))
+
+    def apply(mat):
+        k = mat.shape[1]
+
+        def run(lo, hi, limit):
+            if limit is not None and (hi - lo) * width * k > limit:
+                raise _OverBudget
+            return _mod_matmul(f, pad_vals[lo:hi], mat[pad_cols[lo:hi]])[:, 0, :]
+
+        out = np.zeros((n, k), dtype=_dtype(f))
+        out[ids] = np.concatenate([out[:0], *_batches(run, ids.size)])
+        return out
+
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -713,12 +718,40 @@ def _apply(f: Field, op, mat: np.ndarray) -> np.ndarray:
 #
 # A sparse operator is a tuple (counts, offsets, out, val): the entries
 # (out, val) sorted by input and, within an input, by out, with counts[i] of
-# them for input i starting at offsets[i].  Values are int64 residues over GF(p), reduced after every
-# product (each product of two residues is below 2**63), and objects over Q.
+# them for input i starting at offsets[i].  Values are int64 residues over
+# GF(p), reduced after every product (each product of two residues is below
+# 2**63), and objects over Q.  Where a caller only reads the entries, they
+# stay COO (inputs, outputs, values), and no per-input index is built.
 # ---------------------------------------------------------------------------
 
 class _OverBudget(Exception):
     """An expansion would exceed the cell budget of one batch."""
+
+
+_SLICE_CELLS = 1 << 20  # array cells per expansion of one batch
+
+
+def _batches(run, count: int):
+    """Yield run(lo, hi, limit) for consecutive runs [lo, hi) that cover
+    range(count), in order.
+
+    The first run is the whole range.  A run raises _OverBudget when one of
+    its expansions would exceed ``limit`` cells (``_gather``), or, where its
+    cost is known, before doing any work; it is then halved, and every
+    later run keeps the smaller size.  A run of one gets limit None, so
+    every run ends.  This is the one reader of ``_SLICE_CELLS`` and the one
+    place a run is retried.
+    """
+    lo, size = 0, count
+    while lo < count:
+        hi = min(count, lo + size)
+        try:
+            result = run(lo, hi, _SLICE_CELLS if hi - lo > 1 else None)
+        except _OverBudget:
+            size = (hi - lo + 1) // 2
+            continue
+        yield result
+        lo = hi
 
 
 def _sparse_values(f: Field, scalars) -> np.ndarray:
@@ -749,8 +782,14 @@ def _combine(f: Field, key: np.ndarray, val: np.ndarray):
 def _sparse_op(f: Field, inp, out, val, n_in: int, n_out: int):
     """The sparse operator with entries (inp, out, val), duplicates summed."""
     key, val = _combine(f, inp * n_out + out, val)
-    counts = np.bincount(key // n_out, minlength=n_in)
-    return counts, np.cumsum(counts) - counts, key % n_out, val
+    return _operator(key // n_out, key % n_out, val, n_in)
+
+
+def _operator(inp, out, val, n_in: int):
+    """The sparse operator with ``n_in`` inputs of entries already sorted
+    by (input, output) and summed, as ``_combine`` leaves them."""
+    counts = np.bincount(inp, minlength=n_in)
+    return counts, np.cumsum(counts) - counts, out, val
 
 
 def _gather(op, inp: np.ndarray, limit=None):

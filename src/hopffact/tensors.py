@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import HopffactError, NotInvertible, SpaceMismatch
 from .fields import Field, require_same_field
-from .linalg import (_SLICE_CELLS, _OverBudget, _apply, _combine, _dtype, _field_array, _gather,
-                     _integers, _krylov, _mod_matmul, _mul, _neg, _over, _scalar_rows,
+from .linalg import (_apply, _batches, _combine, _dtype, _field_array, _gather, _integers,
+                     _krylov, _mod_matmul, _mul, _neg, _operator, _over, _scalar_rows,
                      _sparse_op, _sparse_values)
 
 
@@ -191,8 +191,10 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     """Two-sided inverse of ``t`` in the product algebra, read off an
     annihilating polynomial of ``t``.
 
-    Left multiplication by ``t`` is built once as a sparse operator and
-    applied to 1 to get the powers 1, t, t², … until they become dependent
+    Left multiplication by ``t`` = Σ c·e_a⊗e_b⊗… is built once, as the
+    Kronecker sum Σ c·λ(e_a)⊗λ(e_b)⊗… of the slots' left multiplications
+    (``_kron_sum`` of ``StructAlgebra.left_op``), and applied to 1 to get
+    the powers 1, t, t², … until they become dependent
     (``linalg._krylov``, at most N + 1 of them, N the dimension of the
     product); the kernel of the stacked powers holds the multiples of the
     minimal polynomial μ of ``t``.  A kernel vector c with c₀ ≠ 0 gives
@@ -208,17 +210,14 @@ def tensor_invert(t: TensorElement, algebras) -> TensorElement:
     not wider integers inside the elimination.
     """
     f = t.field
-    n = math.prod(_dims(t.factors))
-    op = _left_mult_op(t, algebras)
-    hit = np.unique(op[0])  # the rows where left multiplication can land
-
-    def step(col):
-        nxt = np.zeros((n, 1), dtype=col.dtype)
-        nxt[hit] = _apply(f, op, col)
-        return nxt
-
+    dims = _dims(t.factors)
+    n = math.prod(dims)
+    _mult_ops(t, algebras)  # every slot needs an algebra
+    legs = [alg.left_op() for alg in algebras]
+    (cols, rows, val), d = _kron_sum(f, _columns(t._fam, dims), legs, dims)
+    op = rows, cols, _field_array(f, _over(val, d))
     unit = _dense(tensor_unit(f, t.factors, algebras)).ravel()
-    powers, ann = _krylov(f, step, unit, n + 1)
+    powers, ann = _krylov(f, _apply(f, op, n), unit, n + 1)
     m = powers.shape[1]
     with_c0 = np.nonzero(ann[0] != 0)[0]
     if not with_c0.size:
@@ -247,29 +246,6 @@ def verify_inverse(t: TensorElement, inv: TensorElement, algebras) -> None:
     prod = _products(f, inv._fam, t._fam, _mult_ops(t, algebras), dims)
     if _differing(f, prod, _units(f, algebras), math.prod(dims)).size:
         raise NotInvertible("candidate is not an inverse: inv·t ≠ 1")
-
-
-def _left_mult_op(t: TensorElement, algebras):
-    """Left multiplication by ``t`` on the flattened product (row-major
-    multi-indices), as COO arrays (rows, cols, vals) sorted by row.
-
-    A term c·e_{i_1}⊗…⊗e_{i_k} contributes c times the Kronecker product
-    of the slots' left multiplications by e_{i_s}, read off the product
-    tables at the pairs i_s·d + j for every j; entries are summed in the
-    field.
-    """
-    f = t.field
-    n = stride = math.prod(_dims(t.factors))
-    _, _, key, val = t._fam
-    rows = cols = np.zeros(key.size, dtype=np.int64)
-    for op, d in zip(_mult_ops(t, algebras), _dims(t.factors)):
-        stride //= d
-        rep, k, c = _gather(op, ((key // stride % d * d)[:, None] + np.arange(d)).ravel())
-        term, j = np.divmod(rep, d)
-        key, rows, cols = key[term], rows[term] * d + k, cols[term] * d + j
-        val = _mul(f, val[term], c)
-    key, val = _combine(f, rows * n + cols, val)
-    return key // n, key % n, _field_array(f, val)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +303,7 @@ class _ProductOp(tuple):
         self = super().__new__(cls, op)
         d = math.isqrt(op[0].size)
         nz = np.flatnonzero(op[0])
-        row_len = np.bincount(nz // d, minlength=d)
-        self.rows = (row_len, np.cumsum(row_len) - row_len, nz % d, nz)
+        self.rows = _operator(nz // d, nz % d, nz, d)
         return self
 
 
@@ -447,8 +422,8 @@ def _products(f: Field, left, right, ops, dims):
     terms with first index b.  So the expansion leaves out only pairs whose
     first slots multiply to zero, and values are multiplied only for the
     pairs that remain; the slot loop forms the products and ``_combine``
-    sums them exactly.  The expansion goes in batches of left terms, halved
-    until no expansion exceeds ``linalg._SLICE_CELLS`` entries.
+    sums them exactly.  The expansion goes in runs of left terms
+    (``linalg._batches``), so no expansion exceeds the cell budget.
     """
     n, n_right = math.prod(dims), right[0].size
     stride0 = n // dims[0]
@@ -460,37 +435,26 @@ def _products(f: Field, left, right, ops, dims):
     # digits), sorted by (b, h, key), as one element's sorted keys already are
     first = right[2] // stride0
     order = np.argsort(first, kind="stable") if n_right > 1 else slice(None)
-    cnt = np.bincount(first, minlength=dims[0])
-    by_first = (cnt, np.cumsum(cnt) - cnt, (_members(right) * n + right[2])[order], vb[order])
+    by_first = _operator(first[order], (_members(right) * n + right[2])[order], vb[order], dims[0])
     g = _members(left)
-    keys, vals = [np.zeros(0, dtype=np.int64)], [va[:0]]
-    start, size = 0, g.size
-    while start < g.size:
-        stop = min(g.size, start + size)
-        limit = _SLICE_CELLS if stop - start > 1 else None
-        try:
-            q, b, _ = _gather(ops[0].rows, first0[start:stop], limit)
-            rep, kb, vr = _gather(by_first, b, limit)
-            rep = q[rep] + start
-            key, a, val = g[rep] * n_right + kb // n, left[2][rep], _mul(f, va[rep], vr)
-            stride = n
-            for op, d in zip(ops, dims):
-                stride //= d
-                rep, k, c = _gather(op, a // stride % d * d + kb // stride % d, limit)
-                key, a, kb, val = key[rep] * d + k, a[rep], kb[rep], _mul(f, val[rep], c)
-        except _OverBudget:
-            size = (stop - start + 1) // 2
-            continue
-        key, val = _combine(f, key, val)
-        keys.append(key)
-        vals.append(val)
-        start = stop
-    key, val = np.concatenate(keys), np.concatenate(vals)
-    if len(keys) > 2:  # batches can share keys
-        key, val = _combine(f, key, val)
+
+    def run(lo, hi, limit):
+        q, b, _ = _gather(ops[0].rows, first0[lo:hi], limit)
+        rep, kb, vr = _gather(by_first, b, limit)
+        rep = q[rep] + lo
+        key, a, val = g[rep] * n_right + kb // n, left[2][rep], _mul(f, va[rep], vr)
+        stride = n
+        for op, d in zip(ops, dims):
+            stride //= d
+            rep, k, c = _gather(op, a // stride % d * d + kb // stride % d, limit)
+            key, a, kb, val = key[rep] * d + k, a[rep], kb[rep], _mul(f, val[rep], c)
+        return _combine(f, key, val)
+
+    parts = list(_batches(run, g.size)) or [(np.zeros(0, dtype=np.int64), va[:0])]
+    # runs can share keys
+    key, val = parts[0] if len(parts) == 1 else _combine(f, *map(np.concatenate, zip(*parts)))
     val = _over(val, da * db)
-    counts = np.bincount(key // n, minlength=left[0].size * n_right)
-    return counts, np.cumsum(counts) - counts, key % n, val
+    return _operator(key // n, key % n, val, left[0].size * n_right)
 
 
 def _coapply(f: Field, fam, dims, leg: int, op, width: int):
@@ -504,6 +468,40 @@ def _coapply(f: Field, fam, dims, leg: int, op, width: int):
     key = (pre[rep] * width + out) * post + rest[rep]
     n = math.prod(dims) // dims[leg] * width
     return _sparse_op(f, _members(fam)[rep], key, _mul(f, fam[3][rep], c), fam[0].size, n)
+
+
+def _kron_sum(f: Field, terms, legs, dims, inputs: range | None = None, limit=None):
+    """Σ c·A_a ⊗ B_b ⊗ … over ``terms``, the columns (g, a, b, …, c) of a
+    family (``_columns``), with A, B, … the matrix families
+    (``HModule.family``) in ``legs`` on spaces of dimensions ``dims``: the
+    entries (input, output, value), input g·dim + u and both row-major over
+    the legs, summed once and sorted by (input, output).  With ``inputs``,
+    only the inputs in that range are formed, the others dropped after each
+    leg; an expansion past ``limit`` entries raises _OverBudget.
+
+    The values of the terms and of each leg are cleared of denominators
+    once (``linalg._integers``), so every product is one of integers: the
+    result is ((input, output, value), d), the values the numerators over
+    the one denominator d (1 over GF(p), where they are residues).
+    """
+    inp, *which, val = terms
+    val, den = _integers(f, val)
+    src = np.arange(inp.size)
+    out = np.zeros_like(inp)
+    n = rest = math.prod(dims)
+    for fam, d, idx in zip(legs, dims, which):
+        ints, d_fam = _integers(f, fam[3])
+        rep, pos, v = _gather((*fam[:3], ints), idx[src], limit)
+        row, col = np.divmod(pos, d)
+        src, inp, out = src[rep], inp[rep] * d + col, out[rep] * d + row
+        val = _mul(f, val[rep], v)
+        den *= d_fam
+        rest //= d
+        if inputs is not None:  # an input here is the first digits of one there
+            keep = (inp >= inputs.start // rest) & (inp <= (inputs.stop - 1) // rest)
+            src, inp, out, val = src[keep], inp[keep], out[keep], val[keep]
+    key, val = _combine(f, inp * n + out, val)
+    return (key // n, key % n, val), den
 
 
 def _flip(f: Field, fam, dims):

@@ -48,7 +48,7 @@ from hopffact.hopf import (
     regular_module,
     trivial_module,
 )
-from hopffact import hopf, tensors
+from hopffact import hopf, linalg
 from hopffact.linalg import BasedSpace, MapMatrix
 from hopffact.rmatrix import RMatrix, _check_axioms
 from hopffact.tensors import (TensorElement, _element, _embed, _linear_op, _products,
@@ -596,9 +596,7 @@ def test_toggled_constant_witnesses_match_references(name, field, kind, idx, fai
 
 def test_associativity_witnesses_do_not_depend_on_the_slab(monkeypatch):
     # one i per slab of associativity's triples, so D(S3) sweeps 36 slabs
-    import hopffact.algebras as algebras
-
-    monkeypatch.setattr(algebras, "_SLICE_CELLS", 1)
+    monkeypatch.setattr(linalg, "_SLICE_CELLS", 1)
     pinned = set()
     for name, field, kind, idx, failures in TOGGLES:
         h, _, c, _ = _perturbed(named_example(name, field), kind, idx, field.one)
@@ -833,7 +831,7 @@ def test_representation_join_in_small_batches(monkeypatch):
         batches.append(lefts.size)  # a batch over budget raises first
         return bad
 
-    monkeypatch.setattr(hopf, "_SLICE_CELLS", 5)
+    monkeypatch.setattr(linalg, "_SLICE_CELLS", 5)
     monkeypatch.setattr(hopf, "_failing_pairs", counting)
     for name in ("double:C2", "regular:S3", "double:C3"):
         h = named_example(name, GF(101)).hopf
@@ -970,7 +968,7 @@ def test_join_order_matches_reference(field, slice_cells, monkeypatch):
     # the K-axiom products of double:S3, one at a time as the check forms
     # them, then every left·right of two families of their factors at once
     if slice_cells is not None:
-        monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
+        monkeypatch.setattr(linalg, "_SLICE_CELLS", slice_cells)
     el, algs3, product = _d_s3_legs(field)
     for a, b in (("k23", "r21"), ("r21", "k13"), ("k13", "r12"), ("k13", "r21_inv")):
         _assert_all_pairs(field, [el[a]], [el[b]], algs3, lambda g, h: product(a, b))
@@ -985,7 +983,7 @@ def test_cartesian_order_matches_reference(field, slice_cells, monkeypatch):
     # every (e_a e_x)·e_c and e_a·(e_x e_c) of double:C2, element
     # (a·n + x)·n + c, against the entrywise products
     if slice_cells is not None:
-        monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
+        monkeypatch.setattr(linalg, "_SLICE_CELLS", slice_cells)
     alg = named_example("double:C2", field).hopf.algebra
     f, n = alg.field, alg.dim
     m, e = alg.mult_op(), _linear_op(f, np.eye(n, dtype=np.int64))
@@ -1025,7 +1023,7 @@ def test_both_orders_on_mixed_slots_match_reference(field, slice_cells, monkeypa
     # a value read from the wrong place shows; families of several elements
     # with different term counts, zero among them and last, multiplied both ways
     if slice_cells is not None:
-        monkeypatch.setattr(tensors, "_SLICE_CELLS", slice_cells)
+        monkeypatch.setattr(linalg, "_SLICE_CELLS", slice_cells)
     hosts = [named_example(name, field).hopf for name in ("double:C2", "sweedler:1", "regular:S3")]
     factors, algs = [h.space for h in hosts], [h.algebra for h in hosts]
     rng = random.Random(7)

@@ -8,6 +8,7 @@ answers from that certificate; ``_braided_scan`` is the column scan it
 otherwise runs, and the two must agree wherever both apply.
 """
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -374,12 +375,13 @@ def test_braided_check_in_small_batches(monkeypatch):
     # a budget below one column's expansion forces one column per batch;
     # the witness must not depend on the batching
     import hopffact.comodule as comodule
+    import hopffact.linalg as linalg
 
     b = named_example("double:C2")
     mods = list(_modules(b))
     mods[2] = _bumped(mods[2], 3, 3, 2)
     whole = check_braided_module(b.kmatrix, *mods)
-    monkeypatch.setattr(comodule, "_SLICE_CELLS", 3)
+    monkeypatch.setattr(linalg, "_SLICE_CELLS", 3)
     assert check_braided_module(b.kmatrix, *mods) == whole
     assert comodule._braided_scan(b.kmatrix, *_modules(b))
 
@@ -387,10 +389,11 @@ def test_braided_check_in_small_batches(monkeypatch):
 @pytest.mark.parametrize("which, a, entry, axiom, witness", PINNED_36)
 def test_braided_witness_at_dimension_36_does_not_depend_on_the_slab(
         monkeypatch, which, a, entry, axiom, witness):
-    # one X column per slab: 36 slabs of 1,296 columns
-    import hopffact.comodule as comodule
+    # runs of 729 columns, at most one X column's 1,296 and not aligned
+    # with them
+    import hopffact.linalg as linalg
 
-    monkeypatch.setattr(comodule, "_SLAB_COLUMNS", 1)
+    monkeypatch.setattr(linalg, "_SLICE_CELLS", 1000)
     b = named_example("double:S3", GF(101))
     mods = list(_modules(b))
     mods[which] = _bumped(mods[which], a, *entry)
@@ -399,7 +402,7 @@ def test_braided_witness_at_dimension_36_does_not_depend_on_the_slab(
 
 
 def test_braided_verdicts_do_not_depend_on_the_slab(monkeypatch):
-    import hopffact.comodule as comodule
+    import hopffact.linalg as linalg
 
     b = named_example("double:C2")
     k = b.kmatrix
@@ -415,7 +418,8 @@ def test_braided_verdicts_do_not_depend_on_the_slab(monkeypatch):
     x, y, m = _modules(b)
     line = _direct_sum(x, _bumped(trivial_module(b.hopf), 1, 0, 0))
     whole = [check_braided_module(k, *mods) for mods in cases + [[line, y, m]]]
-    monkeypatch.setattr(comodule, "_SLAB_COLUMNS", 1)
+    # runs of 1, 4 and 8 of the 16 columns in one X column
+    monkeypatch.setattr(linalg, "_SLICE_CELLS", 10)
     for mods, want in zip(cases, whole):
         assert check_braided_module(k, *mods) == want == _reference_check(k, *mods)
     v = check_braided_module(k, line, y, m)
@@ -500,3 +504,30 @@ def test_module_braiding_and_z2_on_the_registry(field):
             acc = acc + kron_matrix(x.action[a], m.action[c]).scale(cv)
         assert e == acc, name
         assert z2_membership(b.kmatrix, x) == acc.is_identity(), name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_kron_sum_on_a_range_of_inputs_is_that_range_of_the_whole(field):
+    # both left sides on D(C3)'s regular modules, whose 729 columns
+    # have 81 in each X column: ranges inside one X column, across several
+    # and at both ends, with X's family whole or cut to the X columns touched
+    from hopffact.comodule import _braided_share, _in_columns
+    from hopffact.tensors import _kron_sum
+
+    b = named_example("double:C3", field)
+    x, _, m = _modules(b)
+    dims = [x.dim, x.dim, m.dim]
+    plane = dims[1] * dims[2]
+    _, terms1, terms2, *_ = _braided_share(b.kmatrix)
+    for terms in (terms1, terms2):
+        fams = (x.family(), x.family(), m.family())
+        (inp, out, val), d = _kron_sum(field, terms, fams, dims)
+        assert np.all(np.diff(inp * plane * dims[0] + out) > 0)  # sorted, summed once
+        for lo, hi in ((0, 729), (0, 1), (5, 70), (80, 82), (100, 400), (728, 729)):
+            at = (inp >= lo) & (inp < hi)
+            cut = (_in_columns(fams[0], dims[0], lo // plane, (hi - 1) // plane + 1), *fams[1:])
+            for legs in (fams, cut):
+                (i, o, v), e = _kron_sum(field, terms, legs, dims, range(lo, hi))
+                assert e == d
+                assert i.tolist() == inp[at].tolist() and o.tolist() == out[at].tolist()
+                assert v.tolist() == val[at].tolist()

@@ -49,10 +49,11 @@ from hopffact.constructions import (
 from hopffact.errors import HopffactError, ImageEscapesEndSpace, NotInvertible
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
-from hopffact.hopf import regular_module, trivial_module
+from hopffact.hopf import HModule, regular_module, trivial_module
 from hopffact.linalg import BasedSpace, MapMatrix, Span, echelonize, kernel_basis
 from hopffact.rmatrix import RMatrix
 from hopffact.rmatrix import drinfeld_map
+from hopffact.tensors import TensorElement
 import reference_elimination as reference
 from reference_tables import coaction_dict, comult_dict, mult_dict, multiply
 
@@ -354,6 +355,32 @@ def test_theta_trivial_k_collapses():
             for rr in range(b.comodule.dim):
                 expect = eps[ss] * fval * unit_b.get(rr, QQ.zero)
                 assert recon[rr][ss] == expect
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_k_g_tensor_1_on_regular_c2_pins_where_the_two_readings_disagree(field):
+    """K = g⊗1 on the ``regular:C2`` host and algebra, a K that the
+    library accepts, on which its two readings of nondegeneracy disagree.
+
+    ``z2_membership`` puts the trivial character in Z₂ and the sign
+    character outside it, so Z₂ holds only the trivial module and
+    dim J = 1 = dim H − 1: nondegenerate.  But dim E = 2 while θ has rank
+    1: not factorizable.  This pins today's output and does not say which
+    reading is right; that is the first open item of ROADMAP.md to settle.
+    """
+    b = named_example("regular:C2", field)
+    h, c = b.hopf, b.comodule
+    assert h.space.labels == c.algebra.space.labels == ("e", "g")
+    k = KMatrix(c, b.rmatrix, TensorElement(field, (h.space, c.algebra.space), {(1, 0): field.one}))
+    assert check_k_matrix(k)
+    line = BasedSpace(("1",))
+    sign = HModule(line, [MapMatrix(field, line, line, [[field.one]]),
+                          MapMatrix(field, line, line, [[field.neg(field.one)]])])
+    assert z2_membership(k, trivial_module(h))
+    assert not z2_membership(k, sign)
+    es = compute_end_space(c)
+    assert es.dim == 2
+    assert theta_comodule(k, es).rank() == 1
 
 
 def test_theta_equals_drinfeld_for_regular(dc2):
@@ -768,7 +795,6 @@ OMEGA_REFUSALS = {
 
 def test_omega_invariance_refusal():
     from hopffact.comodule import _verify_omega_invariance
-    from hopffact.tensors import TensorElement
 
     b = named_example("sweedler:1")
     es = compute_end_space(b.comodule)

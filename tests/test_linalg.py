@@ -597,3 +597,36 @@ def test_q_stack_lifts_each_block_on_its_own_primes(monkeypatch):
         assert pivots[b] == ref_piv
         assert ech[b, :len(ref_piv)].tolist() == ref
         assert not ech[b, len(ref_piv):].any()
+
+
+def test_batch_driver_halves_keeps_the_size_and_lifts_the_limit_on_a_run_of_one(monkeypatch):
+    monkeypatch.setattr(linalg, "_SLICE_CELLS", 7)
+    calls = []
+
+    def run(lo, hi, limit):
+        calls.append((lo, hi, limit))
+        if limit is not None and hi - lo > 3:
+            raise linalg._OverBudget
+        return list(range(lo, hi))
+
+    # 10 is over, then 5; runs of 3 are kept, and the last run of one has no limit
+    assert list(linalg._batches(run, 10)) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+    assert calls == [(0, 10, 7), (0, 5, 7), (0, 3, 7), (3, 6, 7), (6, 9, 7), (9, 10, None)]
+
+    def never(lo, hi, limit):
+        if limit is not None:
+            raise linalg._OverBudget
+        return lo
+
+    # a run that is always over budget ends as runs of one, in order
+    assert list(linalg._batches(never, 5)) == [0, 1, 2, 3, 4]
+    assert list(linalg._batches(never, 0)) == []
+
+
+def test_mod_image_refuses_a_prime_that_divides_a_denominator():
+    val = np.array([[Fr(1, 3), 2], [Fr(-5, 6), 0]], dtype=object)
+    assert linalg._mod_image(val, 3) is None
+    assert linalg._mod_image(val, 2) is None
+    image = linalg._mod_image(val, 7)
+    assert image.dtype == np.float64 and image.flags.c_contiguous
+    assert image.tolist() == [[5, 2], [5, 0]]  # 1/3 ≡ 5 and −5/6 ≡ 5 mod 7

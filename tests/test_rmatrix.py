@@ -15,7 +15,7 @@ from hopffact.constructions import (
 from hopffact.errors import NotInvertible
 from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
-from hopffact.hopf import module_tensor, regular_module, trivial_module
+from hopffact.hopf import HModule, module_tensor, regular_module, trivial_module
 from hopffact.rmatrix import (
     RMatrix,
     braiding_inverse_matrix,
@@ -301,3 +301,38 @@ def test_a_supplied_inverse_is_verified_by_one_product(monkeypatch):
     for wrong in (r.inverse.scale(QQ.parse(2)), r.element):
         with pytest.raises(NotInvertible, match="not an inverse"):
             RMatrix(h, r.element, wrong)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_g_tensor_1_on_kc2_fails_only_the_second_axiom(field):
+    # (Δ⊗id)(g⊗1) = g⊗g⊗1 = R13 R23, but (id⊗Δ)(g⊗1) = g⊗1⊗1 ≠ g²⊗1⊗1
+    h = named_example("regular:C2", field).hopf
+    assert h.space.labels == ("e", "g")
+    v = check_r_matrix(h, TensorElement(field, (h.space, h.space), {(1, 0): field.one}))
+    assert (v.axiom, v.detail) == ("quasitriangular-ii", "(id⊗Δ)R ≠ R13 R12")
+
+
+def _bumped(x, a, i, j):
+    """``x`` with 1 added to entry (i, j) of the matrix of basis element a."""
+    stack = x.stack.copy()
+    stack[a, i, j] = x.field.add(x.field.scalar(stack[a, i, j]), x.field.one)
+    return HModule(x.space, stack, x.field)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_each_hexagon_names_the_module_it_reads_twice(field):
+    # D(C2) with R = Σ terms on first legs e_0, e_2: a bumped Z breaks
+    # hexagon 1, where R's second legs act on Z twice; a bumped X breaks
+    # hexagon 2, where the first legs act on X twice, exactly when the
+    # bumped matrix is one of theirs
+    b = named_example("double:C2", field)
+    x = regular_module(b.hopf)
+    firsts = {idx[0] for idx, _ in b.rmatrix.element.items()}
+    assert firsts == {0, 2}
+    for a in range(4):
+        for i in range(4):
+            for j in range(4):
+                bumped = _bumped(x, a, i, j)
+                assert check_hexagon(b.rmatrix, x, x, bumped).axiom == "hexagon-1"
+                v = check_hexagon(b.rmatrix, bumped, x, x)
+                assert v.axiom == ("hexagon-2" if a in firsts else None), (a, i, j)
