@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import HopffactError
 from .fields import Field
-from .linalg import (BasedSpace, MapMatrix, Span, _batches, _dtype, _field_array, _mod_matmul,
+from .linalg import (BasedSpace, MapMatrix, _batches, _dtype, _field_array, _mod_matmul,
                      _OverBudget, _reduce, _sparse_op)
 from .tensors import (_coapply, _differing, _elements, _first_failure, _linear_op, _members,
                       _ProductOp, _products, _table_of, _units)
@@ -31,7 +31,7 @@ class StructAlgebra:
     ``mult`` is its table (a family, see ``tensors``) or nested dicts
     {(i, j): {k: c}}, converted once."""
 
-    __slots__ = ("field", "space", "unit", "_op", "_left", "_stack", "_gens")
+    __slots__ = ("field", "space", "unit", "_op", "_left", "_stack")
 
     def __init__(self, field: Field, space: BasedSpace, mult, unit):
         n = space.dim
@@ -48,7 +48,6 @@ class StructAlgebra:
         object.__setattr__(self, "_op", _ProductOp(mult))
         object.__setattr__(self, "_left", None)
         object.__setattr__(self, "_stack", None)
-        object.__setattr__(self, "_gens", None)
 
     def __setattr__(self, *a):
         raise AttributeError("StructAlgebra is immutable")
@@ -107,48 +106,6 @@ class StructAlgebra:
 
     def __repr__(self):
         return f"StructAlgebra(dim={self.dim} over {self.field})"
-
-
-def algebra_generators(a: StructAlgebra) -> list[int]:
-    """Basis indices that generate ``a`` as an algebra, chosen in basis order.
-
-    A basis element is chosen when it lies outside the subalgebra generated
-    by the elements chosen so far, which is the span of 1 closed under right
-    multiplication by them.  That span is spun with the right multiplications
-    of ``mult_stack``, on the frontier only: when a generator is chosen, the
-    rows found so far are multiplied by it, then every new row by every
-    generator.  Membership is read off the span's RREF: e_j lies in it iff
-    j is a pivot whose row is e_j itself (the coefficient of row k in e_j
-    is its entry at pivot k), so the next generator is found by one test of
-    every row.  Raises unless the span ends as all of ``a``.  Chosen once
-    per algebra and kept.
-    """
-    if a._gens is not None:
-        return list(a._gens)
-    f, n = a.field, a.dim
-    by = a.mult_stack()[n:].transpose(0, 2, 1)  # v @ by[g] is v·e_g
-    span = Span(f, n)
-    span.add(a.unit)
-    gens: list[int] = []
-    i = 0
-    while True:
-        inside = np.zeros(n + 1, dtype=bool)  # e_n stands for "none": never inside
-        inside[np.array(span.piv, dtype=np.int64)[(span.rows != 0).sum(axis=1) == 1]] = True
-        i += int(np.argmin(inside[i:]))
-        if i == n:
-            break
-        gens.append(i)
-        start = span.dim
-        span.add_batch(_mod_matmul(f, span.rows, by[i]))
-        while start < span.dim < n:
-            frontier = span.rows[start:]
-            start = span.dim
-            span.add_batch(_mod_matmul(f, frontier, by[gens]).reshape(-1, n))
-        i += 1
-    if span.dim != n:
-        raise HopffactError("the chosen generators do not span the algebra")
-    object.__setattr__(a, "_gens", tuple(gens))
-    return gens
 
 
 class StructCoalgebra:

@@ -10,13 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebras import StructAlgebra, algebra_generators, check_algebra
+from .algebras import StructAlgebra, check_algebra
 from .errors import HopffactError, ImageEscapesEndSpace, SpaceMismatch
 from .fields import GF, Field, PrimeField
 from .hopf import (
     HModule,
     HopfAlgebra,
-    _check_representation,
     _regular,
     check_representation,
     element_terms,
@@ -117,23 +116,20 @@ class ComoduleAlgebra:
 def check_comodule_algebra(c: ComoduleAlgebra) -> Verdict:
     """δ is an algebra map, coassociative, and counital.
 
-    Multiplicativity is checked on all pairs (i, j) at once, then
-    coassociativity and the counit law on every b at once; at the first
-    failing b coassociativity is named before the counit.
+    Multiplicativity is checked on all pairs (i, j) at once
+    (``_coaction_algebra_map``), then coassociativity and the counit law on
+    every b at once; at the first failing b coassociativity is named before
+    the counit.
     """
     f, h = c.field, c.host
     nb, nh = c.dim, h.dim
     v = check_algebra(c.algebra)
     if not v:
         return v
-    mh, mb, delta = h.algebra.mult_op(), c.algebra.mult_op(), c.coaction_op()
-    if _differing(f, _coapply(f, _units(f, [c.algebra]), (nb,), 0, delta, nh * nb),
-                  _units(f, [h.algebra, c.algebra]), nh * nb).size:
-        return Verdict.failed("coaction-algebra-map", None, "δ(1) ≠ 1⊗1")
-    bad = _differing(f, _coapply(f, mb, (nb,), 0, delta, nh * nb),  # element i·nb + j
-                     _products(f, delta, delta, [mh, mb], [nh, nb]), nh * nb)
-    if bad.size:
-        return Verdict.failed("coaction-algebra-map", divmod(int(bad[0]), nb))
+    v = _coaction_algebra_map(c)
+    if not v:
+        return v
+    delta = c.coaction_op()
     counit = _linear_op(f, [h.coalgebra.counit])
     bad = _first_failure(
         _differing(f, _coapply(f, delta, (nh, nb), 0, h.coalgebra.comult_op(), nh * nh),
@@ -143,6 +139,22 @@ def check_comodule_algebra(c: ComoduleAlgebra) -> Verdict:
     )
     if bad:
         return Verdict.failed(("coaction-coassociativity", "coaction-counit")[bad[1]], bad[:1])
+    return Verdict.passed()
+
+
+def _coaction_algebra_map(c: ComoduleAlgebra) -> Verdict:
+    """δ(1) = 1⊗1, then δ(b_i b_j) = δ(b_i)δ(b_j) on all pairs (i, j) at
+    once; the witness is the first failing pair."""
+    f, h = c.field, c.host
+    nb, nh = c.dim, h.dim
+    mh, mb, delta = h.algebra.mult_op(), c.algebra.mult_op(), c.coaction_op()
+    if _differing(f, _coapply(f, _units(f, [c.algebra]), (nb,), 0, delta, nh * nb),
+                  _units(f, [h.algebra, c.algebra]), nh * nb).size:
+        return Verdict.failed("coaction-algebra-map", None, "δ(1) ≠ 1⊗1")
+    bad = _differing(f, _coapply(f, mb, (nb,), 0, delta, nh * nb),  # element i·nb + j
+                     _products(f, delta, delta, [mh, mb], [nh, nb]), nh * nb)
+    if bad.size:
+        return Verdict.failed("coaction-algebra-map", divmod(int(bad[0]), nb))
     return Verdict.passed()
 
 
@@ -613,52 +625,46 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     """E(H,B), the intertwiners ξ: H → B, with the H-action (h·ξ)(h') = ξ(h'h).
 
     A map ξ, as a dim B × dim H coefficient matrix flattened row-major, is an
-    intertwiner iff ξ(b_[-1] h) b_[0] = b ξ(h) for every b in B.  The b that
-    satisfy this form a subalgebra, because δ is an algebra map, so only the
-    constraints of the algebra generators that ``algebra_generators`` picks
-    are imposed.  Each basis element's constraint is a sparse operator on
-    Hom(H,B); ``_constraint_ops`` assembles all of them at once straight
-    from the structure tables.  The generators' operators form one sparse
-    system, whose columns fall into many small connected components (two
-    columns are joined when a constraint row holds both); ``_sparse_kernel``
-    eliminates the components of each width as one stack (the 36 of
-    width 6 of the dimension-36 double are one elimination).  That gives
-    the reduced basis (the identity on its free coordinates) of one
-    elimination of the whole system, because a block-diagonal system has
-    the pivots and the reduced kernel of its blocks.  The basis is then
-    checked against the constraint of every basis element of B, so
-    exactness does not rest on the generator argument alone.  That check
-    and the H-action are sparse joins with the basis's nonzeros (of the
-    constraints keyed by column, and of the structure constants of H
-    keyed by output), summed in the field; no dense array on Hom(H,B) is
-    formed past the kernel.
+    intertwiner iff ξ(b_[-1] h) b_[0] = b ξ(h) for every b in B.  The
+    constraint of every basis element of B is imposed: ``_constraint_ops``
+    assembles them all at once, straight from the structure tables, as one
+    sparse system, whose columns fall into many small connected components
+    (two columns are joined when a constraint row holds both), and
+    ``_sparse_kernel`` eliminates the components of each width as one stack
+    (the 36 of width 6 of the dimension-36 double are one elimination).
+    That gives the reduced basis (the identity on its free coordinates) of
+    one elimination of the whole system, because a block-diagonal system
+    has the pivots and the reduced kernel of its blocks.  A coaction that is
+    not an algebra map is refused first (``_coaction_algebra_map``), since
+    E(H,B) is defined for comodule algebras only.
 
-    The H-action on E is re-checked from the algebra generators g of H:
-    ρ(1) = id and ρ(g)ρ(b) = ρ(gb) for every basis element b.  That covers
-    every pair by induction on word length: the a with ρ(a)ρ(b) = ρ(ab) for
-    all b form a subspace holding 1 and the generators, and if a and a'
-    are in it then ρ(aa')ρ(b) = ρ(a)ρ(a')ρ(b) = ρ(a)ρ(a'b) = ρ(aa'b).
+    The basis is re-checked against the constraint of every basis element,
+    which guards the eliminator.  That check and the H-action are sparse
+    joins with the basis's nonzeros (of the constraints keyed by column,
+    and of the structure constants of H keyed by output), summed in the
+    field; no dense array on Hom(H,B) is formed past the kernel.  The
+    H-action on E is re-checked by ``check_representation``: ρ(1) = id and
+    ρ(a)ρ(b) = ρ(ab) for every pair of basis elements.
     """
+    v = _coaction_algebra_map(c)
+    if not v:
+        raise HopffactError(f"the coaction is not an algebra map: {v.describe()}")
     f = c.field
     h = c.host
     nb, nh = c.dim, h.dim
     n = nb * nh
-    ops = _constraint_ops(c)
-    imposed = np.isin(ops[0] // n, algebra_generators(c.algebra))
-    kernel = _sparse_kernel(f, *(a[imposed] for a in ops), n)
+    rows, cols, vals = _constraint_ops(c)
+    kernel = _sparse_kernel(f, rows, cols, vals, n)
     k = kernel.shape[1]
     j, r = np.nonzero(kernel.T)  # the kernel entries, column by column
     kval = _sparse_values(f, kernel[r, j])
     columns = _sparse_op(f, j, r, kval, k, n)
     # every basis element's constraint entries against every kernel entry
-    rows, cols, vals = ops
     rep, out, w = _gather(_sparse_op(f, cols, rows, vals, n, nb * n), r)
     bad, _ = _combine(f, out * k + j[rep], _mul(f, w, kval[rep]))
     if bad.size:
         raise HopffactError(
-            f"the generators' kernel fails the constraint of basis element {bad[0] // (n * k)}: "
-            "the coaction is not an algebra map"
-        )
+            f"end-space kernel fails the constraint of basis element {bad[0] // (n * k)} (bug)")
     # each basis vector ends at its free coordinate, where the others vanish
     free = n - 1 - np.argmax((kernel != 0)[::-1], axis=0)
     if not np.array_equal(kernel[free], np.eye(k, dtype=_dtype(f))):
@@ -683,7 +689,7 @@ def compute_end_space(c: ComoduleAlgebra) -> EndSpace:
     module = HModule(BasedSpace(tuple(f"ξ{i}" for i in range(k))),
                      np.ascontiguousarray(coords.reshape(k, nh, k).transpose(1, 0, 2)), f)
     if k:
-        v = _check_representation(h.algebra, module, algebra_generators(h.algebra))
+        v = check_representation(h.algebra, module)
         if not v:
             raise HopffactError(f"end-space action is not a module: {v.describe()}")
     return EndSpace(c, module, basis_maps, kernel, free, columns)
@@ -805,17 +811,18 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     """Bijectivity data of Ω: Hom(E_C, 1) → Hom(1, E_M), f ↦ (f⊗id)ω.
 
     The source is the space of adjoint-invariant functionals on H, the
-    target the space of invariants of the end-space action.
+    target the space of invariants of the end-space action; each is the
+    kernel of the constraints of every basis element of H (``_invariants``).
     """
     h = k.host
     f = h.field
     es = es if es is not None else compute_end_space(k.comodule)
     omega = omega_copairing(k, es)
-    counit, gens = h.coalgebra.counit, algebra_generators(h.algebra)
+    counit = h.coalgebra.counit
     # source: f with f(h_(1) h' S(h_(2))) = ε(h) f(h'), i.e. ad(h)ᵀ f = ε(h) f
-    source = _invariants(f, h.adjoint_module().stack.transpose(0, 2, 1), counit, gens)
+    source = _invariants(f, h.adjoint_module().stack.transpose(0, 2, 1), counit)
     ne = es.dim
-    target = _invariants(f, es.module.stack, counit, gens) if ne else np.zeros((0, 0))
+    target = _invariants(f, es.module.stack, counit) if ne else np.zeros((0, 0))
     # Ω on the source basis
     images = _mod_matmul(f, source, _dense(omega))
     if images.size:
@@ -828,19 +835,25 @@ def weak_factorizability(k: KMatrix, es: EndSpace | None = None) -> WeakFactoriz
     return WeakFactorizability(len(source), len(target), rank, bij)
 
 
-def _invariants(f: Field, stack: np.ndarray, counit, gens) -> np.ndarray:
+def _invariants(f: Field, stack: np.ndarray, counit) -> np.ndarray:
     """The vectors v with A_t v = ε(h_t) v for every matrix A_t of the
-    (dim H, d, d) ``stack``, as the rows of a basis read off the RREF.  The
-    h with A_h v = ε(h) v form a subalgebra (h ↦ A_h is multiplicative or
-    antimultiplicative), so only H's generators ``gens`` are imposed, and
-    the basis is then checked against every A_t."""
+    (dim H, d, d) ``stack``, as the rows of a basis read off the RREF.
+    Every row of every A_t − ε(h_t) is imposed, but only the distinct
+    nonzero ones are eliminated; the basis is then re-checked against every
+    nonzero row, which guards the eliminator and the removal of duplicates
+    (a zero row holds for every vector)."""
     d = stack.shape[1]
     rows = stack.copy()
     diag = np.arange(d)
     rows[:, diag, diag] = _reduce(f, rows[:, diag, diag] - _field_array(f, counit)[:, None])
-    basis = _kernel(f, rows[gens].reshape(-1, d), d)
-    if (_mod_matmul(f, rows.reshape(-1, d), basis) != 0).any():
-        raise HopffactError("the generators' invariants are not invariant (bug)")
+    rows = rows.reshape(-1, d)
+    nonzero = rows[(rows != 0).any(axis=1)]
+    ordered = nonzero[np.lexsort(nonzero.T)]  # equal rows side by side
+    first = np.ones(len(ordered), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    basis = _kernel(f, ordered[first], d)
+    if (_mod_matmul(f, nonzero, basis) != 0).any():
+        raise HopffactError("the invariants fail a basis element's constraint (bug)")
     return basis.T
 
 

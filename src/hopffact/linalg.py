@@ -955,7 +955,7 @@ def _krylov(f: Field, step, v: np.ndarray, cap: int):
 
 
 # ---------------------------------------------------------------------------
-# Spans (closures, spins, generator selection and weak factorizability)
+# Spans (closures, spins and weak factorizability)
 # ---------------------------------------------------------------------------
 
 class Span:

@@ -2,20 +2,23 @@
 weak factorizability, costable ideals, and symmetric-center membership."""
 
 import hashlib
+import importlib.util
 import random
 from dataclasses import astuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import hopffact.bundle as bundle_io
 import hopffact.comodule as comodule
 import hopffact.linalg as linalg
 import hopffact.meataxe as meataxe
 
-from hopffact.algebras import StructAlgebra, algebra_generators
+from hopffact.algebras import StructAlgebra
 from hopffact.comodule import (
     ComoduleAlgebra,
     KMatrix,
@@ -277,8 +280,8 @@ def test_algebra_generators_generate():
         (named_example("sweedler:1").comodule, 2),
         (trivial_s3, 2),
     )
-    for c, count in cases:
-        gens = algebra_generators(c.algebra)
+    for c, count in cases:  # the oracle of the end-space and invariant tests
+        gens = reference.greedy_generators(c.algebra)
         assert len(gens) == count
         assert _words_span_dim(c.algebra, gens) == c.dim
 
@@ -957,7 +960,7 @@ def test_end_space_equals_the_reference_kernel_on_the_registry(field):
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
 def test_end_space_equals_the_reference_kernel_in_one_component(field):
     # a dense change of basis of B joins every coordinate of Hom(H,B)
-    # into one connected component of the generators' constraint system
+    # into one connected component of the constraint system
     from hopffact.linalg import _components
 
     c = named_example("regular:S3", field).comodule
@@ -966,9 +969,7 @@ def test_end_space_equals_the_reference_kernel_in_one_component(field):
     while rebased is None:
         rebased = _rebase(c, [rng.choice([-1, 1, 2]) for _ in range(c.dim ** 2)])
     n = rebased.dim * rebased.host.dim
-    ops = [comodule._constraint_op(rebased, g) for g in algebra_generators(rebased.algebra)]
-    rows = np.concatenate([op[0] + i * n for i, op in enumerate(ops)])
-    cols = np.concatenate([op[1] for op in ops])
+    rows, cols, _ = comodule._constraint_ops(rebased)
     assert set(_components(rows, cols, n)) == {0}
     es = compute_end_space(rebased)
     assert es.dim == compute_end_space(c).dim
@@ -976,16 +977,16 @@ def test_end_space_equals_the_reference_kernel_in_one_component(field):
 
 
 def test_end_space_refuses_a_coaction_that_is_not_an_algebra_map():
-    # kC3 is generated by g, so δ(g²) is never imposed while the kernel is
-    # built; changing it to g² ⊗ g must fail the check against every basis
-    # element
+    # kC3 is generated by g, so δ(g²) was once never imposed while the
+    # kernel was built; changing it to g² ⊗ g breaks δ(g)δ(g) = δ(g²)
     c = named_example("regular:C3").comodule
-    assert algebra_generators(c.algebra) == [1]
+    assert reference.greedy_generators(c.algebra) == [1]
     coaction = coaction_dict(c)
     assert coaction[2] == {(2, 2): QQ.one}
     coaction[2] = {(2, 1): QQ.one}
     bad = ComoduleAlgebra(c.host, c.algebra, coaction)
-    with pytest.raises(HopffactError, match="basis element 2: the coaction is not an algebra map"):
+    with pytest.raises(HopffactError, match=r"^the coaction is not an algebra map: "
+                       r"fail\(coaction-algebra-map, witness=\(1, 1\)\)$"):
         compute_end_space(bad)
 
 
@@ -1152,6 +1153,16 @@ def test_h_action_equals_the_dense_formula():
         assert [list(map(list, a.rows)) for a in es.h_action] == _dense_h_action(c, es), label
 
 
+def _generator_invariants(f, stack, counit, gens):
+    """The invariants as they were once computed: the kernel of A_g − ε(h_g)
+    for the generators g of H only."""
+    d = stack.shape[1]
+    rows = stack.copy()
+    diag = np.arange(d)
+    rows[:, diag, diag] = linalg._reduce(f, rows[:, diag, diag] - linalg._field_array(f, counit)[:, None])
+    return linalg._kernel(f, rows[gens].reshape(-1, d), d).T
+
+
 @pytest.mark.parametrize("field", REFERENCE_FIELDS, ids=str)
 def test_invariants_of_the_generators_are_those_of_every_basis_element(field):
     bundles = []
@@ -1167,101 +1178,119 @@ def test_invariants_of_the_generators_are_those_of_every_basis_element(field):
         if b.comodule is None:
             continue
         h = b.hopf
-        gens = algebra_generators(h.algebra)
+        gens = reference.greedy_generators(h.algebra)
         seen_no_generators |= not gens
         es = compute_end_space(b.comodule)
         stacks = [h.adjoint_module().stack.transpose(0, 2, 1), es.module.stack]
         for stack in stacks if es.dim else stacks[:1]:
-            from_gens = comodule._invariants(field, stack, h.coalgebra.counit, gens)
-            from_all = comodule._invariants(field, stack, h.coalgebra.counit, list(range(h.dim)))
+            from_gens = _generator_invariants(field, stack, h.coalgebra.counit, gens)
+            from_all = comodule._invariants(field, stack, h.coalgebra.counit)
             assert np.array_equal(from_gens, from_all)
     assert seen_no_generators  # subgroup:C1:C1, where H is the field
 
 
-def test_invariants_recheck_every_basis_element():
-    # imposing too few elements leaves vectors that some basis element moves:
-    # the check against every basis element refuses them
+def _perturbed(kernel_fn):
+    """``kernel_fn`` with the last zero of its kernel's first column set to 1."""
+    def perturbed(f, *args):
+        kernel = kernel_fn(f, *args).copy()
+        kernel[np.flatnonzero(kernel[:, 0] == 0)[-1], 0] = 1
+        return kernel
+    return perturbed
+
+
+def test_invariants_recheck_every_basis_element(monkeypatch):
+    # a kernel with one entry moved leaves a vector that some basis element
+    # moves: the check against every basis element refuses it
     h = named_example("sweedler:1").hopf
     adj = h.adjoint_module().stack.transpose(0, 2, 1)
-    with pytest.raises(HopffactError, match="not invariant"):
-        comodule._invariants(QQ, adj, h.coalgebra.counit, [])
+    assert comodule._invariants(QQ, adj, h.coalgebra.counit).shape[0]
+    monkeypatch.setattr(comodule, "_kernel", _perturbed(linalg._kernel))
+    with pytest.raises(HopffactError, match=r"^the invariants fail a basis element's "
+                       r"constraint \(bug\)$"):
+        comodule._invariants(QQ, adj, h.coalgebra.counit)
 
 
-def test_algebra_generators_spin_once_per_algebra(monkeypatch):
-    # H and B differ in dimension, so the spans tell the two algebras apart
-    import collections
-
-    import hopffact.algebras as algebras
-    from hopffact import bundle
-
-    spins = collections.Counter()  # each spin starts one Span of its algebra
-
-    def counted(f, n):
-        spins[n] += 1
-        return Span(f, n)
-
-    monkeypatch.setattr(algebras, "Span", counted)
-    b = bundle.loads(bundle.dumps(named_example("subgroup:S3:C2")))
-    k = KMatrix(b.comodule, RMatrix(b.hopf, b.rmatrix_element), b.kmatrix_element)
-    es = compute_end_space(b.comodule)
-    weak_factorizability(k, es)
-    algebra_generators(b.hopf.algebra)
-    algebra_generators(b.comodule.algebra)
-    assert spins == {b.hopf.dim: 1, b.comodule.dim: 1}
+def test_end_space_rechecks_its_kernel_against_every_constraint(monkeypatch):
+    c = named_example("regular:S3").comodule
+    monkeypatch.setattr(comodule, "_sparse_kernel", _perturbed(linalg._sparse_kernel))
+    with pytest.raises(HopffactError, match=r"^end-space kernel fails the constraint of "
+                       r"basis element \d+ \(bug\)$"):
+        compute_end_space(c)
 
 
 @pytest.mark.parametrize("name, field, basis", [("regular:S3", QQ, 4), ("double:S3", GF(101), 3)],
                          ids=["regular:S3", "double:S3-GF101"])
 def test_end_space_refuses_a_coaction_bumped_off_the_generators(name, field, basis):
     # δ(b) gains one term at a basis element that is not a generator, so
-    # the generators' kernel is built without it; the check against every
-    # basis element names it
+    # the generators' kernel was once built without it; the coaction is
+    # refused as not an algebra map
     c = named_example(name, field).comodule
-    assert basis not in algebra_generators(c.algebra)
+    assert basis not in reference.greedy_generators(c.algebra)
     coaction = coaction_dict(c)
     coaction[basis][(basis + 1, basis)] = field.one
-    with pytest.raises(HopffactError, match=f"^the generators' kernel fails the constraint of "
-                       f"basis element {basis}: the coaction is not an algebra map$"):
+    with pytest.raises(HopffactError, match=r"^the coaction is not an algebra map: "
+                       r"fail\(coaction-algebra-map, witness=\(\d+, \d+\)\)$"):
         compute_end_space(ComoduleAlgebra(c.host, c.algebra, coaction))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
 def test_sparse_kernel_matches_the_per_component_path(field):
-    # the generators' constraint systems of the registry and of the
-    # dimension-36 double: components of widths 2, 3, 4 and 6, eliminated
-    # one stack per width, against one elimination per component
+    # the constraint systems of the registry and of the dimension-36
+    # double: components of widths 2, 3, 4 and 6, eliminated one stack per
+    # width, against one elimination per component
     for name in list(registry_names()) + ["double:S3"]:
         c = named_example(name, field).comodule
         if c is None:
             continue
         n = c.dim * c.host.dim
-        ops = comodule._constraint_ops(c)
-        system = [a[np.isin(ops[0] // n, algebra_generators(c.algebra))] for a in ops]
+        system = comodule._constraint_ops(c)
         assert np.array_equal(linalg._sparse_kernel(field, *system, n),
                               reference.sparse_kernel_by_component(field, *system, n)), name
 
 
-def _permuted_algebra(a, perm):
-    """``a`` with basis element i renamed perm[i]."""
-    mult = {(perm[i], perm[j]): {perm[k]: x for k, x in out.items()}
-            for (i, j), out in mult_dict(a).items()}
-    unit = [None] * a.dim
-    for i, x in enumerate(a.unit):
-        unit[perm[i]] = x
-    return StructAlgebra(a.field, a.space, mult, unit)
+def _permute():
+    """The benchmark's seeded basis permutations of bundle documents."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "permute.py"
+    spec = importlib.util.spec_from_file_location("permute", path)
+    permute = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(permute)
+    return permute
 
 
+def _generator_end_space(c, monkeypatch):
+    """The end space as it was once computed: the kernel of the constraints
+    of the generators of B only, with the same re-checks and H-action."""
+    n = c.dim * c.host.dim
+    gens = reference.greedy_generators(c.algebra)
+
+    def imposed(f, rows, cols, vals, ncols):
+        keep = np.isin(rows // n, gens)
+        return linalg._sparse_kernel(f, rows[keep], cols[keep], vals[keep], ncols)
+
+    with monkeypatch.context() as m:
+        m.setattr(comodule, "_sparse_kernel", imposed)
+        return compute_end_space(c)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_algebra_generators_match_the_former_greedy(seed):
-    # membership read off the span's RREF picks the generators that the
-    # per-element Span.contains test picked, on every registry algebra and
-    # on the dimension-36 double, in seeded basis orders
-    rng = random.Random(seed)
-    bundles = [named_example(name) for name in registry_names()]
-    bundles.append(named_example("double:S3", GF(101)))
-    for b in bundles:
-        for alg in (b.hopf.algebra,) + ((b.comodule.algebra,) if b.comodule else ()):
-            perm = list(range(alg.dim))
-            rng.shuffle(perm)
-            permuted = _permuted_algebra(alg, perm)
-            assert algebra_generators(permuted) == reference.greedy_generators(permuted)
+def test_every_constraint_gives_the_generator_results(field, seed, monkeypatch):
+    # imposing every basis element's constraint gives the E basis, its
+    # H-action and both invariant bases that imposing the generators' gave,
+    # on the registry and both dimension-36 instances, in seeded basis orders
+    permute, rng = _permute(), random.Random(seed)
+    names = list(registry_names()) + ["double:S3", "reflective-trivial:S3"]
+    for name in names:
+        text = bundle_io.dumps(named_example(name, field))
+        b = bundle_io.loads(permute.permute_text(text, *permute.draw(rng, text)))
+        if b.comodule is None:
+            continue
+        h, counit = b.hopf, b.hopf.coalgebra.counit
+        es, former = compute_end_space(b.comodule), _generator_end_space(b.comodule, monkeypatch)
+        assert np.array_equal(es._kernel, former._kernel), name
+        assert np.array_equal(es.module.stack, former.module.stack), name
+        gens = reference.greedy_generators(h.algebra)
+        adjoint = h.adjoint_module().stack.transpose(0, 2, 1)
+        for stack in (adjoint, es.module.stack) if es.dim else (adjoint,):
+            assert np.array_equal(comodule._invariants(field, stack, counit),
+                                  _generator_invariants(field, stack, counit, gens)), name

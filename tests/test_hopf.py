@@ -16,6 +16,7 @@ from hopffact.fields import GF, QQ
 from hopffact.groups import cyclic_group, symmetric_group
 from hopffact.hopf import (
     HModule,
+    HopfAlgebra,
     check_hopf,
     check_module,
     dual_hopf,
@@ -124,6 +125,24 @@ def test_check_hopf_reports_perturbed_counit():
     bad = HopfAlgebra(hd.algebra, bad_coalg, hd.antipode, hd.antipode_inv)
     v = check_hopf(bad)
     assert not v and v.axiom == "counitality"
+
+
+@pytest.mark.parametrize("case", ["sweedler:S", "C3-GF101:identity", "S3:2S"])
+def test_check_hopf_refuses_a_wrong_antipode_inverse(case):
+    # a supplied S⁻¹ that is not S's inverse: S itself on H4, where S² ≠ id;
+    # the identity on kC3, where S is inversion; 2·S on kS3
+    if case == "sweedler:S":
+        h = sweedler_h4()
+        wrong = h.antipode
+    elif case == "C3-GF101:identity":
+        h, _ = group_algebra(cyclic_group(3), GF(101))
+        wrong = MapMatrix.identity(h.field, h.space)
+    else:
+        h, _ = group_algebra(symmetric_group(3))
+        wrong = MapMatrix(QQ, h.space, h.space, 2 * h.antipode.array)
+    v = check_hopf(HopfAlgebra(h.algebra, h.coalgebra, h.antipode, wrong))
+    assert (v.ok, v.axiom, v.witness, v.detail) == (False, "antipode-inverse", None, "S∘S⁻¹ ≠ id")
+    assert check_hopf(HopfAlgebra(h.algebra, h.coalgebra, h.antipode))
 
 
 def test_antipode_consequences():
